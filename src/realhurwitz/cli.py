@@ -1,9 +1,9 @@
 """Command line front end: tables, verification suites, and matrix dumps.
 
 All configuration comes from flags; output for fixed flags is deterministic
-byte for byte, independent of the thread count. Rational numbers appear in
-JSON as separate numerator and denominator strings, never as floats. Exit
-codes: 0 success, 1 verification failure, 2 usage error.
+byte for byte. Rational numbers appear in JSON as separate numerator and
+denominator strings, never as floats. Exit codes: 0 success, 1 verification
+failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from fractions import Fraction
 from . import evolution, nonsep, oracle, spectral
 from .model import (
     Bidegree,
+    canonical_key,
     enumerate_bidegrees,
     euler_characteristic,
     format_type,
@@ -27,20 +28,13 @@ from .model import (
     rtype,
 )
 from .operators import OperatorKind, block_matrix
-from .poly import PolyVector
+from .poly import HurwitzRow, PolyVector
 
 
 def _nonnegative(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text} is negative")
-    return value
-
-
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text} is not positive")
     return value
 
 
@@ -58,35 +52,19 @@ def _tilde_text(mu: nonsep.TildeType) -> str:
 
 
 def _emit_rows(rows, fmt: str, tilde: bool = False) -> None:
+    kappas = ["kappa_plus", "kappa_minus"] + (["kappa_odd"] if tilde else [])
+    header = ["m", *kappas, "lambda", "chi", "connected", "value_num", "value_den"]
+    records = ([row.m, *(_part_str(getattr(row.mu, k)) for k in kappas),
+                _part_str(row.mu.lam), row.chi, row.connected,
+                str(row.value.numerator), str(row.value.denominator)] for row in rows)
     if fmt == "json":
-        objs = []
-        for row in rows:
-            obj = {"m": row.m, "kappa_plus": _part_str(row.mu.kappa_plus),
-                   "kappa_minus": _part_str(row.mu.kappa_minus)}
-            if tilde:
-                obj["kappa_odd"] = _part_str(row.mu.kappa_odd)
-            obj["lambda"] = _part_str(row.mu.lam)
-            obj["chi"] = row.chi
-            obj["connected"] = row.connected
-            obj["value_num"] = str(row.value.numerator)
-            obj["value_den"] = str(row.value.denominator)
-            objs.append(obj)
-        print(json.dumps({"rows": objs}, indent=2))
+        print(json.dumps({"rows": [dict(zip(header, rec)) for rec in records]}, indent=2))
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        header = ["m", "kappa_plus", "kappa_minus"]
-        if tilde:
-            header.append("kappa_odd")
-        header += ["lambda", "chi", "connected", "value_num", "value_den"]
         writer.writerow(header)
-        for row in rows:
-            rec = [row.m, _part_str(row.mu.kappa_plus), _part_str(row.mu.kappa_minus)]
-            if tilde:
-                rec.append(_part_str(row.mu.kappa_odd))
-            rec += [_part_str(row.mu.lam), row.chi, str(row.connected).lower(),
-                    str(row.value.numerator), str(row.value.denominator)]
-            writer.writerow(rec)
+        writer.writerows([str(x).lower() if isinstance(x, bool) else x for x in rec]
+                         for rec in records)
         sys.stdout.write(buf.getvalue())
     else:
         for row in rows:
@@ -95,8 +73,7 @@ def _emit_rows(rows, fmt: str, tilde: bool = False) -> None:
 
 
 def cmd_table(args) -> int:
-    rows = evolution.table_rows(args.max_degree, args.max_m,
-                                args.connected, args.threads)
+    rows = evolution.table_rows(args.max_degree, args.max_m, args.connected)
     _emit_rows(rows, args.format)
     return 0
 
@@ -183,9 +160,7 @@ def cmd_spectrum(args) -> int:
 def cmd_oracle(args) -> int:
     b = Bidegree(args.nplus, args.nminus)
     table = oracle.hurwitz_by_paths(b, args.m)
-    from .model import canonical_key
-    rows = [evolution.HurwitzRow(args.m, mu, euler_characteristic(mu, args.m),
-                                 False, table[mu])
+    rows = [HurwitzRow(args.m, mu, euler_characteristic(mu, args.m), False, table[mu])
             for mu in sorted(table, key=canonical_key)]
     _emit_rows(rows, args.format)
     return 0
@@ -357,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cap on max(n+, n-) of listed types")
     table.add_argument("--max-m", type=_nonnegative, default=3)
     table.add_argument("--connected", action="store_true")
-    table.add_argument("--threads", type=_positive, default=1)
     table.add_argument("--format", choices=["json", "csv", "text"], default="text")
     table.set_defaults(func=cmd_table)
 

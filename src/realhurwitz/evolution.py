@@ -11,11 +11,10 @@ equation it satisfies.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .model import (
     Bidegree,
@@ -36,7 +35,15 @@ from .operators import (
     genus0_join,
     genus0_qterm,
 )
-from .poly import PolyVector, USeries, series_log
+from .poly import (
+    HurwitzRow,
+    PolyVector,
+    USeries,
+    iterate,
+    merge_blocks,
+    series_log,
+    series_rows,
+)
 
 
 def initial_vector(b: Bidegree) -> PolyVector:
@@ -50,7 +57,9 @@ def initial_vector(b: Bidegree) -> PolyVector:
     return PolyVector(terms)
 
 
-@lru_cache(maxsize=None)
+_ORBITS: dict[Bidegree, list[PolyVector]] = {}
+
+
 def evolve_block(b: Bidegree, max_m: int) -> tuple[PolyVector, ...]:
     """Block coefficients of the disconnected series at u^m/m!, m <= max_m.
 
@@ -58,85 +67,41 @@ def evolve_block(b: Bidegree, max_m: int) -> tuple[PolyVector, ...]:
     to the initial vector; the minus and mean operators give the same values.
     """
     b = Bidegree(*b)
-    if max_m == 0:
-        return (initial_vector(b),)
-    prev = evolve_block(b, max_m - 1)
-    return prev + (apply(OperatorKind.WPLUS, prev[-1]),)
+    return iterate(_ORBITS, b, initial_vector(b),
+                   lambda v: apply(OperatorKind.WPLUS, v), max_m)
 
 
-def disconnected_series(max_degree: int, max_m: int, threads: int = 1) -> USeries:
+def disconnected_series(max_degree: int, max_m: int) -> USeries:
     """Exponential generating series of disconnected counts, truncated to
     total degree max_degree and order max_m in u."""
-    blocks = enumerate_bidegrees(max_degree)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            evolved = list(pool.map(lambda b: evolve_block(b, max_m), blocks))
-    else:
-        evolved = [evolve_block(b, max_m) for b in blocks]
-    # merge in block order, independent of completion order
-    coeffs = []
-    for m in range(max_m + 1):
-        total = PolyVector()
-        for vectors in evolved:
-            total = total + vectors[m]
-        coeffs.append(total)
-    return USeries(tuple(coeffs), connected=False)
+    return merge_blocks((evolve_block(b, max_m) for b in enumerate_bidegrees(max_degree)),
+                        max_m)
 
 
 @lru_cache(maxsize=None)
-def _disconnected_cached(max_degree: int, max_m: int) -> USeries:
-    return disconnected_series(max_degree, max_m)
-
-
-@lru_cache(maxsize=None)
-def _connected_cached(max_degree: int, max_m: int) -> USeries:
-    return series_log(_disconnected_cached(max_degree, max_m), max_m, max_degree)
-
-
-def connected_series(max_degree: int, max_m: int, threads: int = 1) -> USeries:
+def connected_series(max_degree: int, max_m: int) -> USeries:
     """Formal logarithm of the disconnected series, same truncation."""
-    if threads > 1:
-        big_h = disconnected_series(max_degree, max_m, threads)
-        return series_log(big_h, max_m, max_degree)
-    return _connected_cached(max_degree, max_m)
+    return series_log(disconnected_series(max_degree, max_m), max_m, max_degree)
 
 
 def hurwitz_value(mu: RamificationType, m: int, connected: bool = True) -> Fraction:
     """One framed count: coefficient of p_mu u^m/m! in the chosen series."""
-    series = (_connected_cached if connected else _disconnected_cached)(mu.degree, m)
+    series = (connected_series if connected else disconnected_series)(mu.degree, m)
     return series.coeff(m).coeff(mu)
 
 
-class HurwitzRow(NamedTuple):
-    m: int
-    mu: RamificationType
-    chi: int
-    connected: bool
-    value: Fraction
-
-
-def table_rows(block_cap: int, max_m: int, connected: bool = True,
-               threads: int = 1) -> list[HurwitzRow]:
+def table_rows(block_cap: int, max_m: int, connected: bool = True) -> list[HurwitzRow]:
     """Nonzero counts for all types with max(n_plus, n_minus) <= block_cap,
     ordered by m and then by canonical type order."""
     series_fn = connected_series if connected else disconnected_series
-    series = series_fn(2 * block_cap, max_m, threads)
-    rows = []
-    for m in range(max_m + 1):
-        keys = [mu for mu, _ in series.coeff(m)]
-        for mu in sorted(keys, key=canonical_key):
-            b = bidegree(mu)
-            if max(b.n_plus, b.n_minus) > block_cap:
-                continue
-            rows.append(HurwitzRow(m, mu, euler_characteristic(mu, m),
-                                   connected, series.coeff(m).coeff(mu)))
-    return rows
+    return series_rows(series_fn(2 * block_cap, max_m), canonical_key,
+                       euler_characteristic, lambda mu: max(bidegree(mu)) <= block_cap)
 
 
 def genus0_series(max_m: int, max_degree: int) -> USeries:
     """Unsigned genus-zero series: half the chi = 2 part of the connected
     series, with both signed variable families collapsed to one."""
-    conn = _connected_cached(max_degree, max_m)
+    conn = connected_series(max_degree, max_m)
     coeffs = []
     for m in range(max_m + 1):
         kept = {mu: c for mu, c in conn.coeff(m)

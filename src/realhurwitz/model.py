@@ -16,8 +16,6 @@ from typing import Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
 
-EMPTY_PARTITION: Partition = ()
-
 
 def partition(parts: Iterable[int]) -> Partition:
     """Normalize an iterable of positive integers into a partition tuple."""
@@ -64,6 +62,14 @@ def aut_order(p: Partition) -> int:
 def merge_partitions(a: Partition, b: Partition) -> Partition:
     """Disjoint union of parts, kept non-increasing."""
     return tuple(sorted(a + b, reverse=True))
+
+
+def without(p: Partition, *parts: int) -> Partition:
+    """p with one occurrence of each given part removed."""
+    items = list(p)
+    for k in parts:
+        items.remove(k)
+    return tuple(items)
 
 
 class Bidegree(NamedTuple):

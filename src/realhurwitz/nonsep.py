@@ -19,8 +19,17 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterator, NamedTuple
 
-from .model import Partition, aut_order, merge_partitions, partition, partitions_of
-from .poly import PolyVector, USeries, series_log
+from .model import Partition, aut_order, merge_partitions, partition, partitions_of, without
+from .oracle import WalkModel, class_multiplication, members, walk_totals
+from .poly import (
+    HurwitzRow,
+    PolyVector,
+    USeries,
+    iterate,
+    merge_blocks,
+    series_log,
+    series_rows,
+)
 
 TildeState = frozenset
 TildeTransition = tuple[TildeState, TildeState]
@@ -177,14 +186,19 @@ def tilde_classify(t: TildeTransition, n: int) -> TildeType:
                     queue.append(w)
         k = len(component)
         edge_count = sum(len(edges[v]) for v in component) // 2
-        if edge_count == k:  # cycle; length is even by alternation
+        if edge_count == k:
+            if k % 2:
+                raise AssertionError(f"odd cycle in transition {t!r}")
             lam.append(k // 2)
+        elif edge_count != k - 1:
+            raise AssertionError(f"component of {t!r} is neither chain nor cycle")
         elif k % 2:
             ko.append(k)
         else:
             end_sides = {side for v in component if len(edges[v]) == 1
                          for _, side in edges[v]}
-            assert len(end_sides) == 1, t
+            if len(end_sides) != 1:
+                raise AssertionError(f"even chain of {t!r} with mixed end matchings")
             (kp if end_sides == {1} else km).append(k)
     return TildeType(partition(kp), partition(km), partition(ko), partition(lam))
 
@@ -217,24 +231,23 @@ def tilde_representative(mu: TildeType) -> TildeTransition:
     for k in mu.kappa_minus:
         chain(k, initial)
     t = (frozenset(initial), frozenset(final))
-    assert tilde_classify(t, mu.degree) == mu, mu
+    if tilde_classify(t, mu.degree) != mu:
+        raise AssertionError(f"representative of {mu!r} has the wrong type")
     return t
+
+
+def _unsigned() -> WalkModel:
+    # built per call, so that a rebound module-level name takes effect
+    return WalkModel(tilde_states, tilde_neighbors, tilde_classify)
 
 
 @lru_cache(maxsize=None)
 def tilde_class_members(mu: TildeType) -> tuple[TildeTransition, ...]:
-    n = mu.degree
-    all_states = tilde_states(n)
-    return tuple((s, t) for s in all_states for t in all_states
-                 if tilde_classify((s, t), n) == mu)
+    return members(_unsigned(), (mu.degree,), mu)
 
 
 def tilde_class_size(mu: TildeType) -> int:
     return len(tilde_class_members(mu))
-
-
-def tilde_invert(t: TildeTransition) -> TildeTransition:
-    return (t[1], t[0])
 
 
 class TildeMatrix(NamedTuple):
@@ -253,26 +266,7 @@ def tilde_operator_matrix(n: int) -> TildeMatrix:
     """Matrix of the evolution operator on the degree-n invariant algebra,
     derived from exhaustive walks and averaged over each class."""
     basis = tilde_enumerate_types(n)
-    index = {mu: i for i, mu in enumerate(basis)}
-    size = len(basis)
-    entries = [[Fraction(0)] * size for _ in range(size)]
-    for j, mu in enumerate(basis):
-        members = tilde_class_members(mu)
-        counts: dict[TildeType, int] = {}
-        for initial, final in members:
-            for s in tilde_neighbors(initial, n):
-                res = tilde_classify((s, final), n)
-                counts[res] = counts.get(res, 0) + 1
-        for res, count in counts.items():
-            entries[index[res]][j] = Fraction(count, len(members))
-    return TildeMatrix(n, basis, tuple(tuple(row) for row in entries))
-
-
-def _without(p: Partition, *parts: int) -> Partition:
-    items = list(p)
-    for k in parts:
-        items.remove(k)
-    return tuple(items)
+    return TildeMatrix(n, basis, class_multiplication(_unsigned(), (n,), basis))
 
 
 def tilde_reference_images(mu: TildeType) -> PolyVector:
@@ -296,8 +290,8 @@ def tilde_reference_images(mu: TildeType) -> PolyVector:
     # join of an odd pole with a positive even pole, prefactor 2
     for a in ko_counts:
         for b in kp_counts:
-            nu = TildeType(_without(kp, b), km,
-                           merge_partitions(_without(ko, a), (a + b,)), lam)
+            nu = TildeType(without(kp, b), km,
+                           merge_partitions(without(ko, a), (a + b,)), lam)
             add(nu, Fraction(2 * ko_counts[a] * kp_counts[b]))
     # join of two odd poles into a negative even pole, prefactor 1/2
     for a in ko_counts:
@@ -305,41 +299,41 @@ def tilde_reference_images(mu: TildeType) -> PolyVector:
             mult = ko_counts[a] * (ko_counts[b] - (1 if a == b else 0))
             if mult:
                 nu = TildeType(kp, merge_partitions(km, (a + b,)),
-                               _without(ko, a, b), lam)
+                               without(ko, a, b), lam)
                 add(nu, Fraction(mult, 2))
     # join of two positive even poles, prefactor 2
     for a in kp_counts:
         for b in kp_counts:
             mult = kp_counts[a] * (kp_counts[b] - (1 if a == b else 0))
             if mult:
-                nu = TildeType(merge_partitions(_without(kp, a, b), (a + b,)),
+                nu = TildeType(merge_partitions(without(kp, a, b), (a + b,)),
                                km, ko, lam)
                 add(nu, Fraction(2 * mult))
     # cut of a negative even pole into two odd ones
     for n_part, mult in km_counts.items():
         for a in range(1, n_part, 2):
-            nu = TildeType(kp, _without(km, n_part),
+            nu = TildeType(kp, without(km, n_part),
                            merge_partitions(ko, (a, n_part - a)), lam)
             add(nu, Fraction(mult))
     # cut of an odd pole into an odd and a positive even one
     for n_part, mult in ko_counts.items():
         for a in range(1, n_part - 1, 2):
             nu = TildeType(merge_partitions(kp, (n_part - a,)), km,
-                           merge_partitions(_without(ko, n_part), (a,)), lam)
+                           merge_partitions(without(ko, n_part), (a,)), lam)
             add(nu, Fraction(mult))
     # cut of a positive even pole into two positive even ones
     for n_part, mult in kp_counts.items():
         for a in range(2, n_part - 1, 2):
-            nu = TildeType(merge_partitions(_without(kp, n_part), (a, n_part - a)),
+            nu = TildeType(merge_partitions(without(kp, n_part), (a, n_part - a)),
                            km, ko, lam)
             add(nu, Fraction(mult))
     # conjugate pair of order l to a positive pole of order 2l, weight l
     for l, mult in lam_counts.items():
-        nu = TildeType(merge_partitions(kp, (2 * l,)), km, ko, _without(lam, l))
+        nu = TildeType(merge_partitions(kp, (2 * l,)), km, ko, without(lam, l))
         add(nu, Fraction(l * mult))
     # positive even pole to a conjugate pair of half the order
     for n_part, mult in kp_counts.items():
-        nu = TildeType(_without(kp, n_part), km, ko,
+        nu = TildeType(without(kp, n_part), km, ko,
                        merge_partitions(lam, (n_part // 2,)))
         add(nu, Fraction(mult))
     return PolyVector(out)
@@ -391,60 +385,27 @@ def tilde_initial_vector(n: int) -> PolyVector:
     return PolyVector(terms)
 
 
-@lru_cache(maxsize=None)
+_ORBITS: dict[int, list[PolyVector]] = {}
+
+
 def tilde_evolve(n: int, max_m: int) -> tuple[PolyVector, ...]:
     """Coefficients at u^m/m! of the disconnected degree-n evolution."""
-    if max_m == 0:
-        return (tilde_initial_vector(n),)
-    prev = tilde_evolve(n, max_m - 1)
-    matrix = tilde_operator_matrix(n)
-    vec = [prev[-1].coeff(mu) for mu in matrix.basis]
-    image = matrix.matvec(vec)
-    nxt = PolyVector({mu: c for mu, c in zip(matrix.basis, image) if c})
-    return prev + (nxt,)
+    def step(vec: PolyVector) -> PolyVector:
+        matrix = tilde_operator_matrix(n)
+        return PolyVector(zip(matrix.basis,
+                              matrix.matvec([vec.coeff(mu) for mu in matrix.basis])))
 
-
-@lru_cache(maxsize=None)
-def _tilde_adjacency_power(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    all_states = tilde_states(n)
-    index = {s: i for i, s in enumerate(all_states)}
-    size = len(all_states)
-    if m == 0:
-        return tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
-    if m == 1:
-        adj = [[0] * size for _ in range(size)]
-        for i, s in enumerate(all_states):
-            for t in tilde_neighbors(s, n):
-                adj[i][index[t]] = 1
-        return tuple(tuple(row) for row in adj)
-    prev = _tilde_adjacency_power(n, m - 1)
-    adj = _tilde_adjacency_power(n, 1)
-    return tuple(tuple(sum(prev[i][k] * adj[k][j] for k in range(size))
-                       for j in range(size)) for i in range(size))
+    return iterate(_ORBITS, n, tilde_initial_vector(n), step, max_m)
 
 
 def tilde_hurwitz(n: int, m: int) -> dict[TildeType, Fraction]:
     """Disconnected counts at u^m/m! on n elements: walk totals over n!."""
-    all_states = tilde_states(n)
-    power = _tilde_adjacency_power(n, m)
-    totals: dict[TildeType, int] = {}
-    for i, s in enumerate(all_states):
-        for j, t in enumerate(all_states):
-            if power[i][j]:
-                mu = tilde_classify((s, t), n)
-                totals[mu] = totals.get(mu, 0) + power[i][j]
-    return {mu: Fraction(total, factorial(n)) for mu, total in totals.items()}
+    return {mu: Fraction(total, factorial(n))
+            for mu, total in walk_totals(_unsigned(), (n,), m).items()}
 
 
 def tilde_disconnected_series(max_n: int, max_m: int) -> USeries:
-    evolved = [tilde_evolve(n, max_m) for n in range(max_n + 1)]
-    coeffs = []
-    for m in range(max_m + 1):
-        total = PolyVector()
-        for vectors in evolved:
-            total = total + vectors[m]
-        coeffs.append(total)
-    return USeries(tuple(coeffs), connected=False)
+    return merge_blocks((tilde_evolve(n, max_m) for n in range(max_n + 1)), max_m)
 
 
 @lru_cache(maxsize=None)
@@ -456,21 +417,7 @@ def tilde_connected_value(mu: TildeType, m: int) -> Fraction:
     return tilde_connected_series(mu.degree, m).coeff(m).coeff(mu)
 
 
-class TildeRow(NamedTuple):
-    m: int
-    mu: TildeType
-    chi: int
-    connected: bool
-    value: Fraction
-
-
-def tilde_table_rows(max_n: int, max_m: int, connected: bool = True) -> list[TildeRow]:
+def tilde_table_rows(max_n: int, max_m: int, connected: bool = True) -> list[HurwitzRow]:
     series = (tilde_connected_series(max_n, max_m) if connected
               else tilde_disconnected_series(max_n, max_m))
-    rows = []
-    for m in range(max_m + 1):
-        keys = [mu for mu, _ in series.coeff(m)]
-        for mu in sorted(keys, key=tilde_canonical_key):
-            rows.append(TildeRow(m, mu, tilde_euler_characteristic(mu, m),
-                                 connected, series.coeff(m).coeff(mu)))
-    return rows
+    return series_rows(series, tilde_canonical_key, tilde_euler_characteristic)

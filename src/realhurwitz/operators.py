@@ -29,6 +29,7 @@ from .model import (
     bidegree,
     enumerate_types,
     merge_partitions,
+    without,
 )
 from .poly import PolyVector
 
@@ -43,13 +44,6 @@ class OperatorKind(Enum):
 CHI_SHIFTS = {"cut": 0, "join": -2, "real_to_pair": -2, "pair_to_real": 0}
 
 
-def _without(p: Partition, *parts: int) -> Partition:
-    items = list(p)
-    for k in parts:
-        items.remove(k)
-    return tuple(items)
-
-
 def wplus_images(mu: RamificationType) -> Iterator[tuple[RamificationType, int, int]]:
     """Images of the plus operator on the monomial p_mu.
 
@@ -62,13 +56,13 @@ def wplus_images(mu: RamificationType) -> Iterator[tuple[RamificationType, int, 
     # cut differentiating a plus part: i even, both new parts positive
     for n, mult in kp_counts.items():
         for i in range(2, n, 2):
-            yield (RamificationType(merge_partitions(_without(kp, n), (i, n - i)), km, lam),
+            yield (RamificationType(merge_partitions(without(kp, n), (i, n - i)), km, lam),
                    mult, CHI_SHIFTS["cut"])
     # cut differentiating a minus part: i odd stays negative, j positive
     for n, mult in km_counts.items():
         for i in range(1, n, 2):
             yield (RamificationType(merge_partitions(kp, (n - i,)),
-                                    merge_partitions(_without(km, n), (i,)), lam),
+                                    merge_partitions(without(km, n), (i,)), lam),
                    mult, CHI_SHIFTS["cut"])
     # join of two plus parts (i even): result positive
     for i in kp_counts:
@@ -77,24 +71,24 @@ def wplus_images(mu: RamificationType) -> Iterator[tuple[RamificationType, int, 
         for j in kp_counts:
             mult = kp_counts[i] * (kp_counts[j] - (1 if i == j else 0))
             if mult:
-                yield (RamificationType(merge_partitions(_without(kp, i, j), (i + j,)), km, lam),
+                yield (RamificationType(merge_partitions(without(kp, i, j), (i + j,)), km, lam),
                        mult, CHI_SHIFTS["join"])
     # join of a minus part (i odd) with a plus part: result negative
     for i in km_counts:
         if i % 2 == 0:
             continue
         for j in kp_counts:
-            yield (RamificationType(_without(kp, j),
-                                    merge_partitions(_without(km, i), (i + j,)), lam),
+            yield (RamificationType(without(kp, j),
+                                    merge_partitions(without(km, i), (i + j,)), lam),
                    km_counts[i] * kp_counts[j], CHI_SHIFTS["join"])
     # complex pair of order l becomes a positive real part 2l, weight l
     for l, mult in Counter(lam).items():
-        yield (RamificationType(merge_partitions(kp, (2 * l,)), km, _without(lam, l)),
+        yield (RamificationType(merge_partitions(kp, (2 * l,)), km, without(lam, l)),
                l * mult, CHI_SHIFTS["real_to_pair"])
     # even positive real part 2l becomes a complex pair of order l
     for n, mult in kp_counts.items():
         if n % 2 == 0:
-            yield (RamificationType(_without(kp, n), km, merge_partitions(lam, (n // 2,))),
+            yield (RamificationType(without(kp, n), km, merge_partitions(lam, (n // 2,))),
                    mult, CHI_SHIFTS["pair_to_real"])
 
 
@@ -183,7 +177,7 @@ def genus0_p_derivative(v: PolyVector, i: int) -> PolyVector:
     for key, c in v:
         mult = key.p_parts.count(i)
         if mult:
-            nu = G0Type(_without(key.p_parts, i), key.q_parts)
+            nu = G0Type(without(key.p_parts, i), key.q_parts)
             out[nu] = out.get(nu, 0) + c * mult
     return PolyVector(out)
 
@@ -193,7 +187,7 @@ def genus0_cut(v: PolyVector) -> PolyVector:
     out: dict[G0Type, Fraction] = {}
     for key, c in v:
         for n, mult in Counter(key.p_parts).items():
-            base = _without(key.p_parts, n)
+            base = without(key.p_parts, n)
             for i in range(1, n):
                 nu = G0Type(merge_partitions(base, (i, n - i)), key.q_parts)
                 out[nu] = out.get(nu, 0) + c * mult
@@ -224,7 +218,7 @@ def genus0_qterm(v: PolyVector) -> PolyVector:
     for key, c in v:
         for n, mult in Counter(key.p_parts).items():
             if n % 2 == 0:
-                nu = G0Type(_without(key.p_parts, n),
+                nu = G0Type(without(key.p_parts, n),
                             merge_partitions(key.q_parts, (n // 2,)))
                 out[nu] = out.get(nu, 0) + c * mult
     return PolyVector(out)

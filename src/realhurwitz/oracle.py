@@ -6,7 +6,9 @@ of a transition encode a ramification type, transpositions are the transitions
 whose states differ by a single matched pair, and multiplying by the class sum
 of transpositions gives matrices that the cut-and-join operators must equal.
 Everything here is enumerated exhaustively; this module is the independent
-check on the operator route, so it shares no code with it.
+check on the operator route, so it shares no code with it. The walk and
+class-multiplication core is generic over the transition model, and the
+unsigned model binds it as well.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from itertools import combinations, permutations
-from typing import Iterator
+from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
 
 from .model import (
     Bidegree,
@@ -23,7 +25,6 @@ from .model import (
     bidegree,
     enumerate_types,
     partition,
-    zeta,
 )
 
 State = frozenset
@@ -194,11 +195,79 @@ def representative(mu: RamificationType) -> Transition:
     return (frozenset(initial), frozenset(final))
 
 
-def class_members(mu: RamificationType) -> list[Transition]:
+class WalkModel(NamedTuple):
+    """states(*block) in a fixed order, the states one transposition away
+    from s as neighbours(s, *block), and the type of a transition t as
+    classify(t, *block)."""
+
+    states: Callable[..., tuple]
+    neighbours: Callable[..., Iterator]
+    classify: Callable[..., Hashable]
+
+
+def _signed() -> WalkModel:
+    # built per call, so that a rebound module-level name takes effect
+    return WalkModel(states, neighbor_states, classify)
+
+
+def members(model: WalkModel, block: tuple, mu) -> tuple[Transition, ...]:
+    """Every transition of type mu on the block."""
+    all_states = model.states(*block)
+    return tuple((s, t) for s in all_states for t in all_states
+                 if model.classify((s, t), *block) == mu)
+
+
+def class_multiplication(model: WalkModel, block: tuple, basis: Sequence,
+                         side: str = "left") -> tuple[tuple[Fraction, ...], ...]:
+    """Matrix of multiplication by the transposition class sum on a block,
+    in the basis of class sums scaled by inverse class size: entry [row][col]
+    is the coefficient of basis[row] in the product with basis[col]. One pass
+    classifies each transition and each of its one-step moves on that side.
+    """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    kind, neighbours = model.classify, model.neighbours
+    index = {mu: i for i, mu in enumerate(basis)}
+    size = [0] * len(basis)
+    counts = [[0] * len(basis) for _ in basis]  # counts[col][row]
+    all_states = model.states(*block)
+    for initial in all_states:
+        for final in all_states:
+            col = index[kind((initial, final), *block)]
+            size[col] += 1
+            for s in neighbours(initial if side == "left" else final, *block):
+                moved = (s, final) if side == "left" else (initial, s)
+                counts[col][index[kind(moved, *block)]] += 1
+    return tuple(tuple(Fraction(counts[j][i], size[j]) for j in range(len(basis)))
+                 for i in range(len(basis)))
+
+
+def walks_from(model: WalkModel, block: tuple, start: State, m: int) -> dict[State, int]:
+    """Number of m-step transposition walks from start to each state they reach."""
+    counts = {start: 1}
+    for _ in range(m):
+        step: dict[State, int] = {}
+        for s, c in counts.items():
+            for t in model.neighbours(s, *block):
+                step[t] = step.get(t, 0) + c
+        counts = step
+    return counts
+
+
+def walk_totals(model: WalkModel, block: tuple, m: int) -> dict:
+    """Number of m-step walks between all ordered state pairs, summed by the
+    type of the pair; types without walks are left out."""
+    totals: dict = {}
+    for s in model.states(*block):
+        for t, count in walks_from(model, block, s, m).items():
+            mu = model.classify((s, t), *block)
+            totals[mu] = totals.get(mu, 0) + count
+    return totals
+
+
+def class_members(mu: RamificationType) -> tuple[Transition, ...]:
     """Every transition of type mu, by exhaustive classification of its block."""
-    b = bidegree(mu)
-    return [t for t in transitions(b.n_plus, b.n_minus)
-            if classify(t, b.n_plus, b.n_minus) == mu]
+    return members(_signed(), bidegree(mu), mu)
 
 
 def class_size(mu: RamificationType) -> int:
@@ -207,62 +276,18 @@ def class_size(mu: RamificationType) -> int:
 
 @lru_cache(maxsize=None)
 def mult_c2_matrix(b: Bidegree, side: str = "left") -> tuple[tuple[Fraction, ...], ...]:
-    """Matrix of multiplication by the transposition class sum on the block b.
-
-    Computed in the basis of class sums scaled by inverse class size, which is
-    the image of the monomial basis, over enumerate_types(b) in order. Entry
-    [row][col] is the coefficient of types[row] in the product with types[col].
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    """Matrix of multiplication by the transposition class sum on the block b,
+    over enumerate_types(b) in order; the image of the monomial basis is the
+    basis of class sums scaled by inverse class size."""
     b = Bidegree(*b)
-    types = enumerate_types(b)
-    index = {mu: i for i, mu in enumerate(types)}
-    columns = []
-    for mu in types:
-        counts = [0] * len(types)
-        members = class_members(mu)
-        for initial, final in members:
-            if side == "left":
-                results = ((s, final) for s in neighbor_states(initial, *b))
-            else:
-                results = ((initial, s) for s in neighbor_states(final, *b))
-            for r in results:
-                counts[index[classify(r, *b)]] += 1
-        columns.append([Fraction(c, len(members)) for c in counts])
-    return tuple(tuple(columns[j][i] for j in range(len(types))) for i in range(len(types)))
-
-
-@lru_cache(maxsize=None)
-def _adjacency_power(n_plus: int, n_minus: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """m-th power of the state adjacency matrix, with exact integers."""
-    all_states = states(n_plus, n_minus)
-    index = {s: i for i, s in enumerate(all_states)}
-    size = len(all_states)
-    if m == 0:
-        return tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
-    if m == 1:
-        adj = [[0] * size for _ in range(size)]
-        for i, s in enumerate(all_states):
-            for t in neighbor_states(s, n_plus, n_minus):
-                adj[i][index[t]] = 1
-        return tuple(tuple(row) for row in adj)
-    prev = _adjacency_power(n_plus, n_minus, m - 1)
-    adj = _adjacency_power(n_plus, n_minus, 1)
-    out = [[sum(prev[i][k] * adj[k][j] for k in range(size)) for j in range(size)]
-           for i in range(size)]
-    return tuple(tuple(row) for row in out)
+    return class_multiplication(_signed(), b, enumerate_types(b), side)
 
 
 def walk_count(mu: RamificationType, m: int) -> int:
     """Number of m-step transposition walks linking the states of one
     representative transition of type mu."""
-    b = bidegree(mu)
-    all_states = states(b.n_plus, b.n_minus)
-    index = {s: i for i, s in enumerate(all_states)}
     initial, final = representative(mu)
-    power = _adjacency_power(b.n_plus, b.n_minus, m)
-    return power[index[initial]][index[final]]
+    return walks_from(_signed(), bidegree(mu), initial, m).get(final, 0)
 
 
 def hurwitz_by_paths(b: Bidegree, m: int) -> dict[RamificationType, Fraction]:
@@ -273,14 +298,6 @@ def hurwitz_by_paths(b: Bidegree, m: int) -> dict[RamificationType, Fraction]:
     zeta for each type, since walks between pairs in one class agree.
     """
     b = Bidegree(*b)
-    all_states = states(b.n_plus, b.n_minus)
-    power = _adjacency_power(b.n_plus, b.n_minus, m)
-    totals: dict[RamificationType, int] = {}
-    for i, s in enumerate(all_states):
-        for j, t in enumerate(all_states):
-            count = power[i][j]
-            if count:
-                mu = classify((s, t), b.n_plus, b.n_minus)
-                totals[mu] = totals.get(mu, 0) + count
     denom = factorial(b.n_plus) * factorial(b.n_minus)
-    return {mu: Fraction(total, denom) for mu, total in totals.items()}
+    return {mu: Fraction(total, denom)
+            for mu, total in walk_totals(_signed(), b, m).items()}

@@ -14,11 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .model import EMPTY_TYPE, RamificationType, bidegree, zeta
-
-Rational = Fraction
 
 
 class PolyVector:
@@ -167,6 +165,47 @@ class USeries:
 
     def map_coeffs(self, f) -> "USeries":
         return USeries([f(v) for v in self.coeffs], connected=self.connected)
+
+
+def iterate(cache: dict, key, start, step: Callable, max_m: int) -> tuple:
+    """The first max_m + 1 points of the orbit start, step(start), ...
+
+    The orbit is kept in cache[key] and extended in place, so each point is
+    computed once however the caps of later calls grow.
+    """
+    orbit = cache.setdefault(key, [start])
+    while len(orbit) <= max_m:
+        orbit.append(step(orbit[-1]))
+    return tuple(orbit[:max_m + 1])
+
+
+def merge_blocks(orbits: Iterable[Sequence[PolyVector]], max_m: int) -> USeries:
+    """Disconnected series whose coefficient at u^m/m! sums the m-th vectors
+    of the per-block orbits, in block order."""
+    orbits = list(orbits)
+    return USeries(tuple(sum((vectors[m] for vectors in orbits), PolyVector())
+                         for m in range(max_m + 1)), connected=False)
+
+
+class HurwitzRow(NamedTuple):
+    m: int
+    mu: object
+    chi: int
+    connected: bool
+    value: Fraction
+
+
+def series_rows(series: USeries, sort_key: Callable, chi: Callable,
+                keep: Callable = lambda mu: True) -> list[HurwitzRow]:
+    """Nonzero coefficients of a series as table rows, ordered by m and then
+    by sort_key, for the types that keep accepts."""
+    rows = []
+    for m, vec in enumerate(series.coeffs):
+        for mu in sorted((mu for mu, _ in vec), key=sort_key):
+            if keep(mu):
+                rows.append(HurwitzRow(m, mu, chi(mu, m), series.connected,
+                                       vec.coeff(mu)))
+    return rows
 
 
 def series_mul(a: USeries, b: USeries, max_m: int, max_degree: int) -> USeries:

@@ -22,10 +22,6 @@ from .poly import PolyVector
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-
-
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, k, m = len(a), len(b), len(b[0]) if b else 0
     return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
@@ -64,7 +60,8 @@ def charpoly(m: Matrix) -> tuple[Fraction, ...]:
             a = [[sum(mat[i][t] * shifted[t][j] for t in range(n)) for j in range(n)]
                  for i in range(n)]
         trace = sum(a[i][i] for i in range(n))
-        assert trace % k == 0
+        if trace % k:
+            raise ArithmeticError(f"trace {trace} at step {k} is not divisible by {k}")
         coeffs[n - k] = -trace // k
     return tuple(Fraction(coeffs[i], scale ** (n - i)) for i in range(n + 1))
 
@@ -199,12 +196,7 @@ class SpectralReport(NamedTuple):
     vectors: tuple[tuple[Fraction, ...], ...]  # rows, coordinates in basis
     exact: bool
     tol: float
-    max_residual: float  # 0.0 on the exact path
-
-    def eigenvector_polys(self) -> tuple[PolyVector, ...]:
-        return tuple(
-            PolyVector({mu: c for mu, c in zip(self.basis, vec) if c})
-            for vec in self.vectors)
+    max_residual: float  # 0.0 on the exact path, else the largest one measured
 
 
 def _check_block_structure(wp: BlockMatrix, wm: BlockMatrix) -> tuple[Fraction, ...]:
@@ -278,7 +270,9 @@ def _exact_eigenbasis(wp: Matrix, wm: Matrix, zs: tuple[Fraction, ...]):
 
 
 def _float_eigenbasis(wp: Matrix, wm: Matrix, zs: tuple[Fraction, ...], tol: float):
-    """Certified floating point fallback via symmetrization D W D^{-1}."""
+    """Certified floating point fallback via symmetrization D W D^{-1}.
+
+    Returns (pairs, vectors, the largest eigenpair residual measured)."""
     import numpy as np
 
     n = len(wp)
@@ -294,6 +288,7 @@ def _float_eigenbasis(wp: Matrix, wm: Matrix, zs: tuple[Fraction, ...], tol: flo
     vals_p, u = vals_p[order], u[:, order]
     pairs = []
     vectors = []
+    worst = 0.0
     i = 0
     scale = max(1.0, float(np.abs(sp).max()), float(np.abs(sm).max()))
     while i < n:
@@ -314,6 +309,7 @@ def _float_eigenbasis(wp: Matrix, wm: Matrix, zs: tuple[Fraction, ...], tol: flo
             if res > tol * scale:
                 raise RuntimeError(
                     f"floating point eigenpair residual {res} exceeds tolerance")
+            worst = max(worst, res)
             x = y / d
             x = x / np.abs(x).max()
             first = next(val for val in x if abs(val) > tol)
@@ -323,7 +319,7 @@ def _float_eigenbasis(wp: Matrix, wm: Matrix, zs: tuple[Fraction, ...], tol: flo
             vectors.append(tuple(x))
         i = j
     order3 = sorted(range(n), key=lambda t: (pairs[t][0], pairs[t][1]), reverse=True)
-    return (tuple(pairs[t] for t in order3), tuple(vectors[t] for t in order3))
+    return (tuple(pairs[t] for t in order3), tuple(vectors[t] for t in order3), worst)
 
 
 def common_eigenbasis(b: Bidegree, tol: float = 1e-10) -> SpectralReport:
@@ -337,9 +333,9 @@ def common_eigenbasis(b: Bidegree, tol: float = 1e-10) -> SpectralReport:
         pairs, vectors = exact
         return SpectralReport(wp.bidegree, wp.basis, cp, cm, pairs, vectors,
                               True, tol, 0.0)
-    pairs, vectors = _float_eigenbasis(wp.entries, wm.entries, zs, tol)
+    pairs, vectors, residual = _float_eigenbasis(wp.entries, wm.entries, zs, tol)
     return SpectralReport(wp.bidegree, wp.basis, cp, cm, pairs, vectors,
-                          False, tol, tol)
+                          False, tol, residual)
 
 
 def orthogonality_check(report: SpectralReport) -> bool:

@@ -41,12 +41,12 @@ def test_table_cap_zero_single_row(capsys):
     assert out.splitlines() == ["m=0 k+:[] k-:[] l:[] chi=0 value=1"]
 
 
-def test_table_json_and_thread_determinism(capsys):
+def test_table_json_is_deterministic(capsys):
     code, first = run(capsys, "table", "--max-degree", "2", "--max-m", "4",
                       "--format", "json")
     assert code == 0
     code, second = run(capsys, "table", "--max-degree", "2", "--max-m", "4",
-                       "--format", "json", "--threads", "3")
+                       "--format", "json")
     assert code == 0
     assert first == second
     data = json.loads(first)
@@ -146,6 +146,18 @@ def test_nonsep_json_has_kappa_odd_column(capsys):
     assert all("kappa_odd" in row for row in data["rows"])
 
 
+@pytest.mark.parametrize("argv", [
+    ("table", "--max-degree", "1", "--max-m", "1200"),
+    ("oracle", "--nplus", "1", "--nminus", "1", "--m", "1200"),
+    ("nonsep", "--max-n", "2", "--max-m", "1200"),
+], ids=["table", "oracle", "nonsep"])
+def test_long_series_do_not_recurse(capsys, argv):
+    # one u step is one loop iteration, not one stack frame
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["table", "--max-degree", "-1"])
@@ -155,4 +167,7 @@ def test_usage_errors_exit_two(capsys):
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
         main(["verify"])
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["table", "--threads", "2"])  # the flag is gone
     assert info.value.code == 2

@@ -106,10 +106,6 @@ def test_zigzag_values():
     assert got == [1, 1, 1, 2, 5, 16, 61, 272]
 
 
-def test_threads_do_not_change_results():
-    assert disconnected_series(4, 4, threads=3) == disconnected_series(4, 4)
-
-
 def test_table_rows_filter_and_order():
     rows = table_rows(1, 0, connected=False)
     assert [r.mu for r in rows] == [

@@ -1,0 +1,54 @@
+"""Golden output: the sha256 of stdout and the exit code of cheap CLI runs.
+
+Covers every subcommand and every --format, including the genus0 suite
+with its intentional exit code 1. A refactor must leave every digest as is.
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stdout
+
+import pytest
+
+from realhurwitz.cli import main
+
+GOLDEN = [
+    ("table --max-degree 2 --max-m 3", 0,
+     "85045ba53b7045e96d9041f5a824c5ceaaf9f704e82a9632df2e8a33acb611d3"),
+    ("table --max-degree 2 --max-m 4 --connected --format csv", 0,
+     "cc16c816569b48e720d4081643292c71569365114a40679c2b624df21937ff7d"),
+    ("table --max-degree 2 --max-m 4 --format json", 0,
+     "bdb179c6db0c45f0158c52695d9fb4a19f66e558241753d0a036036c3be1e89c"),
+    ("verify --suite genus0 --max-m 4 --max-degree 4", 1,
+     "42b92c874805172a3dd602604e9b3c72b84b27708ebfd15a4a0956f57c56e632"),
+    ("verify --suite oracle --max-size 3", 0,
+     "ecc084a953d072c719207f09c67d9173cf6235c4261427252ae00de639be04c8"),
+    ("verify --suite spectral", 0,
+     "4a9cb8283c0a4dcf893d33a84286c1f457edca72428cae764def4783b0db810a"),
+    ("verify --suite nonsep", 0,
+     "5f50aef2a2b6243f6c602ac95e3415e2abea1e6c14e00acb7aa83d961f426a1b"),
+    ("block --nplus 2 --nminus 1 --operator wminus --format csv", 0,
+     "701363753d1330c7bd06b31ce4ad35c736f9535326194644b808a631641f3a58"),
+    ("block --nplus 1 --nminus 1 --format json", 0,
+     "6a767ca612708476e22c39dd0a7df3681d66260c2e7ea5a4b9205715abc0bb18"),
+    ("spectrum --nplus 1 --nminus 1 --format json", 0,
+     "858c3b726748f84b88c732e4ed5eafee47c8d54dcd64d1ccd41fc71650804eee"),
+    ("spectrum --nplus 2 --nminus 1", 0,
+     "bcd231820148bfce7551b20bb592ffef213c1a75e5e75b88d64ed48ab3f3adc7"),
+    ("oracle --nplus 2 --nminus 1 --m 3 --format csv", 0,
+     "cd16b0496a71b6cd359c04858aefea4f45c2ada9cd08c7156bd9c698944a7338"),
+    ("nonsep --max-n 3 --max-m 4 --connected --format json", 0,
+     "98da5ddc9282f75fe47233dcec4f923a5305630e380ef8f5319a9604ff3be018"),
+    ("nonsep --max-n 3 --max-m 3", 0,
+     "87bf8c4be04d83e264db48d30fd6d0038369d59bdaec565a115a2c39237ff0d0"),
+]
+
+
+@pytest.mark.parametrize("command, code, digest", GOLDEN,
+                         ids=[command for command, _, _ in GOLDEN])
+def test_golden_output(command, code, digest):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        got = main(command.split())
+    assert got == code
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest

@@ -1,8 +1,13 @@
 """Tests for the unsigned (non-separating) transition model."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import realhurwitz
 
 from realhurwitz.nonsep import (
     TildeType,
@@ -50,6 +55,29 @@ def test_classify_small_transitions():
     assert tilde_classify((PAIR01, PAIR01), 2) == ttype(lam=(1,))
     assert tilde_classify((EMPTY, PAIR01), 2) == ttype(kappa_plus=(2,))
     assert tilde_classify((PAIR01, EMPTY), 2) == ttype(kappa_minus=(2,))
+
+
+@pytest.mark.parametrize("t, n", [
+    # vertex 1 lies in two pairs of the initial "matching"
+    ((frozenset({(0, 1), (1, 2)}), frozenset({(2, 3)})), 4),
+    ((frozenset({(0, 1), (1, 2)}), frozenset({(0, 2)})), 3),  # odd cycle
+], ids=["mixed-chain", "odd-cycle"])
+def test_classify_rejects_malformed_transition(t, n):
+    with pytest.raises(AssertionError):
+        tilde_classify(t, n)
+
+
+def test_classify_check_survives_optimized_mode():
+    src = os.path.dirname(os.path.dirname(realhurwitz.__file__))
+    code = ("from realhurwitz.nonsep import tilde_classify\n"
+            "print(tilde_classify((frozenset({(0, 1), (1, 2)}), "
+            "frozenset({(2, 3)})), 4))")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0
+    assert "AssertionError" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_representative_round_trip():

@@ -157,6 +157,17 @@ def test_float_block_certified():
     assert abs(top - 2 ** 0.5) < 1e-9
 
 
+def test_float_block_reports_measured_residual():
+    rep = common_eigenbasis(Bidegree(2, 1))
+    assert not rep.exact
+    assert 0 < rep.max_residual <= rep.tol
+    assert rep.max_residual != rep.tol
+
+
+def test_exact_block_reports_zero_residual():
+    assert common_eigenbasis(Bidegree(1, 1)).max_residual == 0.0
+
+
 def test_float_certification_rejects_absurd_tolerance():
     with pytest.raises(RuntimeError):
         common_eigenbasis(Bidegree(2, 2), tol=1e-300)

@@ -38,6 +38,13 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not strictly between 0 and 1")
+    return value
+
+
 def _part_str(p) -> str:
     return " ".join(str(k) for k in p)
 
@@ -81,7 +88,7 @@ def cmd_table(args) -> int:
 def cmd_block(args) -> int:
     bm = block_matrix(OperatorKind(args.operator), Bidegree(args.nplus, args.nminus))
     if args.format == "json":
-        obj = {"bidegree": [bm.bidegree.n_plus, bm.bidegree.n_minus],
+        obj = {"bidegree": [bm.block.n_plus, bm.block.n_minus],
                "operator": args.operator,
                "basis": [format_type(mu) for mu in bm.basis],
                "entries": [[_frac_pair(x) for x in row] for row in bm.entries]}
@@ -99,7 +106,7 @@ def cmd_block(args) -> int:
         sys.stdout.write(buf.getvalue())
     else:
         print(f"operator {args.operator} on bidegree "
-              f"({bm.bidegree.n_plus}, {bm.bidegree.n_minus})")
+              f"({bm.block.n_plus}, {bm.block.n_minus})")
         for i, mu in enumerate(bm.basis):
             print(f"basis[{i}] = {format_type(mu)}")
         for row in bm.entries:
@@ -108,7 +115,11 @@ def cmd_block(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    rep = spectral.common_eigenbasis(Bidegree(args.nplus, args.nminus), args.tol)
+    try:
+        rep = spectral.common_eigenbasis(Bidegree(args.nplus, args.nminus), args.tol)
+    except RuntimeError as exc:  # a structure check or the float certification failed
+        print(f"spectrum: {exc}", file=sys.stderr)
+        return 1
     orthogonal = spectral.orthogonality_check(rep)
     comparison = None
     if (args.nplus, args.nminus) == (1, 1):
@@ -367,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum = sub.add_parser("spectrum", help="dump a spectral report")
     spectrum.add_argument("--nplus", type=_nonnegative, required=True)
     spectrum.add_argument("--nminus", type=_nonnegative, required=True)
-    spectrum.add_argument("--tol", type=float, default=1e-10)
+    spectrum.add_argument("--tol", type=_tolerance, default=1e-10)
     spectrum.add_argument("--format", choices=["json", "csv", "text"], default="text")
     spectrum.set_defaults(func=cmd_spectrum)
 

@@ -29,7 +29,7 @@ from .operators import (
     G0_P2,
     G0Type,
     OperatorKind,
-    apply,
+    block_matrix,
     g0_from_type,
     genus0_cut,
     genus0_join,
@@ -68,7 +68,7 @@ def evolve_block(b: Bidegree, max_m: int) -> tuple[PolyVector, ...]:
     """
     b = Bidegree(*b)
     return iterate(_ORBITS, b, initial_vector(b),
-                   lambda v: apply(OperatorKind.WPLUS, v), max_m)
+                   lambda v: block_matrix(OperatorKind.WPLUS, b)(v), max_m)
 
 
 def disconnected_series(max_degree: int, max_m: int) -> USeries:

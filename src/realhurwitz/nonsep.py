@@ -20,6 +20,7 @@ from math import factorial
 from typing import Iterator, NamedTuple
 
 from .model import Partition, aut_order, merge_partitions, partition, partitions_of, without
+from .operators import BlockMatrix
 from .oracle import WalkModel, class_multiplication, members, walk_totals
 from .poly import (
     HurwitzRow,
@@ -250,39 +251,21 @@ def tilde_class_size(mu: TildeType) -> int:
     return len(tilde_class_members(mu))
 
 
-class TildeMatrix(NamedTuple):
-    """Left multiplication by the transposition class sum on degree n."""
-
-    n: int
-    basis: tuple[TildeType, ...]
-    entries: tuple[tuple[Fraction, ...], ...]  # entries[row][col]
-
-    def matvec(self, vec: list[Fraction]) -> list[Fraction]:
-        return [sum(row[j] * vec[j] for j in range(len(vec))) for row in self.entries]
-
-
 @lru_cache(maxsize=None)
-def tilde_operator_matrix(n: int) -> TildeMatrix:
+def tilde_operator_matrix(n: int) -> BlockMatrix:
     """Matrix of the evolution operator on the degree-n invariant algebra,
     derived from exhaustive walks and averaged over each class."""
     basis = tilde_enumerate_types(n)
-    return TildeMatrix(n, basis, class_multiplication(_unsigned(), (n,), basis))
+    columns = dict(zip(basis, zip(*class_multiplication(_unsigned(), (n,), basis))))
+    return BlockMatrix.from_images(n, basis, lambda mu: zip(basis, columns[mu]))
 
 
-def tilde_reference_images(mu: TildeType) -> PolyVector:
+def tilde_reference_images(mu: TildeType) -> Iterator[tuple[TildeType, Fraction]]:
     """Symbolic expansion of the transcribed differential form of the
     operator, with garbled superscripts repaired: odd-order variables carry
-    no sign, and the join prefactors are 2, 1/2, 2. Kept for comparison only."""
+    no sign, and the join prefactors are 2, 1/2, 2. Kept for comparison only.
+    Yields (type, coefficient); repeated types must be summed by the caller."""
     from collections import Counter
-
-    out: dict[TildeType, Fraction] = {}
-
-    def add(nu: TildeType, c: Fraction) -> None:
-        s = out.get(nu, Fraction(0)) + c
-        if s:
-            out[nu] = s
-        else:
-            out.pop(nu, None)
 
     kp, km, ko, lam = mu.kappa_plus, mu.kappa_minus, mu.kappa_odd, mu.lam
     kp_counts, km_counts = Counter(kp), Counter(km)
@@ -292,7 +275,7 @@ def tilde_reference_images(mu: TildeType) -> PolyVector:
         for b in kp_counts:
             nu = TildeType(without(kp, b), km,
                            merge_partitions(without(ko, a), (a + b,)), lam)
-            add(nu, Fraction(2 * ko_counts[a] * kp_counts[b]))
+            yield nu, Fraction(2 * ko_counts[a] * kp_counts[b])
     # join of two odd poles into a negative even pole, prefactor 1/2
     for a in ko_counts:
         for b in ko_counts:
@@ -300,7 +283,7 @@ def tilde_reference_images(mu: TildeType) -> PolyVector:
             if mult:
                 nu = TildeType(kp, merge_partitions(km, (a + b,)),
                                without(ko, a, b), lam)
-                add(nu, Fraction(mult, 2))
+                yield nu, Fraction(mult, 2)
     # join of two positive even poles, prefactor 2
     for a in kp_counts:
         for b in kp_counts:
@@ -308,45 +291,42 @@ def tilde_reference_images(mu: TildeType) -> PolyVector:
             if mult:
                 nu = TildeType(merge_partitions(without(kp, a, b), (a + b,)),
                                km, ko, lam)
-                add(nu, Fraction(2 * mult))
+                yield nu, Fraction(2 * mult)
     # cut of a negative even pole into two odd ones
     for n_part, mult in km_counts.items():
         for a in range(1, n_part, 2):
             nu = TildeType(kp, without(km, n_part),
                            merge_partitions(ko, (a, n_part - a)), lam)
-            add(nu, Fraction(mult))
+            yield nu, Fraction(mult)
     # cut of an odd pole into an odd and a positive even one
     for n_part, mult in ko_counts.items():
         for a in range(1, n_part - 1, 2):
             nu = TildeType(merge_partitions(kp, (n_part - a,)), km,
                            merge_partitions(without(ko, n_part), (a,)), lam)
-            add(nu, Fraction(mult))
+            yield nu, Fraction(mult)
     # cut of a positive even pole into two positive even ones
     for n_part, mult in kp_counts.items():
         for a in range(2, n_part - 1, 2):
             nu = TildeType(merge_partitions(without(kp, n_part), (a, n_part - a)),
                            km, ko, lam)
-            add(nu, Fraction(mult))
+            yield nu, Fraction(mult)
     # conjugate pair of order l to a positive pole of order 2l, weight l
     for l, mult in lam_counts.items():
         nu = TildeType(merge_partitions(kp, (2 * l,)), km, ko, without(lam, l))
-        add(nu, Fraction(l * mult))
+        yield nu, Fraction(l * mult)
     # positive even pole to a conjugate pair of half the order
     for n_part, mult in kp_counts.items():
         nu = TildeType(without(kp, n_part), km, ko,
                        merge_partitions(lam, (n_part // 2,)))
-        add(nu, Fraction(mult))
-    return PolyVector(out)
+        yield nu, Fraction(mult)
 
 
 class TildeOperatorComparison(NamedTuple):
     """Per-entry diff between the walk-derived matrix and the transcribed
     differential form. Disagreements are recorded, never raised."""
 
-    n: int
-    basis: tuple[TildeType, ...]
-    walk_entries: tuple[tuple[Fraction, ...], ...]
-    symbolic_entries: tuple[tuple[Fraction, ...], ...]
+    walk: BlockMatrix
+    symbolic: BlockMatrix
     mismatches: tuple[tuple[TildeType, TildeType, Fraction, Fraction], ...]
 
     @property
@@ -356,22 +336,12 @@ class TildeOperatorComparison(NamedTuple):
 
 def tilde_compare_operator(n: int) -> TildeOperatorComparison:
     walk = tilde_operator_matrix(n)
-    basis = walk.basis
-    index = {mu: i for i, mu in enumerate(basis)}
-    size = len(basis)
-    symbolic = [[Fraction(0)] * size for _ in range(size)]
-    for j, mu in enumerate(basis):
-        for nu, c in tilde_reference_images(mu):
-            symbolic[index[nu]][j] = c
-    mismatches = []
-    for i in range(size):
-        for j in range(size):
-            if walk.entries[i][j] != symbolic[i][j]:
-                mismatches.append((basis[i], basis[j],
-                                   walk.entries[i][j], symbolic[i][j]))
-    return TildeOperatorComparison(n, basis, walk.entries,
-                                   tuple(tuple(row) for row in symbolic),
-                                   tuple(mismatches))
+    symbolic = BlockMatrix.from_images(n, walk.basis, tilde_reference_images)
+    basis, w, s = walk.basis, walk.entries, symbolic.entries
+    mismatches = tuple((basis[i], basis[j], w[i][j], s[i][j])
+                       for i in range(len(basis)) for j in range(len(basis))
+                       if w[i][j] != s[i][j])
+    return TildeOperatorComparison(walk, symbolic, mismatches)
 
 
 def tilde_initial_vector(n: int) -> PolyVector:
@@ -390,12 +360,8 @@ _ORBITS: dict[int, list[PolyVector]] = {}
 
 def tilde_evolve(n: int, max_m: int) -> tuple[PolyVector, ...]:
     """Coefficients at u^m/m! of the disconnected degree-n evolution."""
-    def step(vec: PolyVector) -> PolyVector:
-        matrix = tilde_operator_matrix(n)
-        return PolyVector(zip(matrix.basis,
-                              matrix.matvec([vec.coeff(mu) for mu in matrix.basis])))
-
-    return iterate(_ORBITS, n, tilde_initial_vector(n), step, max_m)
+    return iterate(_ORBITS, n, tilde_initial_vector(n),
+                   lambda v: tilde_operator_matrix(n)(v), max_m)
 
 
 def tilde_hurwitz(n: int, m: int) -> dict[TildeType, Fraction]:

@@ -20,7 +20,8 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from functools import cached_property, lru_cache
+from typing import Callable, Hashable, Iterator, NamedTuple
 
 from .model import (
     Bidegree,
@@ -92,56 +93,85 @@ def wplus_images(mu: RamificationType) -> Iterator[tuple[RamificationType, int, 
                    mult, CHI_SHIFTS["pair_to_real"])
 
 
-def apply(kind: OperatorKind, v: PolyVector) -> PolyVector:
-    """Linear extension of the chosen operator to a polynomial vector."""
-    if kind is OperatorKind.WMEAN:
-        plus = apply(OperatorKind.WPLUS, v)
-        minus = apply(OperatorKind.WMINUS, v)
-        return (plus + minus).scale(Fraction(1, 2))
-    if kind is OperatorKind.WMINUS:
-        swapped = v.map_keys(lambda mu: mu.swap_signs())
-        return apply(OperatorKind.WPLUS, swapped).map_keys(lambda mu: mu.swap_signs())
-    out: dict[RamificationType, Fraction] = {}
+class BlockMatrix:
+    """One linear operator on one block of a walk model: images maps each
+    basis type to its sparse column {type: nonzero exact value}. The block
+    is a Bidegree for the signed model and the degree n for the unsigned one."""
+
+    def __init__(self, block: Hashable, basis: tuple, images: dict) -> None:
+        self.block, self.basis, self.images = block, basis, images
+
+    @classmethod
+    def from_images(cls, block, basis: tuple, image: Callable) -> "BlockMatrix":
+        """The matrix whose column at mu sums the (type, value) pairs of
+        image(mu); an image outside the basis raises."""
+        canonical = {mu: mu for mu in basis}
+        images = {}
+        for mu in basis:
+            col: dict = {}
+            for nu, c in image(mu):
+                key = canonical.get(nu)
+                if key is None:
+                    raise RuntimeError(f"operator image {nu!r} of {mu!r} leaves block {block}")
+                col[key] = col.get(key, 0) + c
+            images[mu] = {nu: c for nu, c in col.items() if c}
+        return cls(block, basis, images)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Dense view entries[row][col], built on first use. Every entry is
+        a Fraction, so exact elimination on it never turns into float division."""
+        return tuple(tuple(Fraction(self.images[col].get(row, 0)) for col in self.basis)
+                     for row in self.basis)
+
+    def matvec(self, vec) -> list:
+        """Image of a coordinate vector over the basis, computed exactly;
+        float coordinates are read as the rationals they equal."""
+        image = self(PolyVector(zip(self.basis, vec)))
+        return [image.coeff(mu) for mu in self.basis]
+
+    def __call__(self, v: PolyVector) -> PolyVector:
+        """Image of a vector on the basis: the evolution step of both models."""
+        return _image(v, self.images.__getitem__)
+
+
+def _image(v: PolyVector, column: Callable) -> PolyVector:
+    """Sum over the terms c p_mu of v of c times the sparse column(mu)."""
+    out: dict = {}
     for mu, c in v:
-        for nu, mult, _ in wplus_images(mu):
-            s = out.get(nu, 0) + c * mult
-            if s:
-                out[nu] = s
-            else:
-                del out[nu]
+        for nu, a in column(mu).items():
+            out[nu] = out.get(nu, 0) + c * a
     return PolyVector(out)
 
 
-class BlockMatrix(NamedTuple):
-    """Operator restricted to one bidegree block, over the canonical basis."""
-
-    bidegree: Bidegree
-    basis: tuple[RamificationType, ...]
-    entries: tuple[tuple[Fraction, ...], ...]  # entries[row][col]; column = image
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
-
-    def matvec(self, vec: list[Fraction]) -> list[Fraction]:
-        return [sum(row[j] * vec[j] for j in range(len(vec))) for row in self.entries]
-
-
+@lru_cache(maxsize=None)
 def block_matrix(kind: OperatorKind, b: Bidegree) -> BlockMatrix:
-    """Matrix of apply(kind, .) on the enumerate_types(b) basis."""
+    """The chosen operator on the enumerate_types(b) basis, built once. The
+    plus operator comes from wplus_images, the minus operator is the plus one
+    on the swapped block relabelled by the sign swap, the mean their half sum."""
     b = Bidegree(*b)
-    basis = enumerate_types(b)
-    index = {mu: i for i, mu in enumerate(basis)}
-    size = len(basis)
-    entries = [[Fraction(0)] * size for _ in range(size)]
-    for j, mu in enumerate(basis):
-        image = apply(kind, PolyVector.monomial(mu))
-        for nu, c in image:
-            if nu not in index:
-                raise RuntimeError(
-                    f"operator image {nu!r} of {mu!r} leaves block {b}: "
-                    f"bidegree {bidegree(nu)}")
-            entries[index[nu]][j] = c
-    return BlockMatrix(b, basis, tuple(tuple(row) for row in entries))
+    if kind is OperatorKind.WPLUS:
+        def image(mu):
+            return ((nu, mult) for nu, mult, _ in wplus_images(mu))
+    elif kind is OperatorKind.WMINUS:
+        plus = block_matrix(OperatorKind.WPLUS, Bidegree(b.n_minus, b.n_plus)).images
+
+        def image(mu):
+            return ((nu.swap_signs(), c) for nu, c in plus[mu.swap_signs()].items())
+    else:
+        plus, minus = (block_matrix(k, b).images
+                       for k in (OperatorKind.WPLUS, OperatorKind.WMINUS))
+
+        def image(mu):
+            return ((nu, Fraction(c, 2)) for col in (plus[mu], minus[mu])
+                    for nu, c in col.items())
+    return BlockMatrix.from_images(b, enumerate_types(b), image)
+
+
+def apply(kind: OperatorKind, v: PolyVector) -> PolyVector:
+    """Linear extension of the chosen operator to a polynomial vector: each
+    term's column is looked up in the cached matrix of its bidegree."""
+    return _image(v, lambda mu: block_matrix(kind, bidegree(mu)).images[mu])
 
 
 class G0Type(NamedTuple):

@@ -26,7 +26,8 @@ class PolyVector:
 
     def __init__(self, terms: dict | Iterable[tuple[object, Fraction]] = ()):
         data: dict = dict(terms)
-        self.terms = {k: Fraction(c) for k, c in data.items() if c != 0}
+        self.terms = {k: c if type(c) is Fraction else Fraction(c)
+                      for k, c in data.items() if c != 0}
 
     @classmethod
     def monomial(cls, key, coeff: Fraction | int = 1) -> "PolyVector":
@@ -180,11 +181,16 @@ def iterate(cache: dict, key, start, step: Callable, max_m: int) -> tuple:
 
 
 def merge_blocks(orbits: Iterable[Sequence[PolyVector]], max_m: int) -> USeries:
-    """Disconnected series whose coefficient at u^m/m! sums the m-th vectors
-    of the per-block orbits, in block order."""
+    """Disconnected series whose coefficient at u^m/m! joins the m-th vectors
+    of the per-block orbits. Blocks have disjoint keys; a key found in two
+    blocks raises."""
     orbits = list(orbits)
-    return USeries(tuple(sum((vectors[m] for vectors in orbits), PolyVector())
-                         for m in range(max_m + 1)), connected=False)
+    coeffs = [PolyVector({k: c for vectors in orbits for k, c in vectors[m]})
+              for m in range(max_m + 1)]
+    if any(len(v) != sum(len(vectors[m]) for vectors in orbits)
+           for m, v in enumerate(coeffs)):
+        raise ValueError("a key occurs in two blocks")
+    return USeries(coeffs, connected=False)
 
 
 class HurwitzRow(NamedTuple):

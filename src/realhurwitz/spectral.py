@@ -22,16 +22,6 @@ from .poly import PolyVector
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-                 for i in range(n))
-
-
-def _mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def _mat_scale_diag(a: Matrix, lam: Fraction) -> Matrix:
     return tuple(tuple(a[i][j] - (lam if i == j else 0) for j in range(len(a)))
                  for i in range(len(a)))
@@ -111,28 +101,35 @@ def integer_roots(coeffs: Sequence[Fraction],
     return roots
 
 
-def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the null space, from reduced row echelon form."""
-    n = len(m)
-    rows = [list(r) for r in m]
+def _row_reduce(rows: list[list], width: int) -> list[int]:
+    """Gauss-Jordan elimination of rows in place on the first width columns.
+
+    Returns the pivot columns; the pivot of row r is pivots[r], scaled to 1.
+    """
     pivots: list[int] = []
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, n) if rows[r][col] != 0), None)
+    for col in range(width):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = 1 / rows[rank][col]
         rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(n):
+        for r in range(len(rows)):
             if r != rank and rows[r][col] != 0:
                 factor = rows[r][col]
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
         pivots.append(col)
-        rank += 1
+    return pivots
+
+
+def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
+    """Basis of the null space, from reduced row echelon form."""
+    n = len(m)
+    rows = [list(r) for r in m]
+    pivots = _row_reduce(rows, n)
     basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
@@ -145,31 +142,13 @@ def solve_in_span(basis: list[tuple[Fraction, ...]],
                   target: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """Coordinates of target in the given linearly independent spanning set;
     raises if target lies outside the span."""
-    n = len(target)
     k = len(basis)
-    rows = [[basis[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    rank = 0
-    pivots = []
-    for col in range(k):
-        pivot = next((r for r in range(rank, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise RuntimeError("spanning set is linearly dependent")
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, n):
-        if rows[r][k] != 0:
-            raise RuntimeError("vector escapes the invariant subspace")
-    coords = [Fraction(0)] * k
-    for r, pc in enumerate(pivots):
-        coords[pc] = rows[r][k]
-    return tuple(coords)
+    rows = [[vec[i] for vec in basis] + [target[i]] for i in range(len(target))]
+    if len(_row_reduce(rows, k)) != k:
+        raise RuntimeError("spanning set is linearly dependent")
+    if any(row[k] != 0 for row in rows[k:]):
+        raise RuntimeError("vector escapes the invariant subspace")
+    return tuple(row[k] for row in rows[:k])
 
 
 def normalize_primitive(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -200,19 +179,19 @@ class SpectralReport(NamedTuple):
 
 
 def _check_block_structure(wp: BlockMatrix, wm: BlockMatrix) -> tuple[Fraction, ...]:
-    """Verify commutativity and Z-self-adjointness; returns the zeta diagonal."""
-    zs = tuple(Fraction(zeta(mu)) for mu in wp.basis)
-    n = len(wp.basis)
-    comm = _mat_sub(_mat_mul(wp.entries, wm.entries), _mat_mul(wm.entries, wp.entries))
-    if any(any(row) for row in comm):
-        raise RuntimeError(f"operators fail to commute on block {wp.bidegree}")
-    for name, m in (("plus", wp.entries), ("minus", wm.entries)):
-        for i in range(n):
-            for j in range(n):
-                if m[i][j] * zs[i] != m[j][i] * zs[j]:
-                    raise RuntimeError(
-                        f"{name} operator is not Z-self-adjoint on block {wp.bidegree}")
-    return zs
+    """Verify commutativity and Z-self-adjointness over the nonzero entries;
+    returns the zeta diagonal."""
+    for mu in wp.basis:
+        e = PolyVector.monomial(mu)
+        if wp(wm(e)) != wm(wp(e)):
+            raise RuntimeError(f"operators fail to commute on block {wp.block}")
+    for name, op in (("plus", wp), ("minus", wm)):
+        for mu, col in op.images.items():
+            if any(c * zeta(nu) != op.images[nu].get(mu, 0) * zeta(mu)
+                   for nu, c in col.items()):
+                raise RuntimeError(
+                    f"{name} operator is not Z-self-adjoint on block {wp.block}")
+    return tuple(Fraction(zeta(mu)) for mu in wp.basis)
 
 
 def _gram_schmidt_z(vectors: list[tuple[Fraction, ...]],
@@ -230,15 +209,17 @@ def _gram_schmidt_z(vectors: list[tuple[Fraction, ...]],
     return ortho
 
 
-def _exact_eigenbasis(wp: Matrix, wm: Matrix, zs: tuple[Fraction, ...]):
+def _exact_eigenbasis(plus: BlockMatrix, minus: BlockMatrix, zs: tuple[Fraction, ...],
+                      charpoly_plus: tuple[Fraction, ...]):
     """Split by plus eigenvalues, then by minus within each eigenspace.
 
     Returns (pairs, vectors) or None when a characteristic polynomial does
     not factor over the integers.
     """
+    wp = plus.entries
     n = len(wp)
-    bound = max(eigenvalue_bound(wp), eigenvalue_bound(wm))
-    roots = integer_roots(charpoly(wp), bound)
+    bound = max(eigenvalue_bound(wp), eigenvalue_bound(minus.entries))
+    roots = integer_roots(charpoly_plus, bound)
     if roots is None:
         return None
     out: list[tuple[tuple[Fraction, Fraction], tuple[Fraction, ...]]] = []
@@ -247,10 +228,7 @@ def _exact_eigenbasis(wp: Matrix, wm: Matrix, zs: tuple[Fraction, ...]):
         if len(space) != roots.count(lam_p):
             raise RuntimeError("eigenspace dimension disagrees with multiplicity")
         # restriction of the minus operator to this eigenspace
-        images = []
-        for v in space:
-            img = tuple(sum(wm[i][j] * v[j] for j in range(n)) for i in range(n))
-            images.append(solve_in_span(space, img))
+        images = [solve_in_span(space, minus.matvec(v)) for v in space]
         k = len(space)
         restricted = tuple(tuple(images[j][i] for j in range(k)) for i in range(k))
         sub_roots = integer_roots(charpoly(restricted), bound)
@@ -323,18 +301,24 @@ def _float_eigenbasis(wp: Matrix, wm: Matrix, zs: tuple[Fraction, ...], tol: flo
 
 
 def common_eigenbasis(b: Bidegree, tol: float = 1e-10) -> SpectralReport:
-    """Simultaneous eigenbasis of the plus and minus operators on block b."""
+    """Simultaneous eigenbasis of the plus and minus operators on block b.
+
+    tol, strictly between 0 and 1, bounds residuals relative to the operator
+    scale; a float eigenvector's sign is set by its first entry above tol.
+    """
+    if not 0 < tol < 1:
+        raise ValueError(f"tolerance must lie strictly between 0 and 1, got {tol!r}")
     wp = block_matrix(OperatorKind.WPLUS, b)
     wm = block_matrix(OperatorKind.WMINUS, b)
     zs = _check_block_structure(wp, wm)
     cp, cm = charpoly(wp.entries), charpoly(wm.entries)
-    exact = _exact_eigenbasis(wp.entries, wm.entries, zs)
+    exact = _exact_eigenbasis(wp, wm, zs, cp)
     if exact is not None:
         pairs, vectors = exact
-        return SpectralReport(wp.bidegree, wp.basis, cp, cm, pairs, vectors,
+        return SpectralReport(wp.block, wp.basis, cp, cm, pairs, vectors,
                               True, tol, 0.0)
     pairs, vectors, residual = _float_eigenbasis(wp.entries, wm.entries, zs, tol)
-    return SpectralReport(wp.bidegree, wp.basis, cp, cm, pairs, vectors,
+    return SpectralReport(wp.block, wp.basis, cp, cm, pairs, vectors,
                           False, tol, residual)
 
 
@@ -361,7 +345,7 @@ def mean_eigenvalue_check(report: SpectralReport) -> bool:
     eigenvalue the average of the pair."""
     wmean = block_matrix(OperatorKind.WMEAN, report.bidegree)
     for (lp, lm), vec in zip(report.pairs, report.vectors):
-        image = wmean.matvec(list(vec))
+        image = wmean.matvec(vec)
         want = [(lp + lm) / 2 * c for c in vec]
         if report.exact:
             if image != want:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from realhurwitz.cli import main
+from realhurwitz.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -128,6 +128,25 @@ def test_spectrum_json_float_block(capsys):
     assert data["exact"] is False
     assert all(isinstance(p[0], float) for p in data["pairs"])
     assert "reference_comparison" not in data
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "0", "1", "2"])
+def test_spectrum_tolerance_outside_unit_interval_exits_two(capsys, tol):
+    # parsed only: the parent accepted these and then looped forever or
+    # ended in a traceback
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(["spectrum", "--nplus", "2", "--nminus", "1",
+                                   "--tol", tol])
+    assert info.value.code == 2
+
+
+def test_spectrum_certification_failure_exits_one(capsys):
+    code = main(["spectrum", "--nplus", "2", "--nminus", "2", "--tol", "1e-300"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "exceeds tolerance" in captured.err
 
 
 def test_oracle_command(capsys):

@@ -31,6 +31,10 @@ GOLDEN = [
      "701363753d1330c7bd06b31ce4ad35c736f9535326194644b808a631641f3a58"),
     ("block --nplus 1 --nminus 1 --format json", 0,
      "6a767ca612708476e22c39dd0a7df3681d66260c2e7ea5a4b9205715abc0bb18"),
+    ("block --nplus 2 --nminus 2 --operator wmean", 0,
+     "278d02d8077f42772cef8b1e119b0c3262fe71d6af9e68373cae4a9b48577735"),
+    ("block --nplus 3 --nminus 2 --operator wminus --format json", 0,
+     "cc1ab7c43b582e8b02c9823444032bc856da3c4e33ab4f15d77e3c444a01c3a0"),
     ("spectrum --nplus 1 --nminus 1 --format json", 0,
      "858c3b726748f84b88c732e4ed5eafee47c8d54dcd64d1ccd41fc71650804eee"),
     ("spectrum --nplus 2 --nminus 1", 0,

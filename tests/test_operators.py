@@ -104,12 +104,15 @@ def test_chi_shifts_match_term_metadata():
 
 
 def test_block_matrix_equals_class_multiplication():
-    for b in enumerate_bidegrees(5):
+    for b in enumerate_bidegrees(6):
         wp = block_matrix(OperatorKind.WPLUS, b)
         wm = block_matrix(OperatorKind.WMINUS, b)
         assert wp.basis == tuple(enumerate_types(b))
         assert wp.entries == mult_c2_matrix(b, "left")
         assert wm.entries == mult_c2_matrix(b, "right")
+        mean = block_matrix(OperatorKind.WMEAN, b).entries
+        assert mean == tuple(tuple((x + y) / 2 for x, y in zip(rp, rm))
+                             for rp, rm in zip(wp.entries, wm.entries))
 
 
 def test_block_matrix_is_zeta_self_adjoint():

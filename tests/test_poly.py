@@ -8,6 +8,7 @@ from realhurwitz.model import EMPTY_TYPE, p_minus, p_plus, q_var, rtype, zeta
 from realhurwitz.poly import (
     PolyVector,
     USeries,
+    merge_blocks,
     scalar_product,
     series_exp,
     series_log,
@@ -116,3 +117,10 @@ def test_series_log_requires_unit_constant():
     bad = USeries((PolyVector.zero(),), connected=False)
     with pytest.raises(ValueError):
         series_log(bad, 0, 2)
+
+
+def test_merge_blocks_rejects_a_key_in_two_blocks():
+    a = (vec((p_plus(1), 1)),)
+    b = (vec((p_plus(1), 2)),)
+    with pytest.raises(ValueError):
+        merge_blocks([a, b], 0)

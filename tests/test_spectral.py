@@ -173,6 +173,29 @@ def test_float_certification_rejects_absurd_tolerance():
         common_eigenbasis(Bidegree(2, 2), tol=1e-300)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, float("inf"), float("nan")])
+def test_tolerance_outside_unit_interval_is_rejected(tol):
+    with pytest.raises(ValueError):
+        common_eigenbasis(Bidegree(1, 1), tol=tol)
+
+
+@pytest.mark.parametrize("b", [(1, 1), (2, 1), (2, 2)])
+def test_charpoly_runs_once_per_matrix(monkeypatch, b):
+    import realhurwitz.spectral as spectral
+
+    seen = []
+
+    def counting(m):
+        seen.append(m)
+        return charpoly(m)
+
+    monkeypatch.setattr(spectral, "charpoly", counting)
+    common_eigenbasis(Bidegree(*b))
+    # seen keeps every argument alive, so distinct arguments have distinct ids
+    assert seen
+    assert len({id(m) for m in seen}) == len(seen)
+
+
 def test_self_adjointness_makes_pairs_real():
     for b in [(2, 2), (3, 1)]:
         rep = common_eigenbasis(Bidegree(*b))

@@ -2,11 +2,12 @@
 
 The disconnected series starts from exp(p_1^+ + p_1^- + q_1) and evolves by
 the plus cut-and-join operator, one derivative in u per step. Both graded
-pieces of every bidegree block evolve independently, so the series truncated
-to total degree d is exact for all coefficients of degree at most d. The
-connected series is its formal logarithm. The genus-0 layer keeps the
-top Euler characteristic part, forgets signs, and checks the quadratic flow
-equation it satisfies.
+pieces of every bidegree block evolve independently. The connected series is
+its formal logarithm, and a product of blocks c and b - c lies in block b, so
+both series are exact on any set of blocks that holds every block below one
+of its own: the total degree at most d, or the box that a table lists. The
+genus-0 layer keeps the top Euler characteristic part, forgets signs, and
+checks the quadratic flow equation it satisfies.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .model import (
     Bidegree,
     RamificationType,
     bidegree,
+    bidegree_box,
     canonical_key,
     enumerate_bidegrees,
     euler_characteristic,
@@ -71,31 +73,42 @@ def evolve_block(b: Bidegree, max_m: int) -> tuple[PolyVector, ...]:
                    lambda v: block_matrix(OperatorKind.WPLUS, b)(v), max_m)
 
 
-def disconnected_series(max_degree: int, max_m: int) -> USeries:
-    """Exponential generating series of disconnected counts, truncated to
-    total degree max_degree and order max_m in u."""
-    return merge_blocks((evolve_block(b, max_m) for b in enumerate_bidegrees(max_degree)),
-                        max_m)
+def _merged(blocks, max_m: int) -> USeries:
+    return merge_blocks((evolve_block(b, max_m) for b in blocks), max_m)
 
 
 @lru_cache(maxsize=None)
+def _logged(blocks: tuple[Bidegree, ...], max_m: int) -> USeries:
+    return series_log(_merged(blocks, max_m), max_m, blocks)
+
+
+def disconnected_series(max_degree: int, max_m: int) -> USeries:
+    """Exponential generating series of disconnected counts, truncated to
+    total degree max_degree and order max_m in u."""
+    return _merged(enumerate_bidegrees(max_degree), max_m)
+
+
 def connected_series(max_degree: int, max_m: int) -> USeries:
     """Formal logarithm of the disconnected series, same truncation."""
-    return series_log(disconnected_series(max_degree, max_m), max_m, max_degree)
+    return _logged(tuple(enumerate_bidegrees(max_degree)), max_m)
+
+
+def box_series(corner: Bidegree, max_m: int, connected: bool = True) -> USeries:
+    """The chosen series on the blocks componentwise at most corner."""
+    blocks = tuple(bidegree_box(corner))
+    return _logged(blocks, max_m) if connected else _merged(blocks, max_m)
 
 
 def hurwitz_value(mu: RamificationType, m: int, connected: bool = True) -> Fraction:
     """One framed count: coefficient of p_mu u^m/m! in the chosen series."""
-    series = (connected_series if connected else disconnected_series)(mu.degree, m)
-    return series.coeff(m).coeff(mu)
+    return box_series(bidegree(mu), m, connected).coeff(m).coeff(mu)
 
 
 def table_rows(block_cap: int, max_m: int, connected: bool = True) -> list[HurwitzRow]:
     """Nonzero counts for all types with max(n_plus, n_minus) <= block_cap,
     ordered by m and then by canonical type order."""
-    series_fn = connected_series if connected else disconnected_series
-    return series_rows(series_fn(2 * block_cap, max_m), canonical_key,
-                       euler_characteristic, lambda mu: max(bidegree(mu)) <= block_cap)
+    return series_rows(box_series(Bidegree(block_cap, block_cap), max_m, connected),
+                       canonical_key, euler_characteristic)
 
 
 def genus0_series(max_m: int, max_degree: int) -> USeries:

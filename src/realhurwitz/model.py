@@ -99,6 +99,10 @@ class RamificationType(NamedTuple):
             merge_partitions(self.lam, other.lam),
         )
 
+    @property
+    def grade(self) -> "Bidegree":
+        return bidegree(self)
+
     def swap_signs(self) -> "RamificationType":
         return RamificationType(self.kappa_minus, self.kappa_plus, self.lam)
 
@@ -204,6 +208,12 @@ def enumerate_bidegrees(max_degree: int) -> list[Bidegree]:
         for n_plus in range(total + 1):
             out.append(Bidegree(n_plus, total - n_plus))
     return out
+
+
+def bidegree_box(corner: Bidegree) -> list[Bidegree]:
+    """All bidegrees componentwise at most corner, ordered by (total, n+)."""
+    return [b for b in enumerate_bidegrees(sum(corner))
+            if b.n_plus <= corner[0] and b.n_minus <= corner[1]]
 
 
 def dimension_series(max_total: int) -> dict[tuple[int, int], int]:

@@ -49,6 +49,10 @@ class TildeType(NamedTuple):
         return (sum(self.kappa_plus) + sum(self.kappa_minus)
                 + sum(self.kappa_odd) + 2 * sum(self.lam))
 
+    @property
+    def grade(self) -> tuple[int]:
+        return (self.degree,)
+
     def union(self, other: "TildeType") -> "TildeType":
         return TildeType(merge_partitions(self.kappa_plus, other.kappa_plus),
                          merge_partitions(self.kappa_minus, other.kappa_minus),
@@ -376,7 +380,8 @@ def tilde_disconnected_series(max_n: int, max_m: int) -> USeries:
 
 @lru_cache(maxsize=None)
 def tilde_connected_series(max_n: int, max_m: int) -> USeries:
-    return series_log(tilde_disconnected_series(max_n, max_m), max_m, max_n)
+    return series_log(tilde_disconnected_series(max_n, max_m), max_m,
+                      [(n,) for n in range(max_n + 1)])
 
 
 def tilde_connected_value(mu: TildeType, m: int) -> Fraction:

@@ -7,13 +7,17 @@ as do the tilde and genus-0 key types.
 
 A USeries stores the coefficients of u^m/m!, so series products use binomial
 convolution and exp/log are the exponential-generating-function transforms
-relating disconnected and connected counts.
+relating disconnected and connected counts. exp and log also read `.grade`
+from each key: a tuple of nonnegative integers that adds under union and is
+zero only for the constant monomial (the bidegree of a RamificationType, the
+1-tuple of the degree of a tilde type). They are truncated to a set of
+grades rather than to a total degree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import factorial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .model import EMPTY_TYPE, RamificationType, bidegree, zeta
@@ -164,9 +168,6 @@ class USeries:
         n = max(len(self.coeffs), len(other.coeffs))
         return all(self.coeff(m) == other.coeff(m) for m in range(n))
 
-    def map_coeffs(self, f) -> "USeries":
-        return USeries([f(v) for v in self.coeffs], connected=self.connected)
-
 
 def iterate(cache: dict, key, start, step: Callable, max_m: int) -> tuple:
     """The first max_m + 1 points of the orbit start, step(start), ...
@@ -201,31 +202,12 @@ class HurwitzRow(NamedTuple):
     value: Fraction
 
 
-def series_rows(series: USeries, sort_key: Callable, chi: Callable,
-                keep: Callable = lambda mu: True) -> list[HurwitzRow]:
+def series_rows(series: USeries, sort_key: Callable, chi: Callable) -> list[HurwitzRow]:
     """Nonzero coefficients of a series as table rows, ordered by m and then
-    by sort_key, for the types that keep accepts."""
-    rows = []
-    for m, vec in enumerate(series.coeffs):
-        for mu in sorted((mu for mu, _ in vec), key=sort_key):
-            if keep(mu):
-                rows.append(HurwitzRow(m, mu, chi(mu, m), series.connected,
-                                       vec.coeff(mu)))
-    return rows
-
-
-def series_mul(a: USeries, b: USeries, max_m: int, max_degree: int) -> USeries:
-    """Product of u-series in the u^m/m! normalization (binomial convolution)."""
-    out = []
-    for m in range(max_m + 1):
-        acc = PolyVector()
-        for k in range(m + 1):
-            ak = a.coeff(k)
-            bk = b.coeff(m - k)
-            if ak and bk:
-                acc = acc + ak.mul(bk, max_degree).scale(comb(m, k))
-        out.append(acc)
-    return USeries(out)
+    by sort_key."""
+    return [HurwitzRow(m, mu, chi(mu, m), series.connected, c)
+            for m, vec in enumerate(series.coeffs)
+            for mu, c in sorted(vec, key=lambda item: sort_key(item[0]))]
 
 
 def _constant_coeff(v: PolyVector) -> Fraction:
@@ -235,13 +217,85 @@ def _constant_coeff(v: PolyVector) -> Fraction:
     return Fraction(0)
 
 
-def _strip_constant(v: PolyVector) -> PolyVector:
-    return PolyVector({k: c for k, c in v if not k.is_empty})
+def _product_into(out: dict, a: dict, b: dict, max_m: int) -> None:
+    """Add the product of two graded pieces {key: [c_0, ..., c_max_m]} to
+    out. Entries are scaled by 1/m!, so the binomial convolution of the
+    u^m/m! normalization is a plain Cauchy product here."""
+    a, b = ([(k, [(m, x) for m, x in enumerate(row) if x]) for k, row in piece.items()]
+            for piece in (a, b))
+    for ka, sa in a:
+        for kb, sb in b:
+            if sa[0][0] + sb[0][0] > max_m:
+                continue
+            acc = out.setdefault(ka.union(kb), [0] * (max_m + 1))
+            for i, x in sa:
+                for j, y in sb:
+                    if i + j > max_m:
+                        break
+                    acc[i + j] += x * y
 
 
-def series_exp(h: USeries, max_m: int, max_degree: int,
-               empty_key=EMPTY_TYPE) -> USeries:
-    """exp of a series with no constant-monomial term, truncated to the caps.
+def _euler_recurrence(given: USeries, max_m: int, grades, log: bool) -> USeries:
+    """log (log=True) or exp (log=False) of a series, by the Euler operator.
+
+    theta multiplies the graded piece of grade b by |b|, the sum of its
+    components; it is a derivation, so H = exp F satisfies theta H =
+    (theta F) H, which on the piece of grade b reads
+
+        |b| F_b = |b| H_b - sum over 0 < c < b of |c| F_c * H_(b - c).
+
+    Solved for F_b (log) or H_b (exp) in order of |b|, this uses each pair
+    of pieces once. grades must contain, with every grade, all smaller
+    ones (componentwise); a product of pieces c and b - c lies in piece b,
+    so the result is exact on every listed grade.
+    """
+    grades = set(grades)
+    for g in grades:
+        for i, x in enumerate(g):
+            if x and g[:i] + (x - 1,) + g[i + 1:] not in grades:
+                raise ValueError(f"grade {tuple(g)} is listed without a smaller one")
+    zeros = [0] * (max_m + 1)
+    given_pieces: dict = {g: {} for g in grades}
+    for m in range(max_m + 1):
+        for k, c in given.coeff(m):
+            piece = given_pieces.get(k.grade)
+            if piece is not None and not k.is_empty:
+                piece.setdefault(k, list(zeros))[m] = c / factorial(m)
+    solved: dict = {}   # grade -> piece of F (log) or of H (exp)
+    h: dict = {}        # grade -> piece of H
+    theta_f: dict = {}  # grade -> piece of theta F
+    for b in sorted(grades, key=sum):
+        size = sum(b)
+        if not size:
+            continue
+        acc: dict = {}
+        for c, piece in theta_f.items():
+            d = tuple(x - y for x, y in zip(b, c))
+            if min(d) >= 0 and sum(d):
+                _product_into(acc, piece, h[d], max_m)
+        scale = Fraction(-1 if log else 1, size)
+        known = given_pieces[b]
+        out = {}
+        for k in {**known, **acc}:
+            row = [x + scale * y if y else x
+                   for x, y in zip(known.get(k, zeros), acc.get(k, zeros))]
+            if any(row):
+                out[k] = row
+        solved[b] = out
+        f_b, h[b] = (out, known) if log else (known, out)
+        theta_f[b] = {k: [size * x for x in row] for k, row in f_b.items()}
+    coeffs: list[dict] = [{} for _ in range(max_m + 1)]
+    for piece in solved.values():
+        for k, row in piece.items():
+            for m, x in enumerate(row):
+                if x:
+                    coeffs[m][k] = x * factorial(m)
+    return USeries([PolyVector(c) for c in coeffs], connected=log)
+
+
+def series_exp(h: USeries, max_m: int, grades, empty_key=EMPTY_TYPE) -> USeries:
+    """exp of a series with no constant-monomial term, on the listed grades
+    (closed under taking smaller grades) and through u^max_m.
 
     The result's constant monomial (coefficient 1 at m=0) is indexed by
     empty_key, which must match the key type of h.
@@ -249,38 +303,18 @@ def series_exp(h: USeries, max_m: int, max_degree: int,
     for m, v in enumerate(h.coeffs):
         if _constant_coeff(v):
             raise ValueError(f"series_exp input has a constant-monomial term at m={m}")
-    result = [h.coeff(m).restrict_degree(max_degree) for m in range(max_m + 1)]
-    power = USeries(list(result))
-    # Accumulate H^n/n!; every monomial of H has degree >= 1, so n caps at max_degree.
-    for n in range(2, max_degree + 1):
-        power = series_mul(power, h, max_m, max_degree)
-        power = power.map_coeffs(lambda v: v.scale(Fraction(1, n)))
-        if not any(power.coeffs):
-            break
-        for m in range(max_m + 1):
-            result[m] = result[m] + power.coeff(m)
-    result[0] = result[0] + PolyVector.monomial(empty_key, 1)
-    return USeries(result, connected=False)
+    result = _euler_recurrence(h, max_m, grades, log=False)
+    result.coeffs[0] = result.coeffs[0] + PolyVector.monomial(empty_key, 1)
+    return result
 
 
-def series_log(big_h: USeries, max_m: int, max_degree: int) -> USeries:
-    """log of a series whose m=0 coefficient has constant term 1 (and 0 for m>0)."""
+def series_log(big_h: USeries, max_m: int, grades) -> USeries:
+    """log of a series whose m=0 coefficient has constant term 1 (and 0 for
+    m>0), on the listed grades (closed under taking smaller grades) and
+    through u^max_m."""
     if _constant_coeff(big_h.coeff(0)) != 1:
         raise ValueError("series_log input must have constant-monomial coefficient 1 at m=0")
     for m in range(1, len(big_h.coeffs)):
         if _constant_coeff(big_h.coeff(m)):
             raise ValueError(f"series_log input has a constant-monomial term at m={m}")
-    x = USeries([_strip_constant(big_h.coeff(m)).restrict_degree(max_degree)
-                 for m in range(max_m + 1)])
-    result = [x.coeff(m) for m in range(max_m + 1)]
-    power = USeries(list(result))
-    sign = 1
-    # log(1+X) = sum (-1)^(n+1) X^n / n; X has minimum degree 1 in every coefficient.
-    for n in range(2, max_degree + 1):
-        power = series_mul(power, x, max_m, max_degree)
-        if not any(power.coeffs):
-            break
-        sign = -sign
-        for m in range(max_m + 1):
-            result[m] = result[m] + power.coeff(m).scale(Fraction(sign, n))
-    return USeries(result, connected=True)
+    return _euler_recurrence(big_h, max_m, grades, log=True)

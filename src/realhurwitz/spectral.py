@@ -247,6 +247,13 @@ def _exact_eigenbasis(plus: BlockMatrix, minus: BlockMatrix, zs: tuple[Fraction,
     return tuple(p for p, _ in out), tuple(v for _, v in out)
 
 
+# W+ eigenvalues closer than this, relative to the operator scale, form one
+# eigenspace. eigh rounds eigenvalues by about machine epsilon times the
+# scale; this threshold sits far above that and far below the eigenvalue
+# gaps, and does not depend on the residual bound a caller certifies.
+_CLUSTER = 1e-8
+
+
 def _float_eigenbasis(wp: Matrix, wm: Matrix, zs: tuple[Fraction, ...], tol: float):
     """Certified floating point fallback via symmetrization D W D^{-1}.
 
@@ -271,7 +278,7 @@ def _float_eigenbasis(wp: Matrix, wm: Matrix, zs: tuple[Fraction, ...], tol: flo
     scale = max(1.0, float(np.abs(sp).max()), float(np.abs(sm).max()))
     while i < n:
         j = i
-        while j < n and abs(vals_p[j] - vals_p[i]) <= tol * scale:
+        while j < n and abs(vals_p[j] - vals_p[i]) <= _CLUSTER * scale:
             j += 1
         cluster = u[:, i:j]
         sub = cluster.T @ sm @ cluster

@@ -149,6 +149,14 @@ def test_spectrum_certification_failure_exits_one(capsys):
     assert "exceeds tolerance" in captured.err
 
 
+def test_spectrum_small_tolerance_certifies(capsys):
+    code = main(["spectrum", "--nplus", "2", "--nminus", "2", "--tol", "1e-15"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert "certified floating point" in captured.out
+
+
 def test_oracle_command(capsys):
     code, out = run(capsys, "oracle", "--nplus", "1", "--nminus", "1", "--m", "1")
     assert code == 0

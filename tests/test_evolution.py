@@ -71,7 +71,7 @@ def test_connected_series_leading_coefficients():
 def test_exp_of_connected_recovers_disconnected():
     conn = connected_series(4, 4)
     disc = disconnected_series(4, 4)
-    regrown = series_exp(conn, 4, 4)
+    regrown = series_exp(conn, 4, enumerate_bidegrees(4))
     for m in range(5):
         assert regrown.coeff(m) == disc.coeff(m)
 

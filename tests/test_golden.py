@@ -17,8 +17,12 @@ GOLDEN = [
      "85045ba53b7045e96d9041f5a824c5ceaaf9f704e82a9632df2e8a33acb611d3"),
     ("table --max-degree 2 --max-m 4 --connected --format csv", 0,
      "cc16c816569b48e720d4081643292c71569365114a40679c2b624df21937ff7d"),
+    ("table --max-degree 4 --max-m 8 --connected --format csv", 0,
+     "b08fca5eaef7c027ea9f0134e686b25e0e02b6269c403a9a82ae8ae7356a6bc2"),
     ("table --max-degree 2 --max-m 4 --format json", 0,
      "bdb179c6db0c45f0158c52695d9fb4a19f66e558241753d0a036036c3be1e89c"),
+    ("verify --suite paper", 0,
+     "48b65d1f69e073689603d5b4e1783bad3203aab70e5412ca11c572a9c794a660"),
     ("verify --suite genus0 --max-m 4 --max-degree 4", 0,
      "e248c321505be57e50a8947ea89e50f87269b898124fc8e1829b30f33ce5fbfa"),
     ("verify --suite oracle --max-size 3", 0,

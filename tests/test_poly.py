@@ -4,7 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from realhurwitz.model import EMPTY_TYPE, p_minus, p_plus, q_var, rtype, zeta
+from power_sum_reference import series_mul
+from realhurwitz.model import (
+    EMPTY_TYPE,
+    Bidegree,
+    enumerate_bidegrees,
+    p_minus,
+    p_plus,
+    q_var,
+    rtype,
+    zeta,
+)
 from realhurwitz.poly import (
     PolyVector,
     USeries,
@@ -12,7 +22,6 @@ from realhurwitz.poly import (
     scalar_product,
     series_exp,
     series_log,
-    series_mul,
     vector_bidegree,
 )
 
@@ -99,16 +108,16 @@ def test_series_exp_log_roundtrip():
          vec((p_plus(2), 1)),
          vec((p_plus(3), 2), (p_minus(1), 1))),
         connected=True)
-    big = series_exp(h, 2, 6)
+    big = series_exp(h, 2, enumerate_bidegrees(6))
     assert big.coeff(0).coeff(EMPTY_TYPE) == 1
-    back = series_log(big, 2, 6)
+    back = series_log(big, 2, enumerate_bidegrees(6))
     for m in range(3):
         assert back.coeff(m) == h.coeff(m)
 
 
 def test_series_exp_constant_term_is_exponential():
     zero = USeries((PolyVector.zero(),), connected=True)
-    big = series_exp(zero, 3, 4)
+    big = series_exp(zero, 3, enumerate_bidegrees(4))
     for m in range(4):
         assert big.coeff(m) == (vec((EMPTY_TYPE, 1)) if m == 0 else PolyVector.zero())
 
@@ -116,7 +125,13 @@ def test_series_exp_constant_term_is_exponential():
 def test_series_log_requires_unit_constant():
     bad = USeries((PolyVector.zero(),), connected=False)
     with pytest.raises(ValueError):
-        series_log(bad, 0, 2)
+        series_log(bad, 0, enumerate_bidegrees(2))
+
+
+def test_series_log_rejects_grades_missing_a_smaller_one():
+    big = series_exp(USeries((vec((p_plus(1), 1)),)), 0, enumerate_bidegrees(2))
+    with pytest.raises(ValueError):
+        series_log(big, 0, [Bidegree(0, 0), Bidegree(1, 1)])
 
 
 def test_merge_blocks_rejects_a_key_in_two_blocks():

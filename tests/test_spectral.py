@@ -202,3 +202,12 @@ def test_self_adjointness_makes_pairs_real():
         assert orthogonality_check(rep)
         assert mean_eigenvalue_check(rep)
         assert len(rep.pairs) == len(rep.basis)
+
+
+def test_small_tolerance_keeps_degenerate_eigenspaces():
+    # W+ on block (2,2) has eigenvalues of multiplicity 3 that eigh returns
+    # about 1e-15 apart; the residual bound must not split them
+    rep = common_eigenbasis(Bidegree(2, 2), tol=1e-15)
+    assert not rep.exact
+    assert rep.pairs == common_eigenbasis(Bidegree(2, 2)).pairs
+    assert rep.max_residual <= 1e-15 * 10

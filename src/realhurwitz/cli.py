@@ -3,7 +3,9 @@
 All configuration comes from flags; output for fixed flags is deterministic
 byte for byte. Rational numbers appear in JSON as separate numerator and
 denominator strings, never as floats. Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+failure, 2 usage error, 3 internal error: an unexpected exception, such as a
+broken ArithmeticError invariant of the integer store, ends in one stderr
+line `realhurwitz: internal error: <Type>: <message>`, not a traceback.
 """
 
 from __future__ import annotations
@@ -264,9 +266,8 @@ def _suite_oracle(chk: _Checker, max_size: int) -> None:
         chk.check(f"minus operator equals right class multiplication on {tuple(b)}",
                   True, oracle.mult_c2_matrix(b, "right") == wm.entries)
     for b in enumerate_bidegrees(max_size):
-        vectors = evolution.evolve_block(b, 6)
-        ok = all(dict(vectors[m]) == oracle.hurwitz_by_paths(b, m)
-                 for m in range(7))
+        vectors = evolution.evolve_labelled(b, 6)
+        ok = all(vectors[m] == oracle.labelled_by_paths(b, m) for m in range(7))
         chk.check(f"walk counts equal evolution on {tuple(b)}, m<=6", True, ok)
 
 
@@ -312,9 +313,8 @@ def _suite_nonsep(chk: _Checker) -> None:
                        == nonsep.tilde_class_size_formula(mu)
                        for mu in nonsep.tilde_enumerate_types(n))
         chk.check(f"class sizes match n!/zeta on {n} elements", True, sizes_ok)
-        evolved = nonsep.tilde_evolve(n, 6)
-        paths_ok = all(dict(evolved[m]) == nonsep.tilde_hurwitz(n, m)
-                       for m in range(7))
+        evolved = nonsep.tilde_evolve_labelled(n, 6)
+        paths_ok = all(evolved[m] == nonsep.tilde_labelled_by_paths(n, m) for m in range(7))
         chk.check(f"walk counts equal evolution on {n} elements, m<=6",
                   True, paths_ok)
         chk.check(f"transcribed operator form agrees on {n} elements", True,
@@ -400,7 +400,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"realhurwitz: internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

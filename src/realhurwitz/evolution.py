@@ -5,16 +5,26 @@ the plus cut-and-join operator, one derivative in u per step. Both graded
 pieces of every bidegree block evolve independently. The connected series is
 its formal logarithm, and a product of blocks c and b - c lies in block b, so
 both series are exact on any set of blocks that holds every block below one
-of its own: the total degree at most d, or the box that a table lists. The
-genus-0 layer keeps the top Euler characteristic part, forgets signs, and
-checks the quadratic flow equation it satisfies.
+of its own: the total degree at most d, or the box that a table lists.
+
+Both series are kept as labelled integer counts (poly.LabelledSeries):
+n+! n-! times each coefficient of the block (n+, n-), which for the
+disconnected series are the walk totals of the block. The labelled initial
+vector and the integer columns of the cached operator keep the evolution in
+int; the cached orbit of {type: int} vectors is the only copy, and the
+formal log runs on the same store. Fractions enter where a value leaves it:
+table rows, hurwitz_value, and the public initial_vector, evolve_block and
+series functions.
+
+The genus-0 layer keeps the top Euler characteristic part, forgets signs,
+and checks the quadratic flow equation it satisfies.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, perm
 from typing import NamedTuple
 
 from .model import (
@@ -39,76 +49,96 @@ from .operators import (
 )
 from .poly import (
     HurwitzRow,
+    LabelledSeries,
     PolyVector,
     USeries,
     iterate,
-    merge_blocks,
+    label,
     series_log,
-    series_rows,
 )
+
+
+def _labelled_initial_vector(b: Bidegree) -> dict[RamificationType, int]:
+    """n+! n-! times the bidegree-b piece of exp(p_1^+ + p_1^- + q_1): the
+    type of k pairs weighs n+! n-! / (i! j! k!), the number of matchings of
+    k pairs, with i = n+ - k and j = n- - k."""
+    b = Bidegree(*b)
+    terms = {}
+    for k in range(min(b.n_plus, b.n_minus) + 1):
+        mu = rtype((1,) * (b.n_plus - k), (1,) * (b.n_minus - k), (1,) * k)
+        terms[mu] = comb(b.n_plus, k) * perm(b.n_minus, k)
+    return terms
 
 
 def initial_vector(b: Bidegree) -> PolyVector:
     """Bidegree-b piece of exp(p_1^+ + p_1^- + q_1)."""
+    return PolyVector({mu: Fraction(x, label(b))
+                       for mu, x in _labelled_initial_vector(b).items()})
+
+
+_ORBITS: dict[Bidegree, list[dict[RamificationType, int]]] = {}
+
+
+def evolve_labelled(b: Bidegree, max_m: int) -> tuple[dict[RamificationType, int], ...]:
+    """n+! n-! times the block coefficients of the disconnected series at
+    u^m/m!, m <= max_m: the walk totals of the block, in int.
+
+    Entry m is the m-th power of the plus operator block matrix applied to
+    the labelled initial vector; the minus and mean operators give the same
+    values. The entries are the cached orbit itself and must not be changed.
+    """
     b = Bidegree(*b)
-    terms: dict[RamificationType, Fraction] = {}
-    for k in range(min(b.n_plus, b.n_minus) + 1):
-        i, j = b.n_plus - k, b.n_minus - k
-        mu = rtype((1,) * i, (1,) * j, (1,) * k)
-        terms[mu] = Fraction(1, factorial(i) * factorial(j) * factorial(k))
-    return PolyVector(terms)
-
-
-_ORBITS: dict[Bidegree, list[PolyVector]] = {}
+    return iterate(_ORBITS, b, _labelled_initial_vector(b),
+                   lambda v: block_matrix(OperatorKind.WPLUS, b).step(v), max_m)
 
 
 def evolve_block(b: Bidegree, max_m: int) -> tuple[PolyVector, ...]:
-    """Block coefficients of the disconnected series at u^m/m!, m <= max_m.
-
-    Entry m equals the m-th power of the plus operator block matrix applied
-    to the initial vector; the minus and mean operators give the same values.
-    """
-    b = Bidegree(*b)
-    return iterate(_ORBITS, b, initial_vector(b),
-                   lambda v: block_matrix(OperatorKind.WPLUS, b)(v), max_m)
+    """Block coefficients of the disconnected series at u^m/m!, m <= max_m."""
+    d = label(b)
+    return tuple(PolyVector({mu: Fraction(x, d) for mu, x in vec.items()})
+                 for vec in evolve_labelled(b, max_m))
 
 
-def _merged(blocks, max_m: int) -> USeries:
-    return merge_blocks((evolve_block(b, max_m) for b in blocks), max_m)
+def _merged(blocks, max_m: int) -> LabelledSeries:
+    return LabelledSeries({b: evolve_labelled(b, max_m) for b in blocks}, max_m, False)
 
 
 @lru_cache(maxsize=None)
-def _logged(blocks: tuple[Bidegree, ...], max_m: int) -> USeries:
+def _logged(blocks: tuple[Bidegree, ...], max_m: int) -> LabelledSeries:
     return series_log(_merged(blocks, max_m), max_m, blocks)
+
+
+def _box(corner: Bidegree, max_m: int, connected: bool) -> LabelledSeries:
+    blocks = tuple(bidegree_box(corner))
+    return _logged(blocks, max_m) if connected else _merged(blocks, max_m)
 
 
 def disconnected_series(max_degree: int, max_m: int) -> USeries:
     """Exponential generating series of disconnected counts, truncated to
     total degree max_degree and order max_m in u."""
-    return _merged(enumerate_bidegrees(max_degree), max_m)
+    return _merged(enumerate_bidegrees(max_degree), max_m).to_useries()
 
 
 def connected_series(max_degree: int, max_m: int) -> USeries:
     """Formal logarithm of the disconnected series, same truncation."""
-    return _logged(tuple(enumerate_bidegrees(max_degree)), max_m)
+    return _logged(tuple(enumerate_bidegrees(max_degree)), max_m).to_useries()
 
 
 def box_series(corner: Bidegree, max_m: int, connected: bool = True) -> USeries:
     """The chosen series on the blocks componentwise at most corner."""
-    blocks = tuple(bidegree_box(corner))
-    return _logged(blocks, max_m) if connected else _merged(blocks, max_m)
+    return _box(corner, max_m, connected).to_useries()
 
 
 def hurwitz_value(mu: RamificationType, m: int, connected: bool = True) -> Fraction:
     """One framed count: coefficient of p_mu u^m/m! in the chosen series."""
-    return box_series(bidegree(mu), m, connected).coeff(m).coeff(mu)
+    return _box(bidegree(mu), m, connected).value(mu, m)
 
 
 def table_rows(block_cap: int, max_m: int, connected: bool = True) -> list[HurwitzRow]:
     """Nonzero counts for all types with max(n_plus, n_minus) <= block_cap,
     ordered by m and then by canonical type order."""
-    return series_rows(box_series(Bidegree(block_cap, block_cap), max_m, connected),
-                       canonical_key, euler_characteristic)
+    return _box(Bidegree(block_cap, block_cap), max_m, connected).rows(
+        canonical_key, euler_characteristic)
 
 
 def genus0_series(max_m: int, max_degree: int) -> USeries:

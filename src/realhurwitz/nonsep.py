@@ -9,14 +9,16 @@ on the invariant algebra is defined as left multiplication by the class sum
 of transpositions; it preserves the total degree but not a bidegree. A
 symbolic expansion of the transcribed differential-operator form is kept for
 per-entry comparison, since several superscripts of that transcription are
-visibly garbled; the matrix derived from walks is authoritative.
+visibly garbled; the matrix derived from walks is authoritative. Its
+entries are integers once summed, so the evolution and the formal log run on
+labelled integer counts, n! times each count of degree n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, prod
 from typing import Iterator, NamedTuple
 
 from .model import Partition, aut_order, merge_partitions, partition, partitions_of, without
@@ -24,12 +26,11 @@ from .operators import BlockMatrix
 from .oracle import WalkModel, class_multiplication, members, walk_totals
 from .poly import (
     HurwitzRow,
+    LabelledSeries,
     PolyVector,
     USeries,
     iterate,
-    merge_blocks,
     series_log,
-    series_rows,
 )
 
 TildeState = frozenset
@@ -348,47 +349,70 @@ def tilde_compare_operator(n: int) -> TildeOperatorComparison:
     return TildeOperatorComparison(walk, symbolic, mismatches)
 
 
-def tilde_initial_vector(n: int) -> PolyVector:
-    """Degree-n piece of the evolution start: the class of the identity
-    transition on a singles and b pairs weighs 1/(a! b! 2^b)."""
-    terms: dict[TildeType, Fraction] = {}
+def _labelled_initial_vector(n: int) -> dict[TildeType, int]:
+    """n! times the degree-n piece of the evolution start: the class of the
+    identity transition on a singles and b pairs weighs n!/(a! b! 2^b), the
+    number of involutions with b pairs, comb(n, 2b) (2b - 1)!!."""
+    terms = {}
     for b in range(n // 2 + 1):
-        a = n - 2 * b
-        mu = TildeType((), (), (1,) * a, (1,) * b)
-        terms[mu] = Fraction(1, factorial(a) * factorial(b) * 2 ** b)
-    return PolyVector(terms)
+        mu = TildeType((), (), (1,) * (n - 2 * b), (1,) * b)
+        terms[mu] = comb(n, 2 * b) * prod(range(1, 2 * b, 2))
+    return terms
 
 
-_ORBITS: dict[int, list[PolyVector]] = {}
+def tilde_initial_vector(n: int) -> PolyVector:
+    """Degree-n piece of the evolution start."""
+    return PolyVector({mu: Fraction(x, factorial(n))
+                       for mu, x in _labelled_initial_vector(n).items()})
+
+
+_ORBITS: dict[int, list[dict[TildeType, int]]] = {}
+
+
+def tilde_evolve_labelled(n: int, max_m: int) -> tuple[dict[TildeType, int], ...]:
+    """n! times the coefficients at u^m/m! of the disconnected degree-n
+    evolution: the walk totals on n elements, in int. The entries are the
+    cached orbit itself and must not be changed."""
+    return iterate(_ORBITS, n, _labelled_initial_vector(n),
+                   lambda v: tilde_operator_matrix(n).step(v), max_m)
 
 
 def tilde_evolve(n: int, max_m: int) -> tuple[PolyVector, ...]:
     """Coefficients at u^m/m! of the disconnected degree-n evolution."""
-    return iterate(_ORBITS, n, tilde_initial_vector(n),
-                   lambda v: tilde_operator_matrix(n)(v), max_m)
+    return tuple(PolyVector({mu: Fraction(x, factorial(n)) for mu, x in vec.items()})
+                 for vec in tilde_evolve_labelled(n, max_m))
+
+
+def tilde_labelled_by_paths(n: int, m: int) -> dict[TildeType, int]:
+    """Walk totals at u^m/m! on n elements, summed by type: n! times the
+    disconnected counts."""
+    return walk_totals(_unsigned(), (n,), m)
 
 
 def tilde_hurwitz(n: int, m: int) -> dict[TildeType, Fraction]:
     """Disconnected counts at u^m/m! on n elements: walk totals over n!."""
     return {mu: Fraction(total, factorial(n))
-            for mu, total in walk_totals(_unsigned(), (n,), m).items()}
+            for mu, total in tilde_labelled_by_paths(n, m).items()}
 
 
-def tilde_disconnected_series(max_n: int, max_m: int) -> USeries:
-    return merge_blocks((tilde_evolve(n, max_m) for n in range(max_n + 1)), max_m)
+def _merged(max_n: int, max_m: int) -> LabelledSeries:
+    return LabelledSeries({(n,): tilde_evolve_labelled(n, max_m) for n in range(max_n + 1)},
+                          max_m, False)
 
 
 @lru_cache(maxsize=None)
-def tilde_connected_series(max_n: int, max_m: int) -> USeries:
-    return series_log(tilde_disconnected_series(max_n, max_m), max_m,
-                      [(n,) for n in range(max_n + 1)])
+def _logged(max_n: int, max_m: int) -> LabelledSeries:
+    return series_log(_merged(max_n, max_m), max_m, [(n,) for n in range(max_n + 1)])
+
+
+def tilde_disconnected_series(max_n: int, max_m: int) -> USeries:
+    return _merged(max_n, max_m).to_useries()
 
 
 def tilde_connected_value(mu: TildeType, m: int) -> Fraction:
-    return tilde_connected_series(mu.degree, m).coeff(m).coeff(mu)
+    return _logged(mu.degree, m).value(mu, m)
 
 
 def tilde_table_rows(max_n: int, max_m: int, connected: bool = True) -> list[HurwitzRow]:
-    series = (tilde_connected_series(max_n, max_m) if connected
-              else tilde_disconnected_series(max_n, max_m))
-    return series_rows(series, tilde_canonical_key, tilde_euler_characteristic)
+    series = _logged(max_n, max_m) if connected else _merged(max_n, max_m)
+    return series.rows(tilde_canonical_key, tilde_euler_characteristic)

@@ -124,6 +124,22 @@ class BlockMatrix:
         return tuple(tuple(Fraction(self.images[col].get(row, 0)) for col in self.basis)
                      for row in self.basis)
 
+    @cached_property
+    def int_columns(self) -> dict:
+        """The columns with int entries, for the labelled evolution step:
+        images itself when every entry is an int already, else a converted
+        copy. An entry that is not an integer raises ArithmeticError."""
+        if all(type(c) is int for col in self.images.values() for c in col.values()):
+            return self.images
+        columns = {}
+        for mu, col in self.images.items():
+            for nu, c in col.items():
+                if c.denominator != 1:
+                    raise ArithmeticError(f"entry {c} at ({nu!r}, {mu!r}) of the operator "
+                                          f"on block {self.block} is not an integer")
+            columns[mu] = {nu: int(c) for nu, c in col.items()}
+        return columns
+
     def matvec(self, vec) -> list:
         """Image of a coordinate vector over the basis, computed exactly;
         float coordinates are read as the rationals they equal."""
@@ -131,17 +147,23 @@ class BlockMatrix:
         return [image.coeff(mu) for mu in self.basis]
 
     def __call__(self, v: PolyVector) -> PolyVector:
-        """Image of a vector on the basis: the evolution step of both models."""
-        return _image(v, self.images.__getitem__)
+        """Image of a vector on the basis."""
+        return PolyVector(_image(v.terms, self.images.__getitem__))
+
+    def step(self, vec: dict) -> dict:
+        """Image of a vector {type: int} on the basis: the labelled-count
+        evolution step of both models."""
+        return _image(vec, self.int_columns.__getitem__)
 
 
-def _image(v: PolyVector, column: Callable) -> PolyVector:
-    """Sum over the terms c p_mu of v of c times the sparse column(mu)."""
+def _image(terms: dict, column: Callable) -> dict:
+    """Sum over the terms c p_mu of c times the sparse column(mu), without
+    the zero sums."""
     out: dict = {}
-    for mu, c in v:
+    for mu, c in terms.items():
         for nu, a in column(mu).items():
             out[nu] = out.get(nu, 0) + c * a
-    return PolyVector(out)
+    return {nu: x for nu, x in out.items() if x}
 
 
 @lru_cache(maxsize=None)
@@ -171,7 +193,7 @@ def block_matrix(kind: OperatorKind, b: Bidegree) -> BlockMatrix:
 def apply(kind: OperatorKind, v: PolyVector) -> PolyVector:
     """Linear extension of the chosen operator to a polynomial vector: each
     term's column is looked up in the cached matrix of its bidegree."""
-    return _image(v, lambda mu: block_matrix(kind, bidegree(mu)).images[mu])
+    return PolyVector(_image(v.terms, lambda mu: block_matrix(kind, bidegree(mu)).images[mu]))
 
 
 class G0Type(NamedTuple):

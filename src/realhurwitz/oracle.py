@@ -290,14 +290,20 @@ def walk_count(mu: RamificationType, m: int) -> int:
     return walks_from(_signed(), bidegree(mu), initial, m).get(final, 0)
 
 
+def labelled_by_paths(b: Bidegree, m: int) -> dict[RamificationType, int]:
+    """m-step walk totals between all ordered state pairs of the block b,
+    summed by the type of the pair: n_plus! n_minus! times the disconnected
+    counts at u^m/m!, in int."""
+    return walk_totals(_signed(), Bidegree(*b), m)
+
+
 def hurwitz_by_paths(b: Bidegree, m: int) -> dict[RamificationType, Fraction]:
     """Disconnected counts at u^m/m! for every type on the ground set b.
 
-    Sums m-step walk counts between all ordered state pairs, grouped by the
-    type of the pair, and divides by n_plus! n_minus!. Equals walk_count over
-    zeta for each type, since walks between pairs in one class agree.
+    Divides the walk totals of labelled_by_paths by n_plus! n_minus!. Equals
+    walk_count over zeta for each type, since walks between pairs in one
+    class agree.
     """
     b = Bidegree(*b)
     denom = factorial(b.n_plus) * factorial(b.n_minus)
-    return {mu: Fraction(total, denom)
-            for mu, total in walk_totals(_signed(), b, m).items()}
+    return {mu: Fraction(total, denom) for mu, total in labelled_by_paths(b, m).items()}

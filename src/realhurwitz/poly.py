@@ -12,13 +12,23 @@ from each key: a tuple of nonnegative integers that adds under union and is
 zero only for the constant monomial (the bidegree of a RamificationType, the
 1-tuple of the degree of a tilde type). They are truncated to a set of
 grades rather than to a total degree.
+
+Series of counts are kept as labelled integers (Flajolet-Sedgewick,
+Analytic Combinatorics, ch. II): a LabelledSeries holds label(g) times each
+coefficient of grade g, the product of the factorials of the components of
+g. Every count of both walk models is an int there, and exp and log run on
+it in int arithmetic, with an exact division that raises ArithmeticError on
+a remainder; a rational USeries is first made integral by a grade
+substitution. Fractions enter only where a value leaves the store: a table
+row, a single value, or a USeries.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
-from math import factorial
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from math import comb, factorial, lcm, prod
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .model import EMPTY_TYPE, RamificationType, bidegree, zeta
 
@@ -181,17 +191,10 @@ def iterate(cache: dict, key, start, step: Callable, max_m: int) -> tuple:
     return tuple(orbit[:max_m + 1])
 
 
-def merge_blocks(orbits: Iterable[Sequence[PolyVector]], max_m: int) -> USeries:
-    """Disconnected series whose coefficient at u^m/m! joins the m-th vectors
-    of the per-block orbits. Blocks have disjoint keys; a key found in two
-    blocks raises."""
-    orbits = list(orbits)
-    coeffs = [PolyVector({k: c for vectors in orbits for k, c in vectors[m]})
-              for m in range(max_m + 1)]
-    if any(len(v) != sum(len(vectors[m]) for vectors in orbits)
-           for m, v in enumerate(coeffs)):
-        raise ValueError("a key occurs in two blocks")
-    return USeries(coeffs, connected=False)
+def label(grade) -> int:
+    """Label factor of a grade, the product of the factorials of its
+    components: n+! n-! for a bidegree, n! for a degree."""
+    return prod(factorial(g) for g in grade)
 
 
 class HurwitzRow(NamedTuple):
@@ -202,50 +205,119 @@ class HurwitzRow(NamedTuple):
     value: Fraction
 
 
-def series_rows(series: USeries, sort_key: Callable, chi: Callable) -> list[HurwitzRow]:
-    """Nonzero coefficients of a series as table rows, ordered by m and then
-    by sort_key."""
-    return [HurwitzRow(m, mu, chi(mu, m), series.connected, c)
-            for m, vec in enumerate(series.coeffs)
-            for mu, c in sorted(vec, key=lambda item: sort_key(item[0]))]
+class LabelledSeries(NamedTuple):
+    """Labelled integer counts of a series in u^m/m!.
+
+    pieces maps each grade g to a sequence, indexed by m = 0 .. max_m, of
+    {key: x}, where x is label(g) * scale^|g| times the coefficient of
+    p_key u^m/m!, an int. A disconnected series of either walk model holds
+    the cached evolution orbits themselves, with scale 1: the walk totals
+    that the oracle divides by the label factor.
+    """
+
+    pieces: dict
+    max_m: int
+    connected: bool
+    scale: int = 1
+
+    @classmethod
+    def from_useries(cls, series: USeries) -> "LabelledSeries":
+        """A rational series as a store. Its scale D is the least common
+        multiple of the denominators of the labelled values, so that the
+        grade substitution X_g -> D^|g| X_g, which commutes with exp and
+        log, makes every entry an integer."""
+        values: dict = defaultdict(lambda: [{} for _ in series.coeffs])
+        for m, vec in enumerate(series.coeffs):
+            for k, c in vec:
+                values[k.grade][m][k] = c * label(k.grade)
+        scale = lcm(*(x.denominator for piece in values.values() for vec in piece
+                      for x in vec.values()))
+        pieces = {g: [{k: int(x * scale ** sum(g)) for k, x in vec.items()} for vec in piece]
+                  for g, piece in values.items()}
+        return cls(pieces, series.max_m, series.connected, scale)
+
+    def denominator(self, grade) -> int:
+        return label(grade) * self.scale ** sum(grade)
+
+    def value(self, key, m: int) -> Fraction:
+        """The coefficient of p_key u^m/m!."""
+        g = key.grade
+        piece = self.pieces.get(g, ())
+        return Fraction(piece[m].get(key, 0) if m < len(piece) else 0, self.denominator(g))
+
+    @property
+    def coeffs(self) -> list[PolyVector]:
+        """The coefficients of u^m/m! as PolyVectors, built on each access."""
+        out: list[dict] = [{} for _ in range(self.max_m + 1)]
+        for g, piece in self.pieces.items():
+            d = self.denominator(g)
+            for m, vec in enumerate(piece):
+                out[m].update((k, Fraction(x, d)) for k, x in vec.items())
+        return [PolyVector(c) for c in out]
+
+    def to_useries(self) -> USeries:
+        return USeries(self.coeffs, self.connected)
+
+    def rows(self, sort_key: Callable, chi: Callable) -> list[HurwitzRow]:
+        """Nonzero coefficients as table rows, ordered by m and then by
+        sort_key. Each row's value is built once, here."""
+        keyed = sorted(((k, piece, self.denominator(g)) for g, piece in self.pieces.items()
+                        for k in dict.fromkeys(k for vec in piece for k in vec)),
+                       key=lambda item: sort_key(item[0]))
+        return [HurwitzRow(m, k, chi(k, m), self.connected, Fraction(x, d))
+                for m in range(self.max_m + 1) for k, piece, d in keyed
+                if (x := piece[m].get(k))]
 
 
-def _constant_coeff(v: PolyVector) -> Fraction:
-    for k, c in v:
-        if k.is_empty:
-            return c
-    return Fraction(0)
+def _constant_row(series: LabelledSeries) -> list:
+    """Coefficients of the constant monomial, the only key of grade zero."""
+    for g, piece in series.pieces.items():
+        if not any(g):
+            return [sum(vec.values()) for vec in piece]
+    return []
 
 
-def _product_into(out: dict, a: dict, b: dict, max_m: int) -> None:
-    """Add the product of two graded pieces {key: [c_0, ..., c_max_m]} to
-    out. Entries are scaled by 1/m!, so the binomial convolution of the
-    u^m/m! normalization is a plain Cauchy product here."""
-    a, b = ([(k, [(m, x) for m, x in enumerate(row) if x]) for k, row in piece.items()]
-            for piece in (a, b))
-    for ka, sa in a:
+def _convolve_into(acc: dict, a: dict, b: dict, weight: int, binom: list,
+                   max_m: int) -> None:
+    """Add weight times the product of two labelled pieces {key: row} to acc.
+    Rows convolve binomially, the u^m/m! normalization: entry m of the
+    product of rows x and y is the sum over k of comb(m, k) x_k y_(m-k)."""
+    b = [(kb, [(j, y) for j, y in enumerate(row) if y]) for kb, row in b.items()]
+    for ka, row in a.items():
+        sa = [(i, weight * x, binom[i]) for i, x in enumerate(row) if x]
+        if not sa:
+            continue
         for kb, sb in b:
-            if sa[0][0] + sb[0][0] > max_m:
+            if not sb or sa[0][0] + sb[0][0] > max_m:
                 continue
-            acc = out.setdefault(ka.union(kb), [0] * (max_m + 1))
-            for i, x in sa:
+            key = ka.union(kb)
+            out = acc.get(key)
+            if out is None:
+                out = acc[key] = [0] * (max_m + 1)
+            for i, x, ci in sa:
                 for j, y in sb:
                     if i + j > max_m:
                         break
-                    acc[i + j] += x * y
+                    out[i + j] += ci[j] * x * y
 
 
-def _euler_recurrence(given: USeries, max_m: int, grades, log: bool) -> USeries:
-    """log (log=True) or exp (log=False) of a series, by the Euler operator.
+def _euler_recurrence(given: LabelledSeries, max_m: int, grades, log: bool) -> LabelledSeries:
+    """log (log=True) or exp (log=False) of a labelled series, by the Euler
+    operator.
 
     theta multiplies the graded piece of grade b by |b|, the sum of its
     components; it is a derivation, so H = exp F satisfies theta H =
-    (theta F) H, which on the piece of grade b reads
+    (theta F) H. On labelled counts the product of pieces c and b - c
+    carries the weight w(b, c) = prod_i comb(b_i, c_i), so the piece of
+    grade b reads
 
-        |b| F_b = |b| H_b - sum over 0 < c < b of |c| F_c * H_(b - c).
+        |b| F_b = |b| H_b - sum over 0 < c < b of |c| w(b, c) F_c * H_(b - c).
 
     Solved for F_b (log) or H_b (exp) in order of |b|, this uses each pair
-    of pieces once. grades must contain, with every grade, all smaller
+    of pieces once, in int arithmetic. The labelled log and exp of an
+    integer series are integers (the rooted form of the same recurrence has
+    integer weights), so the division by |b| is exact; a remainder raises
+    ArithmeticError. grades must contain, with every grade, all smaller
     ones (componentwise); a product of pieces c and b - c lies in piece b,
     so the result is exact on every listed grade.
     """
@@ -254,13 +326,9 @@ def _euler_recurrence(given: USeries, max_m: int, grades, log: bool) -> USeries:
         for i, x in enumerate(g):
             if x and g[:i] + (x - 1,) + g[i + 1:] not in grades:
                 raise ValueError(f"grade {tuple(g)} is listed without a smaller one")
-    zeros = [0] * (max_m + 1)
-    given_pieces: dict = {g: {} for g in grades}
-    for m in range(max_m + 1):
-        for k, c in given.coeff(m):
-            piece = given_pieces.get(k.grade)
-            if piece is not None and not k.is_empty:
-                piece.setdefault(k, list(zeros))[m] = c / factorial(m)
+    width = max_m + 1
+    zeros = [0] * width
+    binom = [[comb(i + j, i) for j in range(width)] for i in range(width)]
     solved: dict = {}   # grade -> piece of F (log) or of H (exp)
     h: dict = {}        # grade -> piece of H
     theta_f: dict = {}  # grade -> piece of theta F
@@ -272,49 +340,63 @@ def _euler_recurrence(given: USeries, max_m: int, grades, log: bool) -> USeries:
         for c, piece in theta_f.items():
             d = tuple(x - y for x, y in zip(b, c))
             if min(d) >= 0 and sum(d):
-                _product_into(acc, piece, h[d], max_m)
-        scale = Fraction(-1 if log else 1, size)
-        known = given_pieces[b]
+                weight = prod(comb(x, y) for x, y in zip(b, c))
+                _convolve_into(acc, piece, h[d], weight, binom, max_m)
+        vectors = list(given.pieces.get(b, ()))[:width]
+        vectors += [{}] * (width - len(vectors))
+        known = {k: [vec.get(k, 0) for vec in vectors]
+                 for k in dict.fromkeys(k for vec in vectors for k in vec)}
         out = {}
         for k in {**known, **acc}:
-            row = [x + scale * y if y else x
-                   for x, y in zip(known.get(k, zeros), acc.get(k, zeros))]
+            row = []
+            for x, y in zip(known.get(k, zeros), acc.get(k, zeros)):
+                q, r = divmod(y, size)
+                if r:
+                    raise ArithmeticError(f"labelled sum {y} at {k!r} is not divisible by {size}")
+                row.append(x - q if log else x + q)
             if any(row):
                 out[k] = row
-        solved[b] = out
+        solved[b] = [{k: row[m] for k, row in out.items() if row[m]} for m in range(width)]
         f_b, h[b] = (out, known) if log else (known, out)
         theta_f[b] = {k: [size * x for x in row] for k, row in f_b.items()}
-    coeffs: list[dict] = [{} for _ in range(max_m + 1)]
-    for piece in solved.values():
-        for k, row in piece.items():
-            for m, x in enumerate(row):
-                if x:
-                    coeffs[m][k] = x * factorial(m)
-    return USeries([PolyVector(c) for c in coeffs], connected=log)
+    return LabelledSeries(solved, max_m, log, given.scale)
 
 
-def series_exp(h: USeries, max_m: int, grades, empty_key=EMPTY_TYPE) -> USeries:
+def _labelled(series) -> LabelledSeries:
+    return series if isinstance(series, LabelledSeries) else LabelledSeries.from_useries(series)
+
+
+def series_exp(h, max_m: int, grades, empty_key=EMPTY_TYPE):
     """exp of a series with no constant-monomial term, on the listed grades
     (closed under taking smaller grades) and through u^max_m.
 
-    The result's constant monomial (coefficient 1 at m=0) is indexed by
-    empty_key, which must match the key type of h.
+    h is a LabelledSeries or a USeries of rationals, and the result is of
+    the same kind. The result's constant monomial (coefficient 1 at m=0) is
+    indexed by empty_key, which must match the key type of h.
     """
-    for m, v in enumerate(h.coeffs):
-        if _constant_coeff(v):
+    store = _labelled(h)
+    for m, x in enumerate(_constant_row(store)):
+        if x:
             raise ValueError(f"series_exp input has a constant-monomial term at m={m}")
-    result = _euler_recurrence(h, max_m, grades, log=False)
-    result.coeffs[0] = result.coeffs[0] + PolyVector.monomial(empty_key, 1)
-    return result
+    result = _euler_recurrence(store, max_m, grades, log=False)
+    result.pieces[empty_key.grade] = [{empty_key: 1}] + [{} for _ in range(max_m)]
+    return result if store is h else result.to_useries()
 
 
-def series_log(big_h: USeries, max_m: int, grades) -> USeries:
+def series_log(big_h, max_m: int, grades):
     """log of a series whose m=0 coefficient has constant term 1 (and 0 for
     m>0), on the listed grades (closed under taking smaller grades) and
-    through u^max_m."""
-    if _constant_coeff(big_h.coeff(0)) != 1:
+    through u^max_m.
+
+    big_h is a LabelledSeries or a USeries of rationals, and the result is
+    of the same kind.
+    """
+    store = _labelled(big_h)
+    constant = _constant_row(store)
+    if constant[:1] != [1]:
         raise ValueError("series_log input must have constant-monomial coefficient 1 at m=0")
-    for m in range(1, len(big_h.coeffs)):
-        if _constant_coeff(big_h.coeff(m)):
+    for m, x in enumerate(constant[1:], 1):
+        if x:
             raise ValueError(f"series_log input has a constant-monomial term at m={m}")
-    return _euler_recurrence(big_h, max_m, grades, log=True)
+    result = _euler_recurrence(store, max_m, grades, log=True)
+    return result if store is big_h else result.to_useries()

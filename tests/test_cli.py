@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from realhurwitz import evolution, nonsep
 from realhurwitz.cli import build_parser, main
 
 
@@ -199,3 +200,19 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["table", "--threads", "2"])  # the flag is gone
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv, layer, name", [
+    (["table", "--connected"], evolution, "table_rows"),
+    (["verify", "--suite", "nonsep"], nonsep, "tilde_compare_operator"),
+])
+def test_internal_error_exits_three_with_one_line(capsys, monkeypatch, argv, layer, name):
+    def broken(*args, **kwargs):
+        raise ArithmeticError("labelled sum 1 at p is not divisible by 2\nsecond line")
+
+    monkeypatch.setattr(layer, name, broken)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == ("realhurwitz: internal error: ArithmeticError: "
+                   "labelled sum 1 at p is not divisible by 2 second line\n")
+    assert "Traceback" not in err

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from power_sum_reference import series_mul
+from power_sum_reference import power_sum_exp, power_sum_log, series_mul
 from realhurwitz.model import (
     EMPTY_TYPE,
     Bidegree,
@@ -15,10 +15,10 @@ from realhurwitz.model import (
     rtype,
     zeta,
 )
+from realhurwitz.nonsep import TILDE_EMPTY, ttype
 from realhurwitz.poly import (
     PolyVector,
     USeries,
-    merge_blocks,
     scalar_product,
     series_exp,
     series_log,
@@ -134,8 +134,27 @@ def test_series_log_rejects_grades_missing_a_smaller_one():
         series_log(big, 0, [Bidegree(0, 0), Bidegree(1, 1)])
 
 
-def test_merge_blocks_rejects_a_key_in_two_blocks():
-    a = (vec((p_plus(1), 1)),)
-    b = (vec((p_plus(1), 2)),)
-    with pytest.raises(ValueError):
-        merge_blocks([a, b], 0)
+# denominators 3, 5 and 7 that no label factor clears; p+_2 (1/2) lies in
+# bidegree (1, 1), whose label factor is 1
+SIGNED_RATIONAL = USeries((
+    vec((rtype((1,), (1,)), Fraction(1, 3)), (q_var(1), 1)),
+    vec((p_plus(2), Fraction(1, 2)), (p_minus(1), Fraction(2, 5))),
+    vec((p_plus(3), Fraction(-1, 7)))), connected=True)
+
+UNSIGNED_RATIONAL = USeries((
+    vec((ttype(kappa_odd=(1,)), Fraction(1, 3)), (ttype(lam=(1,)), Fraction(1, 3))),
+    vec((ttype(kappa_plus=(2,)), Fraction(2, 5))),
+    vec((ttype(kappa_odd=(3,)), Fraction(-1, 7)))), connected=True)
+
+
+@pytest.mark.parametrize("h, grades, empty", [
+    (SIGNED_RATIONAL, enumerate_bidegrees(6), EMPTY_TYPE),
+    (UNSIGNED_RATIONAL, [(n,) for n in range(7)], TILDE_EMPTY),
+], ids=["signed", "unsigned"])
+def test_rational_exp_log_round_trip_matches_power_sums(h, grades, empty):
+    big = series_exp(h, 3, grades, empty)
+    assert big == power_sum_exp(h, 3, 6, empty)
+    assert big.coeff(0).coeff(empty) == 1
+    back = series_log(big, 3, grades)
+    assert back == h
+    assert back == power_sum_log(big, 3, 6)

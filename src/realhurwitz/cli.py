@@ -5,7 +5,9 @@ byte for byte. Rational numbers appear in JSON as separate numerator and
 denominator strings, never as floats. Exit codes: 0 success, 1 verification
 failure, 2 usage error, 3 internal error: an unexpected exception, such as a
 broken ArithmeticError invariant of the integer store, ends in one stderr
-line `realhurwitz: internal error: <Type>: <message>`, not a traceback.
+line `realhurwitz: internal error: <Type>: <message>`, not a traceback. A
+reader that closes the output pipe early (`| head`) ends the command
+quietly with 141, the status of a death by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -14,8 +16,11 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
+from itertools import islice
+from typing import Iterable
 
 from . import evolution, nonsep, oracle, spectral
 from .model import (
@@ -60,6 +65,18 @@ def _tilde_text(mu: nonsep.TildeType) -> str:
             f"k:[{_part_str(mu.kappa_odd)}] l:[{_part_str(mu.lam)}]")
 
 
+def _write_csv(header: list, records: Iterable[list]) -> None:
+    """CSV on stdout, written a block of rows at a time: neither the whole
+    text nor one write per row."""
+    records = iter(records)
+    block = [header]
+    while block:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(block)
+        sys.stdout.write(buf.getvalue())
+        block = list(islice(records, 1024))
+
+
 def _emit_rows(rows, fmt: str, tilde: bool = False) -> None:
     kappas = ["kappa_plus", "kappa_minus"] + (["kappa_odd"] if tilde else [])
     header = ["m", *kappas, "lambda", "chi", "connected", "value_num", "value_den"]
@@ -69,12 +86,8 @@ def _emit_rows(rows, fmt: str, tilde: bool = False) -> None:
     if fmt == "json":
         print(json.dumps({"rows": [dict(zip(header, rec)) for rec in records]}, indent=2))
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([str(x).lower() if isinstance(x, bool) else x for x in rec]
-                         for rec in records)
-        sys.stdout.write(buf.getvalue())
+        _write_csv(header, ([str(x).lower() if isinstance(x, bool) else x for x in rec]
+                            for rec in records))
     else:
         for row in rows:
             text = _tilde_text(row.mu) if tilde else format_type(row.mu)
@@ -96,16 +109,11 @@ def cmd_block(args) -> int:
                "entries": [[_frac_pair(x) for x in row] for row in bm.entries]}
         print(json.dumps(obj, indent=2))
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["row_type", "col_type", "value_num", "value_den"])
-        for i, row_mu in enumerate(bm.basis):
-            for j, col_mu in enumerate(bm.basis):
-                x = bm.entries[i][j]
-                if x:
-                    writer.writerow([format_type(row_mu), format_type(col_mu),
-                                     str(x.numerator), str(x.denominator)])
-        sys.stdout.write(buf.getvalue())
+        _write_csv(["row_type", "col_type", "value_num", "value_den"],
+                   ([format_type(row_mu), format_type(col_mu), str(x.numerator),
+                     str(x.denominator)]
+                    for row_mu, row in zip(bm.basis, bm.entries)
+                    for col_mu, x in zip(bm.basis, row) if x))
     else:
         print(f"operator {args.operator} on bidegree "
               f"({bm.block.n_plus}, {bm.block.n_minus})")
@@ -147,13 +155,10 @@ def cmd_spectrum(args) -> int:
                 for c in comparison]
         print(json.dumps(obj, indent=2))
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["eigenvalue_plus", "eigenvalue_minus"]
-                        + [format_type(mu) for mu in rep.basis])
-        for pair, vec in zip(rep.pairs, rep.vectors):
-            writer.writerow([str(pair[0]), str(pair[1])] + [str(c) for c in vec])
-        sys.stdout.write(buf.getvalue())
+        _write_csv(["eigenvalue_plus", "eigenvalue_minus"]
+                   + [format_type(mu) for mu in rep.basis],
+                   ([str(pair[0]), str(pair[1])] + [str(c) for c in vec]
+                    for pair, vec in zip(rep.pairs, rep.vectors)))
     else:
         print(f"bidegree ({args.nplus}, {args.nminus}), "
               f"{'exact' if rep.exact else 'certified floating point'}, "
@@ -402,6 +407,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed the pipe: stop quietly with 128 + SIGPIPE, the
+        # status of a death by that signal, and send what is still buffered
+        # to /dev/null so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:
         message = " ".join(str(exc).split())
         print(f"realhurwitz: internal error: {type(exc).__name__}: {message}",

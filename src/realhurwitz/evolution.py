@@ -53,8 +53,8 @@ from .poly import (
     PolyVector,
     USeries,
     iterate,
-    label,
     series_log,
+    unlabel,
 )
 
 
@@ -72,8 +72,7 @@ def _labelled_initial_vector(b: Bidegree) -> dict[RamificationType, int]:
 
 def initial_vector(b: Bidegree) -> PolyVector:
     """Bidegree-b piece of exp(p_1^+ + p_1^- + q_1)."""
-    return PolyVector({mu: Fraction(x, label(b))
-                       for mu, x in _labelled_initial_vector(b).items()})
+    return PolyVector(unlabel(_labelled_initial_vector(b), b))
 
 
 _ORBITS: dict[Bidegree, list[dict[RamificationType, int]]] = {}
@@ -94,9 +93,7 @@ def evolve_labelled(b: Bidegree, max_m: int) -> tuple[dict[RamificationType, int
 
 def evolve_block(b: Bidegree, max_m: int) -> tuple[PolyVector, ...]:
     """Block coefficients of the disconnected series at u^m/m!, m <= max_m."""
-    d = label(b)
-    return tuple(PolyVector({mu: Fraction(x, d) for mu, x in vec.items()})
-                 for vec in evolve_labelled(b, max_m))
+    return tuple(PolyVector(unlabel(vec, b)) for vec in evolve_labelled(b, max_m))
 
 
 def _merged(blocks, max_m: int) -> LabelledSeries:

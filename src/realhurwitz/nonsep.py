@@ -31,6 +31,7 @@ from .poly import (
     USeries,
     iterate,
     series_log,
+    unlabel,
 )
 
 TildeState = frozenset
@@ -362,8 +363,7 @@ def _labelled_initial_vector(n: int) -> dict[TildeType, int]:
 
 def tilde_initial_vector(n: int) -> PolyVector:
     """Degree-n piece of the evolution start."""
-    return PolyVector({mu: Fraction(x, factorial(n))
-                       for mu, x in _labelled_initial_vector(n).items()})
+    return PolyVector(unlabel(_labelled_initial_vector(n), (n,)))
 
 
 _ORBITS: dict[int, list[dict[TildeType, int]]] = {}
@@ -379,8 +379,7 @@ def tilde_evolve_labelled(n: int, max_m: int) -> tuple[dict[TildeType, int], ...
 
 def tilde_evolve(n: int, max_m: int) -> tuple[PolyVector, ...]:
     """Coefficients at u^m/m! of the disconnected degree-n evolution."""
-    return tuple(PolyVector({mu: Fraction(x, factorial(n)) for mu, x in vec.items()})
-                 for vec in tilde_evolve_labelled(n, max_m))
+    return tuple(PolyVector(unlabel(vec, (n,))) for vec in tilde_evolve_labelled(n, max_m))
 
 
 def tilde_labelled_by_paths(n: int, m: int) -> dict[TildeType, int]:
@@ -391,8 +390,7 @@ def tilde_labelled_by_paths(n: int, m: int) -> dict[TildeType, int]:
 
 def tilde_hurwitz(n: int, m: int) -> dict[TildeType, Fraction]:
     """Disconnected counts at u^m/m! on n elements: walk totals over n!."""
-    return {mu: Fraction(total, factorial(n))
-            for mu, total in tilde_labelled_by_paths(n, m).items()}
+    return unlabel(tilde_labelled_by_paths(n, m), (n,))
 
 
 def _merged(max_n: int, max_m: int) -> LabelledSeries:

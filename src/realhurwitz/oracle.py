@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 from itertools import combinations, permutations
 from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
 
@@ -26,6 +25,7 @@ from .model import (
     enumerate_types,
     partition,
 )
+from .poly import unlabel
 
 State = frozenset
 Transition = tuple[State, State]
@@ -304,6 +304,4 @@ def hurwitz_by_paths(b: Bidegree, m: int) -> dict[RamificationType, Fraction]:
     walk_count over zeta for each type, since walks between pairs in one
     class agree.
     """
-    b = Bidegree(*b)
-    denom = factorial(b.n_plus) * factorial(b.n_minus)
-    return {mu: Fraction(total, denom) for mu, total in labelled_by_paths(b, m).items()}
+    return unlabel(labelled_by_paths(b, m), Bidegree(*b))

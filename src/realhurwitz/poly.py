@@ -20,7 +20,8 @@ g. Every count of both walk models is an int there, and exp and log run on
 it in int arithmetic, with an exact division that raises ArithmeticError on
 a remainder; a rational USeries is first made integral by a grade
 substitution. Fractions enter only where a value leaves the store: a table
-row, a single value, or a USeries.
+row, a single value, a USeries, or unlabel, which the public wrappers of
+both walk models use to divide a labelled vector by its label factor.
 """
 
 from __future__ import annotations
@@ -197,6 +198,31 @@ def label(grade) -> int:
     return prod(factorial(g) for g in grade)
 
 
+def unlabel(vec: dict, grade, scale: int = 1) -> dict:
+    """The coefficients {key: Fraction} of a labelled vector {key: int} of
+    one grade: each entry over label(grade) * scale^|grade|."""
+    d = label(grade) * scale ** sum(grade)
+    return {k: Fraction(x, d) for k, x in vec.items()}
+
+
+def _keys(grade, piece) -> dict:
+    """The keys of a piece in order of first appearance. A key must lie in
+    the piece of its own grade, else it would be joined with the entries of
+    that piece when pieces merge; one that does not raises ValueError."""
+    keys = dict.fromkeys(k for vec in piece for k in vec)
+    for k in keys:
+        if k.grade != grade:
+            raise ValueError(f"key {k!r} of grade {tuple(k.grade)} is in the piece "
+                             f"of grade {tuple(grade)}")
+    return keys
+
+
+def _integral(x: Fraction, key) -> int:
+    if x.denominator != 1:
+        raise ValueError(f"labelled coefficient {x} at {key!r} is not an integer")
+    return x.numerator
+
+
 class HurwitzRow(NamedTuple):
     m: int
     mu: object
@@ -212,7 +238,8 @@ class LabelledSeries(NamedTuple):
     {key: x}, where x is label(g) * scale^|g| times the coefficient of
     p_key u^m/m!, an int. A disconnected series of either walk model holds
     the cached evolution orbits themselves, with scale 1: the walk totals
-    that the oracle divides by the label factor.
+    that the oracle divides by the label factor. Every key lies in the piece
+    of its own grade; reading a series that breaks this raises ValueError.
     """
 
     pieces: dict
@@ -225,14 +252,17 @@ class LabelledSeries(NamedTuple):
         """A rational series as a store. Its scale D is the least common
         multiple of the denominators of the labelled values, so that the
         grade substitution X_g -> D^|g| X_g, which commutes with exp and
-        log, makes every entry an integer."""
+        log, makes every entry an integer. It cannot scale grade zero: a
+        constant-monomial coefficient that is not an integer raises
+        ValueError."""
         values: dict = defaultdict(lambda: [{} for _ in series.coeffs])
         for m, vec in enumerate(series.coeffs):
             for k, c in vec:
                 values[k.grade][m][k] = c * label(k.grade)
         scale = lcm(*(x.denominator for piece in values.values() for vec in piece
                       for x in vec.values()))
-        pieces = {g: [{k: int(x * scale ** sum(g)) for k, x in vec.items()} for vec in piece]
+        pieces = {g: [{k: _integral(x * scale ** sum(g), k) for k, x in vec.items()}
+                      for vec in piece]
                   for g, piece in values.items()}
         return cls(pieces, series.max_m, series.connected, scale)
 
@@ -250,9 +280,9 @@ class LabelledSeries(NamedTuple):
         """The coefficients of u^m/m! as PolyVectors, built on each access."""
         out: list[dict] = [{} for _ in range(self.max_m + 1)]
         for g, piece in self.pieces.items():
-            d = self.denominator(g)
+            _keys(g, piece)
             for m, vec in enumerate(piece):
-                out[m].update((k, Fraction(x, d)) for k, x in vec.items())
+                out[m].update(unlabel(vec, g, self.scale))
         return [PolyVector(c) for c in out]
 
     def to_useries(self) -> USeries:
@@ -261,9 +291,13 @@ class LabelledSeries(NamedTuple):
     def rows(self, sort_key: Callable, chi: Callable) -> list[HurwitzRow]:
         """Nonzero coefficients as table rows, ordered by m and then by
         sort_key. Each row's value is built once, here."""
-        keyed = sorted(((k, piece, self.denominator(g)) for g, piece in self.pieces.items()
-                        for k in dict.fromkeys(k for vec in piece for k in vec)),
-                       key=lambda item: sort_key(item[0]))
+        keyed = [(k, piece, self.denominator(g)) for g, piece in self.pieces.items()
+                 for k in dict.fromkeys(k for vec in piece for k in vec)]
+        # a table reads thousands of keys, so of the grade check of _keys it
+        # keeps only the part that costs nothing: no key in two pieces
+        if len({k for k, _, _ in keyed}) != len(keyed):
+            raise ValueError("a key lies in two pieces")
+        keyed.sort(key=lambda item: sort_key(item[0]))
         return [HurwitzRow(m, k, chi(k, m), self.connected, Fraction(x, d))
                 for m in range(self.max_m + 1) for k, piece, d in keyed
                 if (x := piece[m].get(k))]
@@ -344,8 +378,7 @@ def _euler_recurrence(given: LabelledSeries, max_m: int, grades, log: bool) -> L
                 _convolve_into(acc, piece, h[d], weight, binom, max_m)
         vectors = list(given.pieces.get(b, ()))[:width]
         vectors += [{}] * (width - len(vectors))
-        known = {k: [vec.get(k, 0) for vec in vectors]
-                 for k in dict.fromkeys(k for vec in vectors for k in vec)}
+        known = {k: [vec.get(k, 0) for vec in vectors] for k in _keys(b, vectors)}
         out = {}
         for k in {**known, **acc}:
             row = []

@@ -1,9 +1,13 @@
 """Tests for the command line interface: formats, examples, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import realhurwitz
 from realhurwitz import evolution, nonsep
 from realhurwitz.cli import build_parser, main
 
@@ -216,3 +220,19 @@ def test_internal_error_exits_three_with_one_line(capsys, monkeypatch, argv, lay
     assert err == ("realhurwitz: internal error: ArithmeticError: "
                    "labelled sum 1 at p is not divisible by 2 second line\n")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_closed_output_pipe_exits_quietly(fmt):
+    # the table is far larger than a pipe buffer, so writing it fails once
+    # the reader has gone
+    src = os.path.dirname(os.path.dirname(realhurwitz.__file__))
+    proc = subprocess.Popen([sys.executable, "-m", "realhurwitz", "table", "--max-degree", "6",
+                             "--max-m", "10", "--format", fmt],
+                            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -17,6 +17,7 @@ from realhurwitz.model import (
 )
 from realhurwitz.nonsep import TILDE_EMPTY, ttype
 from realhurwitz.poly import (
+    LabelledSeries,
     PolyVector,
     USeries,
     scalar_product,
@@ -126,6 +127,32 @@ def test_series_log_requires_unit_constant():
     bad = USeries((PolyVector.zero(),), connected=False)
     with pytest.raises(ValueError):
         series_log(bad, 0, enumerate_bidegrees(2))
+
+
+@pytest.mark.parametrize("constant, transform", [
+    (Fraction(3, 2), lambda s: series_log(s, 0, enumerate_bidegrees(2))),
+    (Fraction(1, 2), lambda s: series_exp(s, 0, enumerate_bidegrees(2))),
+], ids=["log", "exp"])
+def test_non_integer_constant_is_rejected(constant, transform):
+    # the grade substitution cannot scale grade zero, so the constant must
+    # be an integer; log then needs 1, exp needs 0
+    bad = USeries((vec((EMPTY_TYPE, constant), (p_plus(1), 1)),), connected=False)
+    with pytest.raises(ValueError):
+        transform(bad)
+
+
+def test_labelled_series_rejects_a_key_in_two_pieces():
+    # p+_1 belongs to grade (1, 0); listing it under (2, 0) as well would
+    # join the two entries when the pieces merge
+    series = LabelledSeries({Bidegree(1, 0): [{p_plus(1): 1}],
+                             Bidegree(2, 0): [{p_plus(1): 2}]}, 0, False)
+    with pytest.raises(ValueError):
+        series.to_useries()
+    with pytest.raises(ValueError):
+        series.rows(repr, lambda mu, m: 0)
+    with pytest.raises(ValueError):
+        series_log(LabelledSeries({**series.pieces, Bidegree(0, 0): [{EMPTY_TYPE: 1}]}, 0,
+                                  False), 0, [Bidegree(0, 0), Bidegree(1, 0), Bidegree(2, 0)])
 
 
 def test_series_log_rejects_grades_missing_a_smaller_one():

@@ -323,7 +323,7 @@ def _suite_nonsep(chk: _Checker) -> None:
         chk.check(f"walk counts equal evolution on {n} elements, m<=6",
                   True, paths_ok)
         chk.check(f"transcribed operator form agrees on {n} elements", True,
-                  nonsep.tilde_compare_operator(n).agrees)
+                  nonsep.tilde_mult_c2_matrix(n) == nonsep.tilde_operator_matrix(n).entries)
     chk.check("unsigned count at m=6, one pole of order 3", Fraction(9),
               nonsep.tilde_connected_value(nonsep.ttype(kappa_odd=(3,)), 6))
 

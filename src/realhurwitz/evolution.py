@@ -23,7 +23,6 @@ and checks the quadratic flow equation it satisfies.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, perm
 from typing import NamedTuple
 
@@ -96,45 +95,36 @@ def evolve_block(b: Bidegree, max_m: int) -> tuple[PolyVector, ...]:
     return tuple(PolyVector(unlabel(vec, b)) for vec in evolve_labelled(b, max_m))
 
 
-def _merged(blocks, max_m: int) -> LabelledSeries:
-    return LabelledSeries({b: evolve_labelled(b, max_m) for b in blocks}, max_m, False)
-
-
-@lru_cache(maxsize=None)
-def _logged(blocks: tuple[Bidegree, ...], max_m: int) -> LabelledSeries:
-    return series_log(_merged(blocks, max_m), max_m, blocks)
-
-
-def _box(corner: Bidegree, max_m: int, connected: bool) -> LabelledSeries:
-    blocks = tuple(bidegree_box(corner))
-    return _logged(blocks, max_m) if connected else _merged(blocks, max_m)
+def _series(blocks: list[Bidegree], max_m: int, connected: bool) -> LabelledSeries:
+    series = LabelledSeries({b: evolve_labelled(b, max_m) for b in blocks}, max_m, False)
+    return series_log(series, max_m, blocks) if connected else series
 
 
 def disconnected_series(max_degree: int, max_m: int) -> USeries:
     """Exponential generating series of disconnected counts, truncated to
     total degree max_degree and order max_m in u."""
-    return _merged(enumerate_bidegrees(max_degree), max_m).to_useries()
+    return _series(enumerate_bidegrees(max_degree), max_m, False).to_useries()
 
 
 def connected_series(max_degree: int, max_m: int) -> USeries:
     """Formal logarithm of the disconnected series, same truncation."""
-    return _logged(tuple(enumerate_bidegrees(max_degree)), max_m).to_useries()
+    return _series(enumerate_bidegrees(max_degree), max_m, True).to_useries()
 
 
 def box_series(corner: Bidegree, max_m: int, connected: bool = True) -> USeries:
     """The chosen series on the blocks componentwise at most corner."""
-    return _box(corner, max_m, connected).to_useries()
+    return _series(bidegree_box(corner), max_m, connected).to_useries()
 
 
 def hurwitz_value(mu: RamificationType, m: int, connected: bool = True) -> Fraction:
     """One framed count: coefficient of p_mu u^m/m! in the chosen series."""
-    return _box(bidegree(mu), m, connected).value(mu, m)
+    return _series(bidegree_box(bidegree(mu)), m, connected).value(mu, m)
 
 
 def table_rows(block_cap: int, max_m: int, connected: bool = True) -> list[HurwitzRow]:
     """Nonzero counts for all types with max(n_plus, n_minus) <= block_cap,
     ordered by m and then by canonical type order."""
-    return _box(Bidegree(block_cap, block_cap), max_m, connected).rows(
+    return _series(bidegree_box(Bidegree(block_cap, block_cap)), max_m, connected).rows(
         canonical_key, euler_characteristic)
 
 

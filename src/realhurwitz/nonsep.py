@@ -5,17 +5,20 @@ States are involutive partial matchings on one unsigned ground set of n
 elements; a real pole carries a sign only when its order is even, so
 ramification data is a quadruple: even positive real poles, even negative
 real poles, odd real poles, and conjugate pole pairs. The evolution operator
-on the invariant algebra is defined as left multiplication by the class sum
-of transpositions; it preserves the total degree but not a bidegree. A
-symbolic expansion of the transcribed differential-operator form is kept for
-per-entry comparison, since several superscripts of that transcription are
-visibly garbled; the matrix derived from walks is authoritative. Its
-entries are integers once summed, so the evolution and the formal log run on
+on the invariant algebra is left multiplication by the class sum of
+transpositions; it preserves the total degree but not a bidegree. It is
+built from its term families (tilde_images), the transcribed
+differential-operator form with its garbled superscripts repaired, as the
+signed plus operator is built from wplus_images. The walks are the check:
+tilde_mult_c2_matrix derives the same matrix from exhaustive walks, and
+tilde_labelled_by_paths gives the walk totals that the evolution must equal.
+The entries are integers, so the evolution and the formal log run on
 labelled integer counts, n! times each count of degree n.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -257,22 +260,12 @@ def tilde_class_size(mu: TildeType) -> int:
     return len(tilde_class_members(mu))
 
 
-@lru_cache(maxsize=None)
-def tilde_operator_matrix(n: int) -> BlockMatrix:
-    """Matrix of the evolution operator on the degree-n invariant algebra,
-    derived from exhaustive walks and averaged over each class."""
-    basis = tilde_enumerate_types(n)
-    columns = dict(zip(basis, zip(*class_multiplication(_unsigned(), (n,), basis))))
-    return BlockMatrix.from_images(n, basis, lambda mu: zip(basis, columns[mu]))
-
-
-def tilde_reference_images(mu: TildeType) -> Iterator[tuple[TildeType, Fraction]]:
-    """Symbolic expansion of the transcribed differential form of the
-    operator, with garbled superscripts repaired: odd-order variables carry
-    no sign, and the join prefactors are 2, 1/2, 2. Kept for comparison only.
-    Yields (type, coefficient); repeated types must be summed by the caller."""
-    from collections import Counter
-
+def tilde_images(mu: TildeType) -> Iterator[tuple[TildeType, int]]:
+    """Images of the evolution operator on the monomial of mu: the
+    transcribed differential form, with its garbled superscripts repaired
+    (odd-order variables carry no sign, and the join prefactors are 2, 1/2,
+    2). Yields (type, integer coefficient); repeated types may appear and
+    must be summed by the caller."""
     kp, km, ko, lam = mu.kappa_plus, mu.kappa_minus, mu.kappa_odd, mu.lam
     kp_counts, km_counts = Counter(kp), Counter(km)
     ko_counts, lam_counts = Counter(ko), Counter(lam)
@@ -281,15 +274,16 @@ def tilde_reference_images(mu: TildeType) -> Iterator[tuple[TildeType, Fraction]
         for b in kp_counts:
             nu = TildeType(without(kp, b), km,
                            merge_partitions(without(ko, a), (a + b,)), lam)
-            yield nu, Fraction(2 * ko_counts[a] * kp_counts[b])
-    # join of two odd poles into a negative even pole, prefactor 1/2
-    for a in ko_counts:
-        for b in ko_counts:
-            mult = ko_counts[a] * (ko_counts[b] - (1 if a == b else 0))
+            yield nu, 2 * ko_counts[a] * kp_counts[b]
+    # join of two odd poles into a negative even pole, prefactor 1/2 over
+    # ordered pairs: once per unordered pair
+    for a, ca in ko_counts.items():
+        for b, cb in ko_counts.items():
+            mult = ca * cb if a < b else comb(ca, 2) if a == b else 0
             if mult:
                 nu = TildeType(kp, merge_partitions(km, (a + b,)),
                                without(ko, a, b), lam)
-                yield nu, Fraction(mult, 2)
+                yield nu, mult
     # join of two positive even poles, prefactor 2
     for a in kp_counts:
         for b in kp_counts:
@@ -297,57 +291,48 @@ def tilde_reference_images(mu: TildeType) -> Iterator[tuple[TildeType, Fraction]
             if mult:
                 nu = TildeType(merge_partitions(without(kp, a, b), (a + b,)),
                                km, ko, lam)
-                yield nu, Fraction(2 * mult)
+                yield nu, 2 * mult
     # cut of a negative even pole into two odd ones
     for n_part, mult in km_counts.items():
         for a in range(1, n_part, 2):
             nu = TildeType(kp, without(km, n_part),
                            merge_partitions(ko, (a, n_part - a)), lam)
-            yield nu, Fraction(mult)
+            yield nu, mult
     # cut of an odd pole into an odd and a positive even one
     for n_part, mult in ko_counts.items():
         for a in range(1, n_part - 1, 2):
             nu = TildeType(merge_partitions(kp, (n_part - a,)), km,
                            merge_partitions(without(ko, n_part), (a,)), lam)
-            yield nu, Fraction(mult)
+            yield nu, mult
     # cut of a positive even pole into two positive even ones
     for n_part, mult in kp_counts.items():
         for a in range(2, n_part - 1, 2):
             nu = TildeType(merge_partitions(without(kp, n_part), (a, n_part - a)),
                            km, ko, lam)
-            yield nu, Fraction(mult)
+            yield nu, mult
     # conjugate pair of order l to a positive pole of order 2l, weight l
     for l, mult in lam_counts.items():
         nu = TildeType(merge_partitions(kp, (2 * l,)), km, ko, without(lam, l))
-        yield nu, Fraction(l * mult)
+        yield nu, l * mult
     # positive even pole to a conjugate pair of half the order
     for n_part, mult in kp_counts.items():
         nu = TildeType(without(kp, n_part), km, ko,
                        merge_partitions(lam, (n_part // 2,)))
-        yield nu, Fraction(mult)
+        yield nu, mult
 
 
-class TildeOperatorComparison(NamedTuple):
-    """Per-entry diff between the walk-derived matrix and the transcribed
-    differential form. Disagreements are recorded, never raised."""
-
-    walk: BlockMatrix
-    symbolic: BlockMatrix
-    mismatches: tuple[tuple[TildeType, TildeType, Fraction, Fraction], ...]
-
-    @property
-    def agrees(self) -> bool:
-        return not self.mismatches
+@lru_cache(maxsize=None)
+def tilde_operator_matrix(n: int) -> BlockMatrix:
+    """Matrix of the evolution operator on the degree-n invariant algebra,
+    built once from tilde_images."""
+    return BlockMatrix.from_images(n, tilde_enumerate_types(n), tilde_images)
 
 
-def tilde_compare_operator(n: int) -> TildeOperatorComparison:
-    walk = tilde_operator_matrix(n)
-    symbolic = BlockMatrix.from_images(n, walk.basis, tilde_reference_images)
-    basis, w, s = walk.basis, walk.entries, symbolic.entries
-    mismatches = tuple((basis[i], basis[j], w[i][j], s[i][j])
-                       for i in range(len(basis)) for j in range(len(basis))
-                       if w[i][j] != s[i][j])
-    return TildeOperatorComparison(walk, symbolic, mismatches)
+def tilde_mult_c2_matrix(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The check on tilde_operator_matrix(n).entries: multiplication by the
+    transposition class sum on n elements, derived from exhaustive walks
+    over tilde_enumerate_types(n) in order."""
+    return class_multiplication(_unsigned(), (n,), tilde_enumerate_types(n))
 
 
 def _labelled_initial_vector(n: int) -> dict[TildeType, int]:
@@ -393,24 +378,20 @@ def tilde_hurwitz(n: int, m: int) -> dict[TildeType, Fraction]:
     return unlabel(tilde_labelled_by_paths(n, m), (n,))
 
 
-def _merged(max_n: int, max_m: int) -> LabelledSeries:
-    return LabelledSeries({(n,): tilde_evolve_labelled(n, max_m) for n in range(max_n + 1)},
-                          max_m, False)
-
-
-@lru_cache(maxsize=None)
-def _logged(max_n: int, max_m: int) -> LabelledSeries:
-    return series_log(_merged(max_n, max_m), max_m, [(n,) for n in range(max_n + 1)])
+def _series(max_n: int, max_m: int, connected: bool) -> LabelledSeries:
+    series = LabelledSeries({(n,): tilde_evolve_labelled(n, max_m) for n in range(max_n + 1)},
+                            max_m, False)
+    return series_log(series, max_m, list(series.pieces)) if connected else series
 
 
 def tilde_disconnected_series(max_n: int, max_m: int) -> USeries:
-    return _merged(max_n, max_m).to_useries()
+    return _series(max_n, max_m, False).to_useries()
 
 
 def tilde_connected_value(mu: TildeType, m: int) -> Fraction:
-    return _logged(mu.degree, m).value(mu, m)
+    return _series(mu.degree, m, True).value(mu, m)
 
 
 def tilde_table_rows(max_n: int, max_m: int, connected: bool = True) -> list[HurwitzRow]:
-    series = _logged(max_n, max_m) if connected else _merged(max_n, max_m)
-    return series.rows(tilde_canonical_key, tilde_euler_characteristic)
+    return _series(max_n, max_m, connected).rows(tilde_canonical_key,
+                                                 tilde_euler_characteristic)

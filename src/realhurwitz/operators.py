@@ -126,19 +126,14 @@ class BlockMatrix:
 
     @cached_property
     def int_columns(self) -> dict:
-        """The columns with int entries, for the labelled evolution step:
-        images itself when every entry is an int already, else a converted
-        copy. An entry that is not an integer raises ArithmeticError."""
-        if all(type(c) is int for col in self.images.values() for c in col.values()):
-            return self.images
-        columns = {}
+        """images itself, for the labelled evolution step, once every entry
+        is checked to be an int; one that is not raises ArithmeticError."""
         for mu, col in self.images.items():
             for nu, c in col.items():
-                if c.denominator != 1:
+                if type(c) is not int:
                     raise ArithmeticError(f"entry {c} at ({nu!r}, {mu!r}) of the operator "
-                                          f"on block {self.block} is not an integer")
-            columns[mu] = {nu: int(c) for nu, c in col.items()}
-        return columns
+                                          f"on block {self.block} is not an int")
+        return self.images
 
     def matvec(self, vec) -> list:
         """Image of a coordinate vector over the basis, computed exactly;

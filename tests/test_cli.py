@@ -208,7 +208,7 @@ def test_usage_errors_exit_two(capsys):
 
 @pytest.mark.parametrize("argv, layer, name", [
     (["table", "--connected"], evolution, "table_rows"),
-    (["verify", "--suite", "nonsep"], nonsep, "tilde_compare_operator"),
+    (["verify", "--suite", "nonsep"], nonsep, "tilde_mult_c2_matrix"),
 ])
 def test_internal_error_exits_three_with_one_line(capsys, monkeypatch, argv, layer, name):
     def broken(*args, **kwargs):

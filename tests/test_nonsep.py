@@ -16,13 +16,13 @@ from realhurwitz.nonsep import (
     tilde_class_size,
     tilde_class_size_formula,
     tilde_classify,
-    tilde_compare_operator,
     tilde_connected_value,
     tilde_enumerate_types,
     tilde_euler_characteristic,
     tilde_evolve,
     tilde_hurwitz,
     tilde_initial_vector,
+    tilde_mult_c2_matrix,
     tilde_operator_matrix,
     tilde_representative,
     tilde_states,
@@ -108,10 +108,40 @@ def test_euler_characteristic():
     assert tilde_euler_characteristic(ttype(lam=(1,)), 0) == 4
 
 
-def test_operator_matrix_agrees_with_transcribed_form():
-    for n in range(6):
-        comparison = tilde_compare_operator(n)
-        assert comparison.agrees, comparison.mismatches
+@pytest.mark.parametrize("n", range(8))
+def test_operator_matrix_equals_class_multiplication(n):
+    assert tilde_operator_matrix(n).entries == tilde_mult_c2_matrix(n)
+
+
+# one term family of the operator with a wrong weight: a conjugate pair of
+# order l becomes a positive pole of order 2l with weight l + 1
+WRONG_FAMILY = """
+import sys
+from realhurwitz import nonsep
+from realhurwitz.cli import main
+images = nonsep.tilde_images
+
+def wrong(mu):
+    for nu, c in images(mu):
+        yield nu, c + 1 if len(nu.lam) < len(mu.lam) else c
+
+nonsep.tilde_images = wrong
+sys.exit(main(["verify", "--suite", "nonsep"]))
+"""
+
+
+def test_verify_catches_a_wrong_term_family():
+    # the walks share no code with tilde_images, so both walk checks fail
+    src = os.path.dirname(os.path.dirname(realhurwitz.__file__))
+    proc = subprocess.run([sys.executable, "-c", WRONG_FAMILY],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    for n in (2, 3, 4):  # degrees with a conjugate pair
+        for check in (f"transcribed operator form agrees on {n} elements",
+                      f"walk counts equal evolution on {n} elements"):
+            assert any(line.startswith(f"FAIL {check}") for line in lines), check
 
 
 def test_initial_vector_weights():

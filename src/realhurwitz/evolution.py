@@ -35,6 +35,7 @@ from .model import (
     enumerate_bidegrees,
     euler_characteristic,
     rtype,
+    unlabel,
 )
 from .operators import (
     G0_P2,
@@ -53,7 +54,6 @@ from .poly import (
     USeries,
     iterate,
     series_log,
-    unlabel,
 )
 
 

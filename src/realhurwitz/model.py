@@ -10,8 +10,9 @@ deg p_k^{+-} = k and deg q_l = 2l.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -157,10 +158,22 @@ def zeta(mu: RamificationType) -> int:
     return result
 
 
+def label(grade) -> int:
+    """Label factor of a grade, the product of the factorials of its
+    components: n+! n-! for a bidegree, n! for a degree."""
+    return prod(factorial(g) for g in grade)
+
+
+def unlabel(vec: dict, grade, scale: int = 1) -> dict:
+    """The coefficients {key: Fraction} of a labelled vector {key: int} of
+    one grade: each entry over label(grade) * scale^|grade|."""
+    d = label(grade) * scale ** sum(grade)
+    return {k: Fraction(x, d) for k, x in vec.items()}
+
+
 def class_size_formula(mu: RamificationType) -> int:
     """Number of distinct transitions of type mu: n+! n-! / zeta(mu)."""
-    b = bidegree(mu)
-    num = factorial(b.n_plus) * factorial(b.n_minus)
+    num = label(bidegree(mu))
     z = zeta(mu)
     if num % z:
         raise ArithmeticError(f"zeta({mu}) = {z} does not divide {num}")

@@ -24,9 +24,17 @@ from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterator, NamedTuple
 
-from .model import Partition, aut_order, merge_partitions, partition, partitions_of, without
+from .model import (
+    Partition,
+    aut_order,
+    merge_partitions,
+    partition,
+    partitions_of,
+    unlabel,
+    without,
+)
 from .operators import BlockMatrix
-from .oracle import WalkModel, class_multiplication, members, walk_totals
+from .oracle import WalkModel, chains_and_cycles, class_multiplication, members, walk_totals
 from .poly import (
     HurwitzRow,
     LabelledSeries,
@@ -34,7 +42,6 @@ from .poly import (
     USeries,
     iterate,
     series_log,
-    unlabel,
 )
 
 TildeState = frozenset
@@ -173,77 +180,22 @@ def tilde_classify(t: TildeTransition, n: int) -> TildeType:
     lie in the final matching (ends unmatched initially), negative when both
     lie in the initial one.
     """
-    initial, final = t
-    edges: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
-    for side, matching in enumerate((initial, final)):
-        for a, b in matching:
-            edges[a].append((b, side))
-            edges[b].append((a, side))
-    seen: set[int] = set()
     kp, km, ko, lam = [], [], [], []
-    for start in range(n):
-        if start in seen:
-            continue
-        component = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w, _ in edges[v]:
-                if w not in seen:
-                    seen.add(w)
-                    component.append(w)
-                    queue.append(w)
-        k = len(component)
-        edge_count = sum(len(edges[v]) for v in component) // 2
-        if edge_count == k:
-            if k % 2:
-                raise AssertionError(f"odd cycle in transition {t!r}")
+    for k, ends, sides in chains_and_cycles(t, n, *t):
+        if not ends:
             lam.append(k // 2)
-        elif edge_count != k - 1:
-            raise AssertionError(f"component of {t!r} is neither chain nor cycle")
         elif k % 2:
             ko.append(k)
         else:
-            end_sides = {side for v in component if len(edges[v]) == 1
-                         for _, side in edges[v]}
-            if len(end_sides) != 1:
+            if sides[0] != sides[1]:
                 raise AssertionError(f"even chain of {t!r} with mixed end matchings")
-            (kp if end_sides == {1} else km).append(k)
+            (kp if sides[0] else km).append(k)
     return TildeType(partition(kp), partition(km), partition(ko), partition(lam))
 
 
 def tilde_representative(mu: TildeType) -> TildeTransition:
-    """One transition of type mu on range(degree)."""
-    initial: list[tuple[int, int]] = []
-    final: list[tuple[int, int]] = []
-    offset = 0
-
-    def chain(k: int, first_side: list) -> None:
-        nonlocal offset
-        sides = [first_side, final if first_side is initial else initial]
-        for t in range(k - 1):
-            sides[t % 2].append((offset + t, offset + t + 1))
-        offset += k
-
-    for l in mu.lam:
-        verts = list(range(offset, offset + 2 * l))
-        for t in range(0, 2 * l, 2):
-            initial.append((verts[t], verts[t + 1]))
-        for t in range(1, 2 * l, 2):
-            a, b = verts[t], verts[(t + 1) % (2 * l)]
-            final.append((min(a, b), max(a, b)))
-        offset += 2 * l
-    for k in mu.kappa_odd:
-        chain(k, initial)
-    for k in mu.kappa_plus:
-        chain(k, final)  # end edges in the final matching
-    for k in mu.kappa_minus:
-        chain(k, initial)
-    t = (frozenset(initial), frozenset(final))
-    if tilde_classify(t, mu.degree) != mu:
-        raise AssertionError(f"representative of {mu!r} has the wrong type")
-    return t
+    """The first transition of type mu on range(degree)."""
+    return tilde_class_members(mu)[0]
 
 
 def _unsigned() -> WalkModel:

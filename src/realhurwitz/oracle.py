@@ -5,10 +5,11 @@ a transition is an ordered pair of states. The alternating chains and cycles
 of a transition encode a ramification type, transpositions are the transitions
 whose states differ by a single matched pair, and multiplying by the class sum
 of transpositions gives matrices that the cut-and-join operators must equal.
-Everything here is enumerated exhaustively; this module is the independent
-check on the operator route, so it shares no code with it. The walk and
-class-multiplication core is generic over the transition model, and the
-unsigned model binds it as well.
+Everything here is enumerated exhaustively: a representative of a type is the
+first member of its class. This module is the independent check on the
+operator route, so it imports nothing from it but the model. The chain/cycle
+decomposition, the walks and the class multiplication are generic over the
+transition model, and the unsigned model binds them as well.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .model import (
     bidegree,
     enumerate_types,
     partition,
+    unlabel,
 )
-from .poly import unlabel
 
 State = frozenset
 Transition = tuple[State, State]
@@ -80,119 +81,86 @@ def neighbor_states(s: State, n_plus: int, n_minus: int) -> Iterator[State]:
                 yield s | {(i, j)}
 
 
+def chains_and_cycles(t, size: int, initial_pairs, final_pairs
+                      ) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """Components of the overlay of two matchings on the vertices range(size).
+
+    Yields (vertex count, end vertices, sides of the end edges) per
+    component, where side 0 is initial_pairs and 1 is final_pairs; a cycle
+    has no ends. Raises AssertionError, naming the transition t, for an odd
+    cycle or a component that is neither a chain nor a cycle.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    for side, pairs in enumerate((initial_pairs, final_pairs)):
+        for a, b in pairs:
+            adj[a].append((b, side))
+            adj[b].append((a, side))
+    seen = [False] * size
+    for start in range(size):
+        if seen[start]:
+            continue
+        seen[start] = True
+        if not adj[start]:
+            yield 1, (start,), ()
+            continue
+        component = [start]
+        ends = []
+        degrees = 0
+        for v in component:  # grows while it is walked
+            edges = adj[v]
+            degrees += len(edges)
+            if len(edges) < 2:
+                ends.append(v)
+            for w, _ in edges:
+                if not seen[w]:
+                    seen[w] = True
+                    component.append(w)
+        k = len(component)
+        if degrees == 2 * k and not ends:
+            if k % 2:
+                raise AssertionError(f"odd cycle in transition {t!r}")
+            yield k, (), ()
+        elif degrees == 2 * (k - 1) and len(ends) == 2:
+            yield k, tuple(ends), (adj[ends[0]][0][1], adj[ends[1]][0][1])
+        else:
+            raise AssertionError(f"component of {t!r} is neither chain nor cycle")
+
+
 def classify(t: Transition, n_plus: int, n_minus: int) -> RamificationType:
     """Ramification type of a transition, from its chain decomposition.
 
-    The two matchings overlay to a graph whose components are alternating
-    cycles and chains. A cycle on 2l vertices gives a part l of lam. A chain
-    on k vertices gives a part k: for odd k in the kappa of the side holding
-    both ends, for even k in kappa_plus when the ends are unmatched in the
-    initial state and in kappa_minus when unmatched in the final state.
+    Plus element i is vertex i and minus element j is vertex n_plus + j. A
+    cycle on 2l vertices gives a part l of lam. A chain on k vertices gives
+    a part k: for odd k in the kappa of the side holding both ends, for even
+    k in kappa_plus when the ends are unmatched in the initial state and in
+    kappa_minus when unmatched in the final state.
     """
     initial, final = t
-    adj: dict[tuple[str, int], list[tuple[int, tuple[str, int]]]] = {}
-    for i in range(n_plus):
-        adj[("+", i)] = []
-    for j in range(n_minus):
-        adj[("-", j)] = []
-    for which, s in ((0, initial), (1, final)):
-        for i, j in s:
-            adj[("+", i)].append((which, ("-", j)))
-            adj[("-", j)].append((which, ("+", i)))
     kappa_plus: list[int] = []
     kappa_minus: list[int] = []
     lam: list[int] = []
-    seen: set[tuple[str, int]] = set()
-    for start in adj:
-        if start in seen:
-            continue
-        component = [start]
-        seen.add(start)
-        frontier = [start]
-        edge_count = 0
-        while frontier:
-            v = frontier.pop()
-            for _, w in adj[v]:
-                edge_count += 1
-                if w not in seen:
-                    seen.add(w)
-                    component.append(w)
-                    frontier.append(w)
-        edge_count //= 2  # each edge seen from both endpoints
-        k = len(component)
-        if edge_count == k:
-            if k % 2:
-                raise AssertionError(f"odd cycle in transition {t!r}")
+    for k, ends, sides in chains_and_cycles(
+            t, n_plus + n_minus, [(i, n_plus + j) for i, j in initial],
+            [(i, n_plus + j) for i, j in final]):
+        if not ends:
             lam.append(k // 2)
-            continue
-        if edge_count != k - 1:
-            raise AssertionError(f"component of {t!r} is neither chain nor cycle")
-        ends = [v for v in component if len(adj[v]) < 2]
-        if k == 1:
-            kind = ends[0][0]
-            (kappa_plus if kind == "+" else kappa_minus).append(1)
         elif k % 2:
-            sides = {v[0] for v in ends}
-            if len(sides) != 1:
+            plus = ends[0] < n_plus
+            if (ends[-1] < n_plus) != plus:
                 raise AssertionError(f"odd chain of {t!r} with mixed end sides")
-            (kappa_plus if sides == {"+"} else kappa_minus).append(k)
+            (kappa_plus if plus else kappa_minus).append(k)
         else:
-            end_edge_kinds = {which for v in ends for which, _ in adj[v]}
-            if len(end_edge_kinds) != 1:
+            if sides[0] != sides[1]:
                 raise AssertionError(f"even chain of {t!r} with mixed end matchings")
             # Ends carried only by the final matching are free in the initial one.
-            (kappa_plus if end_edge_kinds == {1} else kappa_minus).append(k)
+            (kappa_plus if sides[0] else kappa_minus).append(k)
     return RamificationType(partition(kappa_plus), partition(kappa_minus), partition(lam))
 
 
 def representative(mu: RamificationType) -> Transition:
-    """One transition of type mu on the block bidegree(mu)."""
-    initial: set[tuple[int, int]] = set()
-    final: set[tuple[int, int]] = set()
-    next_plus = 0
-    next_minus = 0
-
-    def fresh(count_plus: int, count_minus: int) -> tuple[list[int], list[int]]:
-        nonlocal next_plus, next_minus
-        ps = list(range(next_plus, next_plus + count_plus))
-        ms = list(range(next_minus, next_minus + count_minus))
-        next_plus += count_plus
-        next_minus += count_minus
-        return ps, ms
-
-    for l in mu.lam:
-        ps, ms = fresh(l, l)
-        for t in range(l):
-            initial.add((ps[t], ms[t]))
-            final.add((ps[(t + 1) % l], ms[t]))
-    for k in mu.kappa_plus:
-        if k % 2:
-            ps, ms = fresh((k + 1) // 2, (k - 1) // 2)
-            for t in range(len(ms)):
-                initial.add((ps[t], ms[t]))
-                final.add((ps[t + 1], ms[t]))
-        else:
-            ps, ms = fresh(k // 2, k // 2)
-            for t in range(len(ps)):
-                final.add((ps[t], ms[t]))
-            for t in range(len(ps) - 1):
-                initial.add((ps[t + 1], ms[t]))
-    for k in mu.kappa_minus:
-        if k % 2:
-            ps, ms = fresh((k - 1) // 2, (k + 1) // 2)
-            for t in range(len(ps)):
-                initial.add((ps[t], ms[t]))
-                final.add((ps[t], ms[t + 1]))
-        else:
-            ps, ms = fresh(k // 2, k // 2)
-            for t in range(len(ps)):
-                initial.add((ps[t], ms[t]))
-            for t in range(len(ps) - 1):
-                final.add((ps[t + 1], ms[t]))
+    """The first transition of type mu on the block bidegree(mu)."""
     b = bidegree(mu)
-    if (next_plus, next_minus) != (b.n_plus, b.n_minus):
-        raise AssertionError(f"representative of {mu!r} used wrong block size")
-    return (frozenset(initial), frozenset(final))
+    return next(t for t in transitions(*b) if classify(t, *b) == mu)
 
 
 class WalkModel(NamedTuple):

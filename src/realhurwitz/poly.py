@@ -20,18 +20,18 @@ g. Every count of both walk models is an int there, and exp and log run on
 it in int arithmetic, with an exact division that raises ArithmeticError on
 a remainder; a rational USeries is first made integral by a grade
 substitution. Fractions enter only where a value leaves the store: a table
-row, a single value, a USeries, or unlabel, which the public wrappers of
-both walk models use to divide a labelled vector by its label factor.
+row, a single value, a USeries, or model.unlabel, which the public wrappers
+of both walk models use to divide a labelled vector by its label factor.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, lcm, prod
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .model import EMPTY_TYPE, RamificationType, bidegree, zeta
+from .model import EMPTY_TYPE, RamificationType, bidegree, label, unlabel, zeta
 
 
 class PolyVector:
@@ -190,19 +190,6 @@ def iterate(cache: dict, key, start, step: Callable, max_m: int) -> tuple:
     while len(orbit) <= max_m:
         orbit.append(step(orbit[-1]))
     return tuple(orbit[:max_m + 1])
-
-
-def label(grade) -> int:
-    """Label factor of a grade, the product of the factorials of its
-    components: n+! n-! for a bidegree, n! for a degree."""
-    return prod(factorial(g) for g in grade)
-
-
-def unlabel(vec: dict, grade, scale: int = 1) -> dict:
-    """The coefficients {key: Fraction} of a labelled vector {key: int} of
-    one grade: each entry over label(grade) * scale^|grade|."""
-    d = label(grade) * scale ** sum(grade)
-    return {k: Fraction(x, d) for k, x in vec.items()}
 
 
 def _keys(grade, piece) -> dict:

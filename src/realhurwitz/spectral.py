@@ -124,8 +124,9 @@ def _row_reduce(rows: list[list], width: int) -> list[int]:
 
 
 def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the null space, from reduced row echelon form."""
-    n = len(m)
+    """Basis of the null space, from reduced row echelon form; m may have
+    more rows than columns."""
+    n = len(m[0])
     rows = [list(r) for r in m]
     pivots = _row_reduce(rows, n)
     basis = []
@@ -136,19 +137,6 @@ def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
             vec[pc] = -rows[r][fc]
         basis.append(tuple(vec))
     return basis
-
-
-def solve_in_span(basis: list[tuple[Fraction, ...]],
-                  target: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Coordinates of target in the given linearly independent spanning set;
-    raises if target lies outside the span."""
-    k = len(basis)
-    rows = [[vec[i] for vec in basis] + [target[i]] for i in range(len(target))]
-    if len(_row_reduce(rows, k)) != k:
-        raise RuntimeError("spanning set is linearly dependent")
-    if any(row[k] != 0 for row in rows[k:]):
-        raise RuntimeError("vector escapes the invariant subspace")
-    return tuple(row[k] for row in rows[:k])
 
 
 def normalize_primitive(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -210,39 +198,32 @@ def _gram_schmidt_z(vectors: list[tuple[Fraction, ...]],
 
 
 def _exact_eigenbasis(plus: BlockMatrix, minus: BlockMatrix, zs: tuple[Fraction, ...],
-                      charpoly_plus: tuple[Fraction, ...]):
-    """Split by plus eigenvalues, then by minus within each eigenspace.
+                      charpoly_plus: tuple[Fraction, ...],
+                      charpoly_minus: tuple[Fraction, ...]):
+    """The joint eigenspace of each pair of integer roots (a, b) of the two
+    characteristic polynomials: the kernel of W+ - a stacked on W- - b.
 
     Returns (pairs, vectors) or None when a characteristic polynomial does
     not factor over the integers.
     """
-    wp = plus.entries
-    n = len(wp)
-    bound = max(eigenvalue_bound(wp), eigenvalue_bound(minus.entries))
-    roots = integer_roots(charpoly_plus, bound)
-    if roots is None:
+    wp, wm = plus.entries, minus.entries
+    bound = max(eigenvalue_bound(wp), eigenvalue_bound(wm))
+    roots_plus = integer_roots(charpoly_plus, bound)
+    if roots_plus is None:
+        return None
+    roots_minus = integer_roots(charpoly_minus, bound)
+    if roots_minus is None:
         return None
     out: list[tuple[tuple[Fraction, Fraction], tuple[Fraction, ...]]] = []
-    for lam_p in sorted(set(roots), reverse=True):
-        space = kernel_basis(_mat_scale_diag(wp, Fraction(lam_p)))
-        if len(space) != roots.count(lam_p):
-            raise RuntimeError("eigenspace dimension disagrees with multiplicity")
-        # restriction of the minus operator to this eigenspace
-        images = [solve_in_span(space, minus.matvec(v)) for v in space]
-        k = len(space)
-        restricted = tuple(tuple(images[j][i] for j in range(k)) for i in range(k))
-        sub_roots = integer_roots(charpoly(restricted), bound)
-        if sub_roots is None:
-            return None
-        for lam_m in sorted(set(sub_roots), reverse=True):
-            sub_space = kernel_basis(_mat_scale_diag(restricted, Fraction(lam_m)))
-            if len(sub_space) != sub_roots.count(lam_m):
-                raise RuntimeError("eigenspace dimension disagrees with multiplicity")
-            lifted = [tuple(sum(c[j] * space[j][i] for j in range(k)) for i in range(n))
-                      for c in sub_space]
-            for vec in _gram_schmidt_z(lifted, zs):
+    for lam_p in sorted(set(roots_plus), reverse=True):
+        shifted_plus = _mat_scale_diag(wp, Fraction(lam_p))
+        for lam_m in sorted(set(roots_minus), reverse=True):
+            space = kernel_basis(shifted_plus + _mat_scale_diag(wm, Fraction(lam_m)))
+            for vec in _gram_schmidt_z(space, zs):
                 out.append(((Fraction(lam_p), Fraction(lam_m)),
                             normalize_primitive(vec)))
+    if len(out) != len(wp):
+        raise RuntimeError(f"joint eigenspaces span {len(out)} of {len(wp)} dimensions")
     out.sort(key=lambda item: (item[0][0], item[0][1]), reverse=True)
     return tuple(p for p, _ in out), tuple(v for _, v in out)
 
@@ -319,7 +300,7 @@ def common_eigenbasis(b: Bidegree, tol: float = 1e-10) -> SpectralReport:
     wm = block_matrix(OperatorKind.WMINUS, b)
     zs = _check_block_structure(wp, wm)
     cp, cm = charpoly(wp.entries), charpoly(wm.entries)
-    exact = _exact_eigenbasis(wp, wm, zs, cp)
+    exact = _exact_eigenbasis(wp, wm, zs, cp, cm)
     if exact is not None:
         pairs, vectors = exact
         return SpectralReport(wp.block, wp.basis, cp, cm, pairs, vectors,

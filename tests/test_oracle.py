@@ -1,8 +1,13 @@
 """Tests for the exhaustive transition model used as an independent check."""
 
+import ast
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
+import pytest
+
+from realhurwitz import oracle
 from realhurwitz.model import (
     Bidegree,
     class_size_formula,
@@ -59,6 +64,25 @@ def test_classify_identity_transitions():
 def test_classify_single_transpositions():
     assert classify((EMPTY, PAIR), 1, 1) == p_plus(2)
     assert classify((PAIR, EMPTY), 1, 1) == p_minus(2)
+
+
+@pytest.mark.parametrize("t, n_plus, n_minus", [
+    # plus element 0 lies in two pairs of the initial "matching"
+    ((frozenset({(0, 0), (0, 1)}), frozenset({(1, 1)})), 2, 2),
+    ((frozenset({(0, 0), (0, 1)}), frozenset({(0, 0), (0, 1)})), 1, 2),
+    # a tree with three ends: one plus element paired with three minus ones
+    ((frozenset({(0, 0), (0, 1), (0, 2)}), frozenset()), 1, 3),
+], ids=["mixed-end-matchings", "neither-chain-nor-cycle", "branching-chain"])
+def test_classify_rejects_malformed_transition(t, n_plus, n_minus):
+    with pytest.raises(AssertionError):
+        classify(t, n_plus, n_minus)
+
+
+def test_oracle_imports_nothing_from_the_operator_route():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert relative == {"model"}
 
 
 def test_classify_covariant_under_inversion():

@@ -17,7 +17,6 @@ from realhurwitz.spectral import (
     normalize_primitive,
     orthogonality_check,
     simultaneous_eigenvalues,
-    solve_in_span,
 )
 
 
@@ -74,11 +73,10 @@ def test_kernel_basis():
     assert v[0] + v[1] == 0
 
 
-def test_solve_in_span_raises_outside():
-    basis = [(F(1), F(0))]
-    assert solve_in_span(basis, (F(3), F(0))) == (F(3),)
-    with pytest.raises(RuntimeError):
-        solve_in_span(basis, (F(0), F(1)))
+def test_kernel_basis_of_stacked_matrix():
+    # more rows than columns, as W+ - a stacked on W- - b has
+    m = mat([[1, 1, 0], [0, 0, 1], [2, 2, 0], [0, 0, 3]])
+    assert kernel_basis(m) == [(F(-1), F(1), F(0))]
 
 
 def test_normalize_primitive():

@@ -30,25 +30,25 @@ def _mat_scale_diag(a: Matrix, lam: Fraction) -> Matrix:
 def charpoly(m: Matrix) -> tuple[Fraction, ...]:
     """Characteristic polynomial coefficients (c_0, ..., c_n), monic c_n = 1.
 
-    Faddeev-LeVerrier recursion. The matrix is scaled to integers by the
-    common denominator first, so every intermediate product is plain integer
-    arithmetic and the trace divisions stay exact.
+    Faddeev-LeVerrier M_k = A (M_{k-1} + c_{n-k+1} I) from M_0 = 0, with A
+    scaled to integers by the common denominator so the trace divisions stay
+    exact. Row i of M_k sums a_it (row t of M_{k-1} + c e_t) over the nonzeros
+    a_it of row i of A: O(nnz n) per step, O(nnz n^2) products in all.
     """
     n = len(m)
-    if n == 0:
-        return (Fraction(1),)
     scale = lcm(*(x.denominator for row in m for x in row))
-    mat = [[int(x * scale) for x in row] for row in m]
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    a = mat
+    nonzeros = [[(t, int(x * scale)) for t, x in enumerate(row) if x] for row in m]
+    coeffs = [0] * n + [1]
+    a = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
-        if k > 1:
-            shift = coeffs[n - k + 1]
-            shifted = [[a[i][j] + (shift if i == j else 0) for j in range(n)]
-                       for i in range(n)]
-            a = [[sum(mat[i][t] * shifted[t][j] for t in range(n)) for j in range(n)]
-                 for i in range(n)]
+        shift = coeffs[n - k + 1]
+        prev, a = a, []
+        for row in nonzeros:
+            acc = [0] * n
+            for t, x in row:
+                acc = [u + x * v for u, v in zip(acc, prev[t])]
+                acc[t] += x * shift
+            a.append(acc)
         trace = sum(a[i][i] for i in range(n))
         if trace % k:
             raise ArithmeticError(f"trace {trace} at step {k} is not divisible by {k}")

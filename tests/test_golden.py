@@ -43,6 +43,10 @@ GOLDEN = [
      "858c3b726748f84b88c732e4ed5eafee47c8d54dcd64d1ccd41fc71650804eee"),
     ("spectrum --nplus 2 --nminus 1", 0,
      "bcd231820148bfce7551b20bb592ffef213c1a75e5e75b88d64ed48ab3f3adc7"),
+    ("spectrum --nplus 3 --nminus 3 --format json", 0,
+     "4b0f25cca036eb92c33f30a459e5523551561b190d3711b542f5398e2462103c"),
+    ("spectrum --nplus 4 --nminus 3 --format json", 0,
+     "13b40ad559cd47d7ed1c20e615b52ec69bd1c93ba06b87145a057e84856fe5df"),
     ("oracle --nplus 2 --nminus 1 --m 3 --format csv", 0,
      "cd16b0496a71b6cd359c04858aefea4f45c2ada9cd08c7156bd9c698944a7338"),
     ("nonsep --max-n 3 --max-m 4 --connected --format json", 0,

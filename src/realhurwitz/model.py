@@ -164,10 +164,10 @@ def label(grade) -> int:
     return prod(factorial(g) for g in grade)
 
 
-def unlabel(vec: dict, grade, scale: int = 1) -> dict:
+def unlabel(vec: dict, grade) -> dict:
     """The coefficients {key: Fraction} of a labelled vector {key: int} of
-    one grade: each entry over label(grade) * scale^|grade|."""
-    d = label(grade) * scale ** sum(grade)
+    one grade: each entry over label(grade)."""
+    d = label(grade)
     return {k: Fraction(x, d) for k, x in vec.items()}
 
 

@@ -39,7 +39,6 @@ from .poly import (
     HurwitzRow,
     LabelledSeries,
     PolyVector,
-    USeries,
     iterate,
     series_log,
 )
@@ -334,10 +333,6 @@ def _series(max_n: int, max_m: int, connected: bool) -> LabelledSeries:
     series = LabelledSeries({(n,): tilde_evolve_labelled(n, max_m) for n in range(max_n + 1)},
                             max_m, False)
     return series_log(series, max_m, list(series.pieces)) if connected else series
-
-
-def tilde_disconnected_series(max_n: int, max_m: int) -> USeries:
-    return _series(max_n, max_m, False).to_useries()
 
 
 def tilde_connected_value(mu: TildeType, m: int) -> Fraction:

@@ -18,17 +18,15 @@ Analytic Combinatorics, ch. II): a LabelledSeries holds label(g) times each
 coefficient of grade g, the product of the factorials of the components of
 g. Every count of both walk models is an int there, and exp and log run on
 it in int arithmetic, with an exact division that raises ArithmeticError on
-a remainder; a rational USeries is first made integral by a grade
-substitution. Fractions enter only where a value leaves the store: a table
+a remainder. Fractions enter only where a value leaves the store: a table
 row, a single value, a USeries, or model.unlabel, which the public wrappers
 of both walk models use to divide a labelled vector by its label factor.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, prod
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .model import EMPTY_TYPE, RamificationType, bidegree, label, unlabel, zeta
@@ -204,12 +202,6 @@ def _keys(grade, piece) -> dict:
     return keys
 
 
-def _integral(x: Fraction, key) -> int:
-    if x.denominator != 1:
-        raise ValueError(f"labelled coefficient {x} at {key!r} is not an integer")
-    return x.numerator
-
-
 class HurwitzRow(NamedTuple):
     m: int
     mu: object
@@ -222,45 +214,22 @@ class LabelledSeries(NamedTuple):
     """Labelled integer counts of a series in u^m/m!.
 
     pieces maps each grade g to a sequence, indexed by m = 0 .. max_m, of
-    {key: x}, where x is label(g) * scale^|g| times the coefficient of
-    p_key u^m/m!, an int. A disconnected series of either walk model holds
-    the cached evolution orbits themselves, with scale 1: the walk totals
-    that the oracle divides by the label factor. Every key lies in the piece
-    of its own grade; reading a series that breaks this raises ValueError.
+    {key: x}, where x is label(g) times the coefficient of p_key u^m/m!, an
+    int. A disconnected series of either walk model holds the cached
+    evolution orbits themselves: the walk totals that the oracle divides by
+    the label factor. Every key lies in the piece of its own grade; reading
+    a series that breaks this raises ValueError.
     """
 
     pieces: dict
     max_m: int
     connected: bool
-    scale: int = 1
-
-    @classmethod
-    def from_useries(cls, series: USeries) -> "LabelledSeries":
-        """A rational series as a store. Its scale D is the least common
-        multiple of the denominators of the labelled values, so that the
-        grade substitution X_g -> D^|g| X_g, which commutes with exp and
-        log, makes every entry an integer. It cannot scale grade zero: a
-        constant-monomial coefficient that is not an integer raises
-        ValueError."""
-        values: dict = defaultdict(lambda: [{} for _ in series.coeffs])
-        for m, vec in enumerate(series.coeffs):
-            for k, c in vec:
-                values[k.grade][m][k] = c * label(k.grade)
-        scale = lcm(*(x.denominator for piece in values.values() for vec in piece
-                      for x in vec.values()))
-        pieces = {g: [{k: _integral(x * scale ** sum(g), k) for k, x in vec.items()}
-                      for vec in piece]
-                  for g, piece in values.items()}
-        return cls(pieces, series.max_m, series.connected, scale)
-
-    def denominator(self, grade) -> int:
-        return label(grade) * self.scale ** sum(grade)
 
     def value(self, key, m: int) -> Fraction:
         """The coefficient of p_key u^m/m!."""
         g = key.grade
         piece = self.pieces.get(g, ())
-        return Fraction(piece[m].get(key, 0) if m < len(piece) else 0, self.denominator(g))
+        return Fraction(piece[m].get(key, 0) if m < len(piece) else 0, label(g))
 
     @property
     def coeffs(self) -> list[PolyVector]:
@@ -269,7 +238,7 @@ class LabelledSeries(NamedTuple):
         for g, piece in self.pieces.items():
             _keys(g, piece)
             for m, vec in enumerate(piece):
-                out[m].update(unlabel(vec, g, self.scale))
+                out[m].update(unlabel(vec, g))
         return [PolyVector(c) for c in out]
 
     def to_useries(self) -> USeries:
@@ -278,7 +247,7 @@ class LabelledSeries(NamedTuple):
     def rows(self, sort_key: Callable, chi: Callable) -> list[HurwitzRow]:
         """Nonzero coefficients as table rows, ordered by m and then by
         sort_key. Each row's value is built once, here."""
-        keyed = [(k, piece, self.denominator(g)) for g, piece in self.pieces.items()
+        keyed = [(k, piece, label(g)) for g, piece in self.pieces.items()
                  for k in dict.fromkeys(k for vec in piece for k in vec)]
         # a table reads thousands of keys, so of the grade check of _keys it
         # keeps only the part that costs nothing: no key in two pieces
@@ -379,44 +348,34 @@ def _euler_recurrence(given: LabelledSeries, max_m: int, grades, log: bool) -> L
         solved[b] = [{k: row[m] for k, row in out.items() if row[m]} for m in range(width)]
         f_b, h[b] = (out, known) if log else (known, out)
         theta_f[b] = {k: [size * x for x in row] for k, row in f_b.items()}
-    return LabelledSeries(solved, max_m, log, given.scale)
+    return LabelledSeries(solved, max_m, log)
 
 
-def _labelled(series) -> LabelledSeries:
-    return series if isinstance(series, LabelledSeries) else LabelledSeries.from_useries(series)
-
-
-def series_exp(h, max_m: int, grades, empty_key=EMPTY_TYPE):
+def series_exp(h: LabelledSeries, max_m: int, grades,
+               empty_key=EMPTY_TYPE) -> LabelledSeries:
     """exp of a series with no constant-monomial term, on the listed grades
     (closed under taking smaller grades) and through u^max_m.
 
-    h is a LabelledSeries or a USeries of rationals, and the result is of
-    the same kind. The result's constant monomial (coefficient 1 at m=0) is
-    indexed by empty_key, which must match the key type of h.
+    The result's constant monomial (coefficient 1 at m=0) is indexed by
+    empty_key, which must match the key type of h.
     """
-    store = _labelled(h)
-    for m, x in enumerate(_constant_row(store)):
+    for m, x in enumerate(_constant_row(h)):
         if x:
             raise ValueError(f"series_exp input has a constant-monomial term at m={m}")
-    result = _euler_recurrence(store, max_m, grades, log=False)
+    result = _euler_recurrence(h, max_m, grades, log=False)
     result.pieces[empty_key.grade] = [{empty_key: 1}] + [{} for _ in range(max_m)]
-    return result if store is h else result.to_useries()
+    return result
 
 
-def series_log(big_h, max_m: int, grades):
+def series_log(big_h: LabelledSeries, max_m: int, grades) -> LabelledSeries:
     """log of a series whose m=0 coefficient has constant term 1 (and 0 for
     m>0), on the listed grades (closed under taking smaller grades) and
     through u^max_m.
-
-    big_h is a LabelledSeries or a USeries of rationals, and the result is
-    of the same kind.
     """
-    store = _labelled(big_h)
-    constant = _constant_row(store)
+    constant = _constant_row(big_h)
     if constant[:1] != [1]:
         raise ValueError("series_log input must have constant-monomial coefficient 1 at m=0")
     for m, x in enumerate(constant[1:], 1):
         if x:
             raise ValueError(f"series_log input has a constant-monomial term at m={m}")
-    result = _euler_recurrence(store, max_m, grades, log=True)
-    return result if store is big_h else result.to_useries()
+    return _euler_recurrence(big_h, max_m, grades, log=True)

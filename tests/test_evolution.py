@@ -19,6 +19,7 @@ from realhurwitz.model import (
     Bidegree,
     EMPTY_TYPE,
     enumerate_bidegrees,
+    label,
     p_minus,
     p_plus,
     q_var,
@@ -26,7 +27,7 @@ from realhurwitz.model import (
 )
 from realhurwitz.operators import G0Type
 from realhurwitz.oracle import hurwitz_by_paths
-from realhurwitz.poly import PolyVector, USeries, series_exp
+from realhurwitz.poly import LabelledSeries, PolyVector, USeries, series_exp
 
 
 def test_initial_vector_small_blocks():
@@ -69,9 +70,15 @@ def test_connected_series_leading_coefficients():
 
 
 def test_exp_of_connected_recovers_disconnected():
-    conn = connected_series(4, 4)
+    blocks = enumerate_bidegrees(4)
+    pieces = {b: [{} for _ in range(5)] for b in blocks}
+    for m, vector in enumerate(connected_series(4, 4).coeffs):
+        for mu, c in vector:
+            x = c * label(mu.grade)
+            assert x.denominator == 1, (m, mu, c)
+            pieces[mu.grade][m][mu] = x.numerator
+    regrown = series_exp(LabelledSeries(pieces, 4, True), 4, blocks).to_useries()
     disc = disconnected_series(4, 4)
-    regrown = series_exp(conn, 4, enumerate_bidegrees(4))
     for m in range(5):
         assert regrown.coeff(m) == disc.coeff(m)
 

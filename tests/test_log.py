@@ -8,25 +8,27 @@ from realhurwitz.evolution import (
     box_series,
     connected_series,
     disconnected_series,
+    evolve_labelled,
     hurwitz_value,
 )
 from realhurwitz.model import Bidegree, bidegree, bidegree_box, enumerate_bidegrees
-from realhurwitz.nonsep import tilde_disconnected_series
-from realhurwitz.poly import series_log
+from realhurwitz.nonsep import tilde_evolve_labelled
+from realhurwitz.poly import LabelledSeries, series_log
 
 
 def test_signed_log_matches_power_sum_through_degree_eight():
-    disc = disconnected_series(8, 6)
-    got = series_log(disc, 6, enumerate_bidegrees(8))
-    want = power_sum_log(disc, 6, 8)
-    assert got == want
+    blocks = enumerate_bidegrees(8)
+    disc = LabelledSeries({b: evolve_labelled(b, 6) for b in blocks}, 6, False)
+    got = series_log(disc, 6, blocks)
     assert got.connected and any(got.coeffs)
+    assert got.to_useries() == power_sum_log(disc.to_useries(), 6, 8)
 
 
 def test_unsigned_log_matches_power_sum_through_six_elements():
-    disc = tilde_disconnected_series(6, 6)
-    got = series_log(disc, 6, [(n,) for n in range(7)])
-    assert got == power_sum_log(disc, 6, 6)
+    grades = [(n,) for n in range(7)]
+    disc = LabelledSeries({g: tilde_evolve_labelled(*g, 6) for g in grades}, 6, False)
+    got = series_log(disc, 6, grades)
+    assert got.to_useries() == power_sum_log(disc.to_useries(), 6, 6)
 
 
 @pytest.mark.parametrize("corner", [(0, 0), (1, 0), (2, 2), (3, 1), (3, 3), (4, 2)])

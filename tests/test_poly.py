@@ -3,19 +3,22 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from power_sum_reference import power_sum_exp, power_sum_log, series_mul
 from realhurwitz.model import (
     EMPTY_TYPE,
     Bidegree,
     enumerate_bidegrees,
+    enumerate_types,
     p_minus,
     p_plus,
     q_var,
     rtype,
     zeta,
 )
-from realhurwitz.nonsep import TILDE_EMPTY, ttype
+from realhurwitz.nonsep import TILDE_EMPTY, tilde_enumerate_types, ttype
 from realhurwitz.poly import (
     LabelledSeries,
     PolyVector,
@@ -29,6 +32,15 @@ from realhurwitz.poly import (
 
 def vec(*pairs):
     return PolyVector({mu: Fraction(c) for mu, c in pairs})
+
+
+def store(*vectors, connected=True):
+    """A LabelledSeries of labelled vectors {key: x}, one for each m."""
+    pieces: dict = {}
+    for m, vector in enumerate(vectors):
+        for k, x in vector.items():
+            pieces.setdefault(k.grade, [{} for _ in vectors])[m][k] = x
+    return LabelledSeries(pieces, len(vectors) - 1, connected)
 
 
 def test_monomial_and_coeff():
@@ -104,29 +116,22 @@ def test_series_mul_uses_binomial_convolution():
 
 
 def test_series_exp_log_roundtrip():
-    h = USeries(
-        (vec((p_plus(1), 1), (q_var(1), Fraction(1, 2))),
-         vec((p_plus(2), 1)),
-         vec((p_plus(3), 2), (p_minus(1), 1))),
-        connected=True)
+    h = store({p_plus(1): 1, q_var(1): 1}, {p_plus(2): 1}, {p_plus(3): 2, p_minus(1): 1})
     big = series_exp(h, 2, enumerate_bidegrees(6))
-    assert big.coeff(0).coeff(EMPTY_TYPE) == 1
+    assert big.value(EMPTY_TYPE, 0) == 1
     back = series_log(big, 2, enumerate_bidegrees(6))
-    for m in range(3):
-        assert back.coeff(m) == h.coeff(m)
+    assert back.to_useries() == h.to_useries()
 
 
 def test_series_exp_constant_term_is_exponential():
-    zero = USeries((PolyVector.zero(),), connected=True)
-    big = series_exp(zero, 3, enumerate_bidegrees(4))
+    big = series_exp(store({}), 3, enumerate_bidegrees(4)).to_useries()
     for m in range(4):
         assert big.coeff(m) == (vec((EMPTY_TYPE, 1)) if m == 0 else PolyVector.zero())
 
 
 def test_series_log_requires_unit_constant():
-    bad = USeries((PolyVector.zero(),), connected=False)
     with pytest.raises(ValueError):
-        series_log(bad, 0, enumerate_bidegrees(2))
+        series_log(store({}, connected=False), 0, enumerate_bidegrees(2))
 
 
 @pytest.mark.parametrize("constant, transform", [
@@ -134,9 +139,8 @@ def test_series_log_requires_unit_constant():
     (Fraction(1, 2), lambda s: series_exp(s, 0, enumerate_bidegrees(2))),
 ], ids=["log", "exp"])
 def test_non_integer_constant_is_rejected(constant, transform):
-    # the grade substitution cannot scale grade zero, so the constant must
-    # be an integer; log then needs 1, exp needs 0
-    bad = USeries((vec((EMPTY_TYPE, constant), (p_plus(1), 1)),), connected=False)
+    # log needs the constant monomial 1 at m=0 and exp needs 0
+    bad = store({EMPTY_TYPE: constant, p_plus(1): 1}, connected=False)
     with pytest.raises(ValueError):
         transform(bad)
 
@@ -156,32 +160,71 @@ def test_labelled_series_rejects_a_key_in_two_pieces():
 
 
 def test_series_log_rejects_grades_missing_a_smaller_one():
-    big = series_exp(USeries((vec((p_plus(1), 1)),)), 0, enumerate_bidegrees(2))
+    big = series_exp(store({p_plus(1): 1}), 0, enumerate_bidegrees(2))
     with pytest.raises(ValueError):
         series_log(big, 0, [Bidegree(0, 0), Bidegree(1, 1)])
 
 
-# denominators 3, 5 and 7 that no label factor clears; p+_2 (1/2) lies in
-# bidegree (1, 1), whose label factor is 1
-SIGNED_RATIONAL = USeries((
-    vec((rtype((1,), (1,)), Fraction(1, 3)), (q_var(1), 1)),
-    vec((p_plus(2), Fraction(1, 2)), (p_minus(1), Fraction(2, 5))),
-    vec((p_plus(3), Fraction(-1, 7)))), connected=True)
+# labelled entries that their label factors (2, 4 or 6) do not divide, so
+# the coefficients keep denominators: 2, 4 and 6 signed, 2 and 6 unsigned
+SIGNED_LABELLED = store(
+    {rtype((1,), (1,)): 1, q_var(1): 1, rtype((1, 1), ()): 1},
+    {p_plus(3): 1, p_minus(1): 2},
+    {rtype((), (1, 1, 1)): -5, rtype((3,), (1,)): 3})
 
-UNSIGNED_RATIONAL = USeries((
-    vec((ttype(kappa_odd=(1,)), Fraction(1, 3)), (ttype(lam=(1,)), Fraction(1, 3))),
-    vec((ttype(kappa_plus=(2,)), Fraction(2, 5))),
-    vec((ttype(kappa_odd=(3,)), Fraction(-1, 7)))), connected=True)
+UNSIGNED_LABELLED = store(
+    {ttype(kappa_odd=(1,)): 1, ttype(lam=(1,)): 1},
+    {ttype(kappa_plus=(2,)): 1, ttype(kappa_odd=(1, 1)): 3},
+    {ttype(kappa_odd=(3,)): -1, ttype(kappa_plus=(2,), kappa_odd=(1,)): 5})
 
 
 @pytest.mark.parametrize("h, grades, empty", [
-    (SIGNED_RATIONAL, enumerate_bidegrees(6), EMPTY_TYPE),
-    (UNSIGNED_RATIONAL, [(n,) for n in range(7)], TILDE_EMPTY),
+    (SIGNED_LABELLED, enumerate_bidegrees(6), EMPTY_TYPE),
+    (UNSIGNED_LABELLED, [(n,) for n in range(7)], TILDE_EMPTY),
 ], ids=["signed", "unsigned"])
 def test_rational_exp_log_round_trip_matches_power_sums(h, grades, empty):
+    rational = h.to_useries()
+    assert any(c.denominator > 1 for vector in rational.coeffs for _, c in vector)
     big = series_exp(h, 3, grades, empty)
-    assert big == power_sum_exp(h, 3, 6, empty)
-    assert big.coeff(0).coeff(empty) == 1
+    assert big.to_useries() == power_sum_exp(rational, 3, 6, empty)
+    assert big.value(empty, 0) == 1
     back = series_log(big, 3, grades)
-    assert back == h
-    assert back == power_sum_log(big, 3, 6)
+    assert back.to_useries() == rational
+    assert back.to_useries() == power_sum_log(big.to_useries(), 3, 6)
+
+
+@st.composite
+def labelled_vectors(draw, keys):
+    """Labelled vectors {key: int} for m = 0 .. at most 3, entries in [-9, 9]."""
+    vectors = [{} for _ in range(draw(st.integers(min_value=1, max_value=4)))]
+    entries = st.tuples(st.sampled_from(keys),
+                        st.integers(min_value=0, max_value=len(vectors) - 1),
+                        st.integers(min_value=-9, max_value=9))
+    for k, m, x in draw(st.lists(entries, max_size=6)):
+        vectors[m][k] = x
+    return vectors
+
+
+@pytest.mark.parametrize("keys, grades, empty, max_degree", [
+    ([mu for b in enumerate_bidegrees(4) if any(b)
+      for mu in enumerate_types(b)],
+     enumerate_bidegrees(4), EMPTY_TYPE, 4),
+    ([mu for n in range(1, 7) for mu in tilde_enumerate_types(n)],
+     [(n,) for n in range(7)], TILDE_EMPTY, 6),
+], ids=["signed", "unsigned"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_exp_and_log_of_an_integer_store_are_integers(keys, grades, empty, max_degree, data):
+    vectors = data.draw(labelled_vectors(keys))
+    max_m = len(vectors) - 1
+    h = store(*vectors)
+    big = series_exp(h, max_m, grades, empty)
+    assert big.to_useries() == power_sum_exp(h.to_useries(), max_m, max_degree, empty)
+    back = series_log(big, max_m, grades)
+    assert back.to_useries() == h.to_useries()
+    unit = store({**vectors[0], empty: 1}, *vectors[1:], connected=False)
+    conn = series_log(unit, max_m, grades)
+    assert conn.to_useries() == power_sum_log(unit.to_useries(), max_m, max_degree)
+    for result in (big, back, conn):
+        assert all(type(x) is int for piece in result.pieces.values()
+                   for vector in piece for x in vector.values())

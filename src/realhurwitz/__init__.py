@@ -12,21 +12,19 @@ from .model import (
     RamificationType,
     bidegree,
     canonical_key,
-    class_size_formula,
     enumerate_bidegrees,
     enumerate_types,
     euler_characteristic,
     format_type,
     p_plus,
     p_minus,
-    parse_type,
     partition,
     partitions_of,
     q_var,
     rtype,
     zeta,
 )
-from .poly import PolyVector, USeries, scalar_product, series_exp, series_log
+from .poly import LabelledSeries, PolyVector, USeries, series_exp, series_log
 from .operators import (
     BlockMatrix,
     G0Type,
@@ -34,7 +32,6 @@ from .operators import (
     apply,
     block_matrix,
     g0_from_type,
-    genus0_rhs,
 )
 from .oracle import classify, hurwitz_by_paths, mult_c2_matrix, states
 from .evolution import (
@@ -46,7 +43,6 @@ from .evolution import (
     genus0_single_part_values,
     genus0_unit_values,
     hurwitz_value,
-    initial_vector,
     table_rows,
     verify_genus0_pde,
 )
@@ -57,9 +53,11 @@ from .spectral import (
     orthogonality_check,
 )
 from .nonsep import (
+    TILDE_EMPTY,
     TildeType,
     tilde_classify,
     tilde_connected_value,
+    tilde_evolve,
     tilde_hurwitz,
     tilde_operator_matrix,
     tilde_table_rows,

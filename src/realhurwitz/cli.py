@@ -209,15 +209,14 @@ class _Checker:
             self.failures += 1
             print(f"FAIL {name}: expected {_show(expected)} actual {_show(actual)}")
 
-    def poly_check(self, name: str, expected: PolyVector, actual: PolyVector,
-                   fmt=format_type) -> None:
+    def poly_check(self, name: str, expected: PolyVector, actual: PolyVector) -> None:
         if expected == actual:
             print(f"ok   {name}")
             return
         self.failures += 1
         keys = sorted(set(k for k, _ in expected) | set(k for k, _ in actual),
                       key=str)
-        diffs = [f"{fmt(k)}: expected {expected.coeff(k)} actual {actual.coeff(k)}"
+        diffs = [f"{format_type(k)}: expected {expected.coeff(k)} actual {actual.coeff(k)}"
                  for k in keys if expected.coeff(k) != actual.coeff(k)]
         print(f"FAIL {name}: " + "; ".join(diffs))
 

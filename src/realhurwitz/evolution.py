@@ -13,8 +13,7 @@ disconnected series are the walk totals of the block. The labelled initial
 vector and the integer columns of the cached operator keep the evolution in
 int; the cached orbit of {type: int} vectors is the only copy, and the
 formal log runs on the same store. Fractions enter where a value leaves it:
-table rows, hurwitz_value, and the public initial_vector, evolve_block and
-series functions.
+table rows, hurwitz_value, and the public evolve_block and series functions.
 
 The genus-0 layer keeps the top Euler characteristic part, forgets signs,
 and checks the quadratic flow equation it satisfies.
@@ -67,11 +66,6 @@ def _labelled_initial_vector(b: Bidegree) -> dict[RamificationType, int]:
         mu = rtype((1,) * (b.n_plus - k), (1,) * (b.n_minus - k), (1,) * k)
         terms[mu] = comb(b.n_plus, k) * perm(b.n_minus, k)
     return terms
-
-
-def initial_vector(b: Bidegree) -> PolyVector:
-    """Bidegree-b piece of exp(p_1^+ + p_1^- + q_1)."""
-    return PolyVector(unlabel(_labelled_initial_vector(b), b))
 
 
 _ORBITS: dict[Bidegree, list[dict[RamificationType, int]]] = {}

@@ -9,7 +9,6 @@ deg p_k^{+-} = k and deg q_l = 2l.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -107,10 +106,6 @@ class RamificationType(NamedTuple):
     def swap_signs(self) -> "RamificationType":
         return RamificationType(self.kappa_minus, self.kappa_plus, self.lam)
 
-    @property
-    def is_empty(self) -> bool:
-        return not (self.kappa_plus or self.kappa_minus or self.lam)
-
 
 EMPTY_TYPE = RamificationType((), (), ())
 
@@ -171,15 +166,6 @@ def unlabel(vec: dict, grade) -> dict:
     return {k: Fraction(x, d) for k, x in vec.items()}
 
 
-def class_size_formula(mu: RamificationType) -> int:
-    """Number of distinct transitions of type mu: n+! n-! / zeta(mu)."""
-    num = label(bidegree(mu))
-    z = zeta(mu)
-    if num % z:
-        raise ArithmeticError(f"zeta({mu}) = {z} does not divide {num}")
-    return num // z
-
-
 def canonical_key(mu: RamificationType) -> tuple:
     """Deterministic sort key: (degree, kappa_plus, kappa_minus, lam)."""
     return (mu.degree, mu.kappa_plus, mu.kappa_minus, mu.lam)
@@ -229,65 +215,8 @@ def bidegree_box(corner: Bidegree) -> list[Bidegree]:
             if b.n_plus <= corner[0] and b.n_minus <= corner[1]]
 
 
-def dimension_series(max_total: int) -> dict[tuple[int, int], int]:
-    """Coefficients of prod_k (1-x^k y^k)^-3 (1-x^k y^(k-1))^-1 (1-x^(k-1) y^k)^-1.
-
-    Returns {(a, b): coefficient} for a + b <= max_total; the coefficient at
-    (a, b) is the number of ramification types of bidegree (a, b).
-    """
-    series: dict[tuple[int, int], int] = {(0, 0): 1}
-
-    def mul_geometric(cur: dict[tuple[int, int], int], step: tuple[int, int],
-                      power: int) -> dict[tuple[int, int], int]:
-        # Multiply by (1 - x^sa y^sb)^-power = sum_n C(n+power-1, power-1) (x^sa y^sb)^n.
-        sa, sb = step
-        out: dict[tuple[int, int], int] = {}
-        for (a, b), c in cur.items():
-            n = 0
-            coeff = 1
-            while a + n * sa + b + n * sb <= max_total:
-                key = (a + n * sa, b + n * sb)
-                out[key] = out.get(key, 0) + c * coeff
-                n += 1
-                coeff = coeff * (n + power - 1) // n
-        return out
-
-    for k in range(1, max_total + 1):
-        if 2 * k > max_total and (2 * k - 1) > max_total:
-            break
-        series = mul_geometric(series, (k, k), 3)
-        series = mul_geometric(series, (k, k - 1), 1)
-        series = mul_geometric(series, (k - 1, k), 1)
-    return {key: c for key, c in series.items() if sum(key) <= max_total}
-
-
-_PARTITION_RE = re.compile(r"^\s*$|^\s*\d+(\s+\d+)*\s*$")
-_MULT_TERM_RE = re.compile(r"^(\d+)\^(\d+)$")
-
-
 def format_partition(p: Partition) -> str:
     return "[" + " ".join(str(k) for k in p) + "]"
-
-
-def parse_partition(text: str) -> Partition:
-    """Parse '[3 1 1]' or multiplicative '[1^2 3^1]' (also without brackets)."""
-    body = text.strip()
-    if body.startswith("[") and body.endswith("]"):
-        body = body[1:-1]
-    body = body.strip()
-    if not body:
-        return ()
-    parts: list[int] = []
-    for token in body.split():
-        m = _MULT_TERM_RE.match(token)
-        if m:
-            part, mult = int(m.group(1)), int(m.group(2))
-            parts.extend([part] * mult)
-        elif token.isdigit():
-            parts.append(int(token))
-        else:
-            raise ValueError(f"cannot parse partition token {token!r}")
-    return partition(parts)
 
 
 def format_type(mu: RamificationType) -> str:
@@ -295,13 +224,3 @@ def format_type(mu: RamificationType) -> str:
     return (f"k+:{format_partition(mu.kappa_plus)} "
             f"k-:{format_partition(mu.kappa_minus)} "
             f"l:{format_partition(mu.lam)}")
-
-
-_TYPE_RE = re.compile(r"^\s*k\+:\[([^\]]*)\]\s+k-:\[([^\]]*)\]\s+l:\[([^\]]*)\]\s*$")
-
-
-def parse_type(text: str) -> RamificationType:
-    m = _TYPE_RE.match(text)
-    if not m:
-        raise ValueError(f"cannot parse ramification type {text!r}")
-    return RamificationType(*(parse_partition(g) for g in m.groups()))

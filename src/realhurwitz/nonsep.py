@@ -70,11 +70,6 @@ class TildeType(NamedTuple):
                          merge_partitions(self.kappa_odd, other.kappa_odd),
                          merge_partitions(self.lam, other.lam))
 
-    @property
-    def is_empty(self) -> bool:
-        return not (self.kappa_plus or self.kappa_minus
-                    or self.kappa_odd or self.lam)
-
 
 TILDE_EMPTY = TildeType((), (), (), ())
 
@@ -192,11 +187,6 @@ def tilde_classify(t: TildeTransition, n: int) -> TildeType:
     return TildeType(partition(kp), partition(km), partition(ko), partition(lam))
 
 
-def tilde_representative(mu: TildeType) -> TildeTransition:
-    """The first transition of type mu on range(degree)."""
-    return tilde_class_members(mu)[0]
-
-
 def _unsigned() -> WalkModel:
     # built per call, so that a rebound module-level name takes effect
     return WalkModel(tilde_states, tilde_neighbors, tilde_classify)
@@ -295,11 +285,6 @@ def _labelled_initial_vector(n: int) -> dict[TildeType, int]:
         mu = TildeType((), (), (1,) * (n - 2 * b), (1,) * b)
         terms[mu] = comb(n, 2 * b) * prod(range(1, 2 * b, 2))
     return terms
-
-
-def tilde_initial_vector(n: int) -> PolyVector:
-    """Degree-n piece of the evolution start."""
-    return PolyVector(unlabel(_labelled_initial_vector(n), (n,)))
 
 
 _ORBITS: dict[int, list[dict[TildeType, int]]] = {}

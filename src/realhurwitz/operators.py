@@ -11,8 +11,8 @@ for odd i:
 
 The minus operator conjugates the plus one by the sign swap p_k^+ <-> p_k^-,
 and the mean is their half sum. All three preserve degree and bidegree, so
-they restrict to matrices on each bidegree block. The genus-0 right-hand side
-operator on unsigned variables lives here as well.
+they restrict to matrices on each bidegree block. The terms of the genus-0
+flow on unsigned variables live here as well.
 """
 
 from __future__ import annotations
@@ -41,15 +41,11 @@ class OperatorKind(Enum):
     WMEAN = "wmean"
 
 
-# chi(mu', m+1) - chi(mu, m) for images of each term family
-CHI_SHIFTS = {"cut": 0, "join": -2, "real_to_pair": -2, "pair_to_real": 0}
-
-
-def wplus_images(mu: RamificationType) -> Iterator[tuple[RamificationType, int, int]]:
+def wplus_images(mu: RamificationType) -> Iterator[tuple[RamificationType, int]]:
     """Images of the plus operator on the monomial p_mu.
 
-    Yields (type, integer multiplier, chi shift); repeated types may appear
-    and must be summed by the caller.
+    Yields (type, integer multiplier); repeated types may appear and must be
+    summed by the caller.
     """
     kp, km, lam = mu.kappa_plus, mu.kappa_minus, mu.lam
     kp_counts = Counter(kp)
@@ -57,14 +53,12 @@ def wplus_images(mu: RamificationType) -> Iterator[tuple[RamificationType, int, 
     # cut differentiating a plus part: i even, both new parts positive
     for n, mult in kp_counts.items():
         for i in range(2, n, 2):
-            yield (RamificationType(merge_partitions(without(kp, n), (i, n - i)), km, lam),
-                   mult, CHI_SHIFTS["cut"])
+            yield RamificationType(merge_partitions(without(kp, n), (i, n - i)), km, lam), mult
     # cut differentiating a minus part: i odd stays negative, j positive
     for n, mult in km_counts.items():
         for i in range(1, n, 2):
             yield (RamificationType(merge_partitions(kp, (n - i,)),
-                                    merge_partitions(without(km, n), (i,)), lam),
-                   mult, CHI_SHIFTS["cut"])
+                                    merge_partitions(without(km, n), (i,)), lam), mult)
     # join of two plus parts (i even): result positive
     for i in kp_counts:
         if i % 2:
@@ -73,7 +67,7 @@ def wplus_images(mu: RamificationType) -> Iterator[tuple[RamificationType, int, 
             mult = kp_counts[i] * (kp_counts[j] - (1 if i == j else 0))
             if mult:
                 yield (RamificationType(merge_partitions(without(kp, i, j), (i + j,)), km, lam),
-                       mult, CHI_SHIFTS["join"])
+                       mult)
     # join of a minus part (i odd) with a plus part: result negative
     for i in km_counts:
         if i % 2 == 0:
@@ -81,16 +75,14 @@ def wplus_images(mu: RamificationType) -> Iterator[tuple[RamificationType, int, 
         for j in kp_counts:
             yield (RamificationType(without(kp, j),
                                     merge_partitions(without(km, i), (i + j,)), lam),
-                   km_counts[i] * kp_counts[j], CHI_SHIFTS["join"])
+                   km_counts[i] * kp_counts[j])
     # complex pair of order l becomes a positive real part 2l, weight l
     for l, mult in Counter(lam).items():
-        yield (RamificationType(merge_partitions(kp, (2 * l,)), km, without(lam, l)),
-               l * mult, CHI_SHIFTS["real_to_pair"])
+        yield RamificationType(merge_partitions(kp, (2 * l,)), km, without(lam, l)), l * mult
     # even positive real part 2l becomes a complex pair of order l
     for n, mult in kp_counts.items():
         if n % 2 == 0:
-            yield (RamificationType(without(kp, n), km, merge_partitions(lam, (n // 2,))),
-                   mult, CHI_SHIFTS["pair_to_real"])
+            yield RamificationType(without(kp, n), km, merge_partitions(lam, (n // 2,))), mult
 
 
 class BlockMatrix:
@@ -168,8 +160,7 @@ def block_matrix(kind: OperatorKind, b: Bidegree) -> BlockMatrix:
     on the swapped block relabelled by the sign swap, the mean their half sum."""
     b = Bidegree(*b)
     if kind is OperatorKind.WPLUS:
-        def image(mu):
-            return ((nu, mult) for nu, mult, _ in wplus_images(mu))
+        image = wplus_images
     elif kind is OperatorKind.WMINUS:
         plus = block_matrix(OperatorKind.WPLUS, Bidegree(b.n_minus, b.n_plus)).images
 
@@ -204,13 +195,6 @@ class G0Type(NamedTuple):
     def union(self, other: "G0Type") -> "G0Type":
         return G0Type(merge_partitions(self.p_parts, other.p_parts),
                       merge_partitions(self.q_parts, other.q_parts))
-
-    @property
-    def is_empty(self) -> bool:
-        return not (self.p_parts or self.q_parts)
-
-
-G0_EMPTY = G0Type((), ())
 
 
 def g0_from_type(mu: RamificationType) -> G0Type:
@@ -272,14 +256,3 @@ def genus0_qterm(v: PolyVector) -> PolyVector:
 
 
 G0_P2 = PolyVector.monomial(G0Type((2,), ()))
-
-
-def genus0_rhs(v: PolyVector) -> PolyVector:
-    """Right-hand side of the genus-0 flow applied to a single polynomial.
-
-    Returns (cut(v) + join(v, v) + qterm(v)) / 2 + p_2 / 2. The quadratic
-    self-term makes this nonlinear; the series residual check convolves the
-    join over u-coefficients instead of calling this directly.
-    """
-    total = genus0_cut(v) + genus0_join(v, v) + genus0_qterm(v) + G0_P2
-    return total.scale(Fraction(1, 2))

@@ -5,11 +5,10 @@ a transition is an ordered pair of states. The alternating chains and cycles
 of a transition encode a ramification type, transpositions are the transitions
 whose states differ by a single matched pair, and multiplying by the class sum
 of transpositions gives matrices that the cut-and-join operators must equal.
-Everything here is enumerated exhaustively: a representative of a type is the
-first member of its class. This module is the independent check on the
-operator route, so it imports nothing from it but the model. The chain/cycle
-decomposition, the walks and the class multiplication are generic over the
-transition model, and the unsigned model binds them as well.
+Everything here is enumerated exhaustively. This module is the independent
+check on the operator route, so it imports nothing from it but the model. The
+chain/cycle decomposition, the walks and the class multiplication are generic
+over the transition model, and the unsigned model binds them as well.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
 from .model import (
     Bidegree,
     RamificationType,
-    bidegree,
     enumerate_types,
     partition,
     unlabel,
@@ -43,28 +41,6 @@ def states(n_plus: int, n_minus: int) -> tuple[State, ...]:
     found.sort(key=lambda s: sorted(s))
     found.sort(key=len)
     return tuple(found)
-
-
-def transitions(n_plus: int, n_minus: int) -> Iterator[Transition]:
-    for initial in states(n_plus, n_minus):
-        for final in states(n_plus, n_minus):
-            yield (initial, final)
-
-
-def invert(t: Transition) -> Transition:
-    return (t[1], t[0])
-
-
-def compose(t1: Transition, t2: Transition) -> Transition | None:
-    """Groupoid product: defined only when the first final equals the second initial."""
-    if t1[1] != t2[0]:
-        return None
-    return (t1[0], t2[1])
-
-
-def is_transposition(t: Transition) -> bool:
-    """A transposition adds or removes exactly one matched pair."""
-    return len(t[0] ^ t[1]) == 1
 
 
 def neighbor_states(s: State, n_plus: int, n_minus: int) -> Iterator[State]:
@@ -157,12 +133,6 @@ def classify(t: Transition, n_plus: int, n_minus: int) -> RamificationType:
     return RamificationType(partition(kappa_plus), partition(kappa_minus), partition(lam))
 
 
-def representative(mu: RamificationType) -> Transition:
-    """The first transition of type mu on the block bidegree(mu)."""
-    b = bidegree(mu)
-    return next(t for t in transitions(*b) if classify(t, *b) == mu)
-
-
 class WalkModel(NamedTuple):
     """states(*block) in a fixed order, the states one transposition away
     from s as neighbours(s, *block), and the type of a transition t as
@@ -233,15 +203,6 @@ def walk_totals(model: WalkModel, block: tuple, m: int) -> dict:
     return totals
 
 
-def class_members(mu: RamificationType) -> tuple[Transition, ...]:
-    """Every transition of type mu, by exhaustive classification of its block."""
-    return members(_signed(), bidegree(mu), mu)
-
-
-def class_size(mu: RamificationType) -> int:
-    return len(class_members(mu))
-
-
 @lru_cache(maxsize=None)
 def mult_c2_matrix(b: Bidegree, side: str = "left") -> tuple[tuple[Fraction, ...], ...]:
     """Matrix of multiplication by the transposition class sum on the block b,
@@ -249,13 +210,6 @@ def mult_c2_matrix(b: Bidegree, side: str = "left") -> tuple[tuple[Fraction, ...
     basis of class sums scaled by inverse class size."""
     b = Bidegree(*b)
     return class_multiplication(_signed(), b, enumerate_types(b), side)
-
-
-def walk_count(mu: RamificationType, m: int) -> int:
-    """Number of m-step transposition walks linking the states of one
-    representative transition of type mu."""
-    initial, final = representative(mu)
-    return walks_from(_signed(), bidegree(mu), initial, m).get(final, 0)
 
 
 def labelled_by_paths(b: Bidegree, m: int) -> dict[RamificationType, int]:
@@ -269,7 +223,7 @@ def hurwitz_by_paths(b: Bidegree, m: int) -> dict[RamificationType, Fraction]:
     """Disconnected counts at u^m/m! for every type on the ground set b.
 
     Divides the walk totals of labelled_by_paths by n_plus! n_minus!. Equals
-    walk_count over zeta for each type, since walks between pairs in one
-    class agree.
+    the walk count between the states of any one transition of a type over
+    zeta of the type, since walks between pairs in one class agree.
     """
     return unlabel(labelled_by_paths(b, m), Bidegree(*b))

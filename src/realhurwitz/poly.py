@@ -1,9 +1,8 @@
 """Exact sparse polynomials indexed by monomial keys, and exp/log of u-series.
 
 A PolyVector is a finitely supported map key -> Fraction. Keys must be hashable
-and provide `.degree` (int), `.union(other)` (monomial product), and
-`.is_empty` (True for the constant monomial); RamificationType satisfies this,
-as do the tilde and genus-0 key types.
+and provide `.degree` (int) and `.union(other)` (monomial product);
+RamificationType satisfies this, as do the tilde and genus-0 key types.
 
 A USeries stores the coefficients of u^m/m!, so series products use binomial
 convolution and exp/log are the exponential-generating-function transforms
@@ -29,7 +28,7 @@ from fractions import Fraction
 from math import comb, prod
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .model import EMPTY_TYPE, RamificationType, bidegree, label, unlabel, zeta
+from .model import EMPTY_TYPE, label, unlabel
 
 
 class PolyVector:
@@ -127,30 +126,6 @@ def _by_degree(v: PolyVector) -> dict[int, list[tuple[object, Fraction]]]:
     for k, c in v.terms.items():
         buckets.setdefault(k.degree, []).append((k, c))
     return buckets
-
-
-def vector_bidegree(v: PolyVector):
-    """Common bidegree tag of all supported types, or None if empty or mixed."""
-    tags = set()
-    for k, _ in v:
-        if not isinstance(k, RamificationType):
-            return None
-        tags.add(bidegree(k))
-    if len(tags) == 1:
-        return tags.pop()
-    return None
-
-
-def scalar_product(a: PolyVector, b: PolyVector) -> Fraction:
-    """Bilinear extension of (p_mu, p_nu) = delta_{mu,nu} zeta(mu)."""
-    if len(b.terms) < len(a.terms):
-        a, b = b, a
-    total = Fraction(0)
-    for k, c in a:
-        cb = b.coeff(k)
-        if cb:
-            total += c * cb * zeta(k)
-    return total
 
 
 class USeries:
@@ -260,7 +235,11 @@ class LabelledSeries(NamedTuple):
 
 
 def _constant_row(series: LabelledSeries) -> list:
-    """Coefficients of the constant monomial, the only key of grade zero."""
+    """Coefficients of the constant monomial, the only key of grade zero.
+    exp and log read it first, so any other input raises TypeError here."""
+    if not isinstance(series, LabelledSeries):
+        raise TypeError(f"series_exp and series_log take a LabelledSeries, "
+                        f"not {type(series).__name__}")
     for g, piece in series.pieces.items():
         if not any(g):
             return [sum(vec.values()) for vec in piece]

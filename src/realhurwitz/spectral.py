@@ -62,21 +62,17 @@ def eigenvalue_bound(m: Matrix) -> int:
     return int(bound) + 1
 
 
-def integer_roots(coeffs: Sequence[Fraction],
-                  bound: int | None = None) -> list[int] | None:
+def integer_roots(coeffs: Sequence[Fraction], bound: int) -> list[int] | None:
     """Roots with multiplicity of a monic integer polynomial, or None if it
     does not factor completely over the integers.
 
-    Candidates are integers r with |r| <= bound dividing the constant term;
-    without an explicit bound the Cauchy bound 1 + max |c_i| is used, which
-    is only practical for small coefficients. Returns None on any rational
-    non-integer coefficient.
+    Candidates are integers r with |r| <= bound dividing the constant term,
+    so bound must dominate every root (eigenvalue_bound does). Returns None
+    on any rational non-integer coefficient.
     """
     if any(c.denominator != 1 for c in coeffs):
         return None
     poly = [int(c) for c in coeffs]  # poly[i] = coefficient of x^i
-    if bound is None:
-        bound = 1 + max((abs(c) for c in poly[:-1]), default=0)
     roots: list[int] = []
     while len(poly) > 1:
         if poly[0] == 0:

@@ -29,7 +29,7 @@ def series_mul(a: USeries, b: USeries, max_m: int, max_degree: int) -> USeries:
 def power_sum_log(big_h: USeries, max_m: int, max_degree: int) -> USeries:
     """log of a series with constant term 1, truncated to total degree
     max_degree and order max_m in u."""
-    x = USeries([PolyVector({k: c for k, c in big_h.coeff(m) if not k.is_empty})
+    x = USeries([PolyVector({k: c for k, c in big_h.coeff(m) if any(k.grade)})
                  .restrict_degree(max_degree) for m in range(max_m + 1)])
     result = list(x.coeffs)
     power = USeries(list(result))

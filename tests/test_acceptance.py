@@ -11,6 +11,7 @@ differs from it there and nowhere else; see the README.
 import time
 from fractions import Fraction
 
+from model_reference import dimension_series
 from realhurwitz.evolution import (
     connected_series,
     disconnected_series,
@@ -21,7 +22,6 @@ from realhurwitz.evolution import (
 )
 from realhurwitz.model import (
     Bidegree,
-    dimension_series,
     enumerate_bidegrees,
     enumerate_types,
     euler_characteristic,

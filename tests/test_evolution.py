@@ -11,7 +11,6 @@ from realhurwitz.evolution import (
     genus0_single_part_values,
     genus0_unit_values,
     hurwitz_value,
-    initial_vector,
     table_rows,
     verify_genus0_pde,
 )
@@ -31,10 +30,10 @@ from realhurwitz.poly import LabelledSeries, PolyVector, USeries, series_exp
 
 
 def test_initial_vector_small_blocks():
-    v = initial_vector(Bidegree(1, 1))
+    v = evolve_block(Bidegree(1, 1), 0)[0]
     assert v.coeff(rtype((1,), (1,))) == 1
     assert v.coeff(q_var(1)) == 1
-    v = initial_vector(Bidegree(2, 1))
+    v = evolve_block(Bidegree(2, 1), 0)[0]
     assert v.coeff(rtype((1, 1), (1,))) == Fraction(1, 2)
     assert v.coeff(rtype((1,), (), (1,))) == 1
 

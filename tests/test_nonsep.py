@@ -21,10 +21,8 @@ from realhurwitz.nonsep import (
     tilde_euler_characteristic,
     tilde_evolve,
     tilde_hurwitz,
-    tilde_initial_vector,
     tilde_mult_c2_matrix,
     tilde_operator_matrix,
-    tilde_representative,
     tilde_states,
     tilde_table_rows,
     tilde_zeta,
@@ -78,13 +76,6 @@ def test_classify_check_survives_optimized_mode():
     assert proc.returncode != 0
     assert "AssertionError" in proc.stderr
     assert proc.stdout == ""
-
-
-def test_representative_round_trip():
-    for n in range(6):
-        for mu in tilde_enumerate_types(n):
-            t = tilde_representative(mu)
-            assert tilde_classify(t, n) == mu
 
 
 def test_class_sizes_match_formula():
@@ -145,7 +136,7 @@ def test_verify_catches_a_wrong_term_family():
 
 
 def test_initial_vector_weights():
-    v = tilde_initial_vector(2)
+    v = tilde_evolve(2, 0)[0]
     assert v.coeff(ttype(kappa_odd=(1, 1))) == Fraction(1, 2)
     assert v.coeff(ttype(lam=(1,))) == Fraction(1, 2)
 

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import realhurwitz
 from power_sum_reference import power_sum_exp, power_sum_log, series_mul
+from realhurwitz.evolution import connected_series
 from realhurwitz.model import (
     EMPTY_TYPE,
     Bidegree,
@@ -16,17 +18,14 @@ from realhurwitz.model import (
     p_plus,
     q_var,
     rtype,
-    zeta,
 )
 from realhurwitz.nonsep import TILDE_EMPTY, tilde_enumerate_types, ttype
 from realhurwitz.poly import (
     LabelledSeries,
     PolyVector,
     USeries,
-    scalar_product,
     series_exp,
     series_log,
-    vector_bidegree,
 )
 
 
@@ -88,18 +87,6 @@ def test_restrict_degree():
     assert v.restrict_degree(2) == vec((p_plus(1), 1))
 
 
-def test_vector_bidegree_on_homogeneous_input():
-    v = vec((q_var(1), 1), (rtype((1,), (1,)), 2))
-    assert vector_bidegree(v) == (1, 1)
-
-
-def test_scalar_product_diagonal():
-    a = vec((p_plus(2), 1), (q_var(1), 3))
-    b = vec((p_plus(2), 5), (p_minus(1), 7))
-    assert scalar_product(a, b) == 5 * zeta(p_plus(2))
-    assert scalar_product(a, a) == zeta(p_plus(2)) + 9 * zeta(q_var(1))
-
-
 def test_useries_coeff_pads_with_zero():
     s = USeries((vec((p_plus(1), 1)),), connected=True)
     assert s.coeff(0).coeff(p_plus(1)) == 1
@@ -127,6 +114,15 @@ def test_series_exp_constant_term_is_exponential():
     big = series_exp(store({}), 3, enumerate_bidegrees(4)).to_useries()
     for m in range(4):
         assert big.coeff(m) == (vec((EMPTY_TYPE, 1)) if m == 0 else PolyVector.zero())
+
+
+@pytest.mark.parametrize("transform", [series_exp, series_log], ids=["exp", "log"])
+def test_exp_and_log_take_only_the_labelled_store(transform):
+    # the package exports the one type they take; a rational USeries, the
+    # public series type, is refused by name rather than failing inside
+    assert realhurwitz.LabelledSeries is LabelledSeries
+    with pytest.raises(TypeError, match="LabelledSeries"):
+        transform(connected_series(2, 2), 2, [(0, 0)])
 
 
 def test_series_log_requires_unit_constant():

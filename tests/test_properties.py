@@ -3,14 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from model_reference import parse_type
 from realhurwitz.evolution import connected_series, hurwitz_value
-from realhurwitz.model import (
-    RamificationType,
-    format_type,
-    parse_type,
-    partition,
-    rtype,
-)
+from realhurwitz.model import RamificationType, format_type, partition, rtype
 
 parts = st.lists(st.integers(min_value=1, max_value=12), max_size=6).map(partition)
 types = st.builds(RamificationType, parts, parts, parts)

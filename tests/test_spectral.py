@@ -46,17 +46,19 @@ def test_charpoly_empty_matrix():
 def test_integer_roots_with_multiplicity():
     # (x - 1)^2 (x + 3) = x^3 + x^2 - 5x + 3.
     coeffs = (F(3), F(-5), F(1), F(1))
-    assert integer_roots(coeffs) == [1, 1, -3]
+    assert integer_roots(coeffs, 3) == [1, 1, -3]
+    # a bound below a root's magnitude misses it
+    assert integer_roots(coeffs, 2) is None
 
 
 def test_integer_roots_rejects_nonintegral_polynomials():
-    assert integer_roots((Fraction(1, 2), F(1))) is None
-    assert integer_roots((F(1), F(1), F(1))) is None
+    assert integer_roots((Fraction(1, 2), F(1)), 2) is None
+    assert integer_roots((F(1), F(1), F(1)), 2) is None
 
 
 def test_integer_roots_of_zero_constant():
     # x^2 - x has roots 1 and 0.
-    assert integer_roots((F(0), F(-1), F(1))) == [1, 0]
+    assert integer_roots((F(0), F(-1), F(1)), 1) == [1, 0]
 
 
 def test_eigenvalue_bound_dominates():

@@ -10,7 +10,7 @@ transpositions; it preserves the total degree but not a bidegree. It is
 built from its term families (tilde_images), the transcribed
 differential-operator form with its garbled superscripts repaired, as the
 signed plus operator is built from wplus_images. The walks are the check:
-tilde_mult_c2_matrix derives the same matrix from exhaustive walks, and
+tilde_mult_c2_matrix derives the same matrix from the walk model, and
 tilde_labelled_by_paths gives the walk totals that the evolution must equal.
 The entries are integers, so the evolution and the formal log run on
 labelled integer counts, n! times each count of degree n.
@@ -34,7 +34,7 @@ from .model import (
     without,
 )
 from .operators import BlockMatrix
-from .oracle import WalkModel, chains_and_cycles, class_multiplication, members, walk_totals
+from .oracle import WalkModel, chains_and_cycles, class_multiplication, orbits, walk_totals
 from .poly import (
     HurwitzRow,
     LabelledSeries,
@@ -193,12 +193,18 @@ def _unsigned() -> WalkModel:
 
 
 @lru_cache(maxsize=None)
-def tilde_class_members(mu: TildeType) -> tuple[TildeTransition, ...]:
-    return members(_unsigned(), (mu.degree,), mu)
+def _tilde_class_sizes(n: int) -> Counter:
+    """Transitions on n elements counted by type: those from each orbit
+    representative, times the orbit size."""
+    sizes: Counter = Counter()
+    for s, weight in orbits(_unsigned(), (n,)):
+        for t in tilde_states(n):
+            sizes[tilde_classify((s, t), n)] += weight
+    return sizes
 
 
 def tilde_class_size(mu: TildeType) -> int:
-    return len(tilde_class_members(mu))
+    return _tilde_class_sizes(mu.degree)[mu]
 
 
 def tilde_images(mu: TildeType) -> Iterator[tuple[TildeType, int]]:
@@ -271,7 +277,7 @@ def tilde_operator_matrix(n: int) -> BlockMatrix:
 
 def tilde_mult_c2_matrix(n: int) -> tuple[tuple[Fraction, ...], ...]:
     """The check on tilde_operator_matrix(n).entries: multiplication by the
-    transposition class sum on n elements, derived from exhaustive walks
+    transposition class sum on n elements, derived from the walk model
     over tilde_enumerate_types(n) in order."""
     return class_multiplication(_unsigned(), (n,), tilde_enumerate_types(n))
 

@@ -5,10 +5,12 @@ a transition is an ordered pair of states. The alternating chains and cycles
 of a transition encode a ramification type, transpositions are the transitions
 whose states differ by a single matched pair, and multiplying by the class sum
 of transpositions gives matrices that the cut-and-join operators must equal.
-Everything here is enumerated exhaustively. This module is the independent
-check on the operator route, so it imports nothing from it but the model. The
-chain/cycle decomposition, the walks and the class multiplication are generic
-over the transition model, and the unsigned model binds them as well.
+Relabelling the ground sets keeps every type, move and walk and is transitive
+on the states with one pair count, so initial states are summed one per orbit,
+times its size; the rest is enumerated exhaustively. This module is the
+independent check on the operator route, so it imports nothing from it but the
+model. The chain/cycle decomposition, orbits, walks and class multiplication
+are generic over the transition model, and the unsigned model binds them too.
 """
 
 from __future__ import annotations
@@ -148,11 +150,13 @@ def _signed() -> WalkModel:
     return WalkModel(states, neighbor_states, classify)
 
 
-def members(model: WalkModel, block: tuple, mu) -> tuple[Transition, ...]:
-    """Every transition of type mu on the block."""
-    all_states = model.states(*block)
-    return tuple((s, t) for s in all_states for t in all_states
-                 if model.classify((s, t), *block) == mu)
+def orbits(model: WalkModel, block: tuple) -> list[tuple[State, int]]:
+    """(first state, number of states) per pair count: the relabelling orbits
+    of the block's states, each with a representative and its size."""
+    groups: dict[int, list] = {}
+    for s in model.states(*block):
+        groups.setdefault(len(s), [s, 0])[1] += 1
+    return [(s, size) for s, size in groups.values()]
 
 
 def class_multiplication(model: WalkModel, block: tuple, basis: Sequence,
@@ -160,7 +164,8 @@ def class_multiplication(model: WalkModel, block: tuple, basis: Sequence,
     """Matrix of multiplication by the transposition class sum on a block,
     in the basis of class sums scaled by inverse class size: entry [row][col]
     is the coefficient of basis[row] in the product with basis[col]. One pass
-    classifies each transition and each of its one-step moves on that side.
+    classifies each transition from an orbit representative, and each of its
+    one-step moves on that side, with the orbit size as weight.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -169,13 +174,13 @@ def class_multiplication(model: WalkModel, block: tuple, basis: Sequence,
     size = [0] * len(basis)
     counts = [[0] * len(basis) for _ in basis]  # counts[col][row]
     all_states = model.states(*block)
-    for initial in all_states:
+    for initial, weight in orbits(model, block):
         for final in all_states:
             col = index[kind((initial, final), *block)]
-            size[col] += 1
+            size[col] += weight
             for s in neighbours(initial if side == "left" else final, *block):
                 moved = (s, final) if side == "left" else (initial, s)
-                counts[col][index[kind(moved, *block)]] += 1
+                counts[col][index[kind(moved, *block)]] += weight
     return tuple(tuple(Fraction(counts[j][i], size[j]) for j in range(len(basis)))
                  for i in range(len(basis)))
 
@@ -194,12 +199,12 @@ def walks_from(model: WalkModel, block: tuple, start: State, m: int) -> dict[Sta
 
 def walk_totals(model: WalkModel, block: tuple, m: int) -> dict:
     """Number of m-step walks between all ordered state pairs, summed by the
-    type of the pair; types without walks are left out."""
+    type of the pair over orbit representatives; types without walks are left out."""
     totals: dict = {}
-    for s in model.states(*block):
+    for s, weight in orbits(model, block):
         for t, count in walks_from(model, block, s, m).items():
             mu = model.classify((s, t), *block)
-            totals[mu] = totals.get(mu, 0) + count
+            totals[mu] = totals.get(mu, 0) + weight * count
     return totals
 
 

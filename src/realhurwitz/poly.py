@@ -45,10 +45,6 @@ class PolyVector:
     def monomial(cls, key, coeff: Fraction | int = 1) -> "PolyVector":
         return cls({key: Fraction(coeff)})
 
-    @classmethod
-    def zero(cls) -> "PolyVector":
-        return cls()
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

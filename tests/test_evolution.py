@@ -154,7 +154,7 @@ def test_genus0_pde_residual_is_zero():
 
 
 def test_genus0_pde_flags_wrong_series():
-    zero = USeries(tuple(PolyVector.zero() for _ in range(4)), connected=True)
+    zero = USeries(tuple(PolyVector({}) for _ in range(4)), connected=True)
     report = genus0_pde_residuals(zero, 2, 4)
     assert not report.is_zero
     m, key, value = report.offending

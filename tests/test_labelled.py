@@ -20,16 +20,16 @@ from realhurwitz.oracle import labelled_by_paths
 from realhurwitz.poly import LabelledSeries, series_exp, series_log
 
 
-@pytest.mark.parametrize("b", enumerate_bidegrees(7), ids=str)
-def test_signed_store_equals_walk_totals_through_degree_seven(b):
+@pytest.mark.parametrize("b", enumerate_bidegrees(8), ids=str)
+def test_signed_store_equals_walk_totals_through_degree_eight(b):
     vectors = evolve_labelled(b, 6)
     for m in range(7):
         assert vectors[m] == labelled_by_paths(b, m)
         assert all(type(x) is int for x in vectors[m].values())
 
 
-@pytest.mark.parametrize("n", range(8))
-def test_unsigned_store_equals_walk_totals_through_seven_elements(n):
+@pytest.mark.parametrize("n", range(9))
+def test_unsigned_store_equals_walk_totals_through_eight_elements(n):
     vectors = tilde_evolve_labelled(n, 6)
     for m in range(7):
         assert vectors[m] == tilde_labelled_by_paths(n, m)

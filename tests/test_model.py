@@ -1,14 +1,11 @@
 """Tests for ramification types, gradings, and counting formulas."""
 
-from fractions import Fraction
-
 import pytest
 
 from model_reference import class_size_formula, dimension_series, parse_partition, parse_type
 from realhurwitz.model import (
     Bidegree,
     EMPTY_TYPE,
-    RamificationType,
     aut_order,
     bidegree,
     canonical_key,

@@ -101,7 +101,7 @@ def test_chi_shifts_match_term_metadata():
 
 
 def test_block_matrix_equals_class_multiplication():
-    for b in enumerate_bidegrees(7):
+    for b in enumerate_bidegrees(8):
         wp = block_matrix(OperatorKind.WPLUS, b)
         wm = block_matrix(OperatorKind.WMINUS, b)
         assert wp.basis == tuple(enumerate_types(b))

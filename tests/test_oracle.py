@@ -1,12 +1,18 @@
-"""Tests for the exhaustive transition model used as an independent check."""
+"""Tests for the brute-force transition model used as an independent check."""
 
 import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import permutations
 from math import comb, factorial
 from pathlib import Path
 
 import pytest
 
+import realhurwitz
+import walk_reference
 from realhurwitz import oracle
 from model_reference import class_size_formula
 from realhurwitz.model import (
@@ -24,9 +30,11 @@ from realhurwitz.oracle import (
     hurwitz_by_paths,
     mult_c2_matrix,
     neighbor_states,
+    orbits,
     states,
 )
-from walk_reference import class_members, representative, transitions, walk_count
+from realhurwitz.nonsep import tilde_enumerate_types
+from walk_reference import SIGNED, UNSIGNED, class_members, transitions, walk_count
 
 EMPTY = frozenset()
 PAIR = frozenset({(0, 0)})
@@ -113,11 +121,72 @@ def test_transpositions_have_a_single_part_two():
             assert all(l == 1 for l in mu.lam)
 
 
-def test_representative_round_trip():
-    for b in enumerate_bidegrees(4):
-        for mu in enumerate_types(b):
-            t = representative(mu)
-            assert classify(t, b.n_plus, b.n_minus) == mu
+def _relabellings(model, block):
+    """Every relabelling of the block's ground sets, acting on states."""
+    if model is UNSIGNED:
+        n, = block
+        for p in permutations(range(n)):
+            yield lambda s, p=p: frozenset(tuple(sorted((p[a], p[b]))) for a, b in s)
+        return
+    n_plus, n_minus = block
+    for p in permutations(range(n_plus)):
+        for q in permutations(range(n_minus)):
+            yield lambda s, p=p, q=q: frozenset((p[i], q[j]) for i, j in s)
+
+
+def _blocks_through(size):
+    """(model, block) for every signed block and unsigned n through size."""
+    return ([pytest.param(SIGNED, b, id=f"signed{tuple(b)}") for b in enumerate_bidegrees(size)]
+            + [pytest.param(UNSIGNED, (n,), id=f"unsigned({n})") for n in range(size + 1)])
+
+
+@pytest.mark.parametrize("model, block", _blocks_through(5))
+def test_relabelling_is_transitive_on_each_pair_count(model, block):
+    # The orbit form of the oracle rests on this: every state with the pair
+    # count of a representative is one of its relabellings, and no other is.
+    relabellings = list(_relabellings(model, block))
+    all_states = model.states(*block)
+    found = orbits(model, block)
+    for rep, size in found:
+        images = {g(rep) for g in relabellings}
+        assert images == {s for s in all_states if len(s) == len(rep)}
+        assert size == len(images)
+    assert sum(size for _, size in found) == len(all_states)
+
+
+@pytest.mark.parametrize("model, block", _blocks_through(6))
+def test_orbit_sums_equal_full_enumeration(model, block):
+    basis = (enumerate_types(Bidegree(*block)) if model is SIGNED
+             else tilde_enumerate_types(*block))
+    for side in ("left", "right"):
+        assert (oracle.class_multiplication(model, block, basis, side)
+                == walk_reference.class_multiplication(model, block, basis, side))
+    for m in range(7):
+        assert oracle.walk_totals(model, block, m) == walk_reference.walk_totals(model, block, m)
+
+
+# every orbit weighted 1 instead of its size
+WEIGHT_ONE = """
+import sys
+from realhurwitz import oracle
+from realhurwitz.cli import main
+orbits = oracle.orbits
+oracle.orbits = lambda model, block: [(s, 1) for s, _ in orbits(model, block)]
+sys.exit(main(["verify", "--suite", "oracle"]))
+"""
+
+
+def test_verify_catches_unweighted_orbits():
+    # Each type fixes the pair count of its initial state, so a weight cancels
+    # in every column of the class multiplication; the walk totals catch it.
+    src = os.path.dirname(os.path.dirname(realhurwitz.__file__))
+    proc = subprocess.run([sys.executable, "-c", WEIGHT_ONE],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    failed = [line for line in proc.stdout.splitlines() if line.startswith("FAIL")]
+    assert any(line.startswith("FAIL walk counts equal evolution on (2, 2)") for line in failed)
+    assert not any("class multiplication" in line for line in failed)
 
 
 def test_class_size_matches_formula():

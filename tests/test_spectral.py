@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from realhurwitz.model import Bidegree, p_minus, p_plus, q_var, rtype, zeta
+from realhurwitz.model import Bidegree, p_minus, p_plus, q_var, rtype
 from realhurwitz.spectral import (
     REFERENCE_PATTERNS_1_1,
     charpoly,

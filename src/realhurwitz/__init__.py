@@ -24,7 +24,7 @@ from .model import (
     rtype,
     zeta,
 )
-from .poly import LabelledSeries, PolyVector, USeries, series_exp, series_log
+from .poly import LabelledSeries, PolyVector, series_exp, series_log
 from .operators import (
     BlockMatrix,
     G0Type,

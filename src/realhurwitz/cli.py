@@ -251,13 +251,13 @@ def _suite_paper(chk: _Checker) -> None:
         want = PolyVector({mu: Fraction(c) for mu, c in coeffs.items()})
         chk.poly_check(f"connected series coefficient of u^{m}/{m}!",
                        want, conn.coeff(m).restrict_degree(4))
-    got = [conn.coeff(n - 1).coeff(p_plus(n)) for n in range(1, 9)]
+    got = [conn.value(p_plus(n), n - 1) for n in range(1, 9)]
     chk.check("single positive real pole sequence n=1..8",
               _SINGLE_POLE_SEQUENCE, got)
     chk.check("count at m=6, one positive pole of order 3", Fraction(4),
-              conn.coeff(6).coeff(p_plus(3)))
+              conn.value(p_plus(3), 6))
     chk.check("count at m=6, one negative pole of order 3", Fraction(4),
-              conn.coeff(6).coeff(p_minus(3)))
+              conn.value(p_minus(3), 6))
     chk.check("unsigned count at m=6, one pole of order 3", Fraction(9),
               nonsep.tilde_connected_value(nonsep.ttype(kappa_odd=(3,)), 6))
 

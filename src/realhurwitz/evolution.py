@@ -12,11 +12,12 @@ n+! n-! times each coefficient of the block (n+, n-), which for the
 disconnected series are the walk totals of the block. The labelled initial
 vector and the integer columns of the cached operator keep the evolution in
 int; the cached orbit of {type: int} vectors is the only copy, and the
-formal log runs on the same store. Fractions enter where a value leaves it:
-table rows, hurwitz_value, and the public evolve_block and series functions.
+formal log runs on the same store, and the public series functions return
+it. Fractions enter where a value leaves it: table rows, hurwitz_value,
+evolve_block and the coefficients the store yields order by order.
 
 The genus-0 layer keeps the top Euler characteristic part, forgets signs,
-and checks the quadratic flow equation it satisfies.
+and checks its quadratic flow equation on the images of the flow's terms.
 """
 
 from __future__ import annotations
@@ -37,20 +38,17 @@ from .model import (
     unlabel,
 )
 from .operators import (
-    G0_P2,
     G0Type,
     OperatorKind,
     block_matrix,
     g0_from_type,
-    genus0_cut,
-    genus0_join,
-    genus0_qterm,
+    genus0_images,
+    genus0_join_images,
 )
 from .poly import (
     HurwitzRow,
     LabelledSeries,
     PolyVector,
-    USeries,
     iterate,
     series_log,
 )
@@ -94,20 +92,20 @@ def _series(blocks: list[Bidegree], max_m: int, connected: bool) -> LabelledSeri
     return series_log(series, max_m, blocks) if connected else series
 
 
-def disconnected_series(max_degree: int, max_m: int) -> USeries:
+def disconnected_series(max_degree: int, max_m: int) -> LabelledSeries:
     """Exponential generating series of disconnected counts, truncated to
     total degree max_degree and order max_m in u."""
-    return _series(enumerate_bidegrees(max_degree), max_m, False).to_useries()
+    return _series(enumerate_bidegrees(max_degree), max_m, False)
 
 
-def connected_series(max_degree: int, max_m: int) -> USeries:
+def connected_series(max_degree: int, max_m: int) -> LabelledSeries:
     """Formal logarithm of the disconnected series, same truncation."""
-    return _series(enumerate_bidegrees(max_degree), max_m, True).to_useries()
+    return _series(enumerate_bidegrees(max_degree), max_m, True)
 
 
-def box_series(corner: Bidegree, max_m: int, connected: bool = True) -> USeries:
+def box_series(corner: Bidegree, max_m: int, connected: bool = True) -> LabelledSeries:
     """The chosen series on the blocks componentwise at most corner."""
-    return _series(bidegree_box(corner), max_m, connected).to_useries()
+    return _series(bidegree_box(corner), max_m, connected)
 
 
 def hurwitz_value(mu: RamificationType, m: int, connected: bool = True) -> Fraction:
@@ -122,9 +120,10 @@ def table_rows(block_cap: int, max_m: int, connected: bool = True) -> list[Hurwi
         canonical_key, euler_characteristic)
 
 
-def genus0_series(max_m: int, max_degree: int) -> USeries:
-    """Unsigned genus-zero series: half the chi = 2 part of the connected
-    series, with both signed variable families collapsed to one."""
+def genus0_series(max_m: int, max_degree: int) -> tuple[PolyVector, ...]:
+    """Unsigned genus-zero series, its coefficients of u^m/m! for
+    m = 0 .. max_m: half the chi = 2 part of the connected series, with both
+    signed variable families collapsed to one."""
     conn = connected_series(max_degree, max_m)
     coeffs = []
     for m in range(max_m + 1):
@@ -132,7 +131,7 @@ def genus0_series(max_m: int, max_degree: int) -> USeries:
                 if euler_characteristic(mu, m) == 2}
         collapsed = PolyVector(kept).map_keys(g0_from_type).scale(Fraction(1, 2))
         coeffs.append(collapsed)
-    return USeries(tuple(coeffs), connected=True)
+    return tuple(coeffs)
 
 
 def genus0_unit_values(max_m: int) -> list[Fraction]:
@@ -143,7 +142,7 @@ def genus0_unit_values(max_m: int) -> list[Fraction]:
     values = []
     for m in range(max_m + 1):
         total = Fraction(0)
-        for key, c in series.coeff(m):
+        for key, c in series[m]:
             if all(p == 1 for p in key.p_parts) and all(q == 1 for q in key.q_parts):
                 total += c
         values.append(total)
@@ -154,7 +153,7 @@ def genus0_single_part_values(n_max: int) -> list[Fraction]:
     """Coefficient of p_n at u^(n-1)/(n-1)! in the genus-zero series,
     for n = 1 .. n_max."""
     series = genus0_series(n_max - 1, n_max)
-    return [series.coeff(n - 1).coeff(G0Type((n,), ())) for n in range(1, n_max + 1)]
+    return [series[n - 1].coeff(G0Type((n,), ())) for n in range(1, n_max + 1)]
 
 
 class PDEResidualReport(NamedTuple):
@@ -176,23 +175,31 @@ class PDEResidualReport(NamedTuple):
         return None
 
 
-def genus0_pde_residuals(h: USeries, max_m: int, max_degree: int) -> PDEResidualReport:
-    """Residual h_{m+1} - rhs_m for any candidate genus-zero series h.
+def genus0_pde_residuals(h: tuple[PolyVector, ...], max_m: int,
+                         max_degree: int) -> PDEResidualReport:
+    """Residual h[m+1] - rhs_m for any candidate genus-zero series h, given
+    by its coefficients of u^m/m! for m = 0 .. max_m + 1.
 
-    The right side convolves the quadratic join over u-orders with binomial
-    weights and adds half of p_2 at order zero. h must supply coefficients
-    through max_m + 1.
+    The right side is half the sum of the cut and q-term images of h[m], the
+    join images of the pairs of monomials of h[k] and h[m-k] weighted by
+    comb(m, k), and p_2 at order zero. A join keeps the total degree of its
+    pair, so pairs above max_degree are skipped.
     """
     residuals = []
     for m in range(max_m + 1):
-        rhs = genus0_cut(h.coeff(m)) + genus0_qterm(h.coeff(m))
+        rhs: dict = {G0Type((2,), ()): 1} if m == 0 else {}
+        for key, c in h[m]:
+            for nu, a in genus0_images(key):
+                rhs[nu] = rhs.get(nu, 0) + c * a
         for k in range(m + 1):
-            j = genus0_join(h.coeff(k), h.coeff(m - k), max_degree)
-            rhs = rhs + j.scale(Fraction(comb(m, k)))
-        if m == 0:
-            rhs = rhs + G0_P2
-        residual = (h.coeff(m + 1) - rhs.scale(Fraction(1, 2))).restrict_degree(max_degree)
-        residuals.append(residual)
+            weight = comb(m, k)
+            for a, x in h[k]:
+                for b, y in h[m - k]:
+                    if a.degree + b.degree <= max_degree:
+                        for nu, e in genus0_join_images(a, b):
+                            rhs[nu] = rhs.get(nu, 0) + weight * x * y * e
+        rhs_m = PolyVector(rhs).scale(Fraction(1, 2))
+        residuals.append((h[m + 1] - rhs_m).restrict_degree(max_degree))
     return PDEResidualReport(max_m, max_degree, tuple(residuals))
 
 

@@ -12,7 +12,8 @@ for odd i:
 The minus operator conjugates the plus one by the sign swap p_k^+ <-> p_k^-,
 and the mean is their half sum. All three preserve degree and bidegree, so
 they restrict to matrices on each bidegree block. The terms of the genus-0
-flow on unsigned variables live here as well.
+flow on unsigned variables live here as well, as images of one monomial
+(cut and q-term) or of a pair of monomials (join).
 """
 
 from __future__ import annotations
@@ -202,57 +203,31 @@ def g0_from_type(mu: RamificationType) -> G0Type:
     return G0Type(merge_partitions(mu.kappa_plus, mu.kappa_minus), mu.lam)
 
 
-def genus0_p_derivative(v: PolyVector, i: int) -> PolyVector:
-    """Formal d/dp_i on polynomials in unsigned variables."""
-    out: dict[G0Type, Fraction] = {}
-    for key, c in v:
-        mult = key.p_parts.count(i)
-        if mult:
-            nu = G0Type(without(key.p_parts, i), key.q_parts)
-            out[nu] = out.get(nu, 0) + c * mult
-    return PolyVector(out)
+def genus0_images(key: G0Type) -> Iterator[tuple[G0Type, int]]:
+    """Images of the genus-0 flow's linear terms on the monomial p_key,
+    without the half factor: the cut, summed over ordered (i, j) of
+    p_i p_j d/dp_{i+j}, and the q-term, summed over i of q_i d/dp_{2i}.
+
+    Yields (key, integer multiplier); repeated keys must be summed by the caller.
+    """
+    p, q = key
+    for n, mult in Counter(p).items():
+        base = without(p, n)
+        for i in range(1, n):
+            yield G0Type(merge_partitions(base, (i, n - i)), q), mult
+        if n % 2 == 0:
+            yield G0Type(base, merge_partitions(q, (n // 2,))), mult
 
 
-def genus0_cut(v: PolyVector) -> PolyVector:
-    """Sum over ordered (i, j) of p_i p_j d/dp_{i+j}, without the half factor."""
-    out: dict[G0Type, Fraction] = {}
-    for key, c in v:
-        for n, mult in Counter(key.p_parts).items():
-            base = without(key.p_parts, n)
-            for i in range(1, n):
-                nu = G0Type(merge_partitions(base, (i, n - i)), key.q_parts)
-                out[nu] = out.get(nu, 0) + c * mult
-    return PolyVector(out)
-
-
-def genus0_join(f: PolyVector, g: PolyVector, max_degree: int | None = None) -> PolyVector:
-    """Sum over ordered (i, j) of p_{i+j} (df/dp_i)(dg/dp_j), without the half."""
-    f_parts = {i for key, _ in f for i in key.p_parts}
-    g_parts = {j for key, _ in g for j in key.p_parts}
-    out = PolyVector()
-    for i in sorted(f_parts):
-        df = genus0_p_derivative(f, i)
-        for j in sorted(g_parts):
-            dg = genus0_p_derivative(g, j)
-            prod = df.mul(dg, max_degree - i - j if max_degree is not None else None)
-            if prod:
-                grown = prod.map_keys(
-                    lambda key, k=i + j: G0Type(merge_partitions(key.p_parts, (k,)),
-                                                key.q_parts))
-                out = out + grown
-    return out
-
-
-def genus0_qterm(v: PolyVector) -> PolyVector:
-    """Sum over i of q_i d/dp_{2i}, without the half factor."""
-    out: dict[G0Type, Fraction] = {}
-    for key, c in v:
-        for n, mult in Counter(key.p_parts).items():
-            if n % 2 == 0:
-                nu = G0Type(without(key.p_parts, n),
-                            merge_partitions(key.q_parts, (n // 2,)))
-                out[nu] = out.get(nu, 0) + c * mult
-    return PolyVector(out)
-
-
-G0_P2 = PolyVector.monomial(G0Type((2,), ()))
+def genus0_join_images(a: G0Type, b: G0Type) -> Iterator[tuple[G0Type, int]]:
+    """Images of the genus-0 join on the pair of monomials (p_a, p_b),
+    summed over ordered (i, j) of p_{i+j} (d p_a/dp_i) (d p_b/dp_j), without
+    the half factor. Yields (key, integer multiplier) as genus0_images does.
+    """
+    q = merge_partitions(a.q_parts, b.q_parts)
+    b_counts = Counter(b.p_parts)
+    for i, mult_a in Counter(a.p_parts).items():
+        rest = without(a.p_parts, i)
+        for j, mult_b in b_counts.items():
+            yield (G0Type(merge_partitions(rest + without(b.p_parts, j), (i + j,)), q),
+                   mult_a * mult_b)

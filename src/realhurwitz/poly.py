@@ -4,7 +4,7 @@ A PolyVector is a finitely supported map key -> Fraction. Keys must be hashable
 and provide `.degree` (int) and `.union(other)` (monomial product);
 RamificationType satisfies this, as do the tilde and genus-0 key types.
 
-A USeries stores the coefficients of u^m/m!, so series products use binomial
+A series stores the coefficients of u^m/m!, so series products use binomial
 convolution and exp/log are the exponential-generating-function transforms
 relating disconnected and connected counts. exp and log also read `.grade`
 from each key: a tuple of nonnegative integers that adds under union and is
@@ -18,8 +18,9 @@ coefficient of grade g, the product of the factorials of the components of
 g. Every count of both walk models is an int there, and exp and log run on
 it in int arithmetic, with an exact division that raises ArithmeticError on
 a remainder. Fractions enter only where a value leaves the store: a table
-row, a single value, a USeries, or model.unlabel, which the public wrappers
-of both walk models use to divide a labelled vector by its label factor.
+row, a single value, the PolyVector of one order, or model.unlabel, which
+the public wrappers of both walk models use to divide a labelled vector by
+its label factor.
 """
 
 from __future__ import annotations
@@ -82,25 +83,6 @@ class PolyVector:
             return PolyVector()
         return PolyVector({k: v * c for k, v in self.terms.items()})
 
-    def mul(self, other: "PolyVector", max_degree: int | None = None) -> "PolyVector":
-        """Bilinear monomial product; keys combine by part-wise union."""
-        if not self.terms or not other.terms:
-            return PolyVector()
-        out: dict = {}
-        for da, a_terms in _by_degree(self).items():
-            for db, b_terms in _by_degree(other).items():
-                if max_degree is not None and da + db > max_degree:
-                    continue
-                for ka, ca in a_terms:
-                    for kb, cb in b_terms:
-                        key = ka.union(kb)
-                        s = out.get(key, 0) + ca * cb
-                        if s:
-                            out[key] = s
-                        else:
-                            del out[key]
-        return PolyVector(out)
-
     def restrict_degree(self, max_degree: int) -> "PolyVector":
         return PolyVector({k: c for k, c in self.terms.items() if k.degree <= max_degree})
 
@@ -115,38 +97,6 @@ class PolyVector:
         inner = ", ".join(f"{k}: {c}" for k, c in sorted(
             self.terms.items(), key=lambda item: repr(item[0])))
         return f"PolyVector({{{inner}}})"
-
-
-def _by_degree(v: PolyVector) -> dict[int, list[tuple[object, Fraction]]]:
-    buckets: dict[int, list[tuple[object, Fraction]]] = {}
-    for k, c in v.terms.items():
-        buckets.setdefault(k.degree, []).append((k, c))
-    return buckets
-
-
-class USeries:
-    """Coefficients of u^m/m!; index m holds a PolyVector."""
-
-    __slots__ = ("coeffs", "connected")
-
-    def __init__(self, coeffs: Iterable[PolyVector], connected: bool = False):
-        self.coeffs = list(coeffs)
-        self.connected = connected
-
-    @property
-    def max_m(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, m: int) -> PolyVector:
-        if 0 <= m < len(self.coeffs):
-            return self.coeffs[m]
-        return PolyVector()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, USeries):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return all(self.coeff(m) == other.coeff(m) for m in range(n))
 
 
 def iterate(cache: dict, key, start, step: Callable, max_m: int) -> tuple:
@@ -202,18 +152,19 @@ class LabelledSeries(NamedTuple):
         piece = self.pieces.get(g, ())
         return Fraction(piece[m].get(key, 0) if m < len(piece) else 0, label(g))
 
+    def coeff(self, m: int) -> PolyVector:
+        """The coefficient of u^m/m! as a PolyVector, built on each call."""
+        out: dict = {}
+        for g, piece in self.pieces.items():
+            if m < len(piece):
+                _keys(g, (piece[m],))
+                out.update(unlabel(piece[m], g))
+        return PolyVector(out)
+
     @property
     def coeffs(self) -> list[PolyVector]:
-        """The coefficients of u^m/m! as PolyVectors, built on each access."""
-        out: list[dict] = [{} for _ in range(self.max_m + 1)]
-        for g, piece in self.pieces.items():
-            _keys(g, piece)
-            for m, vec in enumerate(piece):
-                out[m].update(unlabel(vec, g))
-        return [PolyVector(c) for c in out]
-
-    def to_useries(self) -> USeries:
-        return USeries(self.coeffs, self.connected)
+        """The coefficients of u^m/m!, m = 0 .. max_m."""
+        return [self.coeff(m) for m in range(self.max_m + 1)]
 
     def rows(self, sort_key: Callable, chi: Callable) -> list[HurwitzRow]:
         """Nonzero coefficients as table rows, ordered by m and then by

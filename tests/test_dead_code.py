@@ -2,8 +2,9 @@
 
 Every top-level function, class and constant of the package must be read
 somewhere in the package outside its own definition, as a name or an
-attribute, unless the package's __init__ exports it. A mention in a
-docstring or an import line is not a use.
+attribute, unless the package's __init__ exports it. So must every method
+and property of a class, exported or not, by its name; dunder methods are
+exempt. A mention in a docstring or an import line is not a use.
 """
 
 import ast
@@ -30,6 +31,15 @@ def _top_level_names(tree: ast.Module) -> dict[str, ast.AST]:
     return out
 
 
+def _methods(tree: ast.Module) -> dict[str, ast.AST]:
+    """Class.name of each def (a property too) in the body of a top-level
+    class, with its node; dunder methods are left out."""
+    return {f"{node.name}.{item.name}": item for node in tree.body
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__") and item.name.endswith("__"))}
+
+
 def _references(tree: ast.AST, skip: set[int]) -> set[str]:
     """Names read as a Name or as an Attribute, outside the nodes in skip."""
     found = set()
@@ -53,17 +63,26 @@ def _exports(tree: ast.Module) -> set[str]:
 
 def unused_names(src: Path) -> list[str]:
     """module.name of every top-level definition under src that no other
-    part of src reads and __init__ does not export."""
+    part of src reads and __init__ does not export, then module.Class.name
+    of every method or property that no other part of src reads."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     exported = _exports(trees["__init__"])
+
+    def read_elsewhere(name: str, tree: ast.Module, definition: ast.AST) -> bool:
+        return any(name in _references(other, {id(definition)} if other is tree else set())
+                   for other in trees.values())
+
     unused = []
     for module, tree in trees.items():
         for name, definition in _top_level_names(tree).items():
             if name in exported or (name.startswith("__") and name.endswith("__")):
                 continue
-            if not any(name in _references(other, {id(definition)} if other is tree else set())
-                       for other in trees.values()):
+            if not read_elsewhere(name, tree, definition):
                 unused.append(f"{module}.{name}")
+    for module, tree in trees.items():
+        for qualified, definition in _methods(tree).items():
+            if not read_elsewhere(definition.name, tree, definition):
+                unused.append(f"{module}.{qualified}")
     return unused
 
 
@@ -80,6 +99,20 @@ def test_guard_flags_a_name_only_a_docstring_mentions(tmp_path):
         "def h():\n    return 1\n\n"
         "UNREAD = 3\n")
     assert unused_names(tmp_path) == ["a.g", "a.UNREAD"]
+
+
+def test_guard_flags_a_method_that_nothing_reads(tmp_path):
+    # the class is exported, which does not cover its methods; a method
+    # that only calls itself, or that only a docstring names, is unused
+    (tmp_path / "__init__.py").write_text("from .a import V\n")
+    (tmp_path / "a.py").write_text(
+        '"""V.mul is named here only."""\n'
+        "class V:\n"
+        "    def __add__(self, other):\n        return self.scale(1)\n\n"
+        "    def scale(self, c):\n        return self\n\n"
+        "    def mul(self, other):\n        return self.mul(other)\n\n"
+        "    @property\n    def size(self):\n        return 0\n")
+    assert unused_names(tmp_path) == ["a.V.mul", "a.V.size"]
 
 
 def test_readme_lists_exactly_the_exports():

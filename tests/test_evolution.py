@@ -26,7 +26,7 @@ from realhurwitz.model import (
 )
 from realhurwitz.operators import G0Type
 from realhurwitz.oracle import hurwitz_by_paths
-from realhurwitz.poly import LabelledSeries, PolyVector, USeries, series_exp
+from realhurwitz.poly import LabelledSeries, PolyVector, series_exp
 
 
 def test_initial_vector_small_blocks():
@@ -76,7 +76,7 @@ def test_exp_of_connected_recovers_disconnected():
             x = c * label(mu.grade)
             assert x.denominator == 1, (m, mu, c)
             pieces[mu.grade][m][mu] = x.numerator
-    regrown = series_exp(LabelledSeries(pieces, 4, True), 4, blocks).to_useries()
+    regrown = series_exp(LabelledSeries(pieces, 4, True), 4, blocks)
     disc = disconnected_series(4, 4)
     for m in range(5):
         assert regrown.coeff(m) == disc.coeff(m)
@@ -131,11 +131,11 @@ def test_table_rows_connected_excludes_empty_type():
 
 def test_genus0_series_halves_unsigned_counts():
     g0 = genus0_series(2, 3)
-    assert g0.coeff(0).coeff(G0Type((1,), ())) == 1
-    assert g0.coeff(1).coeff(G0Type((2,), ())) == 1
-    assert g0.coeff(2).coeff(G0Type((3,), ())) == 1
-    assert g0.coeff(2).coeff(G0Type((1, 1), ())) == Fraction(1, 2)
-    assert g0.coeff(2).coeff(G0Type((), (1,))) == Fraction(1, 2)
+    assert g0[0].coeff(G0Type((1,), ())) == 1
+    assert g0[1].coeff(G0Type((2,), ())) == 1
+    assert g0[2].coeff(G0Type((3,), ())) == 1
+    assert g0[2].coeff(G0Type((1, 1), ())) == Fraction(1, 2)
+    assert g0[2].coeff(G0Type((), (1,))) == Fraction(1, 2)
 
 
 def test_genus0_single_part_values_match_signed_route():
@@ -154,7 +154,7 @@ def test_genus0_pde_residual_is_zero():
 
 
 def test_genus0_pde_flags_wrong_series():
-    zero = USeries(tuple(PolyVector({}) for _ in range(4)), connected=True)
+    zero = tuple(PolyVector({}) for _ in range(4))
     report = genus0_pde_residuals(zero, 2, 4)
     assert not report.is_zero
     m, key, value = report.offending

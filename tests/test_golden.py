@@ -25,6 +25,10 @@ GOLDEN = [
      "48b65d1f69e073689603d5b4e1783bad3203aab70e5412ca11c572a9c794a660"),
     ("verify --suite genus0 --max-m 4 --max-degree 4", 0,
      "e248c321505be57e50a8947ea89e50f87269b898124fc8e1829b30f33ce5fbfa"),
+    ("verify --suite genus0", 0,
+     "4715e0b717dd7b98f7f2d7750f88275d0d6c95bf3b2cf266b34c82fd48c768a8"),
+    ("verify --suite genus0 --max-m 10 --max-degree 8", 0,
+     "70aede3eb96ff76d24e548caef14827e4bc4c6010d38d167fd35e5d85b9be0f2"),
     ("verify --suite oracle --max-size 3", 0,
      "ecc084a953d072c719207f09c67d9173cf6235c4261427252ae00de639be04c8"),
     ("verify --suite spectral", 0,

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from realhurwitz import evolution
 from realhurwitz.model import (
     Bidegree,
     bidegree,
@@ -22,9 +23,8 @@ from realhurwitz.operators import (
     apply,
     block_matrix,
     g0_from_type,
-    genus0_cut,
-    genus0_join,
-    genus0_qterm,
+    genus0_images,
+    genus0_join_images,
     wplus_images,
 )
 from realhurwitz.oracle import mult_c2_matrix
@@ -37,6 +37,13 @@ def mono(mu):
 
 def as_dict(v):
     return {mu: c for mu, c in v}
+
+
+def summed(images):
+    out = {}
+    for nu, c in images:
+        out[nu] = out.get(nu, 0) + c
+    return out
 
 
 def test_wplus_on_block_1_1_permutes_the_basis():
@@ -139,22 +146,45 @@ def test_g0_from_type_forgets_signs():
 
 
 def test_genus0_cut_splits_ordered():
-    v = PolyVector.monomial(G0Type((3,), ()))
-    got = as_dict(genus0_cut(v))
-    assert got == {G0Type((2, 1), ()): Fraction(2)}
+    # p_3 has no even part, so every image is a cut
+    got = summed(genus0_images(G0Type((3,), ())))
+    assert got == {G0Type((2, 1), ()): 2}
 
 
 def test_genus0_join_weights_by_multiplicity():
-    f = PolyVector.monomial(G0Type((1, 1), ()))
-    g = PolyVector.monomial(G0Type((2,), ()))
-    got = as_dict(genus0_join(f, g))
-    assert got == {G0Type((3, 1), ()): Fraction(2)}
+    got = summed(genus0_join_images(G0Type((1, 1), ()), G0Type((2,), ())))
+    assert got == {G0Type((3, 1), ()): 2}
 
 
 def test_genus0_qterm():
-    v = PolyVector.monomial(G0Type((4, 1), ()))
-    got = as_dict(genus0_qterm(v))
-    assert got == {G0Type((1,), (2,)): Fraction(1)}
+    # the q-term images are those that gain a complex pair
+    key = G0Type((4, 1), ())
+    got = summed((nu, c) for nu, c in genus0_images(key) if nu.q_parts != key.q_parts)
+    assert got == {G0Type((1,), (2,)): 1}
+
+
+def _without_qterm(key):
+    return ((nu, c) for nu, c in genus0_images(key) if nu.q_parts == key.q_parts)
+
+
+def _without_cut(key):
+    return ((nu, c) for nu, c in genus0_images(key) if nu.q_parts != key.q_parts)
+
+
+def _unit_join(a, b):
+    return ((nu, 1) for nu, _ in genus0_join_images(a, b))
+
+
+@pytest.mark.parametrize("name, broken, first_m", [
+    ("genus0_images", _without_qterm, 1),
+    ("genus0_images", _without_cut, 1),
+    ("genus0_join_images", _unit_join, 2),
+], ids=["no-qterm", "no-cut", "unit-join-multiplicity"])
+def test_genus0_flow_check_sees_a_broken_term_family(monkeypatch, name, broken, first_m):
+    monkeypatch.setattr(evolution, name, broken)
+    report = evolution.verify_genus0_pde(6, 5)
+    assert not report.is_zero
+    assert report.offending[0] == first_m
 
 
 def test_apply_rejects_foreign_keys():

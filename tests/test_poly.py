@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import realhurwitz
-from power_sum_reference import power_sum_exp, power_sum_log, series_mul
+from power_sum_reference import mul, power_sum_exp, power_sum_log, series_mul
 from realhurwitz.evolution import connected_series
 from realhurwitz.model import (
     EMPTY_TYPE,
@@ -23,7 +23,6 @@ from realhurwitz.nonsep import TILDE_EMPTY, tilde_enumerate_types, ttype
 from realhurwitz.poly import (
     LabelledSeries,
     PolyVector,
-    USeries,
     series_exp,
     series_log,
 )
@@ -64,14 +63,14 @@ def test_add_scale():
 def test_mul_merges_types():
     v = vec((p_plus(2), 1))
     w = vec((p_minus(1), 1), (q_var(1), 1))
-    prod = v.mul(w)
+    prod = mul(v, w)
     assert prod.coeff(rtype((2,), (1,))) == 1
     assert prod.coeff(rtype((2,), (), (1,))) == 1
 
 
 def test_mul_respects_degree_cap():
     v = vec((p_plus(2), 1), (p_plus(1), 1))
-    prod = v.mul(v, max_degree=3)
+    prod = mul(v, v, max_degree=3)
     assert prod.coeff(rtype((1, 1), ())) == 1
     assert prod.coeff(rtype((2, 1), ())) == 2
     assert prod.coeff(rtype((2, 2), ())) == 0
@@ -79,7 +78,7 @@ def test_mul_respects_degree_cap():
 
 def test_mul_collects_automorphic_monomials():
     v = vec((p_plus(1), 1))
-    assert v.mul(v).coeff(rtype((1, 1), ())) == 1
+    assert mul(v, v).coeff(rtype((1, 1), ())) == 1
 
 
 def test_restrict_degree():
@@ -87,19 +86,13 @@ def test_restrict_degree():
     assert v.restrict_degree(2) == vec((p_plus(1), 1))
 
 
-def test_useries_coeff_pads_with_zero():
-    s = USeries((vec((p_plus(1), 1)),), connected=True)
-    assert s.coeff(0).coeff(p_plus(1)) == 1
-    assert s.coeff(5) == PolyVector({})
-
-
 def test_series_mul_uses_binomial_convolution():
     # (sum p_1 u^m/m!) squared has coefficient 2^m p_1^2 at u^m/m!.
     one = vec((p_plus(1), 1))
-    s = USeries(tuple(one for _ in range(4)), connected=False)
+    s = [one for _ in range(4)]
     sq = series_mul(s, s, 3, 10)
     for m in range(4):
-        assert sq.coeff(m).coeff(rtype((1, 1), ())) == 2 ** m
+        assert sq[m].coeff(rtype((1, 1), ())) == 2 ** m
 
 
 def test_series_exp_log_roundtrip():
@@ -107,22 +100,22 @@ def test_series_exp_log_roundtrip():
     big = series_exp(h, 2, enumerate_bidegrees(6))
     assert big.value(EMPTY_TYPE, 0) == 1
     back = series_log(big, 2, enumerate_bidegrees(6))
-    assert back.to_useries() == h.to_useries()
+    assert back.coeffs == h.coeffs
 
 
 def test_series_exp_constant_term_is_exponential():
-    big = series_exp(store({}), 3, enumerate_bidegrees(4)).to_useries()
+    big = series_exp(store({}), 3, enumerate_bidegrees(4))
     for m in range(4):
         assert big.coeff(m) == (vec((EMPTY_TYPE, 1)) if m == 0 else PolyVector({}))
 
 
 @pytest.mark.parametrize("transform", [series_exp, series_log], ids=["exp", "log"])
 def test_exp_and_log_take_only_the_labelled_store(transform):
-    # the package exports the one type they take; a rational USeries, the
-    # public series type, is refused by name rather than failing inside
+    # the package exports the one type they take; the rational coefficients
+    # a series yields are refused by name rather than failing inside
     assert realhurwitz.LabelledSeries is LabelledSeries
     with pytest.raises(TypeError, match="LabelledSeries"):
-        transform(connected_series(2, 2), 2, [(0, 0)])
+        transform(connected_series(2, 2).coeffs, 2, [(0, 0)])
 
 
 def test_series_log_requires_unit_constant():
@@ -147,7 +140,7 @@ def test_labelled_series_rejects_a_key_in_two_pieces():
     series = LabelledSeries({Bidegree(1, 0): [{p_plus(1): 1}],
                              Bidegree(2, 0): [{p_plus(1): 2}]}, 0, False)
     with pytest.raises(ValueError):
-        series.to_useries()
+        series.coeff(0)
     with pytest.raises(ValueError):
         series.rows(repr, lambda mu, m: 0)
     with pytest.raises(ValueError):
@@ -179,14 +172,14 @@ UNSIGNED_LABELLED = store(
     (UNSIGNED_LABELLED, [(n,) for n in range(7)], TILDE_EMPTY),
 ], ids=["signed", "unsigned"])
 def test_rational_exp_log_round_trip_matches_power_sums(h, grades, empty):
-    rational = h.to_useries()
-    assert any(c.denominator > 1 for vector in rational.coeffs for _, c in vector)
+    rational = h.coeffs + [PolyVector()]  # through u^3, where h is zero
+    assert any(c.denominator > 1 for vector in rational for _, c in vector)
     big = series_exp(h, 3, grades, empty)
-    assert big.to_useries() == power_sum_exp(rational, 3, 6, empty)
+    assert big.coeffs == power_sum_exp(rational, 3, 6, empty)
     assert big.value(empty, 0) == 1
     back = series_log(big, 3, grades)
-    assert back.to_useries() == rational
-    assert back.to_useries() == power_sum_log(big.to_useries(), 3, 6)
+    assert back.coeffs == rational
+    assert back.coeffs == power_sum_log(big.coeffs, 3, 6)
 
 
 @st.composite
@@ -215,12 +208,12 @@ def test_exp_and_log_of_an_integer_store_are_integers(keys, grades, empty, max_d
     max_m = len(vectors) - 1
     h = store(*vectors)
     big = series_exp(h, max_m, grades, empty)
-    assert big.to_useries() == power_sum_exp(h.to_useries(), max_m, max_degree, empty)
+    assert big.coeffs == power_sum_exp(h.coeffs, max_m, max_degree, empty)
     back = series_log(big, max_m, grades)
-    assert back.to_useries() == h.to_useries()
+    assert back.coeffs == h.coeffs
     unit = store({**vectors[0], empty: 1}, *vectors[1:], connected=False)
     conn = series_log(unit, max_m, grades)
-    assert conn.to_useries() == power_sum_log(unit.to_useries(), max_m, max_degree)
+    assert conn.coeffs == power_sum_log(unit.coeffs, max_m, max_degree)
     for result in (big, back, conn):
         assert all(type(x) is int for piece in result.pieces.values()
                    for vector in piece for x in vector.values())

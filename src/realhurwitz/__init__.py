@@ -29,7 +29,6 @@ from .operators import (
     BlockMatrix,
     G0Type,
     OperatorKind,
-    apply,
     block_matrix,
     g0_from_type,
 )

@@ -127,10 +127,9 @@ def genus0_series(max_m: int, max_degree: int) -> tuple[PolyVector, ...]:
     conn = connected_series(max_degree, max_m)
     coeffs = []
     for m in range(max_m + 1):
-        kept = {mu: c for mu, c in conn.coeff(m)
+        kept = {mu: c / 2 for mu, c in conn.coeff(m)
                 if euler_characteristic(mu, m) == 2}
-        collapsed = PolyVector(kept).map_keys(g0_from_type).scale(Fraction(1, 2))
-        coeffs.append(collapsed)
+        coeffs.append(PolyVector(kept).map_keys(g0_from_type))
     return tuple(coeffs)
 
 
@@ -198,8 +197,9 @@ def genus0_pde_residuals(h: tuple[PolyVector, ...], max_m: int,
                     if a.degree + b.degree <= max_degree:
                         for nu, e in genus0_join_images(a, b):
                             rhs[nu] = rhs.get(nu, 0) + weight * x * y * e
-        rhs_m = PolyVector(rhs).scale(Fraction(1, 2))
-        residuals.append((h[m + 1] - rhs_m).restrict_degree(max_degree))
+        residual = PolyVector({k: h[m + 1].coeff(k) - Fraction(rhs.get(k, 0), 2)
+                               for k in {**h[m + 1].terms, **rhs}})
+        residuals.append(residual.restrict_degree(max_degree))
     return PDEResidualReport(max_m, max_degree, tuple(residuals))
 
 

@@ -11,9 +11,10 @@ for odd i:
 
 The minus operator conjugates the plus one by the sign swap p_k^+ <-> p_k^-,
 and the mean is their half sum. All three preserve degree and bidegree, so
-they restrict to matrices on each bidegree block. The terms of the genus-0
-flow on unsigned variables live here as well, as images of one monomial
-(cut and q-term) or of a pair of monomials (join).
+they restrict to matrices on each bidegree block, applied to a vector only
+by summing its sparse columns. The terms of the genus-0 flow on unsigned
+variables live here as well, as images of one monomial (cut and q-term) or
+of a pair of monomials (join).
 """
 
 from __future__ import annotations
@@ -28,12 +29,10 @@ from .model import (
     Bidegree,
     Partition,
     RamificationType,
-    bidegree,
     enumerate_types,
     merge_partitions,
     without,
 )
-from .poly import PolyVector
 
 
 class OperatorKind(Enum):
@@ -129,18 +128,15 @@ class BlockMatrix:
         return self.images
 
     def matvec(self, vec) -> list:
-        """Image of a coordinate vector over the basis, computed exactly;
-        float coordinates are read as the rationals they equal."""
-        image = self(PolyVector(zip(self.basis, vec)))
-        return [image.coeff(mu) for mu in self.basis]
-
-    def __call__(self, v: PolyVector) -> PolyVector:
-        """Image of a vector on the basis."""
-        return PolyVector(_image(v.terms, self.images.__getitem__))
+        """Exact image of a coordinate vector over the basis, summed from the
+        sparse columns; float coordinates are read as the rationals they equal."""
+        image = _image({mu: Fraction(c) for mu, c in zip(self.basis, vec) if c},
+                       self.images.__getitem__)
+        return [image.get(mu, Fraction(0)) for mu in self.basis]
 
     def step(self, vec: dict) -> dict:
-        """Image of a vector {type: int} on the basis: the labelled-count
-        evolution step of both models."""
+        """Image of a vector {type: exact value} through int_columns, the
+        labelled-count evolution step of both models; a non-int entry raises."""
         return _image(vec, self.int_columns.__getitem__)
 
 
@@ -177,12 +173,6 @@ def block_matrix(kind: OperatorKind, b: Bidegree) -> BlockMatrix:
     return BlockMatrix.from_images(b, enumerate_types(b), image)
 
 
-def apply(kind: OperatorKind, v: PolyVector) -> PolyVector:
-    """Linear extension of the chosen operator to a polynomial vector: each
-    term's column is looked up in the cached matrix of its bidegree."""
-    return PolyVector(_image(v.terms, lambda mu: block_matrix(kind, bidegree(mu)).images[mu]))
-
-
 class G0Type(NamedTuple):
     """Monomial index in the unsigned genus-0 variables p_k, q_k."""
 
@@ -192,10 +182,6 @@ class G0Type(NamedTuple):
     @property
     def degree(self) -> int:
         return sum(self.p_parts) + 2 * sum(self.q_parts)
-
-    def union(self, other: "G0Type") -> "G0Type":
-        return G0Type(merge_partitions(self.p_parts, other.p_parts),
-                      merge_partitions(self.q_parts, other.q_parts))
 
 
 def g0_from_type(mu: RamificationType) -> G0Type:

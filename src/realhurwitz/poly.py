@@ -1,16 +1,17 @@
-"""Exact sparse polynomials indexed by monomial keys, and exp/log of u-series.
+"""Read-only sparse polynomials indexed by monomial keys, and exp/log of u-series.
 
-A PolyVector is a finitely supported map key -> Fraction. Keys must be hashable
-and provide `.degree` (int) and `.union(other)` (monomial product);
-RamificationType satisfies this, as do the tilde and genus-0 key types.
+A PolyVector is the read-only view of a finitely supported map key ->
+Fraction that callers receive, with no arithmetic of its own. Its keys need
+only be hashable, plus `.degree` (int) for restrict_degree.
 
 A series stores the coefficients of u^m/m!, so series products use binomial
 convolution and exp/log are the exponential-generating-function transforms
-relating disconnected and connected counts. exp and log also read `.grade`
-from each key: a tuple of nonnegative integers that adds under union and is
-zero only for the constant monomial (the bidegree of a RamificationType, the
-1-tuple of the degree of a tilde type). They are truncated to a set of
-grades rather than to a total degree.
+relating disconnected and connected counts. The keys of a series in the
+labelled store provide `.union(other)` (monomial product) and `.grade`: a
+tuple of nonnegative integers that adds under union and is zero only for
+the constant monomial (the bidegree of a RamificationType, the 1-tuple of
+the degree of a tilde type). exp and log read both, and are truncated to a
+set of grades rather than to a total degree.
 
 Series of counts are kept as labelled integers (Flajolet-Sedgewick,
 Analytic Combinatorics, ch. II): a LabelledSeries holds label(g) times each
@@ -33,7 +34,8 @@ from .model import EMPTY_TYPE, label, unlabel
 
 
 class PolyVector:
-    """Immutable finitely supported map from monomial keys to exact rationals."""
+    """Read-only finitely supported map from monomial keys to exact rationals;
+    zero coefficients are dropped."""
 
     __slots__ = ("terms",)
 
@@ -41,10 +43,6 @@ class PolyVector:
         data: dict = dict(terms)
         self.terms = {k: c if type(c) is Fraction else Fraction(c)
                       for k, c in data.items() if c != 0}
-
-    @classmethod
-    def monomial(cls, key, coeff: Fraction | int = 1) -> "PolyVector":
-        return cls({key: Fraction(coeff)})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -63,25 +61,6 @@ class PolyVector:
 
     def coeff(self, key) -> Fraction:
         return self.terms.get(key, Fraction(0))
-
-    def __add__(self, other: "PolyVector") -> "PolyVector":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return PolyVector(out)
-
-    def __sub__(self, other: "PolyVector") -> "PolyVector":
-        return self + other.scale(-1)
-
-    def scale(self, c: Fraction | int) -> "PolyVector":
-        c = Fraction(c)
-        if not c:
-            return PolyVector()
-        return PolyVector({k: v * c for k, v in self.terms.items()})
 
     def restrict_degree(self, max_degree: int) -> "PolyVector":
         return PolyVector({k: c for k, c in self.terms.items() if k.degree <= max_degree})

@@ -15,9 +15,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
-from .model import Bidegree, RamificationType, rtype, p_plus, p_minus, q_var, zeta
-from .operators import BlockMatrix, OperatorKind, apply, block_matrix
-from .poly import PolyVector
+from .model import Bidegree, RamificationType, bidegree, rtype, p_plus, p_minus, q_var, zeta
+from .operators import BlockMatrix, OperatorKind, block_matrix
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -166,8 +165,7 @@ def _check_block_structure(wp: BlockMatrix, wm: BlockMatrix) -> tuple[Fraction, 
     """Verify commutativity and Z-self-adjointness over the nonzero entries;
     returns the zeta diagonal."""
     for mu in wp.basis:
-        e = PolyVector.monomial(mu)
-        if wp(wm(e)) != wm(wp(e)):
+        if wp.step(wm.images[mu]) != wm.step(wp.images[mu]):
             raise RuntimeError(f"operators fail to commute on block {wp.block}")
     for name, op in (("plus", wp), ("minus", wm)):
         for mu, col in op.images.items():
@@ -357,16 +355,17 @@ class CandidateComparison(NamedTuple):
     pair: tuple[Fraction, Fraction] | None
 
 
-def simultaneous_eigenvalues(v: PolyVector) -> tuple[Fraction, Fraction] | None:
-    """Eigenvalue pair of a claimed common eigenvector, or None."""
+def simultaneous_eigenvalues(v: dict) -> tuple[Fraction, Fraction] | None:
+    """Eigenvalue pair of a claimed common eigenvector {type: Fraction},
+    stepped through the operators on the block of its first type, or None."""
     if not v:
         return None
+    mu, c = next(iter(v.items()))
     out = []
     for kind in (OperatorKind.WPLUS, OperatorKind.WMINUS):
-        image = apply(kind, v)
-        mu, c = next(iter(v))
-        lam = image.coeff(mu) / c
-        if image != v.scale(lam):
+        image = block_matrix(kind, bidegree(mu)).step(v)
+        lam = image.get(mu, 0) / c
+        if image != {nu: lam * x for nu, x in v.items() if lam * x}:
             return None
         out.append(lam)
     return (out[0], out[1])
@@ -379,8 +378,7 @@ def compare_reference_eigenbasis() -> tuple[CandidateComparison, ...]:
     sign typos, while the computed basis stands on its own."""
     results = []
     for idx, pattern in enumerate(REFERENCE_PATTERNS_1_1, start=1):
-        vec = PolyVector({mu: Fraction(s) for mu, s in
-                          zip(_DISPLAY_BASIS_1_1, pattern)})
-        pair = simultaneous_eigenvalues(vec)
+        pair = simultaneous_eigenvalues({mu: Fraction(s) for mu, s in
+                                         zip(_DISPLAY_BASIS_1_1, pattern)})
         results.append(CandidateComparison(idx, pattern, pair is not None, pair))
     return tuple(results)

@@ -6,12 +6,21 @@ PolyVectors of Fractions; LabelledSeries.coeffs yields one. The functions
 build X^2, X^3, ... as full series products truncated to total degree, by
 the bucketed monomial product `mul`, and are kept only as the slow reference
 that the one-pass labelled recurrence of realhurwitz.poly is checked against.
+PolyVector is a read-only view, so the sums they need are formed by `add`.
 """
 
 from fractions import Fraction
 from math import comb
 
 from realhurwitz.poly import PolyVector
+
+
+def add(a: PolyVector, b: PolyVector, scale: Fraction | int = 1) -> PolyVector:
+    """a + scale * b; coefficients that sum to zero drop out."""
+    out = dict(a.terms)
+    for k, c in b.terms.items():
+        out[k] = out.get(k, 0) + scale * c
+    return PolyVector(out)
 
 
 def _by_degree(v: PolyVector) -> dict[int, list[tuple[object, Fraction]]]:
@@ -51,7 +60,7 @@ def series_mul(a: list[PolyVector], b: list[PolyVector], max_m: int,
             ak = a[k]
             bk = b[m - k]
             if ak and bk:
-                acc = acc + mul(ak, bk, max_degree).scale(comb(m, k))
+                acc = add(acc, mul(ak, bk, max_degree), comb(m, k))
         out.append(acc)
     return out
 
@@ -71,7 +80,7 @@ def power_sum_log(big_h: list[PolyVector], max_m: int, max_degree: int) -> list[
             break
         sign = -sign
         for m in range(max_m + 1):
-            result[m] = result[m] + power[m].scale(Fraction(sign, n))
+            result[m] = add(result[m], power[m], Fraction(sign, n))
     return result
 
 
@@ -81,7 +90,7 @@ def power_sum_exp(x: list[PolyVector], max_m: int, max_degree: int,
     max_degree and order max_m in u."""
     x = [x[m].restrict_degree(max_degree) for m in range(max_m + 1)]
     result = list(x)
-    result[0] = result[0] + PolyVector.monomial(empty_key)
+    result[0] = add(result[0], PolyVector({empty_key: 1}))
     power = x
     factorial = 1
     for n in range(2, max_degree + 1):
@@ -90,5 +99,5 @@ def power_sum_exp(x: list[PolyVector], max_m: int, max_degree: int,
             break
         factorial *= n
         for m in range(max_m + 1):
-            result[m] = result[m] + power[m].scale(Fraction(1, factorial))
+            result[m] = add(result[m], power[m], Fraction(1, factorial))
     return result

@@ -20,7 +20,6 @@ from realhurwitz.model import (
 from realhurwitz.operators import (
     G0Type,
     OperatorKind,
-    apply,
     block_matrix,
     g0_from_type,
     genus0_images,
@@ -28,15 +27,11 @@ from realhurwitz.operators import (
     wplus_images,
 )
 from realhurwitz.oracle import mult_c2_matrix
-from realhurwitz.poly import PolyVector
 
 
-def mono(mu):
-    return PolyVector.monomial(mu)
-
-
-def as_dict(v):
-    return {mu: c for mu, c in v}
+def column(kind, mu):
+    """The sparse column at mu of the chosen operator on the block of mu."""
+    return block_matrix(kind, bidegree(mu)).images[mu]
 
 
 def summed(images):
@@ -47,43 +42,32 @@ def summed(images):
 
 
 def test_wplus_on_block_1_1_permutes_the_basis():
-    assert as_dict(apply(OperatorKind.WPLUS, mono(rtype((1,), (1,))))) == {
-        p_minus(2): Fraction(1)}
-    assert as_dict(apply(OperatorKind.WPLUS, mono(q_var(1)))) == {
-        p_plus(2): Fraction(1)}
-    assert as_dict(apply(OperatorKind.WPLUS, mono(p_plus(2)))) == {
-        q_var(1): Fraction(1)}
-    assert as_dict(apply(OperatorKind.WPLUS, mono(p_minus(2)))) == {
-        rtype((1,), (1,)): Fraction(1)}
+    assert column(OperatorKind.WPLUS, rtype((1,), (1,))) == {p_minus(2): 1}
+    assert column(OperatorKind.WPLUS, q_var(1)) == {p_plus(2): 1}
+    assert column(OperatorKind.WPLUS, p_plus(2)) == {q_var(1): 1}
+    assert column(OperatorKind.WPLUS, p_minus(2)) == {rtype((1,), (1,)): 1}
 
 
 def test_wplus_cut_of_negative_order_four_pole():
     # A negative pole only splits into an odd negative and an odd positive
     # part; the pair-pole term exists for even positive parts only.
-    got = as_dict(apply(OperatorKind.WPLUS, mono(p_minus(4))))
-    assert got == {
-        rtype((3,), (1,)): Fraction(1),
-        rtype((1,), (3,)): Fraction(1),
-    }
+    assert column(OperatorKind.WPLUS, p_minus(4)) == {rtype((3,), (1,)): 1, rtype((1,), (3,)): 1}
 
 
 def test_wminus_is_the_sign_swap_conjugate():
     for b in enumerate_bidegrees(4):
         for mu in enumerate_types(b):
             swapped = rtype(mu.kappa_minus, mu.kappa_plus, mu.lam)
-            plus = apply(OperatorKind.WPLUS, mono(swapped))
-            direct = apply(OperatorKind.WMINUS, mono(mu))
             mirrored = {rtype(nu.kappa_minus, nu.kappa_plus, nu.lam): c
-                        for nu, c in plus}
-            assert as_dict(direct) == mirrored
+                        for nu, c in column(OperatorKind.WPLUS, swapped).items()}
+            assert column(OperatorKind.WMINUS, mu) == mirrored
 
 
 def test_wmean_is_the_average():
-    v = mono(p_plus(4)) + mono(q_var(2))
-    left = apply(OperatorKind.WPLUS, v)
-    right = apply(OperatorKind.WMINUS, v)
-    mean = apply(OperatorKind.WMEAN, v)
-    assert mean == (left + right).scale(Fraction(1, 2))
+    plus, minus, mean = (block_matrix(kind, bidegree(p_plus(4))) for kind in OperatorKind)
+    vec = [int(mu in (p_plus(4), q_var(2))) for mu in mean.basis]
+    assert mean.matvec(vec) == [(x + y) / 2 for x, y in
+                                zip(plus.matvec(vec), minus.matvec(vec))]
 
 
 def test_images_preserve_bidegree():
@@ -130,13 +114,18 @@ def test_block_matrix_is_zeta_self_adjoint():
                     assert bm.entries[i][j] * zs[i] == bm.entries[j][i] * zs[j]
 
 
-def test_block_matrix_matvec_matches_apply():
-    b = Bidegree(2, 1)
-    bm = block_matrix(OperatorKind.WPLUS, b)
-    vec = [Fraction(k + 1) for k in range(len(bm.basis))]
-    poly = PolyVector({mu: c for mu, c in zip(bm.basis, vec)})
-    image = apply(OperatorKind.WPLUS, poly)
-    assert bm.matvec(vec) == [image.coeff(mu) for mu in bm.basis]
+@pytest.mark.parametrize("kind", list(OperatorKind), ids=lambda kind: kind.value)
+def test_block_matrix_matvec_matches_the_dense_product_and_step(kind):
+    bm = block_matrix(kind, Bidegree(2, 1))
+    for vec in ([Fraction(k + 1, 3) for k in range(len(bm.basis))],
+                [0.5 * k - 1 for k in range(len(bm.basis))]):
+        image = bm.matvec(vec)
+        assert all(type(x) is Fraction for x in image)
+        assert image == [sum(a * Fraction(c) for a, c in zip(row, vec)) for row in bm.entries]
+    if kind is not OperatorKind.WMEAN:
+        ints = {mu: k - 2 for k, mu in enumerate(bm.basis)}
+        assert bm.matvec(list(ints.values())) == [
+            bm.step(ints).get(mu, 0) for mu in bm.basis]
 
 
 def test_g0_from_type_forgets_signs():
@@ -187,6 +176,6 @@ def test_genus0_flow_check_sees_a_broken_term_family(monkeypatch, name, broken, 
     assert report.offending[0] == first_m
 
 
-def test_apply_rejects_foreign_keys():
-    with pytest.raises(AttributeError):
-        apply(OperatorKind.WPLUS, PolyVector.monomial(G0Type((2,), ())))
+def test_step_rejects_foreign_keys():
+    with pytest.raises(KeyError):
+        block_matrix(OperatorKind.WPLUS, Bidegree(1, 0)).step({G0Type((1,), ()): 1})

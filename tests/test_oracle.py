@@ -86,6 +86,14 @@ def test_oracle_imports_nothing_from_the_operator_route():
     assert relative == {"model"}
 
 
+def test_operators_and_spectral_import_nothing_from_poly():
+    # the operator route applies a block by its sparse columns alone
+    for module in ("operators", "spectral"):
+        tree = ast.parse((Path(realhurwitz.__file__).parent / f"{module}.py").read_text())
+        assert "poly" not in {node.module for node in ast.walk(tree)
+                              if isinstance(node, ast.ImportFrom) and node.level}, module
+
+
 def test_classify_covariant_under_inversion():
     # Swapping initial and final states swaps even chains between the two
     # kappa partitions; odd chains keep the side their ends live on.

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import realhurwitz
-from power_sum_reference import mul, power_sum_exp, power_sum_log, series_mul
+from power_sum_reference import add, mul, power_sum_exp, power_sum_log, series_mul
 from realhurwitz.evolution import connected_series
 from realhurwitz.model import (
     EMPTY_TYPE,
@@ -41,21 +41,22 @@ def store(*vectors, connected=True):
     return LabelledSeries(pieces, len(vectors) - 1, connected)
 
 
-def test_monomial_and_coeff():
-    v = PolyVector.monomial(p_plus(2), Fraction(3))
+def test_coeff_reads_zero_off_the_support():
+    v = vec((p_plus(2), 3))
     assert v.coeff(p_plus(2)) == 3
     assert v.coeff(p_plus(1)) == 0
 
 
 def test_zero_coefficients_are_dropped():
-    v = vec((p_plus(1), 1)) - vec((p_plus(1), 1))
+    v = vec((p_plus(1), 0), (q_var(1), 0))
     assert not v.terms
     assert v == PolyVector({})
+    assert add(vec((p_plus(1), 1)), vec((p_plus(1), 1)), -1) == PolyVector({})
 
 
-def test_add_scale():
+def test_reference_add_scales_its_second_term():
     v = vec((p_plus(1), 1), (q_var(1), 2))
-    w = v + v.scale(Fraction(1, 2))
+    w = add(v, v, Fraction(1, 2))
     assert w.coeff(p_plus(1)) == Fraction(3, 2)
     assert w.coeff(q_var(1)) == 3
 

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from realhurwitz import spectral
 from realhurwitz.model import Bidegree, p_minus, p_plus, q_var, rtype
+from realhurwitz.operators import BlockMatrix, OperatorKind, block_matrix
 from realhurwitz.spectral import (
     REFERENCE_PATTERNS_1_1,
     charpoly,
@@ -131,11 +133,9 @@ def test_reference_comparison_records_two_mismatches():
 
 
 def test_simultaneous_eigenvalues_detects_non_eigenvectors():
-    from realhurwitz.poly import PolyVector
-    good = PolyVector({p_plus(2): F(1), p_minus(2): F(1),
-                       rtype((1,), (1,)): F(1), q_var(1): F(1)})
+    good = {p_plus(2): F(1), p_minus(2): F(1), rtype((1,), (1,)): F(1), q_var(1): F(1)}
     assert simultaneous_eigenvalues(good) == (1, 1)
-    bad = PolyVector({p_plus(2): F(1)})
+    bad = {p_plus(2): F(1)}
     assert simultaneous_eigenvalues(bad) is None
 
 
@@ -211,3 +211,40 @@ def test_small_tolerance_keeps_degenerate_eigenspaces():
     assert not rep.exact
     assert rep.pairs == common_eigenbasis(Bidegree(2, 2)).pairs
     assert rep.max_residual <= 1e-15 * 10
+
+
+def _perturbed(bm, row):
+    """bm with 1 added to the entry at basis[row] of its column at basis[0]:
+    the diagonal for row 0, which keeps Z-self-adjointness, an off-diagonal
+    entry for row 1, which breaks it."""
+    mu, nu = bm.basis[0], bm.basis[row]
+    column = {**bm.images[mu]}
+    column[nu] = column.get(nu, 0) + 1
+    return BlockMatrix(bm.block, bm.basis, {**bm.images, mu: column})
+
+
+def test_block_structure_check_sees_operators_that_do_not_commute(monkeypatch):
+    real = spectral.block_matrix
+    monkeypatch.setattr(spectral, "block_matrix", lambda kind, b: (
+        _perturbed(real(kind, b), 0) if kind is OperatorKind.WMINUS else real(kind, b)))
+    with pytest.raises(RuntimeError, match="fail to commute"):
+        common_eigenbasis(Bidegree(1, 1))
+
+
+def test_block_structure_check_sees_an_operator_that_is_not_self_adjoint(monkeypatch):
+    # both kinds return one matrix, so the pair commutes
+    plus = _perturbed(block_matrix(OperatorKind.WPLUS, Bidegree(1, 1)), 1)
+    monkeypatch.setattr(spectral, "block_matrix", lambda kind, b: plus)
+    with pytest.raises(RuntimeError, match="plus operator is not Z-self-adjoint"):
+        common_eigenbasis(Bidegree(1, 1))
+
+
+@pytest.mark.parametrize("b, exact", [((1, 1), True), ((2, 1), False)],
+                         ids=["exact", "float"])
+def test_mean_eigenvalue_check_sees_a_perturbed_mean_column(monkeypatch, b, exact):
+    rep = common_eigenbasis(Bidegree(*b))
+    assert rep.exact is exact and mean_eigenvalue_check(rep)
+    real = spectral.block_matrix
+    monkeypatch.setattr(spectral, "block_matrix", lambda kind, b: (
+        _perturbed(real(kind, b), 1) if kind is OperatorKind.WMEAN else real(kind, b)))
+    assert not mean_eigenvalue_check(rep)

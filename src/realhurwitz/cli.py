@@ -314,8 +314,8 @@ def _suite_genus0(chk: _Checker, max_m: int, max_degree: int) -> None:
 
 def _suite_nonsep(chk: _Checker) -> None:
     for n in range(5):
-        sizes_ok = all(nonsep.tilde_class_size(mu)
-                       == nonsep.tilde_class_size_formula(mu)
+        sizes = nonsep.tilde_class_sizes(n)
+        sizes_ok = all(sizes[mu] == nonsep.tilde_class_size_formula(mu)
                        for mu in nonsep.tilde_enumerate_types(n))
         chk.check(f"class sizes match n!/zeta on {n} elements", True, sizes_ok)
         evolved = nonsep.tilde_evolve_labelled(n, 6)

@@ -11,10 +11,10 @@ Both series are kept as labelled integer counts (poly.LabelledSeries):
 n+! n-! times each coefficient of the block (n+, n-), which for the
 disconnected series are the walk totals of the block. The labelled initial
 vector and the integer columns of the cached operator keep the evolution in
-int; the cached orbit of {type: int} vectors is the only copy, and the
-formal log runs on the same store, and the public series functions return
-it. Fractions enter where a value leaves it: table rows, hurwitz_value,
-evolve_block and the coefficients the store yields order by order.
+int; each request evolves its blocks afresh into a store of its own, which
+the formal log reads and the public series functions return. Fractions
+enter where a value leaves it: table rows, hurwitz_value, evolve_block and
+the coefficients the store yields order by order.
 
 The genus-0 layer keeps the top Euler characteristic part, forgets signs,
 and checks its quadratic flow equation on the images of the flow's terms.
@@ -49,7 +49,6 @@ from .poly import (
     HurwitzRow,
     LabelledSeries,
     PolyVector,
-    iterate,
     series_log,
 )
 
@@ -66,20 +65,15 @@ def _labelled_initial_vector(b: Bidegree) -> dict[RamificationType, int]:
     return terms
 
 
-_ORBITS: dict[Bidegree, list[dict[RamificationType, int]]] = {}
-
-
 def evolve_labelled(b: Bidegree, max_m: int) -> tuple[dict[RamificationType, int], ...]:
     """n+! n-! times the block coefficients of the disconnected series at
     u^m/m!, m <= max_m: the walk totals of the block, in int.
 
     Entry m is the m-th power of the plus operator block matrix applied to
     the labelled initial vector; the minus and mean operators give the same
-    values. The entries are the cached orbit itself and must not be changed.
+    values.
     """
-    b = Bidegree(*b)
-    return iterate(_ORBITS, b, _labelled_initial_vector(b),
-                   lambda v: block_matrix(OperatorKind.WPLUS, b).step(v), max_m)
+    return block_matrix(OperatorKind.WPLUS, b).powers(_labelled_initial_vector(b), max_m)
 
 
 def evolve_block(b: Bidegree, max_m: int) -> tuple[PolyVector, ...]:

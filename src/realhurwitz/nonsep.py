@@ -39,7 +39,6 @@ from .poly import (
     HurwitzRow,
     LabelledSeries,
     PolyVector,
-    iterate,
     series_log,
 )
 
@@ -192,8 +191,7 @@ def _unsigned() -> WalkModel:
     return WalkModel(tilde_states, tilde_neighbors, tilde_classify)
 
 
-@lru_cache(maxsize=None)
-def _tilde_class_sizes(n: int) -> Counter:
+def tilde_class_sizes(n: int) -> Counter:
     """Transitions on n elements counted by type: those from each orbit
     representative, times the orbit size."""
     sizes: Counter = Counter()
@@ -201,10 +199,6 @@ def _tilde_class_sizes(n: int) -> Counter:
         for t in tilde_states(n):
             sizes[tilde_classify((s, t), n)] += weight
     return sizes
-
-
-def tilde_class_size(mu: TildeType) -> int:
-    return _tilde_class_sizes(mu.degree)[mu]
 
 
 def tilde_images(mu: TildeType) -> Iterator[tuple[TildeType, int]]:
@@ -293,15 +287,10 @@ def _labelled_initial_vector(n: int) -> dict[TildeType, int]:
     return terms
 
 
-_ORBITS: dict[int, list[dict[TildeType, int]]] = {}
-
-
 def tilde_evolve_labelled(n: int, max_m: int) -> tuple[dict[TildeType, int], ...]:
     """n! times the coefficients at u^m/m! of the disconnected degree-n
-    evolution: the walk totals on n elements, in int. The entries are the
-    cached orbit itself and must not be changed."""
-    return iterate(_ORBITS, n, _labelled_initial_vector(n),
-                   lambda v: tilde_operator_matrix(n).step(v), max_m)
+    evolution: the walk totals on n elements, in int."""
+    return tilde_operator_matrix(n).powers(_labelled_initial_vector(n), max_m)
 
 
 def tilde_evolve(n: int, max_m: int) -> tuple[PolyVector, ...]:

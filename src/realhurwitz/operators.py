@@ -12,9 +12,9 @@ for odd i:
 The minus operator conjugates the plus one by the sign swap p_k^+ <-> p_k^-,
 and the mean is their half sum. All three preserve degree and bidegree, so
 they restrict to matrices on each bidegree block, applied to a vector only
-by summing its sparse columns. The terms of the genus-0 flow on unsigned
-variables live here as well, as images of one monomial (cut and q-term) or
-of a pair of monomials (join).
+by summing its sparse columns, and BlockMatrix.powers repeats that step. The
+terms of the genus-0 flow on unsigned variables live here as well, as images
+of one monomial (cut and q-term) or of a pair of monomials (join).
 """
 
 from __future__ import annotations
@@ -138,6 +138,14 @@ class BlockMatrix:
         """Image of a vector {type: exact value} through int_columns, the
         labelled-count evolution step of both models; a non-int entry raises."""
         return _image(vec, self.int_columns.__getitem__)
+
+    def powers(self, start: dict, max_m: int) -> tuple[dict, ...]:
+        """start, step(start), ..., step^max_m(start): the coefficients of
+        u^m/m! of e^(uW) applied to start. Every entry after start is a new dict."""
+        out = [start]
+        for _ in range(max_m):
+            out.append(self.step(out[-1]))
+        return tuple(out)
 
 
 def _image(terms: dict, column: Callable) -> dict:

@@ -21,7 +21,8 @@ it in int arithmetic, with an exact division that raises ArithmeticError on
 a remainder. Fractions enter only where a value leaves the store: a table
 row, a single value, the PolyVector of one order, or model.unlabel, which
 the public wrappers of both walk models use to divide a labelled vector by
-its label factor.
+its label factor. A read above the order or outside the grades a store was
+computed on raises ValueError; it never reads as zero.
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ class PolyVector:
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyVector) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __iter__(self) -> Iterator[tuple[object, Fraction]]:
         return iter(self.terms.items())
 
@@ -76,18 +74,6 @@ class PolyVector:
         inner = ", ".join(f"{k}: {c}" for k, c in sorted(
             self.terms.items(), key=lambda item: repr(item[0])))
         return f"PolyVector({{{inner}}})"
-
-
-def iterate(cache: dict, key, start, step: Callable, max_m: int) -> tuple:
-    """The first max_m + 1 points of the orbit start, step(start), ...
-
-    The orbit is kept in cache[key] and extended in place, so each point is
-    computed once however the caps of later calls grow.
-    """
-    orbit = cache.setdefault(key, [start])
-    while len(orbit) <= max_m:
-        orbit.append(step(orbit[-1]))
-    return tuple(orbit[:max_m + 1])
 
 
 def _keys(grade, piece) -> dict:
@@ -115,29 +101,35 @@ class LabelledSeries(NamedTuple):
 
     pieces maps each grade g to a sequence, indexed by m = 0 .. max_m, of
     {key: x}, where x is label(g) times the coefficient of p_key u^m/m!, an
-    int. A disconnected series of either walk model holds the cached
-    evolution orbits themselves: the walk totals that the oracle divides by
-    the label factor. Every key lies in the piece of its own grade; reading
-    a series that breaks this raises ValueError.
+    int. A disconnected series of either walk model holds the walk totals
+    that the oracle divides by the label factor. Every key lies in the piece
+    of its own grade; reading a series that breaks this raises ValueError,
+    and so does a read above max_m or on a grade without a piece.
     """
 
     pieces: dict
     max_m: int
     connected: bool
 
+    def _order(self, m: int) -> None:
+        if not 0 <= m <= self.max_m:
+            raise ValueError(f"order {m} is outside the series, computed to u^{self.max_m}")
+
     def value(self, key, m: int) -> Fraction:
         """The coefficient of p_key u^m/m!."""
+        self._order(m)
         g = key.grade
-        piece = self.pieces.get(g, ())
-        return Fraction(piece[m].get(key, 0) if m < len(piece) else 0, label(g))
+        if g not in self.pieces:
+            raise ValueError(f"grade {tuple(g)} of {key!r} was not computed")
+        return Fraction(self.pieces[g][m].get(key, 0), label(g))
 
     def coeff(self, m: int) -> PolyVector:
         """The coefficient of u^m/m! as a PolyVector, built on each call."""
+        self._order(m)
         out: dict = {}
         for g, piece in self.pieces.items():
-            if m < len(piece):
-                _keys(g, (piece[m],))
-                out.update(unlabel(piece[m], g))
+            _keys(g, (piece[m],))
+            out.update(unlabel(piece[m], g))
         return PolyVector(out)
 
     @property
@@ -229,7 +221,8 @@ def _euler_recurrence(given: LabelledSeries, max_m: int, grades, log: bool) -> L
     theta_f: dict = {}  # grade -> piece of theta F
     for b in sorted(grades, key=sum):
         size = sum(b)
-        if not size:
+        if not size:  # the log has no constant term; exp sets its own
+            solved[b] = [{} for _ in range(width)]
             continue
         acc: dict = {}
         for c, piece in theta_f.items():

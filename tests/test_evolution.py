@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
+import pytest
+
 from realhurwitz.evolution import (
+    box_series,
     connected_series,
     disconnected_series,
     evolve_block,
@@ -50,6 +53,27 @@ def test_disconnected_series_constant_term():
     assert s.coeff(0).coeff(EMPTY_TYPE) == 1
     for m in range(1, 4):
         assert s.coeff(m).coeff(EMPTY_TYPE) == 0
+
+
+def test_reads_outside_the_truncation_raise():
+    # the box (2, 2) through u^3 knows neither u^6 nor the block (3, 2) of
+    # p+_5, where p+_3 at u^6/6! is 4 and p+_5 at u^4/4! is 5
+    assert connected_series(5, 6).value(p_plus(3), 6) == 4
+    assert connected_series(5, 4).value(p_plus(5), 4) == 5
+    for connected in (True, False):
+        series = box_series(Bidegree(2, 2), 3, connected)
+        for key, m in [(p_plus(3), 6), (p_plus(5), 4), (p_plus(5), 3), (p_plus(2), 4),
+                       (p_plus(2), -1)]:
+            with pytest.raises(ValueError):
+                series.value(key, m)
+        for m in (4, -1):
+            with pytest.raises(ValueError):
+                series.coeff(m)
+        # a computed grade reads its zeros, the constant monomial included
+        assert series.value(rtype((1, 1), ()), 1) == 0
+        assert series.value(EMPTY_TYPE, 3) == 0
+        assert series.value(EMPTY_TYPE, 0) == (0 if connected else 1)
+        assert series.value(p_plus(2), 1) == 1
 
 
 def test_connected_series_leading_coefficients():

@@ -12,28 +12,42 @@ import sys
 import pytest
 
 import realhurwitz
-from realhurwitz.evolution import evolve_labelled
-from realhurwitz.model import Bidegree, enumerate_bidegrees
+from realhurwitz.evolution import disconnected_series, evolve_labelled
+from realhurwitz.model import Bidegree, enumerate_bidegrees, p_minus, p_plus
 from realhurwitz.nonsep import tilde_evolve_labelled, tilde_labelled_by_paths, tilde_operator_matrix
 from realhurwitz.operators import OperatorKind, block_matrix
 from realhurwitz.oracle import labelled_by_paths
 from realhurwitz.poly import LabelledSeries, series_exp, series_log
 
 
-@pytest.mark.parametrize("b", enumerate_bidegrees(8), ids=str)
-def test_signed_store_equals_walk_totals_through_degree_eight(b):
+@pytest.mark.parametrize("b", enumerate_bidegrees(9), ids=str)
+def test_signed_store_equals_walk_totals_through_degree_nine(b):
     vectors = evolve_labelled(b, 6)
     for m in range(7):
         assert vectors[m] == labelled_by_paths(b, m)
         assert all(type(x) is int for x in vectors[m].values())
 
 
-@pytest.mark.parametrize("n", range(9))
-def test_unsigned_store_equals_walk_totals_through_eight_elements(n):
+@pytest.mark.parametrize("n", range(10))
+def test_unsigned_store_equals_walk_totals_through_nine_elements(n):
     vectors = tilde_evolve_labelled(n, 6)
     for m in range(7):
         assert vectors[m] == tilde_labelled_by_paths(n, m)
         assert all(type(x) is int for x in vectors[m].values())
+
+
+def test_an_edited_result_leaves_the_next_request_intact():
+    # every request evolves a store of its own, so a caller may change the
+    # vectors it gets without changing what a later request returns
+    mu = p_plus(1).union(p_minus(1))
+    disconnected_series(2, 2).pieces[Bidegree(1, 1)][0][mu] += 5
+    evolve_labelled(Bidegree(1, 1), 2)[1].clear()
+    evolve_labelled(Bidegree(1, 1), 2)[0][mu] += 5
+    tilde_evolve_labelled(3, 2)[2].clear()
+    assert disconnected_series(2, 2).pieces[Bidegree(1, 1)][0][mu] == 1
+    for m in range(3):
+        assert evolve_labelled(Bidegree(1, 1), 2)[m] == labelled_by_paths(Bidegree(1, 1), m)
+        assert tilde_evolve_labelled(3, 2)[m] == tilde_labelled_by_paths(3, m)
 
 
 def test_log_and_exp_of_an_integer_store_stay_integral():

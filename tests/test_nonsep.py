@@ -12,8 +12,8 @@ import realhurwitz
 from walk_reference import tilde_class_members
 from realhurwitz.nonsep import (
     tilde_canonical_key,
-    tilde_class_size,
     tilde_class_size_formula,
+    tilde_class_sizes,
     tilde_classify,
     tilde_connected_value,
     tilde_enumerate_types,
@@ -80,9 +80,10 @@ def test_classify_check_survives_optimized_mode():
 def test_class_sizes_match_formula():
     # the orbit count against n!/zeta and against every transition of the class
     for n in range(6):
+        sizes = tilde_class_sizes(n)
         for mu in tilde_enumerate_types(n):
-            assert tilde_class_size(mu) == tilde_class_size_formula(mu)
-            assert tilde_class_size(mu) == len(tilde_class_members(mu))
+            assert sizes[mu] == tilde_class_size_formula(mu)
+            assert sizes[mu] == len(tilde_class_members(mu))
 
 
 def test_zeta_examples():

@@ -10,11 +10,11 @@ of its own: the total degree at most d, or the box that a table lists.
 Both series are kept as labelled integer counts (poly.LabelledSeries):
 n+! n-! times each coefficient of the block (n+, n-), which for the
 disconnected series are the walk totals of the block. The labelled initial
-vector and the integer columns of the cached operator keep the evolution in
-int; each request evolves its blocks afresh into a store of its own, which
-the formal log reads and the public series functions return. Fractions
-enter where a value leaves it: table rows, hurwitz_value, evolve_block and
-the coefficients the store yields order by order.
+vector and the plus operator's int columns, read per type with no block
+basis, keep the evolution in int; each request evolves its blocks afresh
+into a store of its own, which the formal log reads and the public series
+functions return. Fractions enter where a value leaves it: table rows,
+hurwitz_value, evolve_block and the coefficients the store yields by order.
 
 The genus-0 layer keeps the top Euler characteristic part, forgets signs,
 and checks its quadratic flow equation on the images of the flow's terms.
@@ -39,11 +39,11 @@ from .model import (
 )
 from .operators import (
     G0Type,
-    OperatorKind,
-    block_matrix,
     g0_from_type,
     genus0_images,
     genus0_join_images,
+    powers,
+    wplus_column,
 )
 from .poly import (
     HurwitzRow,
@@ -69,11 +69,11 @@ def evolve_labelled(b: Bidegree, max_m: int) -> tuple[dict[RamificationType, int
     """n+! n-! times the block coefficients of the disconnected series at
     u^m/m!, m <= max_m: the walk totals of the block, in int.
 
-    Entry m is the m-th power of the plus operator block matrix applied to
-    the labelled initial vector; the minus and mean operators give the same
-    values.
+    Entry m is the m-th power of the plus operator applied to the labelled
+    initial vector, stepped through its cached columns; the minus and mean
+    operators give the same values.
     """
-    return block_matrix(OperatorKind.WPLUS, b).powers(_labelled_initial_vector(b), max_m)
+    return powers(wplus_column, _labelled_initial_vector(b), max_m)
 
 
 def evolve_block(b: Bidegree, max_m: int) -> tuple[PolyVector, ...]:

@@ -6,10 +6,10 @@ elements; a real pole carries a sign only when its order is even, so
 ramification data is a quadruple: even positive real poles, even negative
 real poles, odd real poles, and conjugate pole pairs. The evolution operator
 on the invariant algebra is left multiplication by the class sum of
-transpositions; it preserves the total degree but not a bidegree. It is
-built from its term families (tilde_images), the transcribed
+transpositions; it preserves the total degree but not a bidegree. Its
+columns come from its term families (tilde_images), the transcribed
 differential-operator form with its garbled superscripts repaired, as the
-signed plus operator is built from wplus_images. The walks are the check:
+signed plus operator's come from wplus_images. The walks are the check:
 tilde_mult_c2_matrix derives the same matrix from the walk model, and
 tilde_labelled_by_paths gives the walk totals that the evolution must equal.
 The entries are integers, so the evolution and the formal log run on
@@ -33,7 +33,7 @@ from .model import (
     unlabel,
     without,
 )
-from .operators import BlockMatrix
+from .operators import BlockMatrix, cached_columns, powers
 from .oracle import WalkModel, chains_and_cycles, class_multiplication, orbits, walk_totals
 from .poly import (
     HurwitzRow,
@@ -116,22 +116,15 @@ def tilde_class_size_formula(mu: TildeType) -> int:
 @lru_cache(maxsize=None)
 def tilde_enumerate_types(n: int) -> tuple[TildeType, ...]:
     """All quadruples of total degree n, in canonical order."""
-    out = []
-    for lam_weight in range(n // 2 + 1):
-        rest = n - 2 * lam_weight
-        for lam in partitions_of(lam_weight):
-            for wp in range(rest + 1):
-                for kp in partitions_of(wp):
-                    if any(k % 2 for k in kp):
-                        continue
-                    for wm in range(rest - wp + 1):
-                        for km in partitions_of(wm):
-                            if any(k % 2 for k in km):
-                                continue
-                            for ko in partitions_of(rest - wp - wm):
-                                if any(k % 2 == 0 for k in ko):
-                                    continue
-                                out.append(TildeType(kp, km, ko, lam))
+
+    def parity(weight: int, odd: int) -> list[Partition]:
+        return [p for p in partitions_of(weight) if all(k % 2 == odd for k in p)]
+
+    out = [TildeType(kp, km, ko, lam)
+           for l_total in range(n // 2 + 1) for lam in partitions_of(l_total)
+           for wp in range(n - 2 * l_total + 1) for kp in parity(wp, 0)
+           for wm in range(n - 2 * l_total - wp + 1) for km in parity(wm, 0)
+           for ko in parity(n - 2 * l_total - wp - wm, 1)]
     return tuple(sorted(out, key=tilde_canonical_key))
 
 
@@ -262,11 +255,15 @@ def tilde_images(mu: TildeType) -> Iterator[tuple[TildeType, int]]:
         yield nu, mult
 
 
+# through the module-level name, so that a rebound tilde_images takes effect
+tilde_column = cached_columns(lambda mu: tilde_images(mu))
+
+
 @lru_cache(maxsize=None)
 def tilde_operator_matrix(n: int) -> BlockMatrix:
     """Matrix of the evolution operator on the degree-n invariant algebra,
-    built once from tilde_images."""
-    return BlockMatrix.from_images(n, tilde_enumerate_types(n), tilde_images)
+    assembled once from the shared columns of tilde_images."""
+    return BlockMatrix(n, tilde_enumerate_types(n), tilde_column)
 
 
 def tilde_mult_c2_matrix(n: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -290,7 +287,7 @@ def _labelled_initial_vector(n: int) -> dict[TildeType, int]:
 def tilde_evolve_labelled(n: int, max_m: int) -> tuple[dict[TildeType, int], ...]:
     """n! times the coefficients at u^m/m! of the disconnected degree-n
     evolution: the walk totals on n elements, in int."""
-    return tilde_operator_matrix(n).powers(_labelled_initial_vector(n), max_m)
+    return powers(tilde_column, _labelled_initial_vector(n), max_m)
 
 
 def tilde_evolve(n: int, max_m: int) -> tuple[PolyVector, ...]:

@@ -10,11 +10,12 @@ for odd i:
   complex pair to real:  q_i d/dp_{2i}^+   (chi shift 0)
 
 The minus operator conjugates the plus one by the sign swap p_k^+ <-> p_k^-,
-and the mean is their half sum. All three preserve degree and bidegree, so
-they restrict to matrices on each bidegree block, applied to a vector only
-by summing its sparse columns, and BlockMatrix.powers repeats that step. The
-terms of the genus-0 flow on unsigned variables live here as well, as images
-of one monomial (cut and q-term) or of a pair of monomials (join).
+and the mean is their half sum. All three preserve degree and bidegree.
+The plus and minus operators are read-only int columns, one per type, built
+on first use; powers steps through them, and a BlockMatrix holds those of
+one block (the mean's Fraction columns are built there). The terms of the
+genus-0 flow on unsigned variables live here as well, as images of one
+monomial (cut and q-term) or of a pair of monomials (join).
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from collections import Counter
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Hashable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Hashable, Iterator, Mapping, NamedTuple
 
 from .model import (
     Bidegree,
@@ -85,70 +87,55 @@ def wplus_images(mu: RamificationType) -> Iterator[tuple[RamificationType, int]]
             yield RamificationType(without(kp, n), km, merge_partitions(lam, (n // 2,))), mult
 
 
-class BlockMatrix:
-    """One linear operator on one block of a walk model: images maps each
-    basis type to its sparse column {type: nonzero exact value}. The block
-    is a Bidegree for the signed model and the degree n for the unsigned one."""
+_INTERNED: dict = {}  # each type once, with its grade: the keys of every column
 
-    def __init__(self, block: Hashable, basis: tuple, images: dict) -> None:
-        self.block, self.basis, self.images = block, basis, images
 
-    @classmethod
-    def from_images(cls, block, basis: tuple, image: Callable) -> "BlockMatrix":
-        """The matrix whose column at mu sums the (type, value) pairs of
-        image(mu); an image outside the basis raises."""
-        canonical = {mu: mu for mu in basis}
-        images = {}
-        for mu in basis:
-            col: dict = {}
+def _intern(mu) -> tuple:
+    return _INTERNED.get(mu) or _INTERNED.setdefault(mu, (mu, mu.grade))
+
+
+def cached_columns(image: Callable) -> Callable:
+    """The column accessor of one operator: the column at mu sums the
+    (type, value) pairs of image(mu), built on first use and then handed out
+    read-only. A value that is not an int raises ArithmeticError, an image
+    of another grade than mu RuntimeError: a block is the set of types of
+    one grade, so this check needs no block basis."""
+    cache: dict = {}
+
+    def column(mu) -> Mapping:
+        col = cache.get(mu)
+        if col is None:
+            mu, grade = _intern(mu)
+            col = {}
             for nu, c in image(mu):
-                key = canonical.get(nu)
-                if key is None:
-                    raise RuntimeError(f"operator image {nu!r} of {mu!r} leaves block {block}")
-                col[key] = col.get(key, 0) + c
-            images[mu] = {nu: c for nu, c in col.items() if c}
-        return cls(block, basis, images)
-
-    @cached_property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Dense view entries[row][col], built on first use. Every entry is
-        a Fraction, so exact elimination on it never turns into float division."""
-        return tuple(tuple(Fraction(self.images[col].get(row, 0)) for col in self.basis)
-                     for row in self.basis)
-
-    @cached_property
-    def int_columns(self) -> dict:
-        """images itself, for the labelled evolution step, once every entry
-        is checked to be an int; one that is not raises ArithmeticError."""
-        for mu, col in self.images.items():
-            for nu, c in col.items():
+                nu, g = _intern(nu)
+                if g != grade:
+                    raise RuntimeError(f"operator image {nu!r} of {mu!r} leaves grade {grade}")
                 if type(c) is not int:
                     raise ArithmeticError(f"entry {c} at ({nu!r}, {mu!r}) of the operator "
-                                          f"on block {self.block} is not an int")
-        return self.images
+                                          "is not an int")
+                col[nu] = col.get(nu, 0) + c
+            col = cache[mu] = MappingProxyType({nu: c for nu, c in col.items() if c})
+        return col
 
-    def matvec(self, vec) -> list:
-        """Exact image of a coordinate vector over the basis, summed from the
-        sparse columns; float coordinates are read as the rationals they equal."""
-        image = _image({mu: Fraction(c) for mu, c in zip(self.basis, vec) if c},
-                       self.images.__getitem__)
-        return [image.get(mu, Fraction(0)) for mu in self.basis]
-
-    def step(self, vec: dict) -> dict:
-        """Image of a vector {type: exact value} through int_columns, the
-        labelled-count evolution step of both models; a non-int entry raises."""
-        return _image(vec, self.int_columns.__getitem__)
-
-    def powers(self, start: dict, max_m: int) -> tuple[dict, ...]:
-        """start, step(start), ..., step^max_m(start): the coefficients of
-        u^m/m! of e^(uW) applied to start. Every entry after start is a new dict."""
-        out = [start]
-        for _ in range(max_m):
-            out.append(self.step(out[-1]))
-        return tuple(out)
+    return column
 
 
-def _image(terms: dict, column: Callable) -> dict:
+wplus_column = cached_columns(wplus_images)
+# the minus operator is the plus one relabelled by the sign swap
+wminus_column = cached_columns(lambda mu: ((nu.swap_signs(), c) for nu, c in
+                                           wplus_column(mu.swap_signs()).items()))
+
+
+def _wmean_column(mu) -> Mapping:
+    """Half the sum of the plus and minus columns at mu, in Fractions: the
+    image of the two columns, each weighted 1/2."""
+    half = Fraction(1, 2)
+    return MappingProxyType(_image({0: half, 1: half},
+                                   (wplus_column(mu), wminus_column(mu)).__getitem__))
+
+
+def _image(terms: Mapping, column: Callable) -> dict:
     """Sum over the terms c p_mu of c times the sparse column(mu), without
     the zero sums."""
     out: dict = {}
@@ -158,27 +145,54 @@ def _image(terms: dict, column: Callable) -> dict:
     return {nu: x for nu, x in out.items() if x}
 
 
+def powers(column: Callable, start: dict, max_m: int) -> tuple[dict, ...]:
+    """start and its first max_m images through the columns: the
+    coefficients of u^m/m! of e^(uW) applied to start, each a new dict."""
+    out = [start]
+    for _ in range(max_m):
+        out.append(_image(out[-1], column))
+    return tuple(out)
+
+
+class BlockMatrix:
+    """One linear operator on one block of a walk model: columns maps each
+    basis type, read-only, to column(type), the shared cached column itself.
+    The block is a Bidegree for the signed model, the degree n for the unsigned."""
+
+    def __init__(self, block: Hashable, basis: tuple, column: Callable) -> None:
+        self.block, self.basis = block, basis
+        self.columns = MappingProxyType({mu: column(mu) for mu in basis})
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Dense view entries[row][col], built on first use. Every entry is
+        a Fraction, so exact elimination on it never turns into float division."""
+        return tuple(tuple(Fraction(self.columns[col].get(row, 0)) for col in self.basis)
+                     for row in self.basis)
+
+    def matvec(self, vec) -> list:
+        """Exact image of a coordinate vector over the basis, summed from the
+        sparse columns; float coordinates are read as the rationals they equal."""
+        image = _image({mu: Fraction(c) for mu, c in zip(self.basis, vec) if c},
+                       self.columns.__getitem__)
+        return [image.get(mu, Fraction(0)) for mu in self.basis]
+
+    def step(self, vec: Mapping) -> dict:
+        """Image of a vector {type: exact value} of this block; a key
+        outside the basis raises KeyError."""
+        return _image(vec, self.columns.__getitem__)
+
+
+_COLUMNS = {OperatorKind.WPLUS: wplus_column, OperatorKind.WMINUS: wminus_column,
+            OperatorKind.WMEAN: _wmean_column}
+
+
 @lru_cache(maxsize=None)
 def block_matrix(kind: OperatorKind, b: Bidegree) -> BlockMatrix:
-    """The chosen operator on the enumerate_types(b) basis, built once. The
-    plus operator comes from wplus_images, the minus operator is the plus one
-    on the swapped block relabelled by the sign swap, the mean their half sum."""
+    """The chosen operator on the enumerate_types(b) basis, assembled once
+    from the shared columns; the mean's half-sum columns are built here."""
     b = Bidegree(*b)
-    if kind is OperatorKind.WPLUS:
-        image = wplus_images
-    elif kind is OperatorKind.WMINUS:
-        plus = block_matrix(OperatorKind.WPLUS, Bidegree(b.n_minus, b.n_plus)).images
-
-        def image(mu):
-            return ((nu.swap_signs(), c) for nu, c in plus[mu.swap_signs()].items())
-    else:
-        plus, minus = (block_matrix(k, b).images
-                       for k in (OperatorKind.WPLUS, OperatorKind.WMINUS))
-
-        def image(mu):
-            return ((nu, Fraction(c, 2)) for col in (plus[mu], minus[mu])
-                    for nu, c in col.items())
-    return BlockMatrix.from_images(b, enumerate_types(b), image)
+    return BlockMatrix(b, enumerate_types(b), _COLUMNS[kind])
 
 
 class G0Type(NamedTuple):

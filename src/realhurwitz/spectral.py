@@ -165,11 +165,11 @@ def _check_block_structure(wp: BlockMatrix, wm: BlockMatrix) -> tuple[Fraction, 
     """Verify commutativity and Z-self-adjointness over the nonzero entries;
     returns the zeta diagonal."""
     for mu in wp.basis:
-        if wp.step(wm.images[mu]) != wm.step(wp.images[mu]):
+        if wp.step(wm.columns[mu]) != wm.step(wp.columns[mu]):
             raise RuntimeError(f"operators fail to commute on block {wp.block}")
     for name, op in (("plus", wp), ("minus", wm)):
-        for mu, col in op.images.items():
-            if any(c * zeta(nu) != op.images[nu].get(mu, 0) * zeta(mu)
+        for mu, col in op.columns.items():
+            if any(c * zeta(nu) != op.columns[nu].get(mu, 0) * zeta(mu)
                    for nu, c in col.items()):
                 raise RuntimeError(
                     f"{name} operator is not Z-self-adjoint on block {wp.block}")

@@ -14,8 +14,9 @@ import pytest
 import realhurwitz
 from realhurwitz.evolution import disconnected_series, evolve_labelled
 from realhurwitz.model import Bidegree, enumerate_bidegrees, p_minus, p_plus
+from realhurwitz import evolution, nonsep
 from realhurwitz.nonsep import tilde_evolve_labelled, tilde_labelled_by_paths, tilde_operator_matrix
-from realhurwitz.operators import OperatorKind, block_matrix
+from realhurwitz.operators import OperatorKind, block_matrix, cached_columns, wplus_column
 from realhurwitz.oracle import labelled_by_paths
 from realhurwitz.poly import LabelledSeries, series_exp, series_log
 
@@ -61,13 +62,12 @@ def test_log_and_exp_of_an_integer_store_stay_integral():
     assert regrown.coeffs == disc.coeffs
 
 
-# a hand-built operator whose column holds 1/2
+# an operator whose image function yields 1/2
 HALF_COLUMN = """
 from fractions import Fraction
-from realhurwitz.model import Bidegree, p_plus
-from realhurwitz.operators import BlockMatrix
-mu = p_plus(1)
-BlockMatrix(Bidegree(1, 0), (mu,), {mu: {mu: Fraction(1, 2)}}).step({mu: 2})
+from realhurwitz.model import p_plus
+from realhurwitz.operators import cached_columns
+cached_columns(lambda mu: [(mu, Fraction(1, 2))])(p_plus(1))
 """
 
 # a store holding 1/2: |b| F_b for b = (2,) sums 1 * comb(2, 1) * F_1 * H_1
@@ -98,8 +98,81 @@ def test_exact_division_check_survives_optimized_mode(code):
     assert "ArithmeticError" in proc.stderr
 
 
-def test_integral_columns_are_used_as_they_are():
+def test_an_image_of_another_grade_raises_and_names_both_types():
+    column = cached_columns(lambda mu: [(p_plus(2), 1)])
+    with pytest.raises(RuntimeError) as err:
+        column(p_plus(1))
+    assert repr(p_plus(2)) in str(err.value) and repr(p_plus(1)) in str(err.value)
+
+
+def _recorded(monkeypatch, module, name):
+    """Rebind module.name to a column accessor that records what it returns."""
+    seen = {}
+    real = getattr(module, name)
+
+    def column(mu):
+        seen[mu] = real(mu)
+        return seen[mu]
+
+    monkeypatch.setattr(module, name, column)
+    return seen
+
+
+def test_the_evolution_reads_the_columns_the_blocks_hold(monkeypatch):
+    seen = _recorded(monkeypatch, evolution, "wplus_column")
+    evolve_labelled(Bidegree(2, 1), 4)
     plus = block_matrix(OperatorKind.WPLUS, Bidegree(2, 1))
-    assert plus.int_columns is plus.images
+    assert seen and all(plus.columns[mu] is col for mu, col in seen.items())
+    seen = _recorded(monkeypatch, nonsep, "tilde_column")
+    tilde_evolve_labelled(4, 4)
     unsigned = tilde_operator_matrix(4)
-    assert unsigned.int_columns is unsigned.images
+    assert seen and all(unsigned.columns[mu] is col for mu, col in seen.items())
+
+
+def test_cached_columns_refuse_edits_and_the_evolution_stays_intact():
+    mu = p_plus(1).union(p_minus(1))
+    plus = block_matrix(OperatorKind.WPLUS, Bidegree(1, 1))
+    with pytest.raises(TypeError):
+        plus.columns[mu][p_minus(2)] += 5
+    with pytest.raises(TypeError):
+        plus.columns[mu] = {}
+    with pytest.raises(TypeError):
+        wplus_column(mu)[p_minus(2)] = 6
+    unsigned = tilde_operator_matrix(2)
+    nu = unsigned.basis[0]
+    with pytest.raises(TypeError):
+        unsigned.columns[nu][nu] = 5
+    with pytest.raises(TypeError):
+        nonsep.tilde_column(nu)[nu] = 5
+    series = disconnected_series(2, 2)
+    for b, piece in series.pieces.items():
+        for m in range(3):
+            assert piece[m] == labelled_by_paths(b, m)
+    for n in range(4):
+        for m, vec in enumerate(tilde_evolve_labelled(n, 2)):
+            assert vec == tilde_labelled_by_paths(n, m)
+
+
+# the evolution with both type enumerations rebound to raise, in a fresh
+# interpreter so that no cached block or basis exists yet
+NO_BASIS = """
+from realhurwitz import evolution, nonsep, operators
+
+def refuse(*args):
+    raise AssertionError("the evolution enumerated a block basis")
+
+operators.enumerate_types = nonsep.tilde_enumerate_types = refuse
+print(repr(evolution.table_rows(3, 6, connected=False)))
+print(repr(nonsep.tilde_table_rows(5, 6, connected=False)))
+"""
+
+
+def test_the_evolution_enumerates_no_block_basis():
+    src = os.path.dirname(os.path.dirname(realhurwitz.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", NO_BASIS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        repr(evolution.table_rows(3, 6, connected=False)),
+        repr(nonsep.tilde_table_rows(5, 6, connected=False))]

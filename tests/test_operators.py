@@ -31,7 +31,7 @@ from realhurwitz.oracle import mult_c2_matrix
 
 def column(kind, mu):
     """The sparse column at mu of the chosen operator on the block of mu."""
-    return block_matrix(kind, bidegree(mu)).images[mu]
+    return block_matrix(kind, bidegree(mu)).columns[mu]
 
 
 def summed(images):

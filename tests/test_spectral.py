@@ -218,9 +218,9 @@ def _perturbed(bm, row):
     the diagonal for row 0, which keeps Z-self-adjointness, an off-diagonal
     entry for row 1, which breaks it."""
     mu, nu = bm.basis[0], bm.basis[row]
-    column = {**bm.images[mu]}
+    column = {**bm.columns[mu]}
     column[nu] = column.get(nu, 0) + 1
-    return BlockMatrix(bm.block, bm.basis, {**bm.images, mu: column})
+    return BlockMatrix(bm.block, bm.basis, {**bm.columns, mu: column}.__getitem__)
 
 
 def test_block_structure_check_sees_operators_that_do_not_commute(monkeypatch):

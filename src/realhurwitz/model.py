@@ -173,20 +173,31 @@ def canonical_key(mu: RamificationType) -> tuple:
 
 @lru_cache(maxsize=None)
 def enumerate_types(b: Bidegree) -> tuple[RamificationType, ...]:
-    """All ramification types of the given bidegree, in canonical order: those
-    of degree n+ + n- whose kappa_plus has n+ - n- more odd parts than
-    kappa_minus (a lam part l adds (l, l), so sum(lam) <= min(n+, n-))."""
+    """All ramification types of the given bidegree, in canonical order."""
     b = Bidegree(*b)
     if b.n_plus < 0 or b.n_minus < 0:
         raise ValueError(f"bidegree components must be nonnegative, got {b}")
-    n = b.n_plus + b.n_minus
-    odd = {p: sum(k % 2 for k in p) for w in range(n + 1) for p in partitions_of(w)}
-    found = [RamificationType(kp, km, lam)
-             for l_total in range(min(b) + 1) for lam in partitions_of(l_total)
-             for w in range(n - 2 * l_total + 1) for kp in partitions_of(w)
-             for km in partitions_of(n - 2 * l_total - w)
-             if odd[kp] - odd[km] == b.n_plus - b.n_minus]
-    return tuple(sorted(found, key=canonical_key))
+    found: list[RamificationType] = []
+    # Each lam part l contributes (l, l), so sum(lam) <= min(n+, n-).
+    for l_total in range(min(b.n_plus, b.n_minus) + 1):
+        rem_plus = b.n_plus - l_total
+        rem_minus = b.n_minus - l_total
+        for lam in partitions_of(l_total):
+            for kp_weight in range(rem_plus + rem_minus + 1):
+                for kp in partitions_of(kp_weight):
+                    kp_p = sum((k + 1) // 2 for k in kp)
+                    kp_m = sum(k // 2 for k in kp)
+                    need_floor = rem_plus - kp_p  # kappa_minus floor-sum
+                    need_ceil = rem_minus - kp_m  # kappa_minus ceil-sum
+                    if need_floor < 0 or need_ceil < 0:
+                        continue
+                    km_weight = rem_plus + rem_minus - kp_weight
+                    for km in partitions_of(km_weight):
+                        if (sum(k // 2 for k in km) == need_floor
+                                and sum((k + 1) // 2 for k in km) == need_ceil):
+                            found.append(RamificationType(kp, km, lam))
+    found.sort(key=canonical_key)
+    return tuple(found)
 
 
 def enumerate_bidegrees(max_degree: int) -> list[Bidegree]:

@@ -116,15 +116,22 @@ def tilde_class_size_formula(mu: TildeType) -> int:
 @lru_cache(maxsize=None)
 def tilde_enumerate_types(n: int) -> tuple[TildeType, ...]:
     """All quadruples of total degree n, in canonical order."""
-
-    def parity(weight: int, odd: int) -> list[Partition]:
-        return [p for p in partitions_of(weight) if all(k % 2 == odd for k in p)]
-
-    out = [TildeType(kp, km, ko, lam)
-           for l_total in range(n // 2 + 1) for lam in partitions_of(l_total)
-           for wp in range(n - 2 * l_total + 1) for kp in parity(wp, 0)
-           for wm in range(n - 2 * l_total - wp + 1) for km in parity(wm, 0)
-           for ko in parity(n - 2 * l_total - wp - wm, 1)]
+    out = []
+    for lam_weight in range(n // 2 + 1):
+        rest = n - 2 * lam_weight
+        for lam in partitions_of(lam_weight):
+            for wp in range(rest + 1):
+                for kp in partitions_of(wp):
+                    if any(k % 2 for k in kp):
+                        continue
+                    for wm in range(rest - wp + 1):
+                        for km in partitions_of(wm):
+                            if any(k % 2 for k in km):
+                                continue
+                            for ko in partitions_of(rest - wp - wm):
+                                if any(k % 2 == 0 for k in ko):
+                                    continue
+                                out.append(TildeType(kp, km, ko, lam))
     return tuple(sorted(out, key=tilde_canonical_key))
 
 
@@ -256,7 +263,7 @@ def tilde_images(mu: TildeType) -> Iterator[tuple[TildeType, int]]:
 
 
 # through the module-level name, so that a rebound tilde_images takes effect
-tilde_column = cached_columns(lambda mu: tilde_images(mu))
+tilde_column = cached_columns(lambda mu: tilde_images(mu), ttype)
 
 
 @lru_cache(maxsize=None)

@@ -33,6 +33,7 @@ from .model import (
     RamificationType,
     enumerate_types,
     merge_partitions,
+    rtype,
     without,
 )
 
@@ -88,27 +89,42 @@ def wplus_images(mu: RamificationType) -> Iterator[tuple[RamificationType, int]]
 
 
 _INTERNED: dict = {}  # each type once, with its grade: the keys of every column
+_GRADES: dict = {}  # each grade once, shared by the types of its block
 
 
-def _intern(mu) -> tuple:
-    return _INTERNED.get(mu) or _INTERNED.setdefault(mu, (mu, mu.grade))
+def _intern(mu, canonical: Callable) -> tuple:
+    """The one copy of mu and its grade. On first sight mu must be what
+    canonical, its model's validated constructor, rebuilds from its fields;
+    else it lies in no block basis and raises RuntimeError."""
+    got = _INTERNED.get(mu)
+    if got is None:
+        try:
+            rebuilt = canonical(*mu)
+        except ValueError:
+            rebuilt = None
+        if rebuilt != mu:
+            raise RuntimeError(f"type {mu!r} is not in canonical form")
+        grade = mu.grade
+        got = _INTERNED[mu] = (mu, _GRADES.setdefault(grade, grade))
+    return got
 
 
-def cached_columns(image: Callable) -> Callable:
+def cached_columns(image: Callable, canonical: Callable) -> Callable:
     """The column accessor of one operator: the column at mu sums the
     (type, value) pairs of image(mu), built on first use and then handed out
-    read-only. A value that is not an int raises ArithmeticError, an image
-    of another grade than mu RuntimeError: a block is the set of types of
-    one grade, so this check needs no block basis."""
+    read-only. Every type is checked once against canonical (see _intern).
+    A value that is not an int raises ArithmeticError, an image of another
+    grade than mu RuntimeError. The canonical types of one grade are exactly
+    the basis of its block, so these checks need no block basis."""
     cache: dict = {}
 
     def column(mu) -> Mapping:
         col = cache.get(mu)
         if col is None:
-            mu, grade = _intern(mu)
+            mu, grade = _intern(mu, canonical)
             col = {}
             for nu, c in image(mu):
-                nu, g = _intern(nu)
+                nu, g = _intern(nu, canonical)
                 if g != grade:
                     raise RuntimeError(f"operator image {nu!r} of {mu!r} leaves grade {grade}")
                 if type(c) is not int:
@@ -121,10 +137,10 @@ def cached_columns(image: Callable) -> Callable:
     return column
 
 
-wplus_column = cached_columns(wplus_images)
+wplus_column = cached_columns(wplus_images, rtype)
 # the minus operator is the plus one relabelled by the sign swap
 wminus_column = cached_columns(lambda mu: ((nu.swap_signs(), c) for nu, c in
-                                           wplus_column(mu.swap_signs()).items()))
+                                           wplus_column(mu.swap_signs()).items()), rtype)
 
 
 def _wmean_column(mu) -> Mapping:

@@ -13,9 +13,11 @@ import pytest
 
 import realhurwitz
 from realhurwitz.evolution import disconnected_series, evolve_labelled
-from realhurwitz.model import Bidegree, enumerate_bidegrees, p_minus, p_plus
+from realhurwitz.model import (Bidegree, RamificationType, enumerate_bidegrees, p_minus, p_plus,
+                              rtype)
 from realhurwitz import evolution, nonsep
-from realhurwitz.nonsep import tilde_evolve_labelled, tilde_labelled_by_paths, tilde_operator_matrix
+from realhurwitz.nonsep import (TildeType, tilde_evolve_labelled, tilde_labelled_by_paths,
+                               tilde_operator_matrix, ttype)
 from realhurwitz.operators import OperatorKind, block_matrix, cached_columns, wplus_column
 from realhurwitz.oracle import labelled_by_paths
 from realhurwitz.poly import LabelledSeries, series_exp, series_log
@@ -65,9 +67,9 @@ def test_log_and_exp_of_an_integer_store_stay_integral():
 # an operator whose image function yields 1/2
 HALF_COLUMN = """
 from fractions import Fraction
-from realhurwitz.model import p_plus
+from realhurwitz.model import p_plus, rtype
 from realhurwitz.operators import cached_columns
-cached_columns(lambda mu: [(mu, Fraction(1, 2))])(p_plus(1))
+cached_columns(lambda mu: [(mu, Fraction(1, 2))], rtype)(p_plus(1))
 """
 
 # a store holding 1/2: |b| F_b for b = (2,) sums 1 * comb(2, 1) * F_1 * H_1
@@ -99,10 +101,25 @@ def test_exact_division_check_survives_optimized_mode(code):
 
 
 def test_an_image_of_another_grade_raises_and_names_both_types():
-    column = cached_columns(lambda mu: [(p_plus(2), 1)])
+    column = cached_columns(lambda mu: [(p_plus(2), 1)], rtype)
     with pytest.raises(RuntimeError) as err:
         column(p_plus(1))
     assert repr(p_plus(2)) in str(err.value) and repr(p_plus(1)) in str(err.value)
+
+
+# images in the grade of their type, (2, 1) and 1, that lie in no block basis:
+# parts out of order, a zero part, an odd part among the signed even ones
+@pytest.mark.parametrize("mu, nu, canonical", [
+    (rtype((2, 1)), RamificationType((1, 2), (), ()), rtype),
+    (rtype((2, 1)), RamificationType((2, 1, 0), (), ()), rtype),
+    (ttype(kappa_odd=(1,)), TildeType((1,), (), (), ()), ttype),
+], ids=["unsorted", "zero-part", "parity"])
+def test_an_image_not_in_canonical_form_raises(mu, nu, canonical):
+    assert nu.grade == mu.grade
+    column = cached_columns(lambda _: [(nu, 1)], canonical)
+    with pytest.raises(RuntimeError, match="canonical form") as err:
+        column(mu)
+    assert repr(nu) in str(err.value)
 
 
 def _recorded(monkeypatch, module, name):

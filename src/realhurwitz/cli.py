@@ -8,6 +8,10 @@ broken ArithmeticError invariant of the integer store, ends in one stderr
 line `realhurwitz: internal error: <Type>: <message>`, not a traceback. A
 reader that closes the output pipe early (`| head`) ends the command
 quietly with 141, the status of a death by SIGPIPE.
+
+A cold run compiles only the modules its command runs: `oracle`, `spectral`,
+`nonsep` and `json` are imported inside the handlers and suites that use
+them, so `table` loads none of them.
 """
 
 from __future__ import annotations
@@ -15,14 +19,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 from fractions import Fraction
 from itertools import islice
 from typing import Iterable
 
-from . import evolution, nonsep, oracle, spectral
+from . import evolution
 from .model import (
     Bidegree,
     canonical_key,
@@ -60,7 +63,7 @@ def _frac_pair(x: Fraction) -> list[str]:
     return [str(x.numerator), str(x.denominator)]
 
 
-def _tilde_text(mu: nonsep.TildeType) -> str:
+def _tilde_text(mu) -> str:
     return (f"k+:[{_part_str(mu.kappa_plus)}] k-:[{_part_str(mu.kappa_minus)}] "
             f"k:[{_part_str(mu.kappa_odd)}] l:[{_part_str(mu.lam)}]")
 
@@ -80,14 +83,25 @@ def _write_csv(header: list, records: Iterable[list]) -> None:
 def _emit_rows(rows, fmt: str, tilde: bool = False) -> None:
     kappas = ["kappa_plus", "kappa_minus"] + (["kappa_odd"] if tilde else [])
     header = ["m", *kappas, "lambda", "chi", "connected", "value_num", "value_den"]
-    records = ([row.m, *(_part_str(getattr(row.mu, k)) for k in kappas),
-                _part_str(row.mu.lam), row.chi, row.connected,
-                str(row.value.numerator), str(row.value.denominator)] for row in rows)
+
+    def records(flags: dict):
+        # a type recurs at every m, so its part strings are built once
+        parts = {}
+        for row in rows:
+            strs = parts.get(row.mu)
+            if strs is None:
+                strs = parts[row.mu] = [_part_str(getattr(row.mu, k))
+                                        for k in (*kappas, "lam")]
+            yield [row.m, *strs, row.chi, flags[row.connected],
+                   str(row.value.numerator), str(row.value.denominator)]
+
     if fmt == "json":
-        print(json.dumps({"rows": [dict(zip(header, rec)) for rec in records]}, indent=2))
+        import json
+        print(json.dumps({"rows": [dict(zip(header, rec))
+                                   for rec in records({True: True, False: False})]},
+                         indent=2))
     elif fmt == "csv":
-        _write_csv(header, ([str(x).lower() if isinstance(x, bool) else x for x in rec]
-                            for rec in records))
+        _write_csv(header, records({True: "true", False: "false"}))
     else:
         for row in rows:
             text = _tilde_text(row.mu) if tilde else format_type(row.mu)
@@ -103,6 +117,7 @@ def cmd_table(args) -> int:
 def cmd_block(args) -> int:
     bm = block_matrix(OperatorKind(args.operator), Bidegree(args.nplus, args.nminus))
     if args.format == "json":
+        import json
         obj = {"bidegree": [bm.block.n_plus, bm.block.n_minus],
                "operator": args.operator,
                "basis": [format_type(mu) for mu in bm.basis],
@@ -125,6 +140,7 @@ def cmd_block(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from . import spectral
     try:
         rep = spectral.common_eigenbasis(Bidegree(args.nplus, args.nminus), args.tol)
     except RuntimeError as exc:  # a structure check or the float certification failed
@@ -139,6 +155,7 @@ def cmd_spectrum(args) -> int:
         return _frac_pair(x) if isinstance(x, Fraction) else float(x)
 
     if args.format == "json":
+        import json
         obj = {"bidegree": [args.nplus, args.nminus],
                "basis": [format_type(mu) for mu in rep.basis],
                "exact": rep.exact,
@@ -176,6 +193,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
     b = Bidegree(args.nplus, args.nminus)
     table = oracle.hurwitz_by_paths(b, args.m)
     rows = [HurwitzRow(args.m, mu, euler_characteristic(mu, args.m), False, table[mu])
@@ -185,6 +203,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_nonsep(args) -> int:
+    from . import nonsep
     rows = nonsep.tilde_table_rows(args.max_n, args.max_m, args.connected)
     _emit_rows(rows, args.format, tilde=True)
     return 0
@@ -245,6 +264,7 @@ _UNIT_EVALUATION_MISPRINTS = {2: Fraction(1, 2)}
 
 
 def _suite_paper(chk: _Checker) -> None:
+    from . import nonsep
     # every signed check lies in the box (4, 4) through u^7, so one log serves
     conn = evolution.box_series(Bidegree(4, 4), 7)
     for m, coeffs in _PRINTED_EXPANSION.items():
@@ -263,6 +283,7 @@ def _suite_paper(chk: _Checker) -> None:
 
 
 def _suite_oracle(chk: _Checker, max_size: int) -> None:
+    from . import oracle
     for b in enumerate_bidegrees(max_size):
         wp = block_matrix(OperatorKind.WPLUS, b)
         wm = block_matrix(OperatorKind.WMINUS, b)
@@ -277,6 +298,7 @@ def _suite_oracle(chk: _Checker, max_size: int) -> None:
 
 
 def _suite_spectral(chk: _Checker) -> None:
+    from . import spectral
     rep = spectral.common_eigenbasis(Bidegree(1, 1))
     chk.check("block (1,1) decomposition is exact", True, rep.exact)
     chk.check("block (1,1) eigenvalue pairs",
@@ -313,6 +335,7 @@ def _suite_genus0(chk: _Checker, max_m: int, max_degree: int) -> None:
 
 
 def _suite_nonsep(chk: _Checker) -> None:
+    from . import nonsep
     for n in range(5):
         sizes = nonsep.tilde_class_sizes(n)
         sizes_ok = all(sizes[mu] == nonsep.tilde_class_size_formula(mu)

@@ -2,7 +2,8 @@
 
 Every top-level function, class and constant of the package must be read
 somewhere in the package outside its own definition, as a name or an
-attribute, unless the package's __init__ exports it. Every method and
+attribute, unless the package's __init__ exports it: its export table
+_EXPORTS maps each submodule to the names it exports. Every method and
 property of a class, exported or not, must be read as an attribute of that
 name, in the package outside its own definition or in the benchmark's
 tracer (perfbench/tracer.py, the only reader of LabelledSeries.coeffs); a
@@ -65,9 +66,15 @@ def _references(tree: ast.AST, skip: set[int], names: bool = True) -> set[str]:
     return found
 
 
-def _exports(tree: ast.Module) -> set[str]:
-    return {alias.asname or alias.name for node in tree.body
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
+def _export_table(tree: ast.Module) -> dict[str, list[str]]:
+    """The literal value of the __init__ assignment `_EXPORTS = {module:
+    (name, ...)}`, with each tuple of names as a list."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets):
+            return {module: list(names)
+                    for module, names in ast.literal_eval(node.value).items()}
+    raise AssertionError("__init__ has no _EXPORTS table")
 
 
 def unused_names(src: Path, readers: tuple[Path, ...] = ()) -> list[str]:
@@ -76,7 +83,8 @@ def unused_names(src: Path, readers: tuple[Path, ...] = ()) -> list[str]:
     of every method or property that no other part of src, and none of the
     files in readers, reads as an attribute."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
-    exported = _exports(trees["__init__"])
+    exported = {name for names in _export_table(trees["__init__"]).values()
+                for name in names}
     outside = [ast.parse(path.read_text()) for path in readers]
 
     def read_elsewhere(name: str, tree: ast.Module, definition: ast.AST,
@@ -99,12 +107,19 @@ def unused_names(src: Path, readers: tuple[Path, ...] = ()) -> list[str]:
     return unused
 
 
+def _write_init(package: Path, exports: dict) -> None:
+    """An __init__ in the package's form: an export table, read once."""
+    (package / "__init__.py").write_text(
+        f"_EXPORTS = {exports!r}\n"
+        "__all__ = [name for names in _EXPORTS.values() for name in names]\n")
+
+
 def test_every_top_level_name_is_used_or_exported():
     assert unused_names(SRC, (TRACER,)) == []
 
 
 def test_guard_flags_a_name_only_a_docstring_mentions(tmp_path):
-    (tmp_path / "__init__.py").write_text("from .a import f\n")
+    _write_init(tmp_path, {"a": ("f",)})
     (tmp_path / "a.py").write_text(
         '"""g is named here only."""\n'
         "def f():\n    return h()\n\n"
@@ -117,7 +132,7 @@ def test_guard_flags_a_name_only_a_docstring_mentions(tmp_path):
 def test_guard_flags_a_method_that_nothing_reads(tmp_path):
     # the class is exported, which does not cover its methods; a method
     # that only calls itself, or that only a docstring names, is unused
-    (tmp_path / "__init__.py").write_text("from .a import V\n")
+    _write_init(tmp_path, {"a": ("V",)})
     (tmp_path / "a.py").write_text(
         '"""V.mul is named here only."""\n'
         "class V:\n"
@@ -131,7 +146,7 @@ def test_guard_flags_a_method_that_nothing_reads(tmp_path):
 def test_guard_flags_a_method_that_only_a_local_variable_names(tmp_path):
     # a bare name of the method's spelling is a variable, not a read of it;
     # a file passed as a reader counts only through an attribute
-    (tmp_path / "__init__.py").write_text("from .a import V, f\n")
+    _write_init(tmp_path, {"a": ("V", "f")})
     (tmp_path / "a.py").write_text(
         "class V:\n"
         "    def coeffs(self):\n        return []\n\n"
@@ -145,9 +160,7 @@ def test_guard_flags_a_method_that_only_a_local_variable_names(tmp_path):
 
 
 def test_readme_lists_exactly_the_exports():
-    init = ast.parse((SRC / "__init__.py").read_text())
-    exported = {node.module: [alias.name for alias in node.names] for node in init.body
-                if isinstance(node, ast.ImportFrom)}
+    exported = _export_table(ast.parse((SRC / "__init__.py").read_text()))
     section = README.read_text().split("The package exports these names and no others")[1]
     listed = {}
     for item in section.split("\n\n")[1].split("- from ")[1:]:

@@ -1,0 +1,80 @@
+"""Tests of what the package loads: each command imports only the modules it
+runs, and the package's exports resolve on first use."""
+
+import os
+import subprocess
+import sys
+from importlib import import_module
+
+import pytest
+
+import realhurwitz
+
+SRC = os.path.dirname(os.path.dirname(realhurwitz.__file__))
+
+# prints the modules that importing the package, and then running one
+# command, added to a fresh interpreter
+PROBE = """
+import contextlib, io, sys
+before = set(sys.modules)
+import realhurwitz
+argv = sys.argv[1:]
+if argv:
+    from realhurwitz.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def _loaded(*argv: str) -> set[str]:
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("argv, runs, left_out", [
+    (["table", "--max-degree", "2", "--max-m", "3", "--format", "csv"],
+     "realhurwitz.evolution",
+     {"realhurwitz.oracle", "realhurwitz.spectral", "realhurwitz.nonsep", "json", "numpy"}),
+    (["nonsep", "--max-n", "3", "--max-m", "3", "--connected", "--format", "csv"],
+     "realhurwitz.nonsep", {"realhurwitz.spectral"}),
+    (["spectrum", "--nplus", "2", "--nminus", "1", "--format", "json"],
+     "realhurwitz.spectral", {"realhurwitz.nonsep", "realhurwitz.oracle"}),
+], ids=["table", "nonsep", "spectrum"])
+def test_a_command_imports_only_the_modules_it_runs(argv, runs, left_out):
+    loaded = _loaded(*argv)
+    assert runs in loaded
+    assert loaded & left_out == set()
+
+
+def test_importing_the_package_loads_no_submodule():
+    loaded = _loaded()
+    assert "realhurwitz" in loaded
+    assert {m for m in loaded if m.startswith("realhurwitz.")} == set()
+
+
+def test_every_export_is_the_object_its_submodule_defines():
+    table = realhurwitz._EXPORTS
+    assert realhurwitz.__all__ == [name for names in table.values() for name in names]
+    for module, names in table.items():
+        owner = import_module(f"realhurwitz.{module}")
+        for name in names:
+            assert getattr(realhurwitz, name) is getattr(owner, name), name
+    assert realhurwitz.__version__ == "0.1.0"
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        realhurwitz.no_such_name
+    assert not hasattr(realhurwitz, "no_such_name")
+    from realhurwitz import evolution
+    assert evolution is import_module("realhurwitz.evolution")
+
+
+def test_star_import_binds_exactly_the_exports():
+    namespace = {}
+    exec("from realhurwitz import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(realhurwitz.__all__)

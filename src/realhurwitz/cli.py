@@ -288,9 +288,9 @@ def _suite_oracle(chk: _Checker, max_size: int) -> None:
         wp = block_matrix(OperatorKind.WPLUS, b)
         wm = block_matrix(OperatorKind.WMINUS, b)
         chk.check(f"plus operator equals left class multiplication on {tuple(b)}",
-                  True, oracle.mult_c2_matrix(b, "left") == wp.entries)
+                  True, oracle.mult_c2_matrix(b, "left") == wp.columns)
         chk.check(f"minus operator equals right class multiplication on {tuple(b)}",
-                  True, oracle.mult_c2_matrix(b, "right") == wm.entries)
+                  True, oracle.mult_c2_matrix(b, "right") == wm.columns)
     for b in enumerate_bidegrees(max_size):
         vectors = evolution.evolve_labelled(b, 6)
         ok = all(vectors[m] == oracle.labelled_by_paths(b, m) for m in range(7))
@@ -346,7 +346,7 @@ def _suite_nonsep(chk: _Checker) -> None:
         chk.check(f"walk counts equal evolution on {n} elements, m<=6",
                   True, paths_ok)
         chk.check(f"transcribed operator form agrees on {n} elements", True,
-                  nonsep.tilde_mult_c2_matrix(n) == nonsep.tilde_operator_matrix(n).entries)
+                  nonsep.tilde_mult_c2_matrix(n) == nonsep.tilde_operator_matrix(n).columns)
     chk.check("unsigned count at m=6, one pole of order 3", Fraction(9),
               nonsep.tilde_connected_value(nonsep.ttype(kappa_odd=(3,)), 6))
 

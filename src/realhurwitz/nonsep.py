@@ -10,7 +10,7 @@ transpositions; it preserves the total degree but not a bidegree. Its
 columns come from its term families (tilde_images), the transcribed
 differential-operator form with its garbled superscripts repaired, as the
 signed plus operator's come from wplus_images. The walks are the check:
-tilde_mult_c2_matrix derives the same matrix from the walk model, and
+tilde_mult_c2_matrix derives the same columns from the walk model, and
 tilde_labelled_by_paths gives the walk totals that the evolution must equal.
 The entries are integers, so the evolution and the formal log run on
 labelled integer counts, n! times each count of degree n.
@@ -273,11 +273,11 @@ def tilde_operator_matrix(n: int) -> BlockMatrix:
     return BlockMatrix(n, tilde_enumerate_types(n), tilde_column)
 
 
-def tilde_mult_c2_matrix(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The check on tilde_operator_matrix(n).entries: multiplication by the
-    transposition class sum on n elements, derived from the walk model
-    over tilde_enumerate_types(n) in order."""
-    return class_multiplication(_unsigned(), (n,), tilde_enumerate_types(n))
+def tilde_mult_c2_matrix(n: int) -> dict:
+    """The check on tilde_operator_matrix(n).columns: multiplication by the
+    transposition class sum on n elements, from one transition per type of
+    the walk model, in column form {mu: {nu: count}}."""
+    return class_multiplication(_unsigned(), (n,))
 
 
 def _labelled_initial_vector(n: int) -> dict[TildeType, int]:

@@ -4,10 +4,11 @@ A state on the block (n+, n-) is a partial matching between two labeled sets;
 a transition is an ordered pair of states. The alternating chains and cycles
 of a transition encode a ramification type, transpositions are the transitions
 whose states differ by a single matched pair, and multiplying by the class sum
-of transpositions gives matrices that the cut-and-join operators must equal.
+of transpositions gives the columns that the cut-and-join operators must equal.
 Relabelling the ground sets keeps every type, move and walk and is transitive
-on the states with one pair count, so initial states are summed one per orbit,
-times its size; the rest is enumerated exhaustively. This module is the
+on the states with one pair count and on each class of transitions, so walks
+start from one state per orbit, times its size, and one transition stands
+for its class; the rest is enumerated exhaustively. This module is the
 independent check on the operator route, so it imports nothing from it but the
 model. The chain/cycle decomposition, orbits, walks and class multiplication
 are generic over the transition model, and the unsigned model binds them too.
@@ -18,12 +19,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterator, NamedTuple
 
 from .model import (
     Bidegree,
     RamificationType,
-    enumerate_types,
     partition,
     unlabel,
 )
@@ -159,30 +159,28 @@ def orbits(model: WalkModel, block: tuple) -> list[tuple[State, int]]:
     return [(s, size) for s, size in groups.values()]
 
 
-def class_multiplication(model: WalkModel, block: tuple, basis: Sequence,
-                         side: str = "left") -> tuple[tuple[Fraction, ...], ...]:
-    """Matrix of multiplication by the transposition class sum on a block,
-    in the basis of class sums scaled by inverse class size: entry [row][col]
-    is the coefficient of basis[row] in the product with basis[col]. One pass
-    classifies each transition from an orbit representative, and each of its
-    one-step moves on that side, with the orbit size as weight.
+def class_multiplication(model: WalkModel, block: tuple, side: str = "left") -> dict:
+    """Multiplication by the transposition class sum on a block, in the
+    operators' column form {mu: {nu: count}}. The representative of mu is the
+    first transition of type mu met from an orbit representative; column mu
+    counts its one-step moves on that side by the type they land in.
+    Relabelling is transitive on each class, so every member has these counts.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     kind, neighbours = model.classify, model.neighbours
-    index = {mu: i for i, mu in enumerate(basis)}
-    size = [0] * len(basis)
-    counts = [[0] * len(basis) for _ in basis]  # counts[col][row]
+    found: dict = {}
     all_states = model.states(*block)
-    for initial, weight in orbits(model, block):
+    for initial, _ in orbits(model, block):
         for final in all_states:
-            col = index[kind((initial, final), *block)]
-            size[col] += weight
-            for s in neighbours(initial if side == "left" else final, *block):
-                moved = (s, final) if side == "left" else (initial, s)
-                counts[col][index[kind(moved, *block)]] += weight
-    return tuple(tuple(Fraction(counts[j][i], size[j]) for j in range(len(basis)))
-                 for i in range(len(basis)))
+            found.setdefault(kind((initial, final), *block), (initial, final))
+    columns: dict = {}
+    for mu, (initial, final) in found.items():
+        column = columns[mu] = {}
+        for s in neighbours(initial if side == "left" else final, *block):
+            nu = kind((s, final) if side == "left" else (initial, s), *block)
+            column[nu] = column.get(nu, 0) + 1
+    return columns
 
 
 def walks_from(model: WalkModel, block: tuple, start: State, m: int) -> dict[State, int]:
@@ -208,13 +206,11 @@ def walk_totals(model: WalkModel, block: tuple, m: int) -> dict:
     return totals
 
 
-@lru_cache(maxsize=None)
-def mult_c2_matrix(b: Bidegree, side: str = "left") -> tuple[tuple[Fraction, ...], ...]:
-    """Matrix of multiplication by the transposition class sum on the block b,
-    over enumerate_types(b) in order; the image of the monomial basis is the
-    basis of class sums scaled by inverse class size."""
-    b = Bidegree(*b)
-    return class_multiplication(_signed(), b, enumerate_types(b), side)
+def mult_c2_matrix(b: Bidegree, side: str = "left") -> dict:
+    """Multiplication by the transposition class sum on the block b, in
+    column form (see class_multiplication): what block_matrix(kind, b).columns
+    must equal, with the plus operator on the left and the minus on the right."""
+    return class_multiplication(_signed(), Bidegree(*b), side)
 
 
 def labelled_by_paths(b: Bidegree, m: int) -> dict[RamificationType, int]:

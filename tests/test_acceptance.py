@@ -116,8 +116,8 @@ def test_operator_blocks_equal_class_multiplication_matrices():
         for b in enumerate_bidegrees(5):
             plus = block_matrix(OperatorKind.WPLUS, b)
             minus = block_matrix(OperatorKind.WMINUS, b)
-            assert plus.entries == mult_c2_matrix(b, "left")
-            assert minus.entries == mult_c2_matrix(b, "right")
+            assert plus.columns == mult_c2_matrix(b, "left")
+            assert minus.columns == mult_c2_matrix(b, "right")
     assert watch.elapsed < 120
 
 

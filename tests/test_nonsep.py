@@ -100,9 +100,9 @@ def test_euler_characteristic():
     assert tilde_euler_characteristic(ttype(lam=(1,)), 0) == 4
 
 
-@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("n", range(10))
 def test_operator_matrix_equals_class_multiplication(n):
-    assert tilde_operator_matrix(n).entries == tilde_mult_c2_matrix(n)
+    assert tilde_operator_matrix(n).columns == tilde_mult_c2_matrix(n)
 
 
 # one term family of the operator with a wrong weight: a conjugate pair of

@@ -92,15 +92,18 @@ def test_chi_shifts_match_term_metadata():
 
 
 def test_block_matrix_equals_class_multiplication():
-    for b in enumerate_bidegrees(8):
+    for b in enumerate_bidegrees(9):
         wp = block_matrix(OperatorKind.WPLUS, b)
         wm = block_matrix(OperatorKind.WMINUS, b)
         assert wp.basis == tuple(enumerate_types(b))
-        assert wp.entries == mult_c2_matrix(b, "left")
-        assert wm.entries == mult_c2_matrix(b, "right")
-        mean = block_matrix(OperatorKind.WMEAN, b).entries
-        assert mean == tuple(tuple((x + y) / 2 for x, y in zip(rp, rm))
-                             for rp, rm in zip(wp.entries, wm.entries))
+        assert wp.columns == mult_c2_matrix(b, "left")
+        assert wm.columns == mult_c2_matrix(b, "right")
+        mean = block_matrix(OperatorKind.WMEAN, b).columns
+        for mu, plus in wp.columns.items():
+            minus = wm.columns[mu]
+            half_sum = {nu: Fraction(plus.get(nu, 0) + minus.get(nu, 0), 2)
+                        for nu in plus.keys() | minus.keys()}
+            assert mean[mu] == {nu: x for nu, x in half_sum.items() if x}
 
 
 def test_block_matrix_is_zeta_self_adjoint():

@@ -33,7 +33,6 @@ from realhurwitz.oracle import (
     orbits,
     states,
 )
-from realhurwitz.nonsep import tilde_enumerate_types
 from walk_reference import SIGNED, UNSIGNED, class_members, transitions, walk_count
 
 EMPTY = frozenset()
@@ -164,13 +163,27 @@ def test_relabelling_is_transitive_on_each_pair_count(model, block):
 
 @pytest.mark.parametrize("model, block", _blocks_through(6))
 def test_orbit_sums_equal_full_enumeration(model, block):
-    basis = (enumerate_types(Bidegree(*block)) if model is SIGNED
-             else tilde_enumerate_types(*block))
     for side in ("left", "right"):
-        assert (oracle.class_multiplication(model, block, basis, side)
-                == walk_reference.class_multiplication(model, block, basis, side))
+        columns = oracle.class_multiplication(model, block, side)
+        moves = walk_reference.member_moves(model, block, side)
+        assert columns == walk_reference.class_multiplication(moves)
+        # the one-transition form rests on this: every member of a class has
+        # exactly the move counts of its column
+        assert all(counts == columns[mu] for mu, members in moves.items()
+                   for counts in members)
     for m in range(7):
         assert oracle.walk_totals(model, block, m) == walk_reference.walk_totals(model, block, m)
+
+
+def _run_verify(script: str, suite: str) -> list[str]:
+    """Run script with SUITE bound to the suite name in a fresh interpreter;
+    assert that it exits 1 and return its FAIL lines."""
+    src = os.path.dirname(os.path.dirname(realhurwitz.__file__))
+    proc = subprocess.run([sys.executable, "-c", f"SUITE = {suite!r}\n{script}"],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    return [line for line in proc.stdout.splitlines() if line.startswith("FAIL")]
 
 
 # every orbit weighted 1 instead of its size
@@ -180,21 +193,55 @@ from realhurwitz import oracle
 from realhurwitz.cli import main
 orbits = oracle.orbits
 oracle.orbits = lambda model, block: [(s, 1) for s, _ in orbits(model, block)]
-sys.exit(main(["verify", "--suite", "oracle"]))
+sys.exit(main(["verify", "--suite", SUITE]))
 """
 
 
 def test_verify_catches_unweighted_orbits():
-    # Each type fixes the pair count of its initial state, so a weight cancels
-    # in every column of the class multiplication; the walk totals catch it.
-    src = os.path.dirname(os.path.dirname(realhurwitz.__file__))
-    proc = subprocess.run([sys.executable, "-c", WEIGHT_ONE],
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1, proc.stderr
-    failed = [line for line in proc.stdout.splitlines() if line.startswith("FAIL")]
+    # The class multiplication reads one transition per type and no orbit
+    # size; the walk totals catch the missing weights.
+    failed = _run_verify(WEIGHT_ONE, "oracle")
     assert any(line.startswith("FAIL walk counts equal evolution on (2, 2)") for line in failed)
     assert not any("class multiplication" in line for line in failed)
+
+
+# a variant of the oracle whose representative of each class is the reversed
+# pair (final, initial): a transition of the class with the even-part signs
+# swapped, so only types without even parts keep their column
+REVERSED_REPRESENTATIVE = """
+import sys
+from realhurwitz import oracle
+from realhurwitz.cli import main
+source = open(oracle.__file__).read()
+stored = "found.setdefault(kind((initial, final), *block), (initial, final))"
+assert source.count(stored) == 1, "the representative is stored elsewhere"
+source = source.replace(stored, stored[:-len("(initial, final))")] + "(final, initial))")
+exec(compile(source, oracle.__file__, "exec"), vars(oracle))
+sys.exit(main(["verify", "--suite", SUITE]))
+"""
+
+# the orbit of the largest pair count is left out, so some types get no column
+DROPPED_ORBIT = """
+import sys
+from realhurwitz import oracle
+from realhurwitz.cli import main
+orbits = oracle.orbits
+oracle.orbits = lambda model, block: orbits(model, block)[:-1]
+sys.exit(main(["verify", "--suite", SUITE]))
+"""
+
+CLASS_MULTIPLICATION_CHECKS = {"oracle": "class multiplication on",
+                               "nonsep": "transcribed operator form agrees on"}
+
+
+@pytest.mark.parametrize("script, suite", [
+    (REVERSED_REPRESENTATIVE, "oracle"),
+    (REVERSED_REPRESENTATIVE, "nonsep"),
+    (DROPPED_ORBIT, "oracle"),
+], ids=["reversed-oracle", "reversed-nonsep", "dropped-orbit-oracle"])
+def test_verify_catches_a_wrong_class_representative(script, suite):
+    failed = _run_verify(script, suite)
+    assert any(CLASS_MULTIPLICATION_CHECKS[suite] in line for line in failed)
 
 
 def test_class_size_matches_formula():
@@ -203,16 +250,23 @@ def test_class_size_matches_formula():
             assert len(class_members(mu)) == class_size_formula(mu)
 
 
+def _compose(a: dict, b: dict) -> dict:
+    """Columns of the product a b: each column of b mapped through a."""
+    out = {}
+    for mu, column in b.items():
+        image: dict = {}
+        for nu, c in column.items():
+            for rho, x in a[nu].items():
+                image[rho] = image.get(rho, 0) + c * x
+        out[mu] = {rho: x for rho, x in image.items() if x}
+    return out
+
+
 def test_left_and_right_multiplication_commute():
     for b in enumerate_bidegrees(4):
         left = mult_c2_matrix(b, "left")
         right = mult_c2_matrix(b, "right")
-        n = len(left)
-        lr = [[sum(left[i][k] * right[k][j] for k in range(n)) for j in range(n)]
-              for i in range(n)]
-        rl = [[sum(right[i][k] * left[k][j] for k in range(n)) for j in range(n)]
-              for i in range(n)]
-        assert lr == rl
+        assert _compose(left, right) == _compose(right, left)
 
 
 def test_walk_count_zero_steps():

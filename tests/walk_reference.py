@@ -1,14 +1,16 @@
 """Full enumeration of the walk models: every initial state, every transition.
 
-The oracle sums over one initial state per relabelling orbit, weighted by the
-orbit size. These functions sum over every initial state instead and are kept
-only as the references that the oracle tests compare against: the class
-multiplication and the walk totals, the class of a type, its first member as
-a representative, and the number of walks between the two states of that
-representative, which times the class size gives the walk total that
-hurwitz_by_paths reads.
+The oracle sums walks over one initial state per relabelling orbit, weighted
+by the orbit size, and reads the class multiplication from one transition per
+type. These functions enumerate every transition instead and are kept only as
+the references that the oracle tests compare against: the move counts of
+every transition with their class means, the walk totals, the class of a
+type, its first member as a representative, and the number of walks between
+the two states of that representative, which times the class size gives the
+walk total that hurwitz_by_paths reads.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 from realhurwitz.model import RamificationType, bidegree
@@ -32,22 +34,32 @@ def members(model: WalkModel, block: tuple, mu) -> tuple:
                  if model.classify((s, t), *block) == mu)
 
 
-def class_multiplication(model: WalkModel, block: tuple, basis, side: str = "left"):
-    """oracle.class_multiplication with every transition counted once."""
+def member_moves(model: WalkModel, block: tuple, side: str = "left") -> dict:
+    """Per type, the one-step move counts {type: count} on that side of each
+    of its transitions, every transition and move classified once."""
     kind, neighbours = model.classify, model.neighbours
-    index = {mu: i for i, mu in enumerate(basis)}
-    size = [0] * len(basis)
-    counts = [[0] * len(basis) for _ in basis]  # counts[col][row]
+    found: dict = {}
     all_states = model.states(*block)
     for initial in all_states:
         for final in all_states:
-            col = index[kind((initial, final), *block)]
-            size[col] += 1
+            counts: dict = {}
             for s in neighbours(initial if side == "left" else final, *block):
-                moved = (s, final) if side == "left" else (initial, s)
-                counts[col][index[kind(moved, *block)]] += 1
-    return tuple(tuple(Fraction(counts[j][i], size[j]) for j in range(len(basis)))
-                 for i in range(len(basis)))
+                nu = kind((s, final) if side == "left" else (initial, s), *block)
+                counts[nu] = counts.get(nu, 0) + 1
+            found.setdefault(kind((initial, final), *block), []).append(counts)
+    return found
+
+
+def class_multiplication(moves: dict) -> dict:
+    """oracle.class_multiplication from every transition: column mu is the
+    mean of member_moves over the class of mu, in Fractions."""
+    columns = {}
+    for mu, members in moves.items():
+        total: Counter = Counter()
+        for counts in members:
+            total.update(counts)
+        columns[mu] = {nu: Fraction(c, len(members)) for nu, c in total.items()}
+    return columns
 
 
 def walk_totals(model: WalkModel, block: tuple, m: int) -> dict:

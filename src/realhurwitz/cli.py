@@ -84,28 +84,31 @@ def _emit_rows(rows, fmt: str, tilde: bool = False) -> None:
     kappas = ["kappa_plus", "kappa_minus"] + (["kappa_odd"] if tilde else [])
     header = ["m", *kappas, "lambda", "chi", "connected", "value_num", "value_den"]
 
-    def records(flags: dict):
-        # a type recurs at every m, so its part strings are built once
+    def records(text=str):
+        # a type recurs at every m, so its part strings are built once; the
+        # text of the flag is also its JSON
         parts = {}
         for row in rows:
             strs = parts.get(row.mu)
             if strs is None:
-                strs = parts[row.mu] = [_part_str(getattr(row.mu, k))
+                strs = parts[row.mu] = [text(_part_str(getattr(row.mu, k)))
                                         for k in (*kappas, "lam")]
-            yield [row.m, *strs, row.chi, flags[row.connected],
-                   str(row.value.numerator), str(row.value.denominator)]
+            yield [row.m, *strs, row.chi, "true" if row.connected else "false",
+                   text(str(row.value.numerator)), text(str(row.value.denominator))]
 
     if fmt == "json":
         import json
-        print(json.dumps({"rows": [dict(zip(header, rec))
-                                   for rec in records({True: True, False: False})]},
-                         indent=2))
+        # json.dumps(..., indent=2) runs json's pure-Python encoder; this writes
+        # its layout, each string encoded by json.dumps and each int by str
+        item = "    {{\n" + ",\n".join(f"      {json.dumps(k)}: {{}}" for k in header) + "\n    }}"
+        body = ",\n".join(item.format(*rec) for rec in records(json.dumps))
+        print(f'{{\n  "rows": [\n{body}\n  ]\n}}' if body else '{\n  "rows": []\n}')
     elif fmt == "csv":
-        _write_csv(header, records({True: "true", False: "false"}))
+        _write_csv(header, records())
     else:
+        texts = {mu: (_tilde_text if tilde else format_type)(mu) for mu in {r.mu for r in rows}}
         for row in rows:
-            text = _tilde_text(row.mu) if tilde else format_type(row.mu)
-            print(f"m={row.m} {text} chi={row.chi} value={row.value}")
+            print(f"m={row.m} {texts[row.mu]} chi={row.chi} value={row.value}")
 
 
 def cmd_table(args) -> int:

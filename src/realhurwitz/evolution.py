@@ -1,9 +1,9 @@
 """Evolution of the disconnected generating series and derived tables.
 
 The disconnected series starts from exp(p_1^+ + p_1^- + q_1) and evolves by
-the plus cut-and-join operator, one derivative in u per step. Both graded
-pieces of every bidegree block evolve independently. The connected series is
-its formal logarithm, and a product of blocks c and b - c lies in block b, so
+the plus cut-and-join operator, one derivative in u per step, on one block
+of each sign-swap pair; the other is its mirror. The connected series is its
+formal logarithm, and a product of blocks c and b - c lies in block b, so
 both series are exact on any set of blocks that holds every block below one
 of its own: the total degree at most d, or the box that a table lists.
 
@@ -65,14 +65,22 @@ def _labelled_initial_vector(b: Bidegree) -> dict[RamificationType, int]:
     return terms
 
 
+def _mirror(piece: tuple) -> tuple[dict[RamificationType, int], ...]:
+    """The piece of block (b, a) from that of (a, b), keys sign-swapped, in new dicts."""
+    return tuple({mu.swap_signs(): x for mu, x in vec.items()} for vec in piece)
+
+
 def evolve_labelled(b: Bidegree, max_m: int) -> tuple[dict[RamificationType, int], ...]:
     """n+! n-! times the block coefficients of the disconnected series at
     u^m/m!, m <= max_m: the walk totals of the block, in int.
 
     Entry m is the m-th power of the plus operator applied to the labelled
     initial vector, stepped through its cached columns; the minus and mean
-    operators give the same values.
+    operators give the same values. So with S the sign swap, W- = S W+ S and
+    H_(b,a) = S H_(a,b): a block with n+ < n- is the mirror of its partner.
     """
+    if b[0] < b[1]:
+        return _mirror(evolve_labelled(b[::-1], max_m))
     return powers(wplus_column, _labelled_initial_vector(b), max_m)
 
 
@@ -82,7 +90,11 @@ def evolve_block(b: Bidegree, max_m: int) -> tuple[PolyVector, ...]:
 
 
 def _series(blocks: list[Bidegree], max_m: int, connected: bool) -> LabelledSeries:
-    series = LabelledSeries({b: evolve_labelled(b, max_m) for b in blocks}, max_m, False)
+    # each sign-swap pair of listed blocks is evolved once, at n+ >= n-
+    pieces = {b: evolve_labelled(b, max_m) for b in blocks
+              if b.n_plus >= b.n_minus or b[::-1] not in blocks}
+    pieces = {b: pieces.get(b) or _mirror(pieces[b[::-1]]) for b in blocks}
+    series = LabelledSeries(pieces, max_m, False)
     return series_log(series, max_m, blocks) if connected else series
 
 

@@ -10,12 +10,12 @@ for odd i:
   complex pair to real:  q_i d/dp_{2i}^+   (chi shift 0)
 
 The minus operator conjugates the plus one by the sign swap p_k^+ <-> p_k^-,
-and the mean is their half sum. All three preserve degree and bidegree.
-The plus and minus operators are read-only int columns, one per type, built
-on first use; powers steps through them, and a BlockMatrix holds those of
-one block (the mean's Fraction columns are built there). The terms of the
-genus-0 flow on unsigned variables live here as well, as images of one
-monomial (cut and q-term) or of a pair of monomials (join).
+and the mean is their half sum. All three preserve degree and bidegree. The
+plus and minus operators are read-only int columns, one per type, built on
+first use from moves cached per partition; powers steps through them, a
+BlockMatrix holds those of one block (the mean's Fraction columns are built
+there). The terms of the genus-0 flow on unsigned variables live here as well,
+as images of one monomial (cut and q-term) or of a pair of monomials (join).
 """
 
 from __future__ import annotations
@@ -44,48 +44,58 @@ class OperatorKind(Enum):
     WMEAN = "wmean"
 
 
+@lru_cache(maxsize=None)
+def _moves(p: Partition) -> tuple:
+    """The moves of the term families on p, once per partition: its (part,
+    multiplicity) pairs, largest first; p without one of each part, by the
+    part; and p after each cut of a part and each join of two, i even (the
+    plus families, read on kappa_plus), as (partition, multiplier)s."""
+    counts = tuple(Counter(p).items())
+    less = {n: without(p, n) for n, _ in counts}
+    return (counts, less,
+            tuple((merge_partitions(less[n], (i, n - i)), c)
+                  for n, c in counts for i in range(2, n, 2)),
+            tuple((merge_partitions(without(p, i, j), (i + j,)), ci * (cj - (i == j)))
+                  for i, ci in counts if i % 2 == 0 for j, cj in counts if cj - (i == j)))
+
+
+@lru_cache(maxsize=None)
+def _insert(p: Partition, k: int) -> Partition:
+    """p with one more part k."""
+    return merge_partitions(p, (k,))
+
+
 def wplus_images(mu: RamificationType) -> Iterator[tuple[RamificationType, int]]:
     """Images of the plus operator on the monomial p_mu.
 
     Yields (type, integer multiplier); repeated types may appear and must be
     summed by the caller.
     """
-    kp, km, lam = mu.kappa_plus, mu.kappa_minus, mu.lam
-    kp_counts = Counter(kp)
-    km_counts = Counter(km)
+    kp, km, lam = mu
+    (kp_counts, kp_less, cuts, joins), minus, pairs = map(_moves, mu)
+    (km_counts, km_less), (lam_counts, lam_less) = minus[:2], pairs[:2]
     # cut differentiating a plus part: i even, both new parts positive
-    for n, mult in kp_counts.items():
-        for i in range(2, n, 2):
-            yield RamificationType(merge_partitions(without(kp, n), (i, n - i)), km, lam), mult
+    for p, mult in cuts:
+        yield RamificationType(p, km, lam), mult
     # cut differentiating a minus part: i odd stays negative, j positive
-    for n, mult in km_counts.items():
+    for n, mult in km_counts:
         for i in range(1, n, 2):
-            yield (RamificationType(merge_partitions(kp, (n - i,)),
-                                    merge_partitions(without(km, n), (i,)), lam), mult)
+            yield RamificationType(_insert(kp, n - i), _insert(km_less[n], i), lam), mult
     # join of two plus parts (i even): result positive
-    for i in kp_counts:
-        if i % 2:
-            continue
-        for j in kp_counts:
-            mult = kp_counts[i] * (kp_counts[j] - (1 if i == j else 0))
-            if mult:
-                yield (RamificationType(merge_partitions(without(kp, i, j), (i + j,)), km, lam),
-                       mult)
+    for p, mult in joins:
+        yield RamificationType(p, km, lam), mult
     # join of a minus part (i odd) with a plus part: result negative
-    for i in km_counts:
-        if i % 2 == 0:
-            continue
-        for j in kp_counts:
-            yield (RamificationType(without(kp, j),
-                                    merge_partitions(without(km, i), (i + j,)), lam),
-                   km_counts[i] * kp_counts[j])
+    for i, ci in km_counts:
+        if i % 2:
+            for j, cj in kp_counts:
+                yield RamificationType(kp_less[j], _insert(km_less[i], i + j), lam), ci * cj
     # complex pair of order l becomes a positive real part 2l, weight l
-    for l, mult in Counter(lam).items():
-        yield RamificationType(merge_partitions(kp, (2 * l,)), km, without(lam, l)), l * mult
+    for l, mult in lam_counts:
+        yield RamificationType(_insert(kp, 2 * l), km, lam_less[l]), l * mult
     # even positive real part 2l becomes a complex pair of order l
-    for n, mult in kp_counts.items():
+    for n, mult in kp_counts:
         if n % 2 == 0:
-            yield RamificationType(without(kp, n), km, merge_partitions(lam, (n // 2,))), mult
+            yield RamificationType(kp_less[n], km, _insert(lam, n // 2)), mult
 
 
 _INTERNED: dict = {}  # each type once, with its grade: the keys of every column

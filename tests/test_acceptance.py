@@ -11,10 +11,12 @@ differs from it there and nowhere else; see the README.
 import time
 from fractions import Fraction
 
+import pytest
+
 from model_reference import dimension_series
+from realhurwitz import evolution
 from realhurwitz.evolution import (
     connected_series,
-    disconnected_series,
     evolve_block,
     genus0_unit_values,
     hurwitz_value,
@@ -22,6 +24,7 @@ from realhurwitz.evolution import (
 )
 from realhurwitz.model import (
     Bidegree,
+    bidegree_box,
     enumerate_bidegrees,
     enumerate_types,
     euler_characteristic,
@@ -32,13 +35,20 @@ from realhurwitz.model import (
     zeta,
 )
 from realhurwitz.nonsep import tilde_connected_value, tilde_evolve, tilde_hurwitz, ttype
-from realhurwitz.operators import OperatorKind, block_matrix
+from realhurwitz.operators import (
+    OperatorKind,
+    block_matrix,
+    powers,
+    wminus_column,
+    wplus_column,
+)
 from realhurwitz.oracle import hurwitz_by_paths, mult_c2_matrix
 from realhurwitz.spectral import (
     common_eigenbasis,
     compare_reference_eigenbasis,
     orthogonality_check,
 )
+from walk_reference import compose
 
 
 class Stopwatch:
@@ -129,20 +139,17 @@ def test_walk_counts_equal_evolution_coefficients():
 
 
 def test_operators_commute_and_are_zeta_self_adjoint():
+    # composes the sparse columns; zeta-self-adjoint means the entry at
+    # (nu, mu) times zeta(nu) equals the entry at (mu, nu) times zeta(mu),
+    # and every pair with a nonzero entry on either side is visited
     for b in enumerate_bidegrees(6):
-        wp = block_matrix(OperatorKind.WPLUS, b).entries
-        wm = block_matrix(OperatorKind.WMINUS, b).entries
-        n = len(wp)
-        for i in range(n):
-            for j in range(n):
-                assert sum(wp[i][k] * wm[k][j] for k in range(n)) == \
-                    sum(wm[i][k] * wp[k][j] for k in range(n))
-        basis = block_matrix(OperatorKind.WPLUS, b).basis
-        zs = [zeta(mu) for mu in basis]
-        for name, m in (("plus", wp), ("minus", wm)):
-            for i in range(n):
-                for j in range(n):
-                    assert m[i][j] * zs[i] == m[j][i] * zs[j], (name, b)
+        wp = block_matrix(OperatorKind.WPLUS, b).columns
+        wm = block_matrix(OperatorKind.WMINUS, b).columns
+        assert compose(wp, wm) == compose(wm, wp), b
+        for name, columns in (("plus", wp), ("minus", wm)):
+            for mu, column in columns.items():
+                for nu, x in column.items():
+                    assert x * zeta(nu) == columns[nu].get(mu, 0) * zeta(mu), (name, b)
 
 
 def test_dimension_table_matches_product_formula():
@@ -159,13 +166,42 @@ def test_dimension_table_matches_product_formula():
     assert row(5) == [1, 5, 19, 19, 5, 1]
 
 
-def test_disconnected_series_symmetric_under_sign_swap():
-    disc = disconnected_series(6, 6)
-    for m in range(7):
-        v = disc.coeff(m)
-        swapped = v.map_keys(
-            lambda mu: rtype(mu.kappa_minus, mu.kappa_plus, mu.lam))
-        assert swapped == v
+def _blocks_off_direct_evolution(corner: Bidegree, max_m: int) -> list:
+    """The blocks of the box under corner on which a piece of the
+    disconnected box series, evolve_labelled, the direct evolution of the
+    block's own labelled initial vector by the plus operator and that by the
+    minus operator are not all equal. A request evolves one block of each
+    sign-swap pair and mirrors the other, so this checks every mirrored block,
+    and the identity the mirror rests on: W- = S W+ S evolves each initial
+    vector to the same values as W+."""
+    series = evolution.box_series(corner, max_m, connected=False)
+    initial = evolution._labelled_initial_vector
+    return [b for b in bidegree_box(corner)
+            if not series.pieces[b] == evolution.evolve_labelled(b, max_m)
+            == powers(wplus_column, initial(b), max_m) == powers(wminus_column, initial(b), max_m)]
+
+
+def test_disconnected_series_under_the_sign_swap_equals_direct_evolution():
+    with Stopwatch() as watch:
+        assert _blocks_off_direct_evolution(Bidegree(7, 7), 12) == []
+    assert watch.elapsed < 60
+
+
+def _evolved_onto_itself(b, max_m):
+    """A broken mirror: a block with n+ < n- gets the swap of its own
+    evolution, not of its partner's."""
+    piece = powers(wplus_column, evolution._labelled_initial_vector(b), max_m)
+    return evolution._mirror(piece) if b.n_plus < b.n_minus else piece
+
+
+@pytest.mark.parametrize("name, broken", [
+    ("_mirror", lambda piece: tuple(dict(vec) for vec in piece)),
+    ("evolve_labelled", _evolved_onto_itself),
+], ids=["keys-unswapped", "onto-itself"])
+def test_direct_evolution_check_sees_a_broken_mirror(monkeypatch, name, broken):
+    monkeypatch.setattr(evolution, name, broken)
+    off = _blocks_off_direct_evolution(Bidegree(3, 3), 4)
+    assert off and all(b.n_plus < b.n_minus for b in off)
 
 
 def test_genus0_flow_equation_residual_vanishes():

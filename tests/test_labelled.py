@@ -48,6 +48,13 @@ def test_an_edited_result_leaves_the_next_request_intact():
     evolve_labelled(Bidegree(1, 1), 2)[0][mu] += 5
     tilde_evolve_labelled(3, 2)[2].clear()
     assert disconnected_series(2, 2).pieces[Bidegree(1, 1)][0][mu] == 1
+    # the piece of (1, 2) is the mirror of that of (2, 1): editing either
+    # leaves the other as it was
+    pieces = disconnected_series(3, 2).pieces
+    pieces[Bidegree(1, 2)][1].clear()
+    pieces[Bidegree(2, 1)][2][rtype((3,))] += 5
+    assert pieces[Bidegree(2, 1)][1] == labelled_by_paths(Bidegree(2, 1), 1)
+    assert pieces[Bidegree(1, 2)][2] == labelled_by_paths(Bidegree(1, 2), 2)
     for m in range(3):
         assert evolve_labelled(Bidegree(1, 1), 2)[m] == labelled_by_paths(Bidegree(1, 1), m)
         assert tilde_evolve_labelled(3, 2)[m] == tilde_labelled_by_paths(3, m)

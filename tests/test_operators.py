@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+import wplus_reference
 from realhurwitz import evolution
 from realhurwitz.model import (
     Bidegree,
     bidegree,
+    bidegree_box,
     enumerate_bidegrees,
     enumerate_types,
     euler_characteristic,
@@ -68,6 +70,14 @@ def test_wmean_is_the_average():
     vec = [int(mu in (p_plus(4), q_var(2))) for mu in mean.basis]
     assert mean.matvec(vec) == [(x + y) / 2 for x, y in
                                 zip(plus.matvec(vec), minus.matvec(vec))]
+
+
+def test_cached_moves_yield_the_reference_images_on_the_box_seven():
+    # the same (type, multiplier) sequence, in the same order, as the images
+    # built afresh with no cache
+    for b in bidegree_box(Bidegree(7, 7)):
+        for mu in enumerate_types(b):
+            assert list(wplus_images(mu)) == list(wplus_reference.wplus_images(mu)), mu
 
 
 def test_images_preserve_bidegree():

@@ -33,7 +33,14 @@ from realhurwitz.oracle import (
     orbits,
     states,
 )
-from walk_reference import SIGNED, UNSIGNED, class_members, transitions, walk_count
+from walk_reference import (
+    SIGNED,
+    UNSIGNED,
+    class_members,
+    compose,
+    transitions,
+    walk_count,
+)
 
 EMPTY = frozenset()
 PAIR = frozenset({(0, 0)})
@@ -250,23 +257,11 @@ def test_class_size_matches_formula():
             assert len(class_members(mu)) == class_size_formula(mu)
 
 
-def _compose(a: dict, b: dict) -> dict:
-    """Columns of the product a b: each column of b mapped through a."""
-    out = {}
-    for mu, column in b.items():
-        image: dict = {}
-        for nu, c in column.items():
-            for rho, x in a[nu].items():
-                image[rho] = image.get(rho, 0) + c * x
-        out[mu] = {rho: x for rho, x in image.items() if x}
-    return out
-
-
 def test_left_and_right_multiplication_commute():
     for b in enumerate_bidegrees(4):
         left = mult_c2_matrix(b, "left")
         right = mult_c2_matrix(b, "right")
-        assert _compose(left, right) == _compose(right, left)
+        assert compose(left, right) == compose(right, left)
 
 
 def test_walk_count_zero_steps():

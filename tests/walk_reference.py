@@ -7,7 +7,8 @@ the references that the oracle tests compare against: the move counts of
 every transition with their class means, the walk totals, the class of a
 type, its first member as a representative, and the number of walks between
 the two states of that representative, which times the class size gives the
-walk total that hurwitz_by_paths reads.
+walk total that hurwitz_by_paths reads. compose multiplies two operators
+given in that column form.
 """
 
 from collections import Counter
@@ -92,3 +93,15 @@ def walk_count(mu: RamificationType, m: int) -> int:
     representative transition of type mu."""
     initial, final = representative(mu)
     return walks_from(SIGNED, bidegree(mu), initial, m).get(final, 0)
+
+
+def compose(a: dict, b: dict) -> dict:
+    """Columns of the product a b: each column of b mapped through a."""
+    out = {}
+    for mu, column in b.items():
+        image: dict = {}
+        for nu, c in column.items():
+            for rho, x in a[nu].items():
+                image[rho] = image.get(rho, 0) + c * x
+        out[mu] = {rho: x for rho, x in image.items() if x}
+    return out

@@ -23,19 +23,17 @@ _EXPORTS = {
     "poly": ("LabelledSeries", "PolyVector", "series_exp", "series_log"),
     "operators": ("BlockMatrix", "G0Type", "OperatorKind", "block_matrix",
                   "g0_from_type"),
-    "oracle": ("classify", "hurwitz_by_paths", "mult_c2_matrix", "states"),
+    "oracle": ("classify", "mult_c2_matrix", "states"),
     "evolution": (
         "HurwitzRow", "connected_series", "disconnected_series",
-        "evolve_block", "genus0_series", "genus0_single_part_values",
-        "genus0_unit_values", "hurwitz_value", "table_rows",
-        "verify_genus0_pde",
+        "genus0_series", "genus0_single_part_values", "genus0_unit_values",
+        "hurwitz_value", "table_rows", "verify_genus0_pde",
     ),
     "spectral": ("SpectralReport", "common_eigenbasis",
                  "compare_reference_eigenbasis", "orthogonality_check"),
     "nonsep": (
         "TILDE_EMPTY", "TildeType", "tilde_classify", "tilde_connected_value",
-        "tilde_evolve", "tilde_hurwitz", "tilde_operator_matrix",
-        "tilde_table_rows", "ttype",
+        "tilde_operator_matrix", "tilde_table_rows", "ttype",
     ),
 }
 

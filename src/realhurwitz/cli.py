@@ -28,6 +28,7 @@ from typing import Iterable
 from . import evolution
 from .model import (
     Bidegree,
+    RamificationType,
     canonical_key,
     enumerate_bidegrees,
     euler_characteristic,
@@ -36,6 +37,7 @@ from .model import (
     p_plus,
     q_var,
     rtype,
+    unlabel,
 )
 from .operators import OperatorKind, block_matrix
 from .poly import HurwitzRow, PolyVector
@@ -63,11 +65,6 @@ def _frac_pair(x: Fraction) -> list[str]:
     return [str(x.numerator), str(x.denominator)]
 
 
-def _tilde_text(mu) -> str:
-    return (f"k+:[{_part_str(mu.kappa_plus)}] k-:[{_part_str(mu.kappa_minus)}] "
-            f"k:[{_part_str(mu.kappa_odd)}] l:[{_part_str(mu.lam)}]")
-
-
 def _write_csv(header: list, records: Iterable[list]) -> None:
     """CSV on stdout, written a block of rows at a time: neither the whole
     text nor one write per row."""
@@ -80,9 +77,11 @@ def _write_csv(header: list, records: Iterable[list]) -> None:
         block = list(islice(records, 1024))
 
 
-def _emit_rows(rows, fmt: str, tilde: bool = False) -> None:
-    kappas = ["kappa_plus", "kappa_minus"] + (["kappa_odd"] if tilde else [])
-    header = ["m", *kappas, "lambda", "chi", "connected", "value_num", "value_den"]
+def _emit_rows(rows, fmt: str, fields: tuple) -> None:
+    """The rows of a table; fields, the _fields of its type, name the
+    partition columns, so an empty table still prints its header."""
+    header = ["m", *("lambda" if f == "lam" else f for f in fields),
+              "chi", "connected", "value_num", "value_den"]
 
     def records(text=str):
         # a type recurs at every m, so its part strings are built once; the
@@ -91,8 +90,7 @@ def _emit_rows(rows, fmt: str, tilde: bool = False) -> None:
         for row in rows:
             strs = parts.get(row.mu)
             if strs is None:
-                strs = parts[row.mu] = [text(_part_str(getattr(row.mu, k)))
-                                        for k in (*kappas, "lam")]
+                strs = parts[row.mu] = [text(_part_str(p)) for p in row.mu]
             yield [row.m, *strs, row.chi, "true" if row.connected else "false",
                    text(str(row.value.numerator)), text(str(row.value.denominator))]
 
@@ -106,14 +104,14 @@ def _emit_rows(rows, fmt: str, tilde: bool = False) -> None:
     elif fmt == "csv":
         _write_csv(header, records())
     else:
-        texts = {mu: (_tilde_text if tilde else format_type)(mu) for mu in {r.mu for r in rows}}
+        texts = {mu: format_type(mu) for mu in {r.mu for r in rows}}
         for row in rows:
             print(f"m={row.m} {texts[row.mu]} chi={row.chi} value={row.value}")
 
 
 def cmd_table(args) -> int:
     rows = evolution.table_rows(args.max_degree, args.max_m, args.connected)
-    _emit_rows(rows, args.format)
+    _emit_rows(rows, args.format, RamificationType._fields)
     return 0
 
 
@@ -198,17 +196,17 @@ def cmd_spectrum(args) -> int:
 def cmd_oracle(args) -> int:
     from . import oracle
     b = Bidegree(args.nplus, args.nminus)
-    table = oracle.hurwitz_by_paths(b, args.m)
+    table = unlabel(oracle.labelled_by_paths(b, args.m), b)
     rows = [HurwitzRow(args.m, mu, euler_characteristic(mu, args.m), False, table[mu])
             for mu in sorted(table, key=canonical_key)]
-    _emit_rows(rows, args.format)
+    _emit_rows(rows, args.format, RamificationType._fields)
     return 0
 
 
 def cmd_nonsep(args) -> int:
     from . import nonsep
     rows = nonsep.tilde_table_rows(args.max_n, args.max_m, args.connected)
-    _emit_rows(rows, args.format, tilde=True)
+    _emit_rows(rows, args.format, nonsep.TildeType._fields)
     return 0
 
 

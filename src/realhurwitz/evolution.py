@@ -14,7 +14,7 @@ vector and the plus operator's int columns, read per type with no block
 basis, keep the evolution in int; each request evolves its blocks afresh
 into a store of its own, which the formal log reads and the public series
 functions return. Fractions enter where a value leaves it: table rows,
-hurwitz_value, evolve_block and the coefficients the store yields by order.
+hurwitz_value and the coefficients the store yields by order.
 
 The genus-0 layer keeps the top Euler characteristic part, forgets signs,
 and checks its quadratic flow equation on the images of the flow's terms.
@@ -31,11 +31,9 @@ from .model import (
     RamificationType,
     bidegree,
     bidegree_box,
-    canonical_key,
     enumerate_bidegrees,
     euler_characteristic,
     rtype,
-    unlabel,
 )
 from .operators import (
     G0Type,
@@ -84,11 +82,6 @@ def evolve_labelled(b: Bidegree, max_m: int) -> tuple[dict[RamificationType, int
     return powers(wplus_column, _labelled_initial_vector(b), max_m)
 
 
-def evolve_block(b: Bidegree, max_m: int) -> tuple[PolyVector, ...]:
-    """Block coefficients of the disconnected series at u^m/m!, m <= max_m."""
-    return tuple(PolyVector(unlabel(vec, b)) for vec in evolve_labelled(b, max_m))
-
-
 def _series(blocks: list[Bidegree], max_m: int, connected: bool) -> LabelledSeries:
     # each sign-swap pair of listed blocks is evolved once, at n+ >= n-
     pieces = {b: evolve_labelled(b, max_m) for b in blocks
@@ -122,8 +115,7 @@ def hurwitz_value(mu: RamificationType, m: int, connected: bool = True) -> Fract
 def table_rows(block_cap: int, max_m: int, connected: bool = True) -> list[HurwitzRow]:
     """Nonzero counts for all types with max(n_plus, n_minus) <= block_cap,
     ordered by m and then by canonical type order."""
-    return _series(bidegree_box(Bidegree(block_cap, block_cap)), max_m, connected).rows(
-        canonical_key, euler_characteristic)
+    return _series(bidegree_box(Bidegree(block_cap, block_cap)), max_m, connected).rows()
 
 
 def genus0_series(max_m: int, max_degree: int) -> tuple[PolyVector, ...]:

@@ -5,6 +5,10 @@ A ramification type is a triple of partitions (kappa_plus, kappa_minus, lam):
 orders of positive real poles, negative real poles, and conjugate pole pairs.
 Monomials correspond to types via p_mu = prod p_k^+ prod p_k^- prod q_l with
 deg p_k^{+-} = k and deg q_l = 2l.
+
+canonical_key, euler_characteristic and format_type read a type only through
+its degree, its partitions and their field names, so they serve the unsigned
+quadruple of nonsep (with its odd real poles kappa_odd) unchanged.
 """
 
 from __future__ import annotations
@@ -88,10 +92,6 @@ class RamificationType(NamedTuple):
     def degree(self) -> int:
         return sum(self.kappa_plus) + sum(self.kappa_minus) + 2 * sum(self.lam)
 
-    @property
-    def length_sum(self) -> int:
-        return len(self.kappa_plus) + len(self.kappa_minus) + 2 * len(self.lam)
-
     def union(self, other: "RamificationType") -> "RamificationType":
         return RamificationType(
             merge_partitions(self.kappa_plus, other.kappa_plus),
@@ -140,9 +140,10 @@ def bidegree(mu: RamificationType) -> Bidegree:
     return Bidegree(n_plus + l_total, n_minus + l_total)
 
 
-def euler_characteristic(mu: RamificationType, m: int) -> int:
-    """Euler characteristic of the source surface: degree + total pole length - m."""
-    return mu.degree + mu.length_sum - m
+def euler_characteristic(mu, m: int) -> int:
+    """Euler characteristic of the source surface: degree plus pole count
+    minus m, with conjugate pairs (lam) counting twice."""
+    return mu.degree + sum(map(len, mu)) + len(mu.lam) - m
 
 
 def zeta(mu: RamificationType) -> int:
@@ -166,9 +167,9 @@ def unlabel(vec: dict, grade) -> dict:
     return {k: Fraction(x, d) for k, x in vec.items()}
 
 
-def canonical_key(mu: RamificationType) -> tuple:
-    """Deterministic sort key: (degree, kappa_plus, kappa_minus, lam)."""
-    return (mu.degree, mu.kappa_plus, mu.kappa_minus, mu.lam)
+def canonical_key(mu) -> tuple:
+    """Deterministic sort key of a type: its degree, then its partitions."""
+    return (mu.degree, *mu)
 
 
 @lru_cache(maxsize=None)
@@ -219,8 +220,10 @@ def format_partition(p: Partition) -> str:
     return "[" + " ".join(str(k) for k in p) + "]"
 
 
-def format_type(mu: RamificationType) -> str:
-    """Canonical text form: k+:[...] k-:[...] l:[...]."""
-    return (f"k+:{format_partition(mu.kappa_plus)} "
-            f"k-:{format_partition(mu.kappa_minus)} "
-            f"l:{format_partition(mu.lam)}")
+_FIELD_TEXT = {"kappa_plus": "k+", "kappa_minus": "k-", "kappa_odd": "k", "lam": "l"}
+
+
+def format_type(mu) -> str:
+    """Canonical text form, each partition after the label of its field:
+    k+:[...] k-:[...] l:[...], with k:[...] before l for a TildeType."""
+    return " ".join(f"{_FIELD_TEXT[f]}:{format_partition(p)}" for f, p in zip(mu._fields, mu))

@@ -13,7 +13,9 @@ signed plus operator's come from wplus_images. The walks are the check:
 tilde_mult_c2_matrix derives the same columns from the walk model, and
 tilde_labelled_by_paths gives the walk totals that the evolution must equal.
 The entries are integers, so the evolution and the formal log run on
-labelled integer counts, n! times each count of degree n.
+labelled integer counts, n! times each count of degree n. A TildeType is
+ordered, printed and given its Euler characteristic by the signed model's
+canonical_key, format_type and euler_characteristic.
 """
 
 from __future__ import annotations
@@ -27,20 +29,15 @@ from typing import Iterator, NamedTuple
 from .model import (
     Partition,
     aut_order,
+    canonical_key,
     merge_partitions,
     partition,
     partitions_of,
-    unlabel,
     without,
 )
 from .operators import BlockMatrix, cached_columns, powers
 from .oracle import WalkModel, chains_and_cycles, class_multiplication, orbits, walk_totals
-from .poly import (
-    HurwitzRow,
-    LabelledSeries,
-    PolyVector,
-    series_log,
-)
+from .poly import HurwitzRow, LabelledSeries, series_log
 
 TildeState = frozenset
 TildeTransition = tuple[TildeState, TildeState]
@@ -84,10 +81,6 @@ def ttype(kappa_plus=(), kappa_minus=(), kappa_odd=(), lam=()) -> TildeType:
     return TildeType(kp, km, ko, lm)
 
 
-def tilde_canonical_key(mu: TildeType):
-    return (mu.degree, mu.kappa_plus, mu.kappa_minus, mu.kappa_odd, mu.lam)
-
-
 def tilde_zeta(mu: TildeType) -> int:
     """Stabilizer order of a transition of type mu inside S(n)."""
     out = (aut_order(mu.kappa_plus) * aut_order(mu.kappa_minus)
@@ -95,13 +88,6 @@ def tilde_zeta(mu: TildeType) -> int:
     for l in mu.lam:
         out *= 2 * l
     return out * 2 ** (len(mu.kappa_plus) + len(mu.kappa_minus))
-
-
-def tilde_euler_characteristic(mu: TildeType, m: int) -> int:
-    """Source-curve Euler characteristic: degree plus pole count minus m,
-    with conjugate pairs counting twice."""
-    return (mu.degree + len(mu.kappa_plus) + len(mu.kappa_minus)
-            + len(mu.kappa_odd) + 2 * len(mu.lam) - m)
 
 
 def tilde_class_size_formula(mu: TildeType) -> int:
@@ -132,7 +118,7 @@ def tilde_enumerate_types(n: int) -> tuple[TildeType, ...]:
                                 if any(k % 2 == 0 for k in ko):
                                     continue
                                 out.append(TildeType(kp, km, ko, lam))
-    return tuple(sorted(out, key=tilde_canonical_key))
+    return tuple(sorted(out, key=canonical_key))
 
 
 @lru_cache(maxsize=None)
@@ -297,20 +283,10 @@ def tilde_evolve_labelled(n: int, max_m: int) -> tuple[dict[TildeType, int], ...
     return powers(tilde_column, _labelled_initial_vector(n), max_m)
 
 
-def tilde_evolve(n: int, max_m: int) -> tuple[PolyVector, ...]:
-    """Coefficients at u^m/m! of the disconnected degree-n evolution."""
-    return tuple(PolyVector(unlabel(vec, (n,))) for vec in tilde_evolve_labelled(n, max_m))
-
-
 def tilde_labelled_by_paths(n: int, m: int) -> dict[TildeType, int]:
     """Walk totals at u^m/m! on n elements, summed by type: n! times the
     disconnected counts."""
     return walk_totals(_unsigned(), (n,), m)
-
-
-def tilde_hurwitz(n: int, m: int) -> dict[TildeType, Fraction]:
-    """Disconnected counts at u^m/m! on n elements: walk totals over n!."""
-    return unlabel(tilde_labelled_by_paths(n, m), (n,))
 
 
 def _series(max_n: int, max_m: int, connected: bool) -> LabelledSeries:
@@ -324,5 +300,4 @@ def tilde_connected_value(mu: TildeType, m: int) -> Fraction:
 
 
 def tilde_table_rows(max_n: int, max_m: int, connected: bool = True) -> list[HurwitzRow]:
-    return _series(max_n, max_m, connected).rows(tilde_canonical_key,
-                                                 tilde_euler_characteristic)
+    return _series(max_n, max_m, connected).rows()

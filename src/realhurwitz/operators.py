@@ -196,13 +196,6 @@ class BlockMatrix:
         return tuple(tuple(Fraction(self.columns[col].get(row, 0)) for col in self.basis)
                      for row in self.basis)
 
-    def matvec(self, vec) -> list:
-        """Exact image of a coordinate vector over the basis, summed from the
-        sparse columns; float coordinates are read as the rationals they equal."""
-        image = _image({mu: Fraction(c) for mu, c in zip(self.basis, vec) if c},
-                       self.columns.__getitem__)
-        return [image.get(mu, Fraction(0)) for mu in self.basis]
-
     def step(self, vec: Mapping) -> dict:
         """Image of a vector {type: exact value} of this block; a key
         outside the basis raises KeyError."""

@@ -16,7 +16,6 @@ are generic over the transition model, and the unsigned model binds them too.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Callable, Hashable, Iterator, NamedTuple
@@ -25,7 +24,6 @@ from .model import (
     Bidegree,
     RamificationType,
     partition,
-    unlabel,
 )
 
 State = frozenset
@@ -218,13 +216,3 @@ def labelled_by_paths(b: Bidegree, m: int) -> dict[RamificationType, int]:
     summed by the type of the pair: n_plus! n_minus! times the disconnected
     counts at u^m/m!, in int."""
     return walk_totals(_signed(), Bidegree(*b), m)
-
-
-def hurwitz_by_paths(b: Bidegree, m: int) -> dict[RamificationType, Fraction]:
-    """Disconnected counts at u^m/m! for every type on the ground set b.
-
-    Divides the walk totals of labelled_by_paths by n_plus! n_minus!. Equals
-    the walk count between the states of any one transition of a type over
-    zeta of the type, since walks between pairs in one class agree.
-    """
-    return unlabel(labelled_by_paths(b, m), Bidegree(*b))

@@ -20,18 +20,19 @@ g. Every count of both walk models is an int there, and exp and log run on
 it in int arithmetic, with an exact division that raises ArithmeticError on
 a remainder. Fractions enter only where a value leaves the store: a table
 row, a single value, the PolyVector of one order, or model.unlabel, which
-the public wrappers of both walk models use to divide a labelled vector by
-its label factor. A read above the order or outside the grades a store was
-computed on raises ValueError; it never reads as zero.
+divides a labelled vector of one grade by its label factor. Table rows are
+ordered by model.canonical_key and carry model.euler_characteristic, which
+serve the types of both walk models. A read above the order or outside the
+grades a store was computed on raises ValueError; it never reads as zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, prod
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .model import EMPTY_TYPE, label, unlabel
+from .model import EMPTY_TYPE, canonical_key, euler_characteristic, label, unlabel
 
 
 class PolyVector:
@@ -137,18 +138,20 @@ class LabelledSeries(NamedTuple):
         """The coefficients of u^m/m!, m = 0 .. max_m."""
         return [self.coeff(m) for m in range(self.max_m + 1)]
 
-    def rows(self, sort_key: Callable, chi: Callable) -> list[HurwitzRow]:
+    def rows(self) -> list[HurwitzRow]:
         """Nonzero coefficients as table rows, ordered by m and then by
-        sort_key. Each row's value is built once, here."""
-        keyed = [(k, piece, label(g)) for g, piece in self.pieces.items()
+        canonical_key. Each row's value, and each key's chi at m = 0, is
+        built once, here."""
+        keyed = [(k, piece, label(g), euler_characteristic(k, 0))
+                 for g, piece in self.pieces.items()
                  for k in dict.fromkeys(k for vec in piece for k in vec)]
         # a table reads thousands of keys, so of the grade check of _keys it
         # keeps only the part that costs nothing: no key in two pieces
-        if len({k for k, _, _ in keyed}) != len(keyed):
+        if len({item[0] for item in keyed}) != len(keyed):
             raise ValueError("a key lies in two pieces")
-        keyed.sort(key=lambda item: sort_key(item[0]))
-        return [HurwitzRow(m, k, chi(k, m), self.connected, Fraction(x, d))
-                for m in range(self.max_m + 1) for k, piece, d in keyed
+        keyed.sort(key=lambda item: canonical_key(item[0]))
+        return [HurwitzRow(m, k, chi - m, self.connected, Fraction(x, d))
+                for m in range(self.max_m + 1) for k, piece, d, chi in keyed
                 if (x := piece[m].get(k))]
 
 

@@ -327,7 +327,9 @@ def mean_eigenvalue_check(report: SpectralReport) -> bool:
     eigenvalue the average of the pair."""
     wmean = block_matrix(OperatorKind.WMEAN, report.bidegree)
     for (lp, lm), vec in zip(report.pairs, report.vectors):
-        image = wmean.matvec(vec)
+        # exact: a float coordinate is read as the rational it equals
+        image = wmean.step({mu: Fraction(c) for mu, c in zip(wmean.basis, vec) if c})
+        image = [image.get(mu, 0) for mu in wmean.basis]
         want = [(lp + lm) / 2 * c for c in vec]
         if report.exact:
             if image != want:

@@ -3,13 +3,14 @@
 They are kept only as the independent references that the tests check the
 package against: the product formula for the number of types of each
 bidegree (enumerate_types), the class size n+! n-! / zeta(mu) (zeta and the
-exhaustive classes of the walk model), and a parser of the text form, which
-shows that format_type loses nothing.
+exhaustive classes of the walk model), and a parser of the text form of
+both walk models' types, which shows that format_type loses nothing.
 """
 
 import re
 
 from realhurwitz.model import RamificationType, bidegree, label, partition, zeta
+from realhurwitz.nonsep import TildeType
 
 
 def dimension_series(max_total: int) -> dict[tuple[int, int], int]:
@@ -61,12 +62,17 @@ def parse_partition(text: str) -> tuple[int, ...]:
     return partition(int(token) for token in body[1:-1].split())
 
 
-_TYPE_RE = re.compile(r"^\s*k\+:(\[[^\]]*\])\s+k-:(\[[^\]]*\])\s+l:(\[[^\]]*\])\s*$")
+_TYPE_RE = re.compile(r"^\s*k\+:(\[[^\]]*\])\s+k-:(\[[^\]]*\])"
+                      r"(?:\s+k:(\[[^\]]*\]))?\s+l:(\[[^\]]*\])\s*$")
 
 
-def parse_type(text: str) -> RamificationType:
-    """Parse the form 'k+:[...] k-:[...] l:[...]' that format_type prints."""
+def parse_type(text: str) -> RamificationType | TildeType:
+    """Parse the form 'k+:[...] k-:[...] l:[...]' that format_type prints for
+    a RamificationType, or 'k+:[...] k-:[...] k:[...] l:[...]' for a TildeType."""
     m = _TYPE_RE.match(text)
     if not m:
         raise ValueError(f"cannot parse ramification type {text!r}")
-    return RamificationType(*(parse_partition(g) for g in m.groups()))
+    kp, km, ko, lam = m.groups()
+    if ko is None:
+        return RamificationType(*map(parse_partition, (kp, km, lam)))
+    return TildeType(*map(parse_partition, (kp, km, ko, lam)))

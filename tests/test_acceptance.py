@@ -17,7 +17,7 @@ from model_reference import dimension_series
 from realhurwitz import evolution
 from realhurwitz.evolution import (
     connected_series,
-    evolve_block,
+    evolve_labelled,
     genus0_unit_values,
     hurwitz_value,
     verify_genus0_pde,
@@ -34,7 +34,12 @@ from realhurwitz.model import (
     rtype,
     zeta,
 )
-from realhurwitz.nonsep import tilde_connected_value, tilde_evolve, tilde_hurwitz, ttype
+from realhurwitz.nonsep import (
+    tilde_connected_value,
+    tilde_evolve_labelled,
+    tilde_labelled_by_paths,
+    ttype,
+)
 from realhurwitz.operators import (
     OperatorKind,
     block_matrix,
@@ -42,7 +47,7 @@ from realhurwitz.operators import (
     wminus_column,
     wplus_column,
 )
-from realhurwitz.oracle import hurwitz_by_paths, mult_c2_matrix
+from realhurwitz.oracle import labelled_by_paths, mult_c2_matrix
 from realhurwitz.spectral import (
     common_eigenbasis,
     compare_reference_eigenbasis,
@@ -133,9 +138,9 @@ def test_operator_blocks_equal_class_multiplication_matrices():
 
 def test_walk_counts_equal_evolution_coefficients():
     for b in enumerate_bidegrees(5):
-        vectors = evolve_block(b, 6)
+        vectors = evolve_labelled(b, 6)
         for m in range(7):
-            assert dict(vectors[m]) == hurwitz_by_paths(b, m)
+            assert vectors[m] == labelled_by_paths(b, m)
 
 
 def test_operators_commute_and_are_zeta_self_adjoint():
@@ -226,7 +231,7 @@ def test_unsigned_model_count_and_oracle_equivalence():
     with Stopwatch() as watch:
         assert tilde_connected_value(ttype(kappa_odd=(3,)), 6) == 9
         for n in range(5):
-            evolved = tilde_evolve(n, 6)
+            evolved = tilde_evolve_labelled(n, 6)
             for m in range(7):
-                assert dict(evolved[m]) == tilde_hurwitz(n, m)
+                assert evolved[m] == tilde_labelled_by_paths(n, m)
     assert watch.elapsed < 120

@@ -8,7 +8,7 @@ from realhurwitz.evolution import (
     box_series,
     connected_series,
     disconnected_series,
-    evolve_block,
+    evolve_labelled,
     genus0_pde_residuals,
     genus0_series,
     genus0_single_part_values,
@@ -28,24 +28,22 @@ from realhurwitz.model import (
     rtype,
 )
 from realhurwitz.operators import G0Type
-from realhurwitz.oracle import hurwitz_by_paths
+from realhurwitz.oracle import labelled_by_paths
 from realhurwitz.poly import LabelledSeries, PolyVector, series_exp
 
 
 def test_initial_vector_small_blocks():
-    v = evolve_block(Bidegree(1, 1), 0)[0]
-    assert v.coeff(rtype((1,), (1,))) == 1
-    assert v.coeff(q_var(1)) == 1
-    v = evolve_block(Bidegree(2, 1), 0)[0]
-    assert v.coeff(rtype((1, 1), (1,))) == Fraction(1, 2)
-    assert v.coeff(rtype((1,), (), (1,))) == 1
+    # n+! n-! times the coefficients: 1 and 1 on (1, 1), 1/2 and 1 on (2, 1)
+    assert evolve_labelled(Bidegree(1, 1), 0)[0] == {rtype((1,), (1,)): 1, q_var(1): 1}
+    assert evolve_labelled(Bidegree(2, 1), 0)[0] == {rtype((1, 1), (1,)): 1,
+                                                     rtype((1,), (), (1,)): 2}
 
 
 def test_evolution_matches_walk_counts():
     for b in enumerate_bidegrees(4):
-        vectors = evolve_block(b, 5)
+        vectors = evolve_labelled(b, 5)
         for m in range(6):
-            assert dict(vectors[m]) == hurwitz_by_paths(b, m)
+            assert vectors[m] == labelled_by_paths(b, m)
 
 
 def test_disconnected_series_constant_term():

@@ -57,6 +57,17 @@ GOLDEN = [
      "98da5ddc9282f75fe47233dcec4f923a5305630e380ef8f5319a9604ff3be018"),
     ("nonsep --max-n 3 --max-m 3", 0,
      "87bf8c4be04d83e264db48d30fd6d0038369d59bdaec565a115a2c39237ff0d0"),
+    ("nonsep --max-n 4 --max-m 4 --format csv", 0,
+     "cc1e7a03457a77f9b13b6052de66e20abfcbe50891c284908a16714e9bd17719"),
+    # empty tables still print their header
+    ("nonsep --max-n 0 --max-m 0 --connected --format csv", 0,
+     "b3681dc304a8696c0f7bc042f9f5fe5f8694b65ec5d77ea1a2d159a1c6874715"),
+    ("table --max-degree 0 --max-m 0 --connected --format json", 0,
+     "fb2989323b717f2e869a06272d8ee4b35b4e516d6a555f4ce3d19f9ee3606ff0"),
+    ("oracle --nplus 2 --nminus 2 --m 3", 0,
+     "8c1e79667bb3fbe8be5a6346fe38e163817ff660ea95a29a90a163b4b53494ae"),
+    ("oracle --nplus 3 --nminus 2 --m 4 --format json", 0,
+     "48261cc30e52783cf8d049184cc6cec178c265cc6adf2762d2cfbf41760b4744"),
 ]
 
 

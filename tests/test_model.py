@@ -6,6 +6,7 @@ from model_reference import class_size_formula, dimension_series, parse_partitio
 from realhurwitz.model import (
     Bidegree,
     EMPTY_TYPE,
+    RamificationType,
     aut_order,
     bidegree,
     canonical_key,
@@ -23,6 +24,7 @@ from realhurwitz.model import (
     rtype,
     zeta,
 )
+from realhurwitz.nonsep import TildeType, tilde_enumerate_types
 
 
 def test_partition_sorts_descending():
@@ -141,6 +143,49 @@ def test_format_and_parse_partition_roundtrip():
 def test_format_and_parse_type_roundtrip():
     for mu in enumerate_types(Bidegree(2, 1)):
         assert parse_type(format_type(mu)) == mu
+
+
+def _replaced_formulas(mu, m: int) -> tuple:
+    """The sort key, chi and text that each walk model computed on its own
+    before canonical_key, euler_characteristic and format_type served both."""
+    def text(p):
+        return "[" + " ".join(str(k) for k in p) + "]"
+    if isinstance(mu, TildeType):
+        kp, km, ko, lam = mu
+        return ((mu.degree, kp, km, ko, lam),
+                mu.degree + len(kp) + len(km) + len(ko) + 2 * len(lam) - m,
+                f"k+:{text(kp)} k-:{text(km)} k:{text(ko)} l:{text(lam)}")
+    kp, km, lam = mu
+    return ((mu.degree, kp, km, lam), mu.degree + len(kp) + len(km) + 2 * len(lam) - m,
+            f"k+:{text(kp)} k-:{text(km)} l:{text(lam)}")
+
+
+# every signed type of total degree <= 8 and every unsigned type of degree <= 8
+_PROTOCOL_TYPES = ([mu for b in enumerate_bidegrees(8) for mu in enumerate_types(b)]
+                   + [mu for n in range(9) for mu in tilde_enumerate_types(n)])
+
+
+def _protocol_mismatches(key, chi, text) -> list:
+    return [mu for mu in _PROTOCOL_TYPES for m in (0, 5)
+            if (key(mu), chi(mu, m), text(mu)) != _replaced_formulas(mu, m)]
+
+
+def test_key_protocol_equals_the_formulas_it_replaces():
+    assert any(isinstance(mu, TildeType) and mu.kappa_odd and mu.lam for mu in _PROTOCOL_TYPES)
+    assert _protocol_mismatches(canonical_key, euler_characteristic, format_type) == []
+
+
+@pytest.mark.parametrize("key, chi, text", [
+    # the text without the k: slot, as the signed model printed it
+    (canonical_key, euler_characteristic,
+     lambda mu: format_type(RamificationType(mu.kappa_plus, mu.kappa_minus, mu.lam))),
+    # conjugate pairs counted once
+    (canonical_key, lambda mu, m: mu.degree + sum(map(len, mu)) - m, format_type),
+    # partitions only, no degree first
+    (tuple, euler_characteristic, format_type),
+], ids=["format-drops-k", "chi-pairs-once", "key-without-degree"])
+def test_key_protocol_check_catches_a_mutant(key, chi, text):
+    assert _protocol_mismatches(key, chi, text)
 
 
 def test_enumerate_bidegrees_order_and_count():

@@ -4,7 +4,6 @@ import ast
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
 from pathlib import Path
@@ -19,6 +18,7 @@ from realhurwitz.model import (
     Bidegree,
     enumerate_bidegrees,
     enumerate_types,
+    label,
     p_minus,
     p_plus,
     q_var,
@@ -27,7 +27,7 @@ from realhurwitz.model import (
 )
 from realhurwitz.oracle import (
     classify,
-    hurwitz_by_paths,
+    labelled_by_paths,
     mult_c2_matrix,
     neighbor_states,
     orbits,
@@ -271,21 +271,21 @@ def test_walk_count_zero_steps():
     assert walk_count(p_plus(2), 0) == 0
 
 
-def test_hurwitz_by_paths_block_1_1():
-    assert hurwitz_by_paths(Bidegree(1, 1), 0) == {
-        rtype((1,), (1,)): Fraction(1),
-        q_var(1): Fraction(1),
-    }
-    assert hurwitz_by_paths(Bidegree(1, 1), 1) == {
-        p_plus(2): Fraction(1),
-        p_minus(2): Fraction(1),
-    }
+def test_labelled_by_paths_block_1_1():
+    # the label factor of (1, 1) is 1, so these are the counts themselves
+    assert labelled_by_paths(Bidegree(1, 1), 0) == {rtype((1,), (1,)): 1, q_var(1): 1}
+    assert labelled_by_paths(Bidegree(1, 1), 1) == {p_plus(2): 1, p_minus(2): 1}
 
 
-def test_hurwitz_by_paths_equals_walk_count_over_zeta():
+def test_labelled_by_paths_equals_label_times_walk_count_over_zeta():
+    # walks between the pairs of one class agree, and a class has
+    # label(b) / zeta transitions, so the total of a type is that many walk
+    # counts of one member
     for b in enumerate_bidegrees(4):
         for m in range(4):
-            table = hurwitz_by_paths(b, m)
+            table = labelled_by_paths(b, m)
+            assert set(table) <= set(enumerate_types(b))
             for mu in enumerate_types(b):
-                expected = Fraction(walk_count(mu, m), zeta(mu))
-                assert table.get(mu, Fraction(0)) == expected
+                expected, rem = divmod(label(b) * walk_count(mu, m), zeta(mu))
+                assert rem == 0
+                assert table.get(mu, 0) == expected

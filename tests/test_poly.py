@@ -143,7 +143,7 @@ def test_labelled_series_rejects_a_key_in_two_pieces():
     with pytest.raises(ValueError):
         series.coeff(0)
     with pytest.raises(ValueError):
-        series.rows(repr, lambda mu, m: 0)
+        series.rows()
     with pytest.raises(ValueError):
         series_log(LabelledSeries({**series.pieces, Bidegree(0, 0): [{EMPTY_TYPE: 1}]}, 0,
                                   False), 0, [Bidegree(0, 0), Bidegree(1, 0), Bidegree(2, 0)])

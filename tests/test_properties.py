@@ -6,9 +6,15 @@ from hypothesis import strategies as st
 from model_reference import parse_type
 from realhurwitz.evolution import connected_series, hurwitz_value
 from realhurwitz.model import RamificationType, format_type, partition, rtype
+from realhurwitz.nonsep import TildeType
 
 parts = st.lists(st.integers(min_value=1, max_value=12), max_size=6).map(partition)
 types = st.builds(RamificationType, parts, parts, parts)
+even_parts = st.lists(st.integers(min_value=1, max_value=6).map(lambda k: 2 * k),
+                      max_size=4).map(partition)
+odd_parts = st.lists(st.integers(min_value=0, max_value=6).map(lambda k: 2 * k + 1),
+                     max_size=4).map(partition)
+tilde_types = st.builds(TildeType, even_parts, even_parts, odd_parts, parts)
 small_parts = st.lists(st.integers(min_value=1, max_value=4), max_size=3)
 small_types = st.builds(rtype, small_parts, small_parts, small_parts).filter(
     lambda mu: mu.degree <= 6)
@@ -17,6 +23,12 @@ small_types = st.builds(rtype, small_parts, small_parts, small_parts).filter(
 @given(types)
 def test_format_type_round_trips_through_parse_type(mu):
     assert parse_type(format_type(mu)) == mu
+
+
+@given(tilde_types)
+def test_format_type_round_trips_a_tilde_type_through_parse_type(mu):
+    got = parse_type(format_type(mu))
+    assert type(got) is TildeType and got == mu
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,7 @@ the references that the oracle tests compare against: the move counts of
 every transition with their class means, the walk totals, the class of a
 type, its first member as a representative, and the number of walks between
 the two states of that representative, which times the class size gives the
-walk total that hurwitz_by_paths reads. compose multiplies two operators
+walk total of the type in labelled_by_paths. compose multiplies two operators
 given in that column form.
 """
 

@@ -21,14 +21,12 @@ _EXPORTS = {
         "q_var", "rtype", "zeta",
     ),
     "poly": ("LabelledSeries", "PolyVector", "series_exp", "series_log"),
-    "operators": ("BlockMatrix", "G0Type", "OperatorKind", "block_matrix",
-                  "g0_from_type"),
+    "operators": ("BlockMatrix", "OperatorKind", "block_matrix"),
     "oracle": ("classify", "mult_c2_matrix", "states"),
-    "evolution": (
-        "HurwitzRow", "connected_series", "disconnected_series",
-        "genus0_series", "genus0_single_part_values", "genus0_unit_values",
-        "hurwitz_value", "table_rows", "verify_genus0_pde",
-    ),
+    "evolution": ("HurwitzRow", "connected_series", "disconnected_series",
+                  "hurwitz_value", "table_rows"),
+    "genus0": ("G0Type", "g0_from_type", "genus0_series", "genus0_single_part_values",
+               "genus0_unit_values", "verify_genus0_pde"),
     "spectral": ("SpectralReport", "common_eigenbasis",
                  "compare_reference_eigenbasis", "orthogonality_check"),
     "nonsep": (

@@ -9,9 +9,11 @@ line `realhurwitz: internal error: <Type>: <message>`, not a traceback. A
 reader that closes the output pipe early (`| head`) ends the command
 quietly with 141, the status of a death by SIGPIPE.
 
-A cold run compiles only the modules its command runs: `oracle`, `spectral`,
-`nonsep` and `json` are imported inside the handlers and suites that use
-them, so `table` loads none of them.
+A cold run compiles only the modules its command runs, each imported inside
+the handler that uses it. Every command compiles cli, model and operators;
+table adds evolution and poly, nonsep adds nonsep and poly, spectrum adds
+spectral, oracle adds oracle and poly, and verify adds verify and the modules
+of its suite, genus0 only for `--suite genus0`.
 """
 
 from __future__ import annotations
@@ -25,22 +27,9 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable
 
-from . import evolution
-from .model import (
-    Bidegree,
-    RamificationType,
-    canonical_key,
-    enumerate_bidegrees,
-    euler_characteristic,
-    format_type,
-    p_minus,
-    p_plus,
-    q_var,
-    rtype,
-    unlabel,
-)
+from .model import (Bidegree, RamificationType, canonical_key, euler_characteristic,
+                    format_type, unlabel)
 from .operators import OperatorKind, block_matrix
-from .poly import HurwitzRow, PolyVector
 
 
 def _nonnegative(text: str) -> int:
@@ -110,6 +99,7 @@ def _emit_rows(rows, fmt: str, fields: tuple) -> None:
 
 
 def cmd_table(args) -> int:
+    from . import evolution
     rows = evolution.table_rows(args.max_degree, args.max_m, args.connected)
     _emit_rows(rows, args.format, RamificationType._fields)
     return 0
@@ -195,6 +185,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_oracle(args) -> int:
     from . import oracle
+    from .poly import HurwitzRow
     b = Bidegree(args.nplus, args.nminus)
     table = unlabel(oracle.labelled_by_paths(b, args.m), b)
     rows = [HurwitzRow(args.m, mu, euler_characteristic(mu, args.m), False, table[mu])
@@ -210,165 +201,9 @@ def cmd_nonsep(args) -> int:
     return 0
 
 
-def _show(value) -> str:
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_show(v) for v in value) + "]"
-    if isinstance(value, (set, frozenset)):
-        return "{" + ", ".join(sorted(_show(v) for v in value)) + "}"
-    return str(value)
-
-
-class _Checker:
-    def __init__(self) -> None:
-        self.failures = 0
-
-    def check(self, name: str, expected, actual) -> None:
-        if expected == actual:
-            print(f"ok   {name}: expected {_show(expected)} actual {_show(actual)}")
-        else:
-            self.failures += 1
-            print(f"FAIL {name}: expected {_show(expected)} actual {_show(actual)}")
-
-    def poly_check(self, name: str, expected: PolyVector, actual: PolyVector) -> None:
-        if expected == actual:
-            print(f"ok   {name}")
-            return
-        self.failures += 1
-        keys = sorted(set(k for k, _ in expected) | set(k for k, _ in actual),
-                      key=str)
-        diffs = [f"{format_type(k)}: expected {expected.coeff(k)} actual {actual.coeff(k)}"
-                 for k in keys if expected.coeff(k) != actual.coeff(k)]
-        print(f"FAIL {name}: " + "; ".join(diffs))
-
-
-_PRINTED_EXPANSION = {
-    0: {p_plus(1): 1, p_minus(1): 1, q_var(1): 1},
-    1: {p_plus(2): 1, p_minus(2): 1},
-    2: {p_plus(3): 1, p_minus(3): 1, rtype((1,), (1,)): 1, q_var(1): 1},
-    3: {rtype((2, 1), ()): 1, rtype((2,), (1,)): 1, rtype((1,), (2,)): 1,
-        rtype((), (2, 1)): 1, p_plus(4): 2, p_minus(4): 2,
-        p_plus(2): 1, p_minus(2): 1},
-}
-
-_SINGLE_POLE_SEQUENCE = [1, 1, 1, 2, 5, 16, 61, 272]
-
-# The genus-zero unit evaluation at p_1 = q_1 = 1. The printed series lists
-# 1/2 at u^2/2!; that is a misprint, recorded below. The genus-zero series is
-# half the chi = 2 part of the connected series with signs forgotten, and the
-# chi = 2 terms of _PRINTED_EXPANSION[2] with all parts one are p+_1 p-_1 and
-# q_1, each 1, so the entry is (1 + 1)/2 = 1.
-_UNIT_EVALUATION = [Fraction(1), Fraction(0), Fraction(1), Fraction(0),
-                    Fraction(2), Fraction(0), Fraction(20), Fraction(0),
-                    Fraction(406), Fraction(0), Fraction(14652)]
-
-_UNIT_EVALUATION_MISPRINTS = {2: Fraction(1, 2)}
-
-
-def _suite_paper(chk: _Checker) -> None:
-    from . import nonsep
-    # every signed check lies in the box (4, 4) through u^7, so one log serves
-    conn = evolution.box_series(Bidegree(4, 4), 7)
-    for m, coeffs in _PRINTED_EXPANSION.items():
-        want = PolyVector({mu: Fraction(c) for mu, c in coeffs.items()})
-        chk.poly_check(f"connected series coefficient of u^{m}/{m}!",
-                       want, conn.coeff(m).restrict_degree(4))
-    got = [conn.value(p_plus(n), n - 1) for n in range(1, 9)]
-    chk.check("single positive real pole sequence n=1..8",
-              _SINGLE_POLE_SEQUENCE, got)
-    chk.check("count at m=6, one positive pole of order 3", Fraction(4),
-              conn.value(p_plus(3), 6))
-    chk.check("count at m=6, one negative pole of order 3", Fraction(4),
-              conn.value(p_minus(3), 6))
-    chk.check("unsigned count at m=6, one pole of order 3", Fraction(9),
-              nonsep.tilde_connected_value(nonsep.ttype(kappa_odd=(3,)), 6))
-
-
-def _suite_oracle(chk: _Checker, max_size: int) -> None:
-    from . import oracle
-    for b in enumerate_bidegrees(max_size):
-        wp = block_matrix(OperatorKind.WPLUS, b)
-        wm = block_matrix(OperatorKind.WMINUS, b)
-        chk.check(f"plus operator equals left class multiplication on {tuple(b)}",
-                  True, oracle.mult_c2_matrix(b, "left") == wp.columns)
-        chk.check(f"minus operator equals right class multiplication on {tuple(b)}",
-                  True, oracle.mult_c2_matrix(b, "right") == wm.columns)
-    for b in enumerate_bidegrees(max_size):
-        vectors = evolution.evolve_labelled(b, 6)
-        ok = all(vectors[m] == oracle.labelled_by_paths(b, m) for m in range(7))
-        chk.check(f"walk counts equal evolution on {tuple(b)}, m<=6", True, ok)
-
-
-def _suite_spectral(chk: _Checker) -> None:
-    from . import spectral
-    rep = spectral.common_eigenbasis(Bidegree(1, 1))
-    chk.check("block (1,1) decomposition is exact", True, rep.exact)
-    chk.check("block (1,1) eigenvalue pairs",
-              {(1, 1), (1, -1), (-1, 1), (-1, -1)}, set(rep.pairs))
-    chk.check("block (1,1) distinct pairs are Z-orthogonal", True,
-              spectral.orthogonality_check(rep))
-    chk.check("block (1,1) mean operator eigenvalues are pair averages", True,
-              spectral.mean_eigenvalue_check(rep))
-    comparison = spectral.compare_reference_eigenbasis()
-    chk.check("printed eigenvector rows matching", [True, False, True, False],
-              [c.matches for c in comparison])
-    for b in [(2, 1), (2, 2)]:
-        rep = spectral.common_eigenbasis(Bidegree(*b))
-        chk.check(f"block {b} distinct pairs are Z-orthogonal", True,
-                  spectral.orthogonality_check(rep))
-        chk.check(f"block {b} mean operator eigenvalues are pair averages", True,
-                  spectral.mean_eigenvalue_check(rep))
-
-
-def _suite_genus0(chk: _Checker, max_m: int, max_degree: int) -> None:
-    report = evolution.verify_genus0_pde(max_m, max_degree)
-    chk.check(f"flow equation residual, m<={max_m}, degree<={max_degree}",
-              "zero", "zero" if report.is_zero else str(report.offending))
-    got = evolution.genus0_single_part_values(8)
-    chk.check("single pole sequence in the genus-zero series",
-              [Fraction(c) for c in _SINGLE_POLE_SEQUENCE], got)
-    values = evolution.genus0_unit_values(10)
-    for m in range(11):
-        name = f"unit evaluation at u^{m}/{m}!"
-        chk.check(name, _UNIT_EVALUATION[m], values[m])
-        if m in _UNIT_EVALUATION_MISPRINTS:
-            print(f"note {name}: printed {_UNIT_EVALUATION_MISPRINTS[m]} "
-                  f"actual {values[m]} (recorded misprint)")
-
-
-def _suite_nonsep(chk: _Checker) -> None:
-    from . import nonsep
-    for n in range(5):
-        sizes = nonsep.tilde_class_sizes(n)
-        sizes_ok = all(sizes[mu] == nonsep.tilde_class_size_formula(mu)
-                       for mu in nonsep.tilde_enumerate_types(n))
-        chk.check(f"class sizes match n!/zeta on {n} elements", True, sizes_ok)
-        evolved = nonsep.tilde_evolve_labelled(n, 6)
-        paths_ok = all(evolved[m] == nonsep.tilde_labelled_by_paths(n, m) for m in range(7))
-        chk.check(f"walk counts equal evolution on {n} elements, m<=6",
-                  True, paths_ok)
-        chk.check(f"transcribed operator form agrees on {n} elements", True,
-                  nonsep.tilde_mult_c2_matrix(n) == nonsep.tilde_operator_matrix(n).columns)
-    chk.check("unsigned count at m=6, one pole of order 3", Fraction(9),
-              nonsep.tilde_connected_value(nonsep.ttype(kappa_odd=(3,)), 6))
-
-
 def cmd_verify(args) -> int:
-    chk = _Checker()
-    if args.suite == "paper":
-        _suite_paper(chk)
-    elif args.suite == "oracle":
-        _suite_oracle(chk, args.max_size)
-    elif args.suite == "spectral":
-        _suite_spectral(chk)
-    elif args.suite == "genus0":
-        _suite_genus0(chk, args.max_m, args.max_degree)
-    else:
-        _suite_nonsep(chk)
-    if chk.failures:
-        print(f"{chk.failures} check(s) failed")
-        return 1
-    print("all checks passed")
-    return 0
+    from .verify import run_suite
+    return run_suite(args)
 
 
 def build_parser() -> argparse.ArgumentParser:

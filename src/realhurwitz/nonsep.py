@@ -36,7 +36,6 @@ from .model import (
     without,
 )
 from .operators import BlockMatrix, cached_columns, powers
-from .oracle import WalkModel, chains_and_cycles, class_multiplication, orbits, walk_totals
 from .poly import HurwitzRow, LabelledSeries, series_log
 
 TildeState = frozenset
@@ -159,6 +158,7 @@ def tilde_classify(t: TildeTransition, n: int) -> TildeType:
     lie in the final matching (ends unmatched initially), negative when both
     lie in the initial one.
     """
+    from .oracle import chains_and_cycles
     kp, km, ko, lam = [], [], [], []
     for k, ends, sides in chains_and_cycles(t, n, *t):
         if not ends:
@@ -172,14 +172,16 @@ def tilde_classify(t: TildeTransition, n: int) -> TildeType:
     return TildeType(partition(kp), partition(km), partition(ko), partition(lam))
 
 
-def _unsigned() -> WalkModel:
+def _unsigned():
     # built per call, so that a rebound module-level name takes effect
+    from .oracle import WalkModel
     return WalkModel(tilde_states, tilde_neighbors, tilde_classify)
 
 
 def tilde_class_sizes(n: int) -> Counter:
     """Transitions on n elements counted by type: those from each orbit
     representative, times the orbit size."""
+    from .oracle import orbits
     sizes: Counter = Counter()
     for s, weight in orbits(_unsigned(), (n,)):
         for t in tilde_states(n):
@@ -263,6 +265,7 @@ def tilde_mult_c2_matrix(n: int) -> dict:
     """The check on tilde_operator_matrix(n).columns: multiplication by the
     transposition class sum on n elements, from one transition per type of
     the walk model, in column form {mu: {nu: count}}."""
+    from .oracle import class_multiplication
     return class_multiplication(_unsigned(), (n,))
 
 
@@ -286,6 +289,7 @@ def tilde_evolve_labelled(n: int, max_m: int) -> tuple[dict[TildeType, int], ...
 def tilde_labelled_by_paths(n: int, m: int) -> dict[TildeType, int]:
     """Walk totals at u^m/m! on n elements, summed by type: n! times the
     disconnected counts."""
+    from .oracle import walk_totals
     return walk_totals(_unsigned(), (n,), m)
 
 

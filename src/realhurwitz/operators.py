@@ -14,8 +14,7 @@ and the mean is their half sum. All three preserve degree and bidegree. The
 plus and minus operators are read-only int columns, one per type, built on
 first use from moves cached per partition; powers steps through them, a
 BlockMatrix holds those of one block (the mean's Fraction columns are built
-there). The terms of the genus-0 flow on unsigned variables live here as well,
-as images of one monomial (cut and q-term) or of a pair of monomials (join).
+there).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterator, Mapping, NamedTuple
+from typing import Callable, Hashable, Iterator, Mapping
 
 from .model import (
     Bidegree,
@@ -212,49 +211,3 @@ def block_matrix(kind: OperatorKind, b: Bidegree) -> BlockMatrix:
     from the shared columns; the mean's half-sum columns are built here."""
     b = Bidegree(*b)
     return BlockMatrix(b, enumerate_types(b), _COLUMNS[kind])
-
-
-class G0Type(NamedTuple):
-    """Monomial index in the unsigned genus-0 variables p_k, q_k."""
-
-    p_parts: Partition
-    q_parts: Partition
-
-    @property
-    def degree(self) -> int:
-        return sum(self.p_parts) + 2 * sum(self.q_parts)
-
-
-def g0_from_type(mu: RamificationType) -> G0Type:
-    """Forget signs: both real-part lists merge, complex pairs stay."""
-    return G0Type(merge_partitions(mu.kappa_plus, mu.kappa_minus), mu.lam)
-
-
-def genus0_images(key: G0Type) -> Iterator[tuple[G0Type, int]]:
-    """Images of the genus-0 flow's linear terms on the monomial p_key,
-    without the half factor: the cut, summed over ordered (i, j) of
-    p_i p_j d/dp_{i+j}, and the q-term, summed over i of q_i d/dp_{2i}.
-
-    Yields (key, integer multiplier); repeated keys must be summed by the caller.
-    """
-    p, q = key
-    for n, mult in Counter(p).items():
-        base = without(p, n)
-        for i in range(1, n):
-            yield G0Type(merge_partitions(base, (i, n - i)), q), mult
-        if n % 2 == 0:
-            yield G0Type(base, merge_partitions(q, (n // 2,))), mult
-
-
-def genus0_join_images(a: G0Type, b: G0Type) -> Iterator[tuple[G0Type, int]]:
-    """Images of the genus-0 join on the pair of monomials (p_a, p_b),
-    summed over ordered (i, j) of p_{i+j} (d p_a/dp_i) (d p_b/dp_j), without
-    the half factor. Yields (key, integer multiplier) as genus0_images does.
-    """
-    q = merge_partitions(a.q_parts, b.q_parts)
-    b_counts = Counter(b.p_parts)
-    for i, mult_a in Counter(a.p_parts).items():
-        rest = without(a.p_parts, i)
-        for j, mult_b in b_counts.items():
-            yield (G0Type(merge_partitions(rest + without(b.p_parts, j), (i + j,)), q),
-                   mult_a * mult_b)

@@ -15,13 +15,8 @@ import pytest
 
 from model_reference import dimension_series
 from realhurwitz import evolution
-from realhurwitz.evolution import (
-    connected_series,
-    evolve_labelled,
-    genus0_unit_values,
-    hurwitz_value,
-    verify_genus0_pde,
-)
+from realhurwitz.evolution import connected_series, evolve_labelled, hurwitz_value
+from realhurwitz.genus0 import genus0_unit_values, verify_genus0_pde
 from realhurwitz.model import (
     Bidegree,
     bidegree_box,

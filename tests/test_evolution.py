@@ -9,12 +9,15 @@ from realhurwitz.evolution import (
     connected_series,
     disconnected_series,
     evolve_labelled,
+    hurwitz_value,
+    table_rows,
+)
+from realhurwitz.genus0 import (
+    G0Type,
     genus0_pde_residuals,
     genus0_series,
     genus0_single_part_values,
     genus0_unit_values,
-    hurwitz_value,
-    table_rows,
     verify_genus0_pde,
 )
 from realhurwitz.model import (
@@ -27,7 +30,6 @@ from realhurwitz.model import (
     q_var,
     rtype,
 )
-from realhurwitz.operators import G0Type
 from realhurwitz.oracle import labelled_by_paths
 from realhurwitz.poly import LabelledSeries, PolyVector, series_exp
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -35,19 +36,40 @@ def _loaded(*argv: str) -> set[str]:
     return set(proc.stdout.split())
 
 
+TABLE = ["table", "--max-degree", "2", "--max-m", "3", "--format", "csv"]
+NONSEP = ["nonsep", "--max-n", "3", "--max-m", "3", "--connected", "--format", "csv"]
+SPECTRUM = ["spectrum", "--nplus", "2", "--nminus", "1", "--format", "json"]
+VERIFY_ORACLE = ["verify", "--suite", "oracle", "--max-size", "2"]
+VERIFY, GENUS0 = "realhurwitz.verify", "realhurwitz.genus0"
+
+
 @pytest.mark.parametrize("argv, runs, left_out", [
-    (["table", "--max-degree", "2", "--max-m", "3", "--format", "csv"],
-     "realhurwitz.evolution",
-     {"realhurwitz.oracle", "realhurwitz.spectral", "realhurwitz.nonsep", "json", "numpy"}),
-    (["nonsep", "--max-n", "3", "--max-m", "3", "--connected", "--format", "csv"],
-     "realhurwitz.nonsep", {"realhurwitz.spectral"}),
-    (["spectrum", "--nplus", "2", "--nminus", "1", "--format", "json"],
-     "realhurwitz.spectral", {"realhurwitz.nonsep", "realhurwitz.oracle"}),
-], ids=["table", "nonsep", "spectrum"])
+    (TABLE, "realhurwitz.evolution",
+     {"realhurwitz.oracle", "realhurwitz.spectral", "realhurwitz.nonsep", VERIFY, GENUS0,
+      "json", "numpy"}),
+    (NONSEP, "realhurwitz.nonsep",
+     {"realhurwitz.spectral", "realhurwitz.oracle", "realhurwitz.evolution", VERIFY, GENUS0}),
+    (SPECTRUM, "realhurwitz.spectral", {"realhurwitz.nonsep", "realhurwitz.oracle"}),
+    (VERIFY_ORACLE, "realhurwitz.oracle",
+     {GENUS0, "realhurwitz.spectral", "realhurwitz.nonsep"}),
+    (["verify", "--suite", "genus0", "--max-m", "2", "--max-degree", "2"], GENUS0, set()),
+], ids=["table", "nonsep", "spectrum", "verify-oracle", "verify-genus0"])
 def test_a_command_imports_only_the_modules_it_runs(argv, runs, left_out):
     loaded = _loaded(*argv)
     assert runs in loaded
     assert loaded & left_out == set()
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (TABLE, 1150), (NONSEP, 1400), (VERIFY_ORACLE, 1644), (SPECTRUM, 1812),
+], ids=["table", "nonsep", "verify-oracle", "spectrum"])
+def test_a_command_compiles_at_most_its_budget_of_lines(argv, budget):
+    # a cold run compiles every submodule it loads, so their source lines
+    # bound what its start-up spends on compiling
+    package = Path(SRC) / "realhurwitz"
+    modules = sorted(m.split(".", 1)[1] for m in _loaded(*argv) if m.startswith("realhurwitz."))
+    lines = sum((package / f"{m}.py").read_text().count("\n") for m in modules)
+    assert lines <= budget, (lines, modules)
 
 
 def test_importing_the_package_loads_no_submodule():

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 import wplus_reference
-from realhurwitz import evolution
+from realhurwitz import genus0
+from realhurwitz.genus0 import G0Type, g0_from_type, genus0_images, genus0_join_images
 from realhurwitz.model import (
     Bidegree,
     bidegree,
@@ -19,15 +20,7 @@ from realhurwitz.model import (
     rtype,
     zeta,
 )
-from realhurwitz.operators import (
-    G0Type,
-    OperatorKind,
-    block_matrix,
-    g0_from_type,
-    genus0_images,
-    genus0_join_images,
-    wplus_images,
-)
+from realhurwitz.operators import OperatorKind, block_matrix, wplus_images
 from realhurwitz.oracle import mult_c2_matrix
 
 
@@ -184,8 +177,8 @@ def _unit_join(a, b):
     ("genus0_join_images", _unit_join, 2),
 ], ids=["no-qterm", "no-cut", "unit-join-multiplicity"])
 def test_genus0_flow_check_sees_a_broken_term_family(monkeypatch, name, broken, first_m):
-    monkeypatch.setattr(evolution, name, broken)
-    report = evolution.verify_genus0_pde(6, 5)
+    monkeypatch.setattr(genus0, name, broken)
+    report = genus0.verify_genus0_pde(6, 5)
     assert not report.is_zero
     assert report.offending[0] == first_m
 

@@ -10,26 +10,24 @@ reader that closes the output pipe early (`| head`) ends the command
 quietly with 141, the status of a death by SIGPIPE.
 
 A cold run compiles only the modules its command runs, each imported inside
-the handler that uses it. Every command compiles cli, model and operators;
-table adds evolution and poly, nonsep adds nonsep and poly, spectrum adds
-spectral, oracle adds oracle and poly, and verify adds verify and the modules
-of its suite, genus0 only for `--suite genus0`.
+the handler that uses it. Every command compiles cli and model; table adds
+evolution, operators and poly, nonsep adds nonsep, operators and poly, block
+adds operators, spectrum adds spectral and operators, oracle adds oracle and
+poly, and verify adds verify and the modules of its suite, genus0 only for
+`--suite genus0`. Tables leave the store as reduced int pairs, so table,
+nonsep and oracle import none of fractions, csv and json, in any format.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import os
 import sys
-from fractions import Fraction
 from itertools import islice
 from typing import Iterable
 
-from .model import (Bidegree, RamificationType, canonical_key, euler_characteristic,
-                    format_type, unlabel)
-from .operators import OperatorKind, block_matrix
+from .model import Bidegree, RamificationType, format_type
 
 
 def _nonnegative(text: str) -> int:
@@ -47,65 +45,90 @@ def _tolerance(text: str) -> float:
 
 
 def _part_str(p) -> str:
-    return " ".join(str(k) for k in p)
+    return " ".join(map(str, p))
 
 
-def _frac_pair(x: Fraction) -> list[str]:
+def _frac_pair(x) -> list[str]:
     return [str(x.numerator), str(x.denominator)]
 
 
+def _write(text: str) -> None:
+    """Write text to stdout, through its binary buffer if it has one: an
+    unbuffered one takes part of the bytes when the reader closes the pipe,
+    and only a further write raises BrokenPipeError."""
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding))
+    while data:
+        data = data[out.write(data):]
+    out.flush()
+
+
 def _write_csv(header: list, records: Iterable[list]) -> None:
-    """CSV on stdout, written a block of rows at a time: neither the whole
-    text nor one write per row."""
+    """CSV on stdout by csv.writer, written a block of 1,024 rows at a time."""
+    import csv
     records = iter(records)
     block = [header]
     while block:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(block)
-        sys.stdout.write(buf.getvalue())
+        _write(buf.getvalue())
         block = list(islice(records, 1024))
 
 
-def _emit_rows(rows, fmt: str, fields: tuple) -> None:
-    """The rows of a table; fields, the _fields of its type, name the
-    partition columns, so an empty table still prints its header."""
-    header = ["m", *("lambda" if f == "lam" else f for f in fields),
-              "chi", "connected", "value_num", "value_den"]
-
-    def records(text=str):
-        # a type recurs at every m, so its part strings are built once; the
-        # text of the flag is also its JSON
-        parts = {}
-        for row in rows:
-            strs = parts.get(row.mu)
-            if strs is None:
-                strs = parts[row.mu] = [text(_part_str(p)) for p in row.mu]
-            yield [row.m, *strs, row.chi, "true" if row.connected else "false",
-                   text(str(row.value.numerator)), text(str(row.value.denominator))]
-
+def _emit_rows(series, fmt: str, fields: tuple) -> None:
+    """The table of a LabelledSeries from its records, a block of 1,024 rows
+    at a time; fields, the _fields of its type, name the partition columns,
+    so an empty table still prints its header. No field (an int, true,
+    false, digits and spaces) needs CSV quoting or a JSON escape."""
+    names = ["m", *("lambda" if f == "lam" else f for f in fields),
+             "chi", "connected", "value_num", "value_den"]
+    flag = "true" if series.connected else "false"
     if fmt == "json":
-        import json
-        # json.dumps(..., indent=2) runs json's pure-Python encoder; this writes
-        # its layout, each string encoded by json.dumps and each int by str
-        item = "    {{\n" + ",\n".join(f"      {json.dumps(k)}: {{}}" for k in header) + "\n    }}"
-        body = ",\n".join(item.format(*rec) for rec in records(json.dumps))
-        print(f'{{\n  "rows": [\n{body}\n  ]\n}}' if body else '{\n  "rows": []\n}')
+        def part(mu):
+            return "".join(f'      "{k}": "{_part_str(p)}",\n' for k, p in zip(names[1:], mu))
+
+        def row(m, p, chi, num, den):
+            return (f'    {{\n      "m": {m},\n{p}      "chi": {chi},\n      "connected": {flag},\n'
+                    f'      "value_num": "{num}",\n      "value_den": "{den}"\n    }}')
+        frame = '{\n  "rows": [\n', ",\n", "\n  ]\n}\n", '{\n  "rows": []\n}\n'
     elif fmt == "csv":
-        _write_csv(header, records())
+        def part(mu):
+            return ",".join(map(_part_str, mu))
+
+        def row(m, p, chi, num, den):
+            return f"{m},{p},{chi},{flag},{num},{den}"
+        frame = ",".join(names) + "\n", "\n", "\n", ",".join(names) + "\n"
     else:
-        texts = {mu: format_type(mu) for mu in {r.mu for r in rows}}
-        for row in rows:
-            print(f"m={row.m} {texts[row.mu]} chi={row.chi} value={row.value}")
+        def row(m, p, chi, num, den):
+            return f"m={m} {p} chi={chi} value={num}" + (f"/{den}" if den != 1 else "")
+        part, frame = format_type, ("", "\n", "\n", "")
+    head, sep, tail, empty = frame
+    parts: dict = {}  # a type recurs at every m, so its text is built once
+    texts = (row(m, parts.get(mu) or parts.setdefault(mu, part(mu)), chi, num, den)
+             for m, mu, chi, num, den in series.records())
+    block = list(islice(texts, 1024))
+    if not block:
+        _write(empty)
+    while block:
+        text = head + sep.join(block)
+        block, head = list(islice(texts, 1024)), sep
+        _write(text if block else text + tail)
 
 
 def cmd_table(args) -> int:
     from . import evolution
-    rows = evolution.table_rows(args.max_degree, args.max_m, args.connected)
-    _emit_rows(rows, args.format, RamificationType._fields)
+    corner = Bidegree(args.max_degree, args.max_degree)
+    series = evolution.box_series(corner, args.max_m, args.connected)
+    _emit_rows(series, args.format, RamificationType._fields)
     return 0
 
 
 def cmd_block(args) -> int:
+    from .operators import OperatorKind, block_matrix
     bm = block_matrix(OperatorKind(args.operator), Bidegree(args.nplus, args.nminus))
     if args.format == "json":
         import json
@@ -116,8 +139,7 @@ def cmd_block(args) -> int:
         print(json.dumps(obj, indent=2))
     elif args.format == "csv":
         _write_csv(["row_type", "col_type", "value_num", "value_den"],
-                   ([format_type(row_mu), format_type(col_mu), str(x.numerator),
-                     str(x.denominator)]
+                   ([format_type(row_mu), format_type(col_mu), *_frac_pair(x)]
                     for row_mu, row in zip(bm.basis, bm.entries)
                     for col_mu, x in zip(bm.basis, row) if x))
     else:
@@ -141,6 +163,8 @@ def cmd_spectrum(args) -> int:
     comparison = None
     if (args.nplus, args.nminus) == (1, 1):
         comparison = spectral.compare_reference_eigenbasis()
+
+    from fractions import Fraction
 
     def num(x):
         return _frac_pair(x) if isinstance(x, Fraction) else float(x)
@@ -185,19 +209,18 @@ def cmd_spectrum(args) -> int:
 
 def cmd_oracle(args) -> int:
     from . import oracle
-    from .poly import HurwitzRow
+    from .poly import LabelledSeries
     b = Bidegree(args.nplus, args.nminus)
-    table = unlabel(oracle.labelled_by_paths(b, args.m), b)
-    rows = [HurwitzRow(args.m, mu, euler_characteristic(mu, args.m), False, table[mu])
-            for mu in sorted(table, key=canonical_key)]
-    _emit_rows(rows, args.format, RamificationType._fields)
+    totals = oracle.labelled_by_paths(b, args.m)
+    series = LabelledSeries({b: [{}] * args.m + [totals]}, args.m, False)
+    _emit_rows(series, args.format, RamificationType._fields)
     return 0
 
 
 def cmd_nonsep(args) -> int:
     from . import nonsep
-    rows = nonsep.tilde_table_rows(args.max_n, args.max_m, args.connected)
-    _emit_rows(rows, args.format, nonsep.TildeType._fields)
+    series = nonsep.tilde_series(args.max_n, args.max_m, args.connected)
+    _emit_rows(series, args.format, nonsep.TildeType._fields)
     return 0
 
 
@@ -234,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     block = sub.add_parser("block", help="dump one operator block matrix")
     block.add_argument("--nplus", type=_nonnegative, required=True)
     block.add_argument("--nminus", type=_nonnegative, required=True)
-    block.add_argument("--operator", choices=[k.value for k in OperatorKind],
-                       default="wplus")
+    # the values of operators.OperatorKind: the parser loads no operators
+    block.add_argument("--operator", choices=("wplus", "wminus", "wmean"), default="wplus")
     block.add_argument("--format", choices=["json", "csv", "text"], default="text")
     block.set_defaults(func=cmd_block)
 

@@ -19,7 +19,6 @@ hurwitz_value and the coefficients the store yields by order.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, perm
 
 from .model import (
@@ -90,8 +89,8 @@ def box_series(corner: Bidegree, max_m: int, connected: bool = True) -> Labelled
     return _series(bidegree_box(corner), max_m, connected)
 
 
-def hurwitz_value(mu: RamificationType, m: int, connected: bool = True) -> Fraction:
-    """One framed count: coefficient of p_mu u^m/m! in the chosen series."""
+def hurwitz_value(mu: RamificationType, m: int, connected: bool = True):
+    """One framed count, a Fraction: coefficient of p_mu u^m/m! in the chosen series."""
     return _series(bidegree_box(bidegree(mu)), m, connected).value(mu, m)
 
 

@@ -13,7 +13,6 @@ quadruple of nonsep (with its odd real poles kappa_odd) unchanged.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 from typing import Iterable, Iterator, NamedTuple
@@ -158,13 +157,6 @@ def label(grade) -> int:
     """Label factor of a grade, the product of the factorials of its
     components: n+! n-! for a bidegree, n! for a degree."""
     return prod(factorial(g) for g in grade)
-
-
-def unlabel(vec: dict, grade) -> dict:
-    """The coefficients {key: Fraction} of a labelled vector {key: int} of
-    one grade: each entry over label(grade)."""
-    d = label(grade)
-    return {k: Fraction(x, d) for k, x in vec.items()}
 
 
 def canonical_key(mu) -> tuple:

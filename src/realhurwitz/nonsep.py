@@ -21,7 +21,6 @@ canonical_key, format_type and euler_characteristic.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterator, NamedTuple
@@ -293,15 +292,17 @@ def tilde_labelled_by_paths(n: int, m: int) -> dict[TildeType, int]:
     return walk_totals(_unsigned(), (n,), m)
 
 
-def _series(max_n: int, max_m: int, connected: bool) -> LabelledSeries:
+def tilde_series(max_n: int, max_m: int, connected: bool) -> LabelledSeries:
+    """The chosen unsigned series on the degrees n <= max_n, through u^max_m."""
     series = LabelledSeries({(n,): tilde_evolve_labelled(n, max_m) for n in range(max_n + 1)},
                             max_m, False)
     return series_log(series, max_m, list(series.pieces)) if connected else series
 
 
-def tilde_connected_value(mu: TildeType, m: int) -> Fraction:
-    return _series(mu.degree, m, True).value(mu, m)
+def tilde_connected_value(mu: TildeType, m: int):
+    """One unsigned connected count, a Fraction: coefficient of p_mu u^m/m!."""
+    return tilde_series(mu.degree, m, True).value(mu, m)
 
 
 def tilde_table_rows(max_n: int, max_m: int, connected: bool = True) -> list[HurwitzRow]:
-    return _series(max_n, max_m, connected).rows()
+    return tilde_series(max_n, max_m, connected).rows()

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterator, Mapping
@@ -155,6 +154,7 @@ wminus_column = cached_columns(lambda mu: ((nu.swap_signs(), c) for nu, c in
 def _wmean_column(mu) -> Mapping:
     """Half the sum of the plus and minus columns at mu, in Fractions: the
     image of the two columns, each weighted 1/2."""
+    from fractions import Fraction
     half = Fraction(1, 2)
     return MappingProxyType(_image({0: half, 1: half},
                                    (wplus_column(mu), wminus_column(mu)).__getitem__))
@@ -189,9 +189,10 @@ class BlockMatrix:
         self.columns = MappingProxyType({mu: column(mu) for mu in basis})
 
     @cached_property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+    def entries(self) -> tuple[tuple, ...]:
         """Dense view entries[row][col], built on first use. Every entry is
         a Fraction, so exact elimination on it never turns into float division."""
+        from fractions import Fraction
         return tuple(tuple(Fraction(self.columns[col].get(row, 0)) for col in self.basis)
                      for row in self.basis)
 

@@ -18,21 +18,24 @@ Analytic Combinatorics, ch. II): a LabelledSeries holds label(g) times each
 coefficient of grade g, the product of the factorials of the components of
 g. Every count of both walk models is an int there, and exp and log run on
 it in int arithmetic, with an exact division that raises ArithmeticError on
-a remainder. Fractions enter only where a value leaves the store: a table
-row, a single value, the PolyVector of one order, or model.unlabel, which
-divides a labelled vector of one grade by its label factor. Table rows are
-ordered by model.canonical_key and carry model.euler_characteristic, which
-serve the types of both walk models. A read above the order or outside the
-grades a store was computed on raises ValueError; it never reads as zero.
+a remainder. A table leaves it as records, each value two ints in lowest
+terms; the command line reads only those. Fractions, imported where one is
+built, enter where a value leaves the store otherwise: a row, one value, or
+the PolyVector of one order. Records are ordered by model.canonical_key and
+carry model.euler_characteristic, which serve the types of both walk
+models. A read above the order or outside the grades a store was computed
+on raises ValueError; it never reads as zero.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, prod
-from typing import Iterable, Iterator, NamedTuple
+from math import comb, gcd, prod
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .model import EMPTY_TYPE, canonical_key, euler_characteristic, label, unlabel
+from .model import EMPTY_TYPE, canonical_key, euler_characteristic, label
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class PolyVector:
@@ -42,9 +45,9 @@ class PolyVector:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | Iterable[tuple[object, Fraction]] = ()):
-        data: dict = dict(terms)
+        from fractions import Fraction
         self.terms = {k: c if type(c) is Fraction else Fraction(c)
-                      for k, c in data.items() if c != 0}
+                      for k, c in dict(terms).items() if c != 0}
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -59,6 +62,7 @@ class PolyVector:
         return len(self.terms)
 
     def coeff(self, key) -> Fraction:
+        from fractions import Fraction
         return self.terms.get(key, Fraction(0))
 
     def restrict_degree(self, max_degree: int) -> "PolyVector":
@@ -122,15 +126,19 @@ class LabelledSeries(NamedTuple):
         g = key.grade
         if g not in self.pieces:
             raise ValueError(f"grade {tuple(g)} of {key!r} was not computed")
+        from fractions import Fraction
         return Fraction(self.pieces[g][m].get(key, 0), label(g))
 
     def coeff(self, m: int) -> PolyVector:
-        """The coefficient of u^m/m! as a PolyVector, built on each call."""
+        """The coefficient of u^m/m! as a PolyVector, built on each call:
+        each labelled entry over the label factor of its grade."""
+        from fractions import Fraction
         self._order(m)
         out: dict = {}
         for g, piece in self.pieces.items():
             _keys(g, (piece[m],))
-            out.update(unlabel(piece[m], g))
+            d = label(g)
+            out.update((k, Fraction(x, d)) for k, x in piece[m].items())
         return PolyVector(out)
 
     @property
@@ -138,10 +146,10 @@ class LabelledSeries(NamedTuple):
         """The coefficients of u^m/m!, m = 0 .. max_m."""
         return [self.coeff(m) for m in range(self.max_m + 1)]
 
-    def rows(self) -> list[HurwitzRow]:
-        """Nonzero coefficients as table rows, ordered by m and then by
-        canonical_key. Each row's value, and each key's chi at m = 0, is
-        built once, here."""
+    def records(self) -> Iterator[tuple]:
+        """Nonzero coefficients as (m, key, chi, num, den), ordered by m and
+        then by canonical_key, num/den in lowest terms with den > 0. Each
+        key's sort key and chi at m = 0 are built once, here."""
         keyed = [(k, piece, label(g), euler_characteristic(k, 0))
                  for g, piece in self.pieces.items()
                  for k in dict.fromkeys(k for vec in piece for k in vec)]
@@ -150,9 +158,15 @@ class LabelledSeries(NamedTuple):
         if len({item[0] for item in keyed}) != len(keyed):
             raise ValueError("a key lies in two pieces")
         keyed.sort(key=lambda item: canonical_key(item[0]))
-        return [HurwitzRow(m, k, chi - m, self.connected, Fraction(x, d))
+        return ((m, k, chi - m, x // (q := gcd(x, d)), d // q)
                 for m in range(self.max_m + 1) for k, piece, d, chi in keyed
-                if (x := piece[m].get(k))]
+                if (x := piece[m].get(k)))
+
+    def rows(self) -> list[HurwitzRow]:
+        """The records as table rows, each value a Fraction."""
+        from fractions import Fraction
+        return [HurwitzRow(m, k, chi, self.connected, Fraction(num, den))
+                for m, k, chi, num, den in self.records()]
 
 
 def _constant_row(series: LabelledSeries) -> list:

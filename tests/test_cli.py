@@ -207,7 +207,8 @@ def test_usage_errors_exit_two(capsys):
 
 
 @pytest.mark.parametrize("argv, layer, name", [
-    (["table", "--connected"], evolution, "table_rows"),
+    (["table", "--connected"], evolution, "box_series"),
+    (["nonsep", "--connected"], nonsep, "tilde_series"),
     (["verify", "--suite", "nonsep"], nonsep, "tilde_mult_c2_matrix"),
 ])
 def test_internal_error_exits_three_with_one_line(capsys, monkeypatch, argv, layer, name):
@@ -222,17 +223,74 @@ def test_internal_error_exits_three_with_one_line(capsys, monkeypatch, argv, lay
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_closed_output_pipe_exits_quietly(fmt):
     # the table is far larger than a pipe buffer, so writing it fails once
-    # the reader has gone
+    # the reader has gone, with stdout buffered or not
     src = os.path.dirname(os.path.dirname(realhurwitz.__file__))
-    proc = subprocess.Popen([sys.executable, "-m", "realhurwitz", "table", "--max-degree", "6",
-                             "--max-m", "10", "--format", fmt],
-                            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE)
-    assert proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 141
-    assert err == b""
+    for unbuffered in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env.update(PYTHONPATH=src, **({"PYTHONUNBUFFERED": unbuffered} if unbuffered else {}))
+        proc = subprocess.Popen([sys.executable, "-m", "realhurwitz", "table", "--max-degree",
+                                 "6", "--max-m", "10", "--format", fmt],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141, unbuffered
+        assert err == b"", unbuffered
+
+
+class _Pipe:
+    """The binary buffer of an unbuffered stdout on a pipe: a write takes at
+    most `take` bytes and returns how many it took; once `room` bytes are
+    in, the reader has gone and the next write raises BrokenPipeError."""
+
+    def __init__(self, take: int, room: int) -> None:
+        self.data, self.take, self.room = bytearray(), take, room
+
+    def write(self, b) -> int:
+        if len(self.data) >= self.room:
+            raise BrokenPipeError(32, "Broken pipe")
+        n = min(len(b), self.take, self.room - len(self.data))
+        self.data += bytes(b[:n])
+        return n
+
+    def flush(self) -> None:
+        pass
+
+
+class _Stdout:
+    encoding = "utf-8"
+
+    def __init__(self, buffer: _Pipe) -> None:
+        self.buffer = buffer
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_a_short_write_is_written_on_until_the_pipe_breaks(capsys, monkeypatch, fmt):
+    argv = ["table", "--max-degree", "3", "--max-m", "6", "--format", fmt]
+    assert main(argv) == 0
+    full = capsys.readouterr().out.encode()
+    args = build_parser().parse_args(argv)
+    # every byte arrives, in order, through writes that take part of a block
+    pipe = _Pipe(take=1000, room=len(full))
+    monkeypatch.setattr(sys, "stdout", _Stdout(pipe))
+    assert args.func(args) == 0
+    assert pipe.data == full
+    # the reader goes during the last write: it raises, and main exits 141
+    pipe = _Pipe(take=len(full), room=len(full) - 10)
+    monkeypatch.setattr(sys, "stdout", _Stdout(pipe))
+    with pytest.raises(BrokenPipeError):
+        args.func(args)
+    assert pipe.data == full[:-10]
+
+
+def test_the_operator_choices_are_the_operator_kinds():
+    from realhurwitz.operators import OperatorKind
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    operator = next(a for a in commands.choices["block"]._actions if a.dest == "operator")
+    assert list(operator.choices) == [k.value for k in OperatorKind]

@@ -40,20 +40,24 @@ TABLE = ["table", "--max-degree", "2", "--max-m", "3", "--format", "csv"]
 NONSEP = ["nonsep", "--max-n", "3", "--max-m", "3", "--connected", "--format", "csv"]
 SPECTRUM = ["spectrum", "--nplus", "2", "--nminus", "1", "--format", "json"]
 VERIFY_ORACLE = ["verify", "--suite", "oracle", "--max-size", "2"]
+ORACLE = ["oracle", "--nplus", "1", "--nminus", "1"]
 VERIFY, GENUS0 = "realhurwitz.verify", "realhurwitz.genus0"
+OPERATORS = "realhurwitz.operators"
 
 
 @pytest.mark.parametrize("argv, runs, left_out", [
     (TABLE, "realhurwitz.evolution",
      {"realhurwitz.oracle", "realhurwitz.spectral", "realhurwitz.nonsep", VERIFY, GENUS0,
-      "json", "numpy"}),
+      "json", "numpy", "csv", "fractions"}),
     (NONSEP, "realhurwitz.nonsep",
-     {"realhurwitz.spectral", "realhurwitz.oracle", "realhurwitz.evolution", VERIFY, GENUS0}),
+     {"realhurwitz.spectral", "realhurwitz.oracle", "realhurwitz.evolution", VERIFY, GENUS0,
+      "csv", "fractions"}),
+    (ORACLE, "realhurwitz.oracle", {OPERATORS, "realhurwitz.evolution"}),
     (SPECTRUM, "realhurwitz.spectral", {"realhurwitz.nonsep", "realhurwitz.oracle"}),
     (VERIFY_ORACLE, "realhurwitz.oracle",
      {GENUS0, "realhurwitz.spectral", "realhurwitz.nonsep"}),
     (["verify", "--suite", "genus0", "--max-m", "2", "--max-degree", "2"], GENUS0, set()),
-], ids=["table", "nonsep", "spectrum", "verify-oracle", "verify-genus0"])
+], ids=["table", "nonsep", "oracle", "spectrum", "verify-oracle", "verify-genus0"])
 def test_a_command_imports_only_the_modules_it_runs(argv, runs, left_out):
     loaded = _loaded(*argv)
     assert runs in loaded
@@ -70,6 +74,18 @@ def test_a_command_compiles_at_most_its_budget_of_lines(argv, budget):
     modules = sorted(m.split(".", 1)[1] for m in _loaded(*argv) if m.startswith("realhurwitz."))
     lines = sum((package / f"{m}.py").read_text().count("\n") for m in modules)
     assert lines <= budget, (lines, modules)
+
+
+def test_the_parser_loads_no_operators():
+    # the harness's setup probe: import the command line and build its parser
+    proc = subprocess.run([sys.executable, "-c", "import sys; import realhurwitz.cli as c; "
+                           "c.build_parser(); print(' '.join(sys.modules))"],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "realhurwitz.cli" in loaded
+    assert OPERATORS not in loaded
 
 
 def test_importing_the_package_loads_no_submodule():

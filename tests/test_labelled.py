@@ -8,13 +8,15 @@ python -O), and the exp/log recurrence keeps integer input integral.
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import realhurwitz
 from realhurwitz.evolution import disconnected_series, evolve_labelled
-from realhurwitz.model import (Bidegree, RamificationType, enumerate_bidegrees, p_minus, p_plus,
-                              rtype)
+from realhurwitz.model import (Bidegree, RamificationType, canonical_key, enumerate_bidegrees,
+                              euler_characteristic, p_minus, p_plus, rtype)
 from realhurwitz import evolution, nonsep
 from realhurwitz.nonsep import (TildeType, tilde_evolve_labelled, tilde_labelled_by_paths,
                                tilde_operator_matrix, ttype)
@@ -200,3 +202,23 @@ def test_the_evolution_enumerates_no_block_basis():
     assert proc.stdout.splitlines() == [
         repr(evolution.table_rows(3, 6, connected=False)),
         repr(nonsep.tilde_table_rows(5, 6, connected=False))]
+
+
+@pytest.mark.parametrize("series", [
+    evolution.box_series(Bidegree(4, 4), 8, connected=True),
+    evolution.box_series(Bidegree(4, 4), 8, connected=False),
+    nonsep.tilde_series(6, 8, connected=True),
+    nonsep.tilde_series(6, 8, connected=False),
+], ids=["box-connected", "box-disconnected", "unsigned-connected", "unsigned-disconnected"])
+def test_records_are_the_rows_in_lowest_terms(series):
+    records = list(series.records())
+    assert records == [(r.m, r.mu, r.chi, r.value.numerator, r.value.denominator)
+                       for r in series.rows()]
+    # each record is the store's value in lowest terms, every nonzero entry
+    # once, ordered by m and then by canonical_key
+    assert len(records) == sum(len(vec) for piece in series.pieces.values() for vec in piece)
+    assert records == sorted(records, key=lambda r: (r[0], canonical_key(r[1])))
+    for m, mu, chi, num, den in records:
+        assert den > 0 and gcd(num, den) == 1
+        assert Fraction(num, den) == series.value(mu, m) != 0
+        assert chi == euler_characteristic(mu, m)

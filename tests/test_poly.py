@@ -145,6 +145,8 @@ def test_labelled_series_rejects_a_key_in_two_pieces():
     with pytest.raises(ValueError):
         series.rows()
     with pytest.raises(ValueError):
+        series.records()
+    with pytest.raises(ValueError):
         series_log(LabelledSeries({**series.pieces, Bidegree(0, 0): [{EMPTY_TYPE: 1}]}, 0,
                                   False), 0, [Bidegree(0, 0), Bidegree(1, 0), Bidegree(2, 0)])
 

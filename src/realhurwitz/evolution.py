@@ -46,8 +46,9 @@ def _labelled_initial_vector(b: Bidegree) -> dict[RamificationType, int]:
 
 
 def _mirror(piece: tuple) -> tuple[dict[RamificationType, int], ...]:
-    """The piece of block (b, a) from that of (a, b), keys sign-swapped, in new dicts."""
-    return tuple({mu.swap_signs(): x for mu, x in vec.items()} for vec in piece)
+    """The piece of block (b, a) from that of (a, b) in new dicts, each key swapped once."""
+    swapped = {mu: mu.swap_signs() for mu in set().union(*piece)}
+    return tuple({swapped[mu]: x for mu, x in vec.items()} for vec in piece)
 
 
 def evolve_labelled(b: Bidegree, max_m: int) -> tuple[dict[RamificationType, int], ...]:

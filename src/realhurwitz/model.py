@@ -20,12 +20,26 @@ from typing import Iterable, Iterator, NamedTuple
 Partition = tuple[int, ...]
 
 
+_CHECKED: dict = {}  # each partition once, after its check: p -> (p, _counts(p))
+
+
+def _counts(p: Partition) -> tuple[int, int]:
+    """The sums of ceil(k/2) and of floor(k/2) over the parts k of p."""
+    got = _CHECKED.get(p)
+    return got[1] if got else (sum((k + 1) // 2 for k in p), sum(k // 2 for k in p))
+
+
 def partition(parts: Iterable[int]) -> Partition:
-    """Normalize an iterable of positive integers into a partition tuple."""
+    """Normalize an iterable of positive ints (not bools) into a partition
+    tuple. A tuple is checked in full once: an equal one then passes if its
+    parts are ints too, for (1.0,) and (True,) equal (1,) and hash alike."""
+    got = _CHECKED.get(parts) if type(parts) is tuple else None
+    if got is not None and (got[0] is parts or {*map(type, parts)} <= {int}):
+        return got[0]
     t = tuple(sorted(parts, reverse=True))
-    if any(not isinstance(p, int) or p <= 0 for p in t):
+    if any(type(p) is not int or p <= 0 for p in t):
         raise ValueError(f"partition parts must be positive integers, got {t!r}")
-    return t
+    return (_CHECKED.get(t) or _CHECKED.setdefault(t, (t, _counts(t))))[0]
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
@@ -49,17 +63,7 @@ def partitions_of(n: int) -> Iterator[Partition]:
 
 def aut_order(p: Partition) -> int:
     """Order of the automorphism group: product of factorials of part multiplicities."""
-    result = 1
-    run = 1
-    for i in range(1, len(p)):
-        if p[i] == p[i - 1]:
-            run += 1
-        else:
-            result *= factorial(run)
-            run = 1
-    if p:
-        result *= factorial(run)
-    return result
+    return prod(map(factorial, map(p.count, set(p))))
 
 
 def merge_partitions(a: Partition, b: Partition) -> Partition:
@@ -133,16 +137,14 @@ def bidegree(mu: RamificationType) -> Bidegree:
     Each part k of kappa_plus contributes (ceil(k/2), floor(k/2)), of
     kappa_minus the swap, and each part l of lam contributes (l, l).
     """
-    n_plus = sum((k + 1) // 2 for k in mu.kappa_plus) + sum(k // 2 for k in mu.kappa_minus)
-    n_minus = sum(k // 2 for k in mu.kappa_plus) + sum((k + 1) // 2 for k in mu.kappa_minus)
-    l_total = sum(mu.lam)
-    return Bidegree(n_plus + l_total, n_minus + l_total)
+    (a, b), (c, d), (e, f) = map(_counts, mu)
+    return Bidegree(a + d + e + f, b + c + e + f)
 
 
 def euler_characteristic(mu, m: int) -> int:
     """Euler characteristic of the source surface: degree plus pole count
     minus m, with conjugate pairs (lam) counting twice."""
-    return mu.degree + sum(map(len, mu)) + len(mu.lam) - m
+    return key_and_chi(mu)[1] - m
 
 
 def zeta(mu: RamificationType) -> int:
@@ -161,7 +163,13 @@ def label(grade) -> int:
 
 def canonical_key(mu) -> tuple:
     """Deterministic sort key of a type: its degree, then its partitions."""
-    return (mu.degree, *mu)
+    return key_and_chi(mu)[0]
+
+
+def key_and_chi(mu) -> tuple[tuple, int]:
+    """canonical_key(mu) and euler_characteristic(mu, 0), from one degree."""
+    d = mu.degree
+    return (d, *mu), d + sum(map(len, mu)) + len(mu.lam)
 
 
 @lru_cache(maxsize=None)

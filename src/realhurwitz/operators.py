@@ -102,8 +102,8 @@ _GRADES: dict = {}  # each grade once, shared by the types of its block
 
 def _intern(mu, canonical: Callable) -> tuple:
     """The one copy of mu and its grade. On first sight mu must be what
-    canonical, its model's validated constructor, rebuilds from its fields;
-    else it lies in no block basis and raises RuntimeError."""
+    canonical, its model's validated constructor (each partition checked in full
+    once), rebuilds from its fields; else it lies in no block basis: RuntimeError."""
     got = _INTERNED.get(mu)
     if got is None:
         try:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from math import comb, gcd, prod
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .model import EMPTY_TYPE, canonical_key, euler_characteristic, label
+from .model import EMPTY_TYPE, key_and_chi, label
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -147,20 +147,22 @@ class LabelledSeries(NamedTuple):
         return [self.coeff(m) for m in range(self.max_m + 1)]
 
     def records(self) -> Iterator[tuple]:
-        """Nonzero coefficients as (m, key, chi, num, den), ordered by m and
-        then by canonical_key, num/den in lowest terms with den > 0. Each
-        key's sort key and chi at m = 0 are built once, here."""
-        keyed = [(k, piece, label(g), euler_characteristic(k, 0))
-                 for g, piece in self.pieces.items()
-                 for k in dict.fromkeys(k for vec in piece for k in vec)]
+        """Nonzero coefficients as (m, key, chi, num, den), num/den in lowest
+        terms with den > 0, ordered by m and then by canonical_key. Each piece's
+        label and each key's sort key and chi are built once; then each stored
+        entry is read once, an order at a time."""
+        pieces = [(piece, label(g)) for g, piece in self.pieces.items()]
+        keyed = [(k, chi) for _, chi, k in sorted(
+            (*key_and_chi(k), k) for piece, _ in pieces for k in set().union(*piece))]
+        rank = {k: i for i, (k, _) in enumerate(keyed)}
         # a table reads thousands of keys, so of the grade check of _keys it
         # keeps only the part that costs nothing: no key in two pieces
-        if len({item[0] for item in keyed}) != len(keyed):
+        if len(rank) != len(keyed):
             raise ValueError("a key lies in two pieces")
-        keyed.sort(key=lambda item: canonical_key(item[0]))
-        return ((m, k, chi - m, x // (q := gcd(x, d)), d // q)
-                for m in range(self.max_m + 1) for k, piece, d, chi in keyed
-                if (x := piece[m].get(k)))
+        return ((m, keyed[i][0], keyed[i][1] - m, x // (q := gcd(x, d)), d // q)
+                for m in range(self.max_m + 1)
+                for i, x, d in sorted((rank[k], x, d) for piece, d in pieces
+                                      for k, x in piece[m].items() if x))
 
     def rows(self) -> list[HurwitzRow]:
         """The records as table rows, each value a Fraction."""

@@ -5,6 +5,7 @@ division raises ArithmeticError on a value that does not divide (also under
 python -O), and the exp/log recurrence keeps integer input integral.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -117,18 +118,74 @@ def test_an_image_of_another_grade_raises_and_names_both_types():
 
 
 # images in the grade of their type, (2, 1) and 1, that lie in no block basis:
-# parts out of order, a zero part, an odd part among the signed even ones
+# parts out of order, a zero part, an odd part among the signed even ones.
+# Then images whose partitions equal, and hash like, those of their type,
+# which the column interns first: so each partition's int twin is interned
+# before the image, with a float or bool part in its place. No other test
+# reaches these grades, so the image's own int twin is interned nowhere.
 @pytest.mark.parametrize("mu, nu, canonical", [
     (rtype((2, 1)), RamificationType((1, 2), (), ()), rtype),
     (rtype((2, 1)), RamificationType((2, 1, 0), (), ()), rtype),
     (ttype(kappa_odd=(1,)), TildeType((1,), (), (), ()), ttype),
-], ids=["unsorted", "zero-part", "parity"])
+    (rtype((21,), (19,), (1,)), RamificationType((19.0,), (21,), (1,)), rtype),
+    (rtype((21,), (19,), (1,)), RamificationType((19,), (21,), (True,)), rtype),
+    (ttype((20,), (18,), (1,)), TildeType((18,), (20,), (True,), ()), ttype),
+], ids=["unsorted", "zero-part", "parity", "float-part", "bool-part", "unsigned-bool-part"])
 def test_an_image_not_in_canonical_form_raises(mu, nu, canonical):
     assert nu.grade == mu.grade
     column = cached_columns(lambda _: [(nu, 1)], canonical)
     with pytest.raises(RuntimeError, match="canonical form") as err:
         column(mu)
     assert repr(nu) in str(err.value)
+
+
+# counts the full partition checks during a cold disconnected table (each
+# sorts the parts, so they are the calls of sorted from model.partition), and
+# compares its records with the stored entries
+COLD_TABLE = """
+import json, sys
+from realhurwitz import model, operators
+from realhurwitz.evolution import box_series
+checks = 0
+
+
+def count(frame, event, arg):
+    global checks
+    checks += event == "c_call" and arg is sorted and frame.f_code is model.partition.__code__
+
+
+sys.setprofile(count)
+series = box_series(model.Bidegree(6, 6), 10, False)
+sys.setprofile(None)
+partitions = {p for mu in operators._INTERNED for p in mu}
+stored = sorted((m, repr(k)) for piece in series.pieces.values()
+                for m, vec in enumerate(piece) for k, x in vec.items() if x)
+records = sorted((m, repr(k)) for m, k, *_ in series.records())
+print(json.dumps({"checks": checks, "partitions": len(partitions),
+                  "types": len(operators._INTERNED), "stored": len(stored),
+                  "records_equal_stored": records == stored}))
+"""
+
+
+def test_a_cold_table_checks_each_partition_once_and_records_each_entry_once():
+    src = os.path.dirname(os.path.dirname(realhurwitz.__file__))
+    proc = subprocess.run([sys.executable, "-c", COLD_TABLE], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    # 2,433 types hold 138 distinct partitions; each is checked in full at most once
+    assert 0 < got["checks"] <= got["partitions"] < got["types"]
+    assert got["stored"] == 11701 and got["records_equal_stored"]
+
+
+def test_the_mirror_swaps_each_key_once(monkeypatch):
+    piece = evolve_labelled(Bidegree(3, 2), 6)
+    swapped = []
+    swap = RamificationType.swap_signs
+    monkeypatch.setattr(RamificationType, "swap_signs", lambda mu: swapped.append(mu) or swap(mu))
+    mirrored = evolution._mirror(piece)
+    assert sorted(swapped) == sorted(set().union(*piece))
+    assert list(mirrored) == [labelled_by_paths(Bidegree(2, 3), m) for m in range(7)]
 
 
 def _recorded(monkeypatch, module, name):

@@ -39,6 +39,20 @@ def test_partition_rejects_nonpositive_parts():
         partition([-1])
 
 
+@pytest.mark.parametrize("parts", [(True,), (2, True), (1.0,), (2.0, 1)],
+                         ids=["bool", "int-and-bool", "float", "float-and-int"])
+def test_a_part_equal_to_an_int_of_another_type_is_refused(parts):
+    # the int twins are checked first: a partition is checked in full once,
+    # and an equal tuple of other part types must not pass as a repeat
+    assert partition((1,)) == (1,) and partition((2, 1)) == (2, 1)
+    with pytest.raises(ValueError):
+        partition(parts)
+    with pytest.raises(ValueError):
+        rtype(parts)
+    with pytest.raises(ValueError):
+        rtype((), (), parts)
+
+
 def test_partitions_of_counts():
     # Partition numbers 1, 1, 2, 3, 5, 7, 11.
     for n, count in enumerate([1, 1, 2, 3, 5, 7, 11]):

@@ -11,6 +11,7 @@ import realhurwitz
 from walk_reference import tilde_class_members
 from realhurwitz.model import canonical_key, euler_characteristic
 from realhurwitz.nonsep import (
+    TildeType,
     tilde_class_size_formula,
     tilde_class_sizes,
     tilde_classify,
@@ -43,6 +44,14 @@ def test_ttype_validates_parity():
         ttype(kappa_odd=(2,))
     mu = ttype(kappa_plus=(2,), kappa_odd=(3, 1), lam=(1,))
     assert mu.degree == 2 + 4 + 2
+
+
+def test_ttype_refuses_bool_parts():
+    assert ttype(kappa_odd=(1,)) == TildeType((), (), (1,), ())
+    with pytest.raises(ValueError):
+        ttype(kappa_odd=(True,))
+    with pytest.raises(ValueError):
+        ttype(kappa_plus=(2, True), kappa_odd=(1,))
 
 
 def test_classify_small_transitions():

@@ -20,11 +20,10 @@ _EXPORTS = {
         "format_type", "p_plus", "p_minus", "partition", "partitions_of",
         "q_var", "rtype", "zeta",
     ),
-    "poly": ("LabelledSeries", "PolyVector", "series_exp", "series_log"),
+    "poly": ("HurwitzRow", "LabelledSeries", "PolyVector", "series_exp", "series_log"),
     "operators": ("BlockMatrix", "OperatorKind", "block_matrix"),
     "oracle": ("classify", "mult_c2_matrix", "states"),
-    "evolution": ("HurwitzRow", "connected_series", "disconnected_series",
-                  "hurwitz_value", "table_rows"),
+    "evolution": ("connected_series", "disconnected_series", "hurwitz_value", "table_rows"),
     "genus0": ("G0Type", "g0_from_type", "genus0_series", "genus0_single_part_values",
                "genus0_unit_values", "verify_genus0_pde"),
     "spectral": ("SpectralReport", "common_eigenbasis",

@@ -211,7 +211,7 @@ def cmd_oracle(args) -> int:
     from . import oracle
     from .poly import LabelledSeries
     b = Bidegree(args.nplus, args.nminus)
-    totals = oracle.labelled_by_paths(b, args.m)
+    totals = oracle.labelled_by_paths(b, args.m)[args.m]
     series = LabelledSeries({b: [{}] * args.m + [totals]}, args.m, False)
     _emit_rows(series, args.format, RamificationType._fields)
     return 0

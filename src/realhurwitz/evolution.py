@@ -30,7 +30,6 @@ from .model import (
     rtype,
 )
 from .operators import powers, wplus_column
-from .poly import HurwitzRow, LabelledSeries, series_log
 
 
 def _labelled_initial_vector(b: Bidegree) -> dict[RamificationType, int]:
@@ -66,6 +65,7 @@ def evolve_labelled(b: Bidegree, max_m: int) -> tuple[dict[RamificationType, int
 
 
 def _series(blocks: list[Bidegree], max_m: int, connected: bool) -> LabelledSeries:
+    from .poly import LabelledSeries, series_log
     # each sign-swap pair of listed blocks is evolved once, at n+ >= n-
     pieces = {b: evolve_labelled(b, max_m) for b in blocks
               if b.n_plus >= b.n_minus or b[::-1] not in blocks}

@@ -78,11 +78,22 @@ def genus0_series(max_m: int, max_degree: int) -> tuple[PolyVector, ...]:
     return tuple(coeffs)
 
 
-def genus0_unit_values(max_m: int) -> list[Fraction]:
-    """Evaluation of the genus-zero series at p_1 = q_1 = 1, rest zero."""
+def _sliced(series: tuple[PolyVector, ...] | None, max_m: int,
+            max_degree: int) -> tuple[PolyVector, ...]:
+    """The genus-zero series through u^max_m and degree max_degree: sliced
+    from series, one read through at least those caps, or computed afresh if
+    it is None. A coefficient does not depend on the caps, so a slice is exact."""
+    if series is None:
+        return genus0_series(max_m, max_degree)
+    return tuple(c.restrict_degree(max_degree) for c in series[:max_m + 1])
+
+
+def genus0_unit_values(max_m: int, series=None) -> list[Fraction]:
+    """Evaluation of the genus-zero series at p_1 = q_1 = 1, rest zero;
+    series as in _sliced."""
     # every contributing monomial has parts of size one only, and chi = 2
     # forces its degree to be exactly (m + 2) / 2, so this cap loses nothing
-    series = genus0_series(max_m, (max_m + 2) // 2)
+    series = _sliced(series, max_m, (max_m + 2) // 2)
     values = []
     for m in range(max_m + 1):
         total = Fraction(0)
@@ -93,10 +104,10 @@ def genus0_unit_values(max_m: int) -> list[Fraction]:
     return values
 
 
-def genus0_single_part_values(n_max: int) -> list[Fraction]:
+def genus0_single_part_values(n_max: int, series=None) -> list[Fraction]:
     """Coefficient of p_n at u^(n-1)/(n-1)! in the genus-zero series,
-    for n = 1 .. n_max."""
-    series = genus0_series(n_max - 1, n_max)
+    for n = 1 .. n_max; series as in _sliced."""
+    series = _sliced(series, n_max - 1, n_max)
     return [series[n - 1].coeff(G0Type((n,), ())) for n in range(1, n_max + 1)]
 
 
@@ -148,7 +159,7 @@ def genus0_pde_residuals(h: tuple[PolyVector, ...], max_m: int,
     return PDEResidualReport(max_m, max_degree, tuple(residuals))
 
 
-def verify_genus0_pde(max_m: int, max_degree: int) -> PDEResidualReport:
-    """Check the computed genus-zero series against its flow equation."""
-    h = genus0_series(max_m + 1, max_degree)
-    return genus0_pde_residuals(h, max_m, max_degree)
+def verify_genus0_pde(max_m: int, max_degree: int, series=None) -> PDEResidualReport:
+    """Check the computed genus-zero series against its flow equation;
+    series as in _sliced."""
+    return genus0_pde_residuals(_sliced(series, max_m + 1, max_degree), max_m, max_degree)

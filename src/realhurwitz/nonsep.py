@@ -180,11 +180,11 @@ def _unsigned():
 def tilde_class_sizes(n: int) -> Counter:
     """Transitions on n elements counted by type: those from each orbit
     representative, times the orbit size."""
-    from .oracle import orbits
+    from .oracle import orbit_types
     sizes: Counter = Counter()
-    for s, weight in orbits(_unsigned(), (n,)):
-        for t in tilde_states(n):
-            sizes[tilde_classify((s, t), n)] += weight
+    for _, weight, types in orbit_types(_unsigned(), (n,)):
+        for mu in types.values():
+            sizes[mu] += weight
     return sizes
 
 
@@ -285,11 +285,11 @@ def tilde_evolve_labelled(n: int, max_m: int) -> tuple[dict[TildeType, int], ...
     return powers(tilde_column, _labelled_initial_vector(n), max_m)
 
 
-def tilde_labelled_by_paths(n: int, m: int) -> dict[TildeType, int]:
-    """Walk totals at u^m/m! on n elements, summed by type: n! times the
-    disconnected counts."""
+def tilde_labelled_by_paths(n: int, max_m: int) -> tuple[dict[TildeType, int], ...]:
+    """Walk totals at u^m/m! on n elements, summed by type, for
+    m = 0 .. max_m: n! times the disconnected counts."""
     from .oracle import walk_totals
-    return walk_totals(_unsigned(), (n,), m)
+    return walk_totals(_unsigned(), (n,), max_m)
 
 
 def tilde_series(max_n: int, max_m: int, connected: bool) -> LabelledSeries:

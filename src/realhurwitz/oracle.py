@@ -8,7 +8,11 @@ of transpositions gives the columns that the cut-and-join operators must equal.
 Relabelling the ground sets keeps every type, move and walk and is transitive
 on the states with one pair count and on each class of transitions, so walks
 start from one state per orbit, times its size, and one transition stands
-for its class; the rest is enumerated exhaustively. This module is the
+for its class; the rest is enumerated exhaustively. Each pair that starts at
+a representative is classified once per block (orbit_types), and the class
+search, its moves and the walks read that table; each representative's walk
+is stepped once through every order, so labelled_by_paths(b, max_m) returns
+the orders 0 .. max_m, as the evolution does. This module is the
 independent check on the operator route, so it imports nothing from it but the
 model. The chain/cycle decomposition, orbits, walks and class multiplication
 are generic over the transition model, and the unsigned model binds them too.
@@ -18,7 +22,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Callable, Hashable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Hashable, Iterator, Mapping, NamedTuple
 
 from .model import (
     Bidegree,
@@ -157,50 +162,64 @@ def orbits(model: WalkModel, block: tuple) -> list[tuple[State, int]]:
     return [(s, size) for s, size in groups.values()]
 
 
+@lru_cache(maxsize=None)
+def orbit_types(model: WalkModel, block: tuple) -> tuple[tuple[State, int, Mapping], ...]:
+    """(representative, orbit size, {state: type of (representative, state)})
+    per orbit: every pair that starts at a representative, classified once
+    per block and shared, read-only, by the class search, its moves and the walks."""
+    all_states = model.states(*block)
+    return tuple((rep, size, MappingProxyType({s: model.classify((rep, s), *block)
+                                               for s in all_states}))
+                 for rep, size in orbits(model, block))
+
+
 def class_multiplication(model: WalkModel, block: tuple, side: str = "left") -> dict:
     """Multiplication by the transposition class sum on a block, in the
     operators' column form {mu: {nu: count}}. The representative of mu is the
     first transition of type mu met from an orbit representative; column mu
-    counts its one-step moves on that side by the type they land in.
+    counts its one-step moves on that side by the type they land in. A move
+    from a representative is read from orbit_types, any other is classified.
     Relabelling is transitive on each class, so every member has these counts.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    kind, neighbours = model.classify, model.neighbours
+    tables = {rep: types for rep, _, types in orbit_types(model, block)}
+
+    def kind(initial: State, final: State):
+        types = tables.get(initial)
+        return model.classify((initial, final), *block) if types is None else types[final]
+
     found: dict = {}
-    all_states = model.states(*block)
-    for initial, _ in orbits(model, block):
-        for final in all_states:
-            found.setdefault(kind((initial, final), *block), (initial, final))
+    for rep, types in tables.items():
+        for final, mu in types.items():
+            found.setdefault(mu, (rep, final))
     columns: dict = {}
     for mu, (initial, final) in found.items():
         column = columns[mu] = {}
-        for s in neighbours(initial if side == "left" else final, *block):
-            nu = kind((s, final) if side == "left" else (initial, s), *block)
+        for s in model.neighbours(initial if side == "left" else final, *block):
+            nu = kind(s, final) if side == "left" else kind(initial, s)
             column[nu] = column.get(nu, 0) + 1
     return columns
 
 
-def walks_from(model: WalkModel, block: tuple, start: State, m: int) -> dict[State, int]:
-    """Number of m-step transposition walks from start to each state they reach."""
-    counts = {start: 1}
-    for _ in range(m):
-        step: dict[State, int] = {}
-        for s, c in counts.items():
-            for t in model.neighbours(s, *block):
-                step[t] = step.get(t, 0) + c
-        counts = step
-    return counts
-
-
-def walk_totals(model: WalkModel, block: tuple, m: int) -> dict:
-    """Number of m-step walks between all ordered state pairs, summed by the
-    type of the pair over orbit representatives; types without walks are left out."""
-    totals: dict = {}
-    for s, weight in orbits(model, block):
-        for t, count in walks_from(model, block, s, m).items():
-            mu = model.classify((s, t), *block)
-            totals[mu] = totals.get(mu, 0) + weight * count
+def walk_totals(model: WalkModel, block: tuple, max_m: int) -> tuple[dict, ...]:
+    """Number of m-step transposition walks between all ordered state pairs,
+    summed by the type of the pair over orbit representatives, for
+    m = 0 .. max_m; types without walks are left out. Each representative's
+    walk counts {state: walks} are stepped once, one order after the other."""
+    totals: tuple[dict, ...] = tuple({} for _ in range(max_m + 1))
+    for rep, weight, types in orbit_types(model, block):
+        counts = {rep: 1}
+        for m, total in enumerate(totals):
+            if m:
+                step: dict[State, int] = {}
+                for s, c in counts.items():
+                    for t in model.neighbours(s, *block):
+                        step[t] = step.get(t, 0) + c
+                counts = step
+            for s, c in counts.items():
+                mu = types[s]
+                total[mu] = total.get(mu, 0) + weight * c
     return totals
 
 
@@ -211,8 +230,8 @@ def mult_c2_matrix(b: Bidegree, side: str = "left") -> dict:
     return class_multiplication(_signed(), Bidegree(*b), side)
 
 
-def labelled_by_paths(b: Bidegree, m: int) -> dict[RamificationType, int]:
+def labelled_by_paths(b: Bidegree, max_m: int) -> tuple[dict[RamificationType, int], ...]:
     """m-step walk totals between all ordered state pairs of the block b,
-    summed by the type of the pair: n_plus! n_minus! times the disconnected
-    counts at u^m/m!, in int."""
-    return walk_totals(_signed(), Bidegree(*b), m)
+    summed by the type of the pair, for m = 0 .. max_m: n_plus! n_minus!
+    times the disconnected counts at u^m/m!, in int."""
+    return walk_totals(_signed(), Bidegree(*b), max_m)

@@ -133,9 +133,7 @@ def test_operator_blocks_equal_class_multiplication_matrices():
 
 def test_walk_counts_equal_evolution_coefficients():
     for b in enumerate_bidegrees(5):
-        vectors = evolve_labelled(b, 6)
-        for m in range(7):
-            assert vectors[m] == labelled_by_paths(b, m)
+        assert evolve_labelled(b, 6) == labelled_by_paths(b, 6)
 
 
 def test_operators_commute_and_are_zeta_self_adjoint():
@@ -226,7 +224,5 @@ def test_unsigned_model_count_and_oracle_equivalence():
     with Stopwatch() as watch:
         assert tilde_connected_value(ttype(kappa_odd=(3,)), 6) == 9
         for n in range(5):
-            evolved = tilde_evolve_labelled(n, 6)
-            for m in range(7):
-                assert evolved[m] == tilde_labelled_by_paths(n, m)
+            assert tilde_evolve_labelled(n, 6) == tilde_labelled_by_paths(n, 6)
     assert watch.elapsed < 120

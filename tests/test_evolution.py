@@ -30,6 +30,7 @@ from realhurwitz.model import (
     q_var,
     rtype,
 )
+from realhurwitz import genus0
 from realhurwitz.oracle import labelled_by_paths
 from realhurwitz.poly import LabelledSeries, PolyVector, series_exp
 
@@ -43,9 +44,7 @@ def test_initial_vector_small_blocks():
 
 def test_evolution_matches_walk_counts():
     for b in enumerate_bidegrees(4):
-        vectors = evolve_labelled(b, 5)
-        for m in range(6):
-            assert vectors[m] == labelled_by_paths(b, m)
+        assert evolve_labelled(b, 5) == labelled_by_paths(b, 5)
 
 
 def test_disconnected_series_constant_term():
@@ -175,6 +174,16 @@ def test_genus0_pde_residual_is_zero():
     report = verify_genus0_pde(6, 5)
     assert report.is_zero
     assert report.offending is None
+
+
+def test_genus0_checks_read_a_larger_series_sliced():
+    # a coefficient does not depend on the caps, so each check reads the
+    # same values from one series through the union of their caps
+    series = genus0_series(10, 8)
+    assert genus0_single_part_values(8, series) == genus0_single_part_values(8)
+    assert genus0_unit_values(10, series) == genus0_unit_values(10)
+    assert verify_genus0_pde(6, 5, series) == verify_genus0_pde(6, 5)
+    assert genus0._sliced(series, 7, 5) == genus0_series(7, 5)
 
 
 def test_genus0_pde_flags_wrong_series():

@@ -31,6 +31,10 @@ GOLDEN = [
      "70aede3eb96ff76d24e548caef14827e4bc4c6010d38d167fd35e5d85b9be0f2"),
     ("verify --suite oracle --max-size 3", 0,
      "ecc084a953d072c719207f09c67d9173cf6235c4261427252ae00de639be04c8"),
+    ("verify --suite oracle --max-size 5", 0,
+     "0da12ed95c7b19b0087577ddea7a159b5d94aec81b344ad90ad321979b79e93e"),
+    ("verify --suite oracle --max-size 6", 0,
+     "487071e6a56caa21bbe332ffc5c50c8da62c88f3e979baa36869d9b86fab5e40"),
     ("verify --suite spectral", 0,
      "4a9cb8283c0a4dcf893d33a84286c1f457edca72428cae764def4783b0db810a"),
     ("verify --suite nonsep", 0,

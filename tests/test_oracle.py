@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from itertools import permutations
 from math import comb, factorial
 from pathlib import Path
@@ -178,8 +179,10 @@ def test_orbit_sums_equal_full_enumeration(model, block):
         # exactly the move counts of its column
         assert all(counts == columns[mu] for mu, members in moves.items()
                    for counts in members)
-    for m in range(7):
-        assert oracle.walk_totals(model, block, m) == walk_reference.walk_totals(model, block, m)
+    totals = oracle.walk_totals(model, block, 6)
+    assert len(totals) == 7
+    for m, total in enumerate(totals):
+        assert total == walk_reference.walk_totals(model, block, m)
 
 
 def _run_verify(script: str, suite: str) -> list[str]:
@@ -212,20 +215,25 @@ def test_verify_catches_unweighted_orbits():
     assert not any("class multiplication" in line for line in failed)
 
 
-# a variant of the oracle whose representative of each class is the reversed
-# pair (final, initial): a transition of the class with the even-part signs
-# swapped, so only types without even parts keep their column
-REVERSED_REPRESENTATIVE = """
+def _source_mutant(line: str, mutated: str) -> str:
+    """A script that runs verify on a variant of the oracle whose source has
+    the one occurrence of line replaced by mutated."""
+    return f"""
 import sys
 from realhurwitz import oracle
 from realhurwitz.cli import main
 source = open(oracle.__file__).read()
-stored = "found.setdefault(kind((initial, final), *block), (initial, final))"
-assert source.count(stored) == 1, "the representative is stored elsewhere"
-source = source.replace(stored, stored[:-len("(initial, final))")] + "(final, initial))")
-exec(compile(source, oracle.__file__, "exec"), vars(oracle))
+assert source.count({line!r}) == 1, "the line to mutate is not in the source once"
+exec(compile(source.replace({line!r}, {mutated!r}), oracle.__file__, "exec"), vars(oracle))
 sys.exit(main(["verify", "--suite", SUITE]))
 """
+
+
+# a variant of the oracle whose representative of each class is the reversed
+# pair (final, initial): a transition of the class with the even-part signs
+# swapped, so only types without even parts keep their column
+REVERSED_REPRESENTATIVE = _source_mutant("found.setdefault(mu, (rep, final))",
+                                         "found.setdefault(mu, (final, rep))")
 
 # the orbit of the largest pair count is left out, so some types get no column
 DROPPED_ORBIT = """
@@ -251,6 +259,45 @@ def test_verify_catches_a_wrong_class_representative(script, suite):
     assert any(CLASS_MULTIPLICATION_CHECKS[suite] in line for line in failed)
 
 
+# each table classified against the block's first state, not its representative
+WRONG_TABLE = _source_mutant("model.classify((rep, s), *block)",
+                             "model.classify((all_states[0], s), *block)")
+
+# totals[m] read after m + 1 steps
+ORDER_SHIFT = _source_mutant("            if m:\n", "            if True:\n")
+
+
+@pytest.mark.parametrize("script", [WRONG_TABLE, ORDER_SHIFT],
+                         ids=["wrong-table", "order-shift"])
+def test_verify_catches_wrong_walk_totals(script):
+    failed = _run_verify(script, "oracle")
+    assert any(line.startswith("FAIL walk counts equal evolution on (1, 1)") for line in failed)
+
+
+@pytest.mark.parametrize("model, block", _blocks_through(6))
+def test_each_representative_pair_is_classified_once(model, block):
+    # the walks and both sides of the class multiplication read one table of
+    # the pairs that start at a representative
+    calls = Counter()
+
+    def counted(t, *args):
+        calls[t] += 1
+        return model.classify(t, *args)
+
+    counting = oracle.WalkModel(model.states, model.neighbours, counted)
+    assert oracle.walk_totals(counting, block, 6) == oracle.walk_totals(model, block, 6)
+    for side in ("left", "right"):
+        assert (oracle.class_multiplication(counting, block, side)
+                == oracle.class_multiplication(model, block, side))
+    reps = {rep for rep, _ in orbits(model, block)}
+    from_reps = [n for (initial, _), n in calls.items() if initial in reps]
+    assert len(from_reps) == len(reps) * len(model.states(*block))
+    assert set(from_reps) == {1}
+    # the shared tables refuse edits
+    with pytest.raises(TypeError):
+        oracle.orbit_types(model, block)[0][2][model.states(*block)[0]] = None
+
+
 def test_class_size_matches_formula():
     for b in enumerate_bidegrees(4):
         for mu in enumerate_types(b):
@@ -273,8 +320,8 @@ def test_walk_count_zero_steps():
 
 def test_labelled_by_paths_block_1_1():
     # the label factor of (1, 1) is 1, so these are the counts themselves
-    assert labelled_by_paths(Bidegree(1, 1), 0) == {rtype((1,), (1,)): 1, q_var(1): 1}
-    assert labelled_by_paths(Bidegree(1, 1), 1) == {p_plus(2): 1, p_minus(2): 1}
+    assert labelled_by_paths(Bidegree(1, 1), 1) == ({rtype((1,), (1,)): 1, q_var(1): 1},
+                                                    {p_plus(2): 1, p_minus(2): 1})
 
 
 def test_labelled_by_paths_equals_label_times_walk_count_over_zeta():
@@ -282,8 +329,7 @@ def test_labelled_by_paths_equals_label_times_walk_count_over_zeta():
     # label(b) / zeta transitions, so the total of a type is that many walk
     # counts of one member
     for b in enumerate_bidegrees(4):
-        for m in range(4):
-            table = labelled_by_paths(b, m)
+        for m, table in enumerate(labelled_by_paths(b, 3)):
             assert set(table) <= set(enumerate_types(b))
             for mu in enumerate_types(b):
                 expected, rem = divmod(label(b) * walk_count(mu, m), zeta(mu))

@@ -4,7 +4,8 @@ The oracle sums walks over one initial state per relabelling orbit, weighted
 by the orbit size, and reads the class multiplication from one transition per
 type. These functions enumerate every transition instead and are kept only as
 the references that the oracle tests compare against: the move counts of
-every transition with their class means, the walk totals, the class of a
+every transition with their class means, the walks from one state and the
+walk totals of one order, each walked afresh from its start, the class of a
 type, its first member as a representative, and the number of walks between
 the two states of that representative, which times the class size gives the
 walk total of the type in labelled_by_paths. compose multiplies two operators
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from realhurwitz.model import RamificationType, bidegree
 from realhurwitz.nonsep import tilde_classify, tilde_neighbors, tilde_states
-from realhurwitz.oracle import WalkModel, classify, neighbor_states, states, walks_from
+from realhurwitz.oracle import WalkModel, classify, neighbor_states, states
 
 SIGNED = WalkModel(states, neighbor_states, classify)
 UNSIGNED = WalkModel(tilde_states, tilde_neighbors, tilde_classify)
@@ -63,8 +64,21 @@ def class_multiplication(moves: dict) -> dict:
     return columns
 
 
+def walks_from(model: WalkModel, block: tuple, start, m: int) -> dict:
+    """Number of m-step transposition walks from start to each state they
+    reach, stepped afresh from start for each m."""
+    counts = {start: 1}
+    for _ in range(m):
+        step: dict = {}
+        for s, c in counts.items():
+            for t in model.neighbours(s, *block):
+                step[t] = step.get(t, 0) + c
+        counts = step
+    return counts
+
+
 def walk_totals(model: WalkModel, block: tuple, m: int) -> dict:
-    """oracle.walk_totals with walks from every initial state."""
+    """Order m of oracle.walk_totals, with walks from every initial state."""
     totals: dict = {}
     for s in model.states(*block):
         for t, count in walks_from(model, block, s, m).items():

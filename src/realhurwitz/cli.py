@@ -27,7 +27,7 @@ import sys
 from itertools import islice
 from typing import Iterable
 
-from .model import Bidegree, RamificationType, format_type
+from .model import Bidegree, RamificationType, bidegree_box, format_type
 
 
 def _nonnegative(text: str) -> int:
@@ -120,10 +120,11 @@ def _emit_rows(series, fmt: str, fields: tuple) -> None:
 
 
 def cmd_table(args) -> int:
-    from . import evolution
-    corner = Bidegree(args.max_degree, args.max_degree)
-    series = evolution.box_series(corner, args.max_m, args.connected)
-    _emit_rows(series, args.format, RamificationType._fields)
+    from .evolution import SIGNED
+    from .poly import series
+    box = bidegree_box(Bidegree(args.max_degree, args.max_degree))
+    table = series(SIGNED, box, args.max_m, args.connected)
+    _emit_rows(table, args.format, RamificationType._fields)
     return 0
 
 
@@ -218,9 +219,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_nonsep(args) -> int:
-    from . import nonsep
-    series = nonsep.tilde_series(args.max_n, args.max_m, args.connected)
-    _emit_rows(series, args.format, nonsep.TildeType._fields)
+    from .nonsep import UNSIGNED, TildeType
+    from .poly import series
+    table = series(UNSIGNED, [(n,) for n in range(args.max_n + 1)], args.max_m, args.connected)
+    _emit_rows(table, args.format, TildeType._fields)
     return 0
 
 

@@ -12,8 +12,11 @@ differential-operator form with its garbled superscripts repaired, as the
 signed plus operator's come from wplus_images. The walks are the check:
 tilde_mult_c2_matrix derives the same columns from the walk model, and
 tilde_labelled_by_paths gives the walk totals that the evolution must equal.
-The entries are integers, so the evolution and the formal log run on
-labelled integer counts, n! times each count of degree n. A TildeType is
+The entries are integers, so the series run on labelled integer counts, n!
+times each count of degree n. UNSIGNED binds the model to the pipeline that
+the signed model shares (operators.evolve, poly.series, poly.value): these
+columns, the labelled start vector of a degree (a 1-tuple grade) and ttype,
+with no mirror, for a degree is its own sign swap. A TildeType is
 ordered, printed and given its Euler characteristic by the signed model's
 canonical_key, format_type and euler_characteristic.
 """
@@ -34,8 +37,8 @@ from .model import (
     partitions_of,
     without,
 )
-from .operators import BlockMatrix, cached_columns, powers
-from .poly import HurwitzRow, LabelledSeries, series_log
+from .operators import BlockMatrix, ModelBinding, cached_columns
+from .poly import series, value
 
 TildeState = frozenset
 TildeTransition = tuple[TildeState, TildeState]
@@ -268,21 +271,16 @@ def tilde_mult_c2_matrix(n: int) -> dict:
     return class_multiplication(_unsigned(), (n,))
 
 
-def _labelled_initial_vector(n: int) -> dict[TildeType, int]:
+def _start(grade: tuple[int]) -> dict[TildeType, int]:
     """n! times the degree-n piece of the evolution start: the class of the
     identity transition on a singles and b pairs weighs n!/(a! b! 2^b), the
     number of involutions with b pairs, comb(n, 2b) (2b - 1)!!."""
-    terms = {}
-    for b in range(n // 2 + 1):
-        mu = TildeType((), (), (1,) * (n - 2 * b), (1,) * b)
-        terms[mu] = comb(n, 2 * b) * prod(range(1, 2 * b, 2))
-    return terms
+    n, = grade
+    return {TildeType((), (), (1,) * (n - 2 * b), (1,) * b):
+            comb(n, 2 * b) * prod(range(1, 2 * b, 2)) for b in range(n // 2 + 1)}
 
 
-def tilde_evolve_labelled(n: int, max_m: int) -> tuple[dict[TildeType, int], ...]:
-    """n! times the coefficients at u^m/m! of the disconnected degree-n
-    evolution: the walk totals on n elements, in int."""
-    return powers(tilde_column, _labelled_initial_vector(n), max_m)
+UNSIGNED = ModelBinding(tilde_column, _start, ttype)
 
 
 def tilde_labelled_by_paths(n: int, max_m: int) -> tuple[dict[TildeType, int], ...]:
@@ -292,17 +290,10 @@ def tilde_labelled_by_paths(n: int, max_m: int) -> tuple[dict[TildeType, int], .
     return walk_totals(_unsigned(), (n,), max_m)
 
 
-def tilde_series(max_n: int, max_m: int, connected: bool) -> LabelledSeries:
-    """The chosen unsigned series on the degrees n <= max_n, through u^max_m."""
-    series = LabelledSeries({(n,): tilde_evolve_labelled(n, max_m) for n in range(max_n + 1)},
-                            max_m, False)
-    return series_log(series, max_m, list(series.pieces)) if connected else series
-
-
 def tilde_connected_value(mu: TildeType, m: int):
     """One unsigned connected count, a Fraction: coefficient of p_mu u^m/m!."""
-    return tilde_series(mu.degree, m, True).value(mu, m)
+    return value(UNSIGNED, mu, m)
 
 
 def tilde_table_rows(max_n: int, max_m: int, connected: bool = True) -> list[HurwitzRow]:
-    return tilde_series(max_n, max_m, connected).rows()
+    return series(UNSIGNED, [(n,) for n in range(max_n + 1)], max_m, connected).rows()

@@ -12,14 +12,14 @@ for odd i:
 The minus operator conjugates the plus one by the sign swap p_k^+ <-> p_k^-,
 and the mean is their half sum. All three preserve degree and bidegree. The
 plus and minus operators are read-only int columns, one per type, built on
-first use from moves cached per partition; powers steps through them, a
-BlockMatrix holds those of one block (the mean's Fraction columns are built
-there).
+first use from moves cached per partition. evolve steps the start vector of
+a grade of either walk model through its columns (powers), and a BlockMatrix
+holds the columns of one block (the mean's Fraction columns are built there).
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from enum import Enum
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -177,6 +177,27 @@ def powers(column: Callable, start: dict, max_m: int) -> tuple[dict, ...]:
     for _ in range(max_m):
         out.append(_image(out[-1], column))
     return tuple(out)
+
+
+# what the shared series steps read of one walk model: its operator's column
+# accessor, the labelled start vector of a grade, its validated type constructor
+ModelBinding = namedtuple("ModelBinding", "column start canonical")
+
+
+def mirror(piece: tuple) -> tuple[dict, ...]:
+    """The piece of grade (b, a) from that of (a, b) in new dicts, each key swapped once."""
+    swapped = {mu: mu.swap_signs() for mu in set().union(*piece)}
+    return tuple({swapped[mu]: x for mu, x in vec.items()} for vec in piece)
+
+
+def evolve(model: ModelBinding, grade: tuple, max_m: int) -> tuple[dict, ...]:
+    """powers of the model's columns on the start vector of grade: the walk
+    totals of its block, in int. W- = S W+ S, S the sign swap, evolves each
+    start vector as W+ does, so a grade below its reverse is the mirror of
+    its reverse; a 1-tuple degree never reaches the mirror."""
+    if grade < grade[::-1]:
+        return mirror(evolve(model, grade[::-1], max_m))
+    return powers(model.column, model.start(grade), max_m)
 
 
 class BlockMatrix:

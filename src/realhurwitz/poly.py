@@ -18,13 +18,16 @@ Analytic Combinatorics, ch. II): a LabelledSeries holds label(g) times each
 coefficient of grade g, the product of the factorials of the components of
 g. Every count of both walk models is an int there, and exp and log run on
 it in int arithmetic, with an exact division that raises ArithmeticError on
-a remainder. A table leaves it as records, each value two ints in lowest
-terms; the command line reads only those. Fractions, imported where one is
-built, enter where a value leaves the store otherwise: a row, one value, or
-the PolyVector of one order. Records are ordered by model.canonical_key and
-carry model.euler_characteristic, which serve the types of both walk
-models. A read above the order or outside the grades a store was computed
-on raises ValueError; it never reads as zero.
+a remainder. series, the one pipeline of both walk models, evolves the
+listed grades through a model's binding (operators.evolve) and takes the log
+for connected counts; value reads one count. A table leaves the store as
+records, each value two ints in lowest terms; the command line reads only
+those. Fractions, imported where one is built, enter where a value leaves
+the store otherwise: a row, one value, or the PolyVector of one order.
+Records are ordered by model.canonical_key and carry
+model.euler_characteristic, which serve the types of both walk models. A
+read above the order or outside the grades a store was computed on raises
+ValueError; it never reads as zero.
 """
 
 from __future__ import annotations
@@ -271,11 +274,9 @@ def _euler_recurrence(given: LabelledSeries, max_m: int, grades, log: bool) -> L
 def series_exp(h: LabelledSeries, max_m: int, grades,
                empty_key=EMPTY_TYPE) -> LabelledSeries:
     """exp of a series with no constant-monomial term, on the listed grades
-    (closed under taking smaller grades) and through u^max_m.
-
-    The result's constant monomial (coefficient 1 at m=0) is indexed by
-    empty_key, which must match the key type of h.
-    """
+    (closed under taking smaller grades) and through u^max_m. The result's
+    constant monomial (coefficient 1 at m=0) is indexed by empty_key, which
+    must match the key type of h."""
     for m, x in enumerate(_constant_row(h)):
         if x:
             raise ValueError(f"series_exp input has a constant-monomial term at m={m}")
@@ -287,8 +288,7 @@ def series_exp(h: LabelledSeries, max_m: int, grades,
 def series_log(big_h: LabelledSeries, max_m: int, grades) -> LabelledSeries:
     """log of a series whose m=0 coefficient has constant term 1 (and 0 for
     m>0), on the listed grades (closed under taking smaller grades) and
-    through u^max_m.
-    """
+    through u^max_m."""
     constant = _constant_row(big_h)
     if constant[:1] != [1]:
         raise ValueError("series_log input must have constant-monomial coefficient 1 at m=0")
@@ -296,3 +296,24 @@ def series_log(big_h: LabelledSeries, max_m: int, grades) -> LabelledSeries:
         if x:
             raise ValueError(f"series_log input has a constant-monomial term at m={m}")
     return _euler_recurrence(big_h, max_m, grades, log=True)
+
+
+def series(model, grades, max_m: int, connected: bool) -> LabelledSeries:
+    """The disconnected series of a walk model on the listed grades through
+    u^max_m, or its log; each sign-swap pair of grades is evolved once."""
+    from .operators import evolve, mirror
+    pieces = {g: evolve(model, g, max_m) for g in grades if g >= g[::-1] or g[::-1] not in grades}
+    pieces = {g: pieces.get(g) or mirror(pieces[g[::-1]]) for g in grades}
+    disc = LabelledSeries(pieces, max_m, False)
+    return series_log(disc, max_m, grades) if connected else disc
+
+
+def value(model, mu, m: int, connected: bool = True) -> Fraction:
+    """One count, a Fraction: the coefficient of p_mu u^m/m! in the chosen series
+    on the grades at most mu's. A type that model.canonical does not rebuild
+    unchanged, or one of another model, raises ValueError."""
+    if type(mu) is not type(model.canonical()) or model.canonical(*mu) != mu:
+        raise ValueError(f"type {mu!r} is not in canonical form")
+    from itertools import product
+    grades = list(product(*(range(x + 1) for x in mu.grade)))
+    return series(model, grades, m, connected).value(mu, m)

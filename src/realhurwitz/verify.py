@@ -5,8 +5,9 @@ suite imports the modules it runs.
 
 from __future__ import annotations
 
-from .model import Bidegree, enumerate_bidegrees, format_type, p_minus, p_plus, q_var, rtype
-from .operators import OperatorKind, block_matrix
+from .model import (Bidegree, bidegree_box, enumerate_bidegrees, format_type, p_minus, p_plus,
+                    q_var, rtype)
+from .operators import OperatorKind, block_matrix, evolve
 
 
 def _show(value) -> str:
@@ -63,9 +64,9 @@ _UNIT_EVALUATION_MISPRINTS = {2: "1/2"}
 
 def _suite_paper(chk: _Checker) -> None:
     from . import evolution, nonsep
-    from .poly import PolyVector
+    from .poly import PolyVector, series
     # every signed check lies in the box (4, 4) through u^7, so one log serves
-    conn = evolution.box_series(Bidegree(4, 4), 7)
+    conn = series(evolution.SIGNED, bidegree_box(Bidegree(4, 4)), 7, True)
     for m, coeffs in _PRINTED_EXPANSION.items():
         chk.poly_check(f"connected series coefficient of u^{m}/{m}!",
                        PolyVector(coeffs), conn.coeff(m).restrict_degree(4))
@@ -91,7 +92,7 @@ def _suite_oracle(chk: _Checker, max_size: int) -> None:
                   True, oracle.mult_c2_matrix(b, "right") == wm.columns)
     for b in enumerate_bidegrees(max_size):
         chk.check(f"walk counts equal evolution on {tuple(b)}, m<=6", True,
-                  evolution.evolve_labelled(b, 6) == oracle.labelled_by_paths(b, 6))
+                  evolve(evolution.SIGNED, b, 6) == oracle.labelled_by_paths(b, 6))
 
 
 def _suite_spectral(chk: _Checker) -> None:
@@ -142,7 +143,7 @@ def _suite_nonsep(chk: _Checker) -> None:
                        for mu in nonsep.tilde_enumerate_types(n))
         chk.check(f"class sizes match n!/zeta on {n} elements", True, sizes_ok)
         chk.check(f"walk counts equal evolution on {n} elements, m<=6", True,
-                  nonsep.tilde_evolve_labelled(n, 6) == nonsep.tilde_labelled_by_paths(n, 6))
+                  evolve(nonsep.UNSIGNED, (n,), 6) == nonsep.tilde_labelled_by_paths(n, 6))
         chk.check(f"transcribed operator form agrees on {n} elements", True,
                   nonsep.tilde_mult_c2_matrix(n) == nonsep.tilde_operator_matrix(n).columns)
     chk.check("unsigned count at m=6, one pole of order 3", 9,

@@ -14,8 +14,8 @@ from fractions import Fraction
 import pytest
 
 from model_reference import dimension_series
-from realhurwitz import evolution
-from realhurwitz.evolution import connected_series, evolve_labelled, hurwitz_value
+from realhurwitz import operators
+from realhurwitz.evolution import SIGNED, connected_series, hurwitz_value
 from realhurwitz.genus0 import genus0_unit_values, verify_genus0_pde
 from realhurwitz.model import (
     Bidegree,
@@ -30,19 +30,21 @@ from realhurwitz.model import (
     zeta,
 )
 from realhurwitz.nonsep import (
+    UNSIGNED,
     tilde_connected_value,
-    tilde_evolve_labelled,
     tilde_labelled_by_paths,
     ttype,
 )
 from realhurwitz.operators import (
     OperatorKind,
     block_matrix,
+    evolve,
     powers,
     wminus_column,
     wplus_column,
 )
 from realhurwitz.oracle import labelled_by_paths, mult_c2_matrix
+from realhurwitz.poly import series
 from realhurwitz.spectral import (
     common_eigenbasis,
     compare_reference_eigenbasis,
@@ -133,7 +135,7 @@ def test_operator_blocks_equal_class_multiplication_matrices():
 
 def test_walk_counts_equal_evolution_coefficients():
     for b in enumerate_bidegrees(5):
-        assert evolve_labelled(b, 6) == labelled_by_paths(b, 6)
+        assert evolve(SIGNED, b, 6) == labelled_by_paths(b, 6)
 
 
 def test_operators_commute_and_are_zeta_self_adjoint():
@@ -166,16 +168,16 @@ def test_dimension_table_matches_product_formula():
 
 def _blocks_off_direct_evolution(corner: Bidegree, max_m: int) -> list:
     """The blocks of the box under corner on which a piece of the
-    disconnected box series, evolve_labelled, the direct evolution of the
-    block's own labelled initial vector by the plus operator and that by the
-    minus operator are not all equal. A request evolves one block of each
+    disconnected box series, the shared evolve step, the direct evolution of
+    the block's own labelled initial vector by the plus operator and that by
+    the minus operator are not all equal. A request evolves one block of each
     sign-swap pair and mirrors the other, so this checks every mirrored block,
     and the identity the mirror rests on: W- = S W+ S evolves each initial
     vector to the same values as W+."""
-    series = evolution.box_series(corner, max_m, connected=False)
-    initial = evolution._labelled_initial_vector
+    store = series(SIGNED, bidegree_box(corner), max_m, connected=False)
+    initial = SIGNED.start
     return [b for b in bidegree_box(corner)
-            if not series.pieces[b] == evolution.evolve_labelled(b, max_m)
+            if not store.pieces[b] == operators.evolve(SIGNED, b, max_m)
             == powers(wplus_column, initial(b), max_m) == powers(wminus_column, initial(b), max_m)]
 
 
@@ -185,19 +187,19 @@ def test_disconnected_series_under_the_sign_swap_equals_direct_evolution():
     assert watch.elapsed < 60
 
 
-def _evolved_onto_itself(b, max_m):
+def _evolved_onto_itself(model, b, max_m):
     """A broken mirror: a block with n+ < n- gets the swap of its own
     evolution, not of its partner's."""
-    piece = powers(wplus_column, evolution._labelled_initial_vector(b), max_m)
-    return evolution._mirror(piece) if b.n_plus < b.n_minus else piece
+    piece = powers(model.column, model.start(b), max_m)
+    return operators.mirror(piece) if b.n_plus < b.n_minus else piece
 
 
 @pytest.mark.parametrize("name, broken", [
-    ("_mirror", lambda piece: tuple(dict(vec) for vec in piece)),
-    ("evolve_labelled", _evolved_onto_itself),
+    ("mirror", lambda piece: tuple(dict(vec) for vec in piece)),
+    ("evolve", _evolved_onto_itself),
 ], ids=["keys-unswapped", "onto-itself"])
 def test_direct_evolution_check_sees_a_broken_mirror(monkeypatch, name, broken):
-    monkeypatch.setattr(evolution, name, broken)
+    monkeypatch.setattr(operators, name, broken)
     off = _blocks_off_direct_evolution(Bidegree(3, 3), 4)
     assert off and all(b.n_plus < b.n_minus for b in off)
 
@@ -224,5 +226,5 @@ def test_unsigned_model_count_and_oracle_equivalence():
     with Stopwatch() as watch:
         assert tilde_connected_value(ttype(kappa_odd=(3,)), 6) == 9
         for n in range(5):
-            assert tilde_evolve_labelled(n, 6) == tilde_labelled_by_paths(n, 6)
+            assert evolve(UNSIGNED, (n,), 6) == tilde_labelled_by_paths(n, 6)
     assert watch.elapsed < 120

@@ -5,10 +5,9 @@ from fractions import Fraction
 import pytest
 
 from realhurwitz.evolution import (
-    box_series,
+    SIGNED,
     connected_series,
     disconnected_series,
-    evolve_labelled,
     hurwitz_value,
     table_rows,
 )
@@ -23,6 +22,7 @@ from realhurwitz.genus0 import (
 from realhurwitz.model import (
     Bidegree,
     EMPTY_TYPE,
+    bidegree_box,
     enumerate_bidegrees,
     label,
     p_minus,
@@ -31,20 +31,31 @@ from realhurwitz.model import (
     rtype,
 )
 from realhurwitz import genus0
+from realhurwitz.nonsep import UNSIGNED, tilde_labelled_by_paths, ttype
 from realhurwitz.oracle import labelled_by_paths
-from realhurwitz.poly import LabelledSeries, PolyVector, series_exp
+from realhurwitz.operators import evolve
+from realhurwitz.poly import LabelledSeries, PolyVector, series, series_exp
 
 
-def test_initial_vector_small_blocks():
-    # n+! n-! times the coefficients: 1 and 1 on (1, 1), 1/2 and 1 on (2, 1)
-    assert evolve_labelled(Bidegree(1, 1), 0)[0] == {rtype((1,), (1,)): 1, q_var(1): 1}
-    assert evolve_labelled(Bidegree(2, 1), 0)[0] == {rtype((1, 1), (1,)): 1,
-                                                     rtype((1,), (), (1,)): 2}
+# label(g) times the coefficients of the start: 1 and 1 on the block (1, 1),
+# 1/2 and 1 on (2, 1), and 1/2 and 1/2 on 2 elements
+@pytest.mark.parametrize("model, starts", [
+    (SIGNED, {Bidegree(1, 1): {rtype((1,), (1,)): 1, q_var(1): 1},
+              Bidegree(2, 1): {rtype((1, 1), (1,)): 1, rtype((1,), (), (1,)): 2}}),
+    (UNSIGNED, {(2,): {ttype(kappa_odd=(1, 1)): 1, ttype(lam=(1,)): 1}}),
+], ids=["signed", "unsigned"])
+def test_initial_vector_small_grades(model, starts):
+    for grade, start in starts.items():
+        assert evolve(model, grade, 0)[0] == start
 
 
-def test_evolution_matches_walk_counts():
-    for b in enumerate_bidegrees(4):
-        assert evolve_labelled(b, 5) == labelled_by_paths(b, 5)
+@pytest.mark.parametrize("model, grades, max_m, walks", [
+    (SIGNED, enumerate_bidegrees(4), 5, labelled_by_paths),
+    (UNSIGNED, [(n,) for n in range(6)], 6, lambda g, m: tilde_labelled_by_paths(*g, m)),
+], ids=["signed", "unsigned"])
+def test_evolution_matches_walk_counts(model, grades, max_m, walks):
+    for grade in grades:
+        assert evolve(model, grade, max_m) == walks(grade, max_m)
 
 
 def test_disconnected_series_constant_term():
@@ -60,19 +71,19 @@ def test_reads_outside_the_truncation_raise():
     assert connected_series(5, 6).value(p_plus(3), 6) == 4
     assert connected_series(5, 4).value(p_plus(5), 4) == 5
     for connected in (True, False):
-        series = box_series(Bidegree(2, 2), 3, connected)
+        box = series(SIGNED, bidegree_box(Bidegree(2, 2)), 3, connected)
         for key, m in [(p_plus(3), 6), (p_plus(5), 4), (p_plus(5), 3), (p_plus(2), 4),
                        (p_plus(2), -1)]:
             with pytest.raises(ValueError):
-                series.value(key, m)
+                box.value(key, m)
         for m in (4, -1):
             with pytest.raises(ValueError):
-                series.coeff(m)
+                box.coeff(m)
         # a computed grade reads its zeros, the constant monomial included
-        assert series.value(rtype((1, 1), ()), 1) == 0
-        assert series.value(EMPTY_TYPE, 3) == 0
-        assert series.value(EMPTY_TYPE, 0) == (0 if connected else 1)
-        assert series.value(p_plus(2), 1) == 1
+        assert box.value(rtype((1, 1), ()), 1) == 0
+        assert box.value(EMPTY_TYPE, 3) == 0
+        assert box.value(EMPTY_TYPE, 0) == (0 if connected else 1)
+        assert box.value(p_plus(2), 1) == 1
 
 
 def test_connected_series_leading_coefficients():

@@ -66,7 +66,7 @@ def test_a_command_imports_only_the_modules_it_runs(argv, runs, left_out):
 
 
 @pytest.mark.parametrize("argv, budget", [
-    (TABLE, 1150), (NONSEP, 1400), (VERIFY_ORACLE, 1256), (SPECTRUM, 1812),
+    (TABLE, 1147), (NONSEP, 1400), (VERIFY_ORACLE, 1235), (SPECTRUM, 1812),
 ], ids=["table", "nonsep", "verify-oracle", "spectrum"])
 def test_a_command_compiles_at_most_its_budget_of_lines(argv, budget):
     # a cold run compiles every submodule it loads, so their source lines

@@ -15,28 +15,33 @@ from math import gcd
 import pytest
 
 import realhurwitz
-from realhurwitz.evolution import disconnected_series, evolve_labelled
-from realhurwitz.model import (Bidegree, RamificationType, canonical_key, enumerate_bidegrees,
-                              euler_characteristic, p_minus, p_plus, rtype)
-from realhurwitz import evolution, nonsep
-from realhurwitz.nonsep import (TildeType, tilde_evolve_labelled, tilde_labelled_by_paths,
-                               tilde_operator_matrix, ttype)
-from realhurwitz.operators import OperatorKind, block_matrix, cached_columns, wplus_column
+from realhurwitz.cli import main
+from realhurwitz.evolution import SIGNED, disconnected_series, hurwitz_value
+from realhurwitz.model import (Bidegree, RamificationType, bidegree_box, canonical_key,
+                              enumerate_bidegrees, euler_characteristic, p_minus, p_plus, rtype)
+from realhurwitz import evolution, nonsep, operators
+from realhurwitz.nonsep import (UNSIGNED, TildeType, tilde_connected_value,
+                               tilde_labelled_by_paths, tilde_operator_matrix, ttype)
+from realhurwitz.operators import (OperatorKind, block_matrix, cached_columns, evolve,
+                                   wplus_column)
 from realhurwitz.oracle import labelled_by_paths
-from realhurwitz.poly import LabelledSeries, series_exp, series_log
+from realhurwitz.poly import LabelledSeries, series, series_exp, series_log
 
 
-@pytest.mark.parametrize("b", enumerate_bidegrees(9), ids=str)
-def test_signed_store_equals_walk_totals_through_degree_nine(b):
-    vectors = evolve_labelled(b, 6)
-    assert vectors == labelled_by_paths(b, 6)
-    assert all(type(x) is int for vec in vectors for x in vec.values())
+def _walk_totals(model, grade, max_m):
+    """The walk totals of a grade of either model, read from the oracle."""
+    return (labelled_by_paths(grade, max_m) if model is SIGNED
+            else tilde_labelled_by_paths(*grade, max_m))
 
 
-@pytest.mark.parametrize("n", range(10))
-def test_unsigned_store_equals_walk_totals_through_nine_elements(n):
-    vectors = tilde_evolve_labelled(n, 6)
-    assert vectors == tilde_labelled_by_paths(n, 6)
+# signed bidegrees through total degree nine, unsigned degrees through nine elements
+@pytest.mark.parametrize("model, grade", [
+    *(pytest.param(SIGNED, b, id=f"signed{tuple(b)}") for b in enumerate_bidegrees(9)),
+    *(pytest.param(UNSIGNED, (n,), id=f"unsigned({n},)") for n in range(10)),
+])
+def test_store_equals_walk_totals(model, grade):
+    vectors = evolve(model, grade, 6)
+    assert vectors == _walk_totals(model, grade, 6)
     assert all(type(x) is int for vec in vectors for x in vec.values())
 
 
@@ -45,9 +50,9 @@ def test_an_edited_result_leaves_the_next_request_intact():
     # vectors it gets without changing what a later request returns
     mu = p_plus(1).union(p_minus(1))
     disconnected_series(2, 2).pieces[Bidegree(1, 1)][0][mu] += 5
-    evolve_labelled(Bidegree(1, 1), 2)[1].clear()
-    evolve_labelled(Bidegree(1, 1), 2)[0][mu] += 5
-    tilde_evolve_labelled(3, 2)[2].clear()
+    evolve(SIGNED, Bidegree(1, 1), 2)[1].clear()
+    evolve(SIGNED, Bidegree(1, 1), 2)[0][mu] += 5
+    evolve(UNSIGNED, (3,), 2)[2].clear()
     assert disconnected_series(2, 2).pieces[Bidegree(1, 1)][0][mu] == 1
     # the piece of (1, 2) is the mirror of that of (2, 1): editing either
     # leaves the other as it was
@@ -56,13 +61,13 @@ def test_an_edited_result_leaves_the_next_request_intact():
     pieces[Bidegree(2, 1)][2][rtype((3,))] += 5
     assert pieces[Bidegree(2, 1)][1] == labelled_by_paths(Bidegree(2, 1), 2)[1]
     assert pieces[Bidegree(1, 2)][2] == labelled_by_paths(Bidegree(1, 2), 2)[2]
-    assert evolve_labelled(Bidegree(1, 1), 2) == labelled_by_paths(Bidegree(1, 1), 2)
-    assert tilde_evolve_labelled(3, 2) == tilde_labelled_by_paths(3, 2)
+    assert evolve(SIGNED, Bidegree(1, 1), 2) == labelled_by_paths(Bidegree(1, 1), 2)
+    assert evolve(UNSIGNED, (3,), 2) == tilde_labelled_by_paths(3, 2)
 
 
 def test_log_and_exp_of_an_integer_store_stay_integral():
     blocks = list(enumerate_bidegrees(5))
-    disc = LabelledSeries({b: evolve_labelled(b, 5) for b in blocks}, 5, False)
+    disc = LabelledSeries({b: evolve(SIGNED, b, 5) for b in blocks}, 5, False)
     conn = series_log(disc, 5, blocks)
     assert isinstance(conn, LabelledSeries) and conn.connected
     assert all(type(x) is int for piece in conn.pieces.values()
@@ -142,7 +147,8 @@ def test_an_image_not_in_canonical_form_raises(mu, nu, canonical):
 COLD_TABLE = """
 import json, sys
 from realhurwitz import model, operators
-from realhurwitz.evolution import box_series
+from realhurwitz.evolution import SIGNED
+from realhurwitz.poly import series
 checks = 0
 
 
@@ -152,7 +158,7 @@ def count(frame, event, arg):
 
 
 sys.setprofile(count)
-series = box_series(model.Bidegree(6, 6), 10, False)
+series = series(SIGNED, model.bidegree_box(model.Bidegree(6, 6)), 10, False)
 sys.setprofile(None)
 partitions = {p for mu in operators._INTERNED for p in mu}
 stored = sorted((m, repr(k)) for piece in series.pieces.values()
@@ -176,37 +182,33 @@ def test_a_cold_table_checks_each_partition_once_and_records_each_entry_once():
 
 
 def test_the_mirror_swaps_each_key_once(monkeypatch):
-    piece = evolve_labelled(Bidegree(3, 2), 6)
+    piece = evolve(SIGNED, Bidegree(3, 2), 6)
     swapped = []
     swap = RamificationType.swap_signs
     monkeypatch.setattr(RamificationType, "swap_signs", lambda mu: swapped.append(mu) or swap(mu))
-    mirrored = evolution._mirror(piece)
+    mirrored = operators.mirror(piece)
     assert sorted(swapped) == sorted(set().union(*piece))
     assert mirrored == labelled_by_paths(Bidegree(2, 3), 6)
 
 
-def _recorded(monkeypatch, module, name):
-    """Rebind module.name to a column accessor that records what it returns."""
+@pytest.mark.parametrize("model, grade, shared, block", [
+    (SIGNED, Bidegree(2, 1), wplus_column,
+     lambda: block_matrix(OperatorKind.WPLUS, Bidegree(2, 1))),
+    (UNSIGNED, (4,), nonsep.tilde_column, lambda: tilde_operator_matrix(4)),
+], ids=["signed", "unsigned"])
+def test_the_evolution_reads_the_columns_the_blocks_hold(model, grade, shared, block):
+    # the binding holds the shared accessor; evolving through a copy of it
+    # whose accessor records what it returns sees the blocks' column objects
+    assert model.column is shared
     seen = {}
-    real = getattr(module, name)
 
     def column(mu):
-        seen[mu] = real(mu)
+        seen[mu] = shared(mu)
         return seen[mu]
 
-    monkeypatch.setattr(module, name, column)
-    return seen
-
-
-def test_the_evolution_reads_the_columns_the_blocks_hold(monkeypatch):
-    seen = _recorded(monkeypatch, evolution, "wplus_column")
-    evolve_labelled(Bidegree(2, 1), 4)
-    plus = block_matrix(OperatorKind.WPLUS, Bidegree(2, 1))
-    assert seen and all(plus.columns[mu] is col for mu, col in seen.items())
-    seen = _recorded(monkeypatch, nonsep, "tilde_column")
-    tilde_evolve_labelled(4, 4)
-    unsigned = tilde_operator_matrix(4)
-    assert seen and all(unsigned.columns[mu] is col for mu, col in seen.items())
+    evolve(model._replace(column=column), grade, 4)
+    columns = block().columns
+    assert seen and all(columns[mu] is col for mu, col in seen.items())
 
 
 def test_cached_columns_refuse_edits_and_the_evolution_stays_intact():
@@ -224,11 +226,11 @@ def test_cached_columns_refuse_edits_and_the_evolution_stays_intact():
         unsigned.columns[nu][nu] = 5
     with pytest.raises(TypeError):
         nonsep.tilde_column(nu)[nu] = 5
-    series = disconnected_series(2, 2)
-    for b, piece in series.pieces.items():
+    store = disconnected_series(2, 2)
+    for b, piece in store.pieces.items():
         assert tuple(piece) == labelled_by_paths(b, 2)
     for n in range(4):
-        assert tilde_evolve_labelled(n, 2) == tilde_labelled_by_paths(n, 2)
+        assert evolve(UNSIGNED, (n,), 2) == tilde_labelled_by_paths(n, 2)
 
 
 # the evolution with both type enumerations rebound to raise, in a fresh
@@ -257,10 +259,10 @@ def test_the_evolution_enumerates_no_block_basis():
 
 
 @pytest.mark.parametrize("series", [
-    evolution.box_series(Bidegree(4, 4), 8, connected=True),
-    evolution.box_series(Bidegree(4, 4), 8, connected=False),
-    nonsep.tilde_series(6, 8, connected=True),
-    nonsep.tilde_series(6, 8, connected=False),
+    series(SIGNED, bidegree_box(Bidegree(4, 4)), 8, connected=True),
+    series(SIGNED, bidegree_box(Bidegree(4, 4)), 8, connected=False),
+    series(UNSIGNED, [(n,) for n in range(7)], 8, connected=True),
+    series(UNSIGNED, [(n,) for n in range(7)], 8, connected=False),
 ], ids=["box-connected", "box-disconnected", "unsigned-connected", "unsigned-disconnected"])
 def test_records_are_the_rows_in_lowest_terms(series):
     records = list(series.records())
@@ -274,3 +276,70 @@ def test_records_are_the_rows_in_lowest_terms(series):
         assert den > 0 and gcd(num, den) == 1
         assert Fraction(num, den) == series.value(mu, m) != 0
         assert chi == euler_characteristic(mu, m)
+
+
+# a type beside its canonical twin: parts out of order, a float or bool part,
+# an even part in the odd slot, a type of the other model or none; the first
+# five used to read a wrong value or to fail deep inside the pipeline
+@pytest.mark.parametrize("value, mu, m, twin, count", [
+    (hurwitz_value, RamificationType((1, 2), (), ()), 3, rtype((2, 1)), 1),
+    (hurwitz_value, RamificationType((2.0, 1), (), ()), 3, rtype((2, 1)), 1),
+    (hurwitz_value, RamificationType((True,), (), ()), 0, rtype((1,)), 1),
+    (tilde_connected_value, TildeType((), (), (2,), ()), 5, ttype(kappa_plus=(2,)),
+     Fraction(1, 2)),
+    (tilde_connected_value, TildeType((), (), (3.0,), ()), 6, ttype(kappa_odd=(3,)), 9),
+    (hurwitz_value, ttype(kappa_odd=(3,)), 6, rtype((3,)), 4),
+    (tilde_connected_value, rtype((3,)), 6, ttype(kappa_odd=(3,)), 9),
+    (hurwitz_value, ((2, 1), (), ()), 3, rtype((2, 1)), 1),
+], ids=["unsorted", "float-part", "bool-part", "unsigned-parity", "unsigned-float-part",
+        "unsigned-type", "signed-type", "plain-tuple"])
+def test_a_value_of_a_type_not_in_canonical_form_raises(value, mu, m, twin, count):
+    with pytest.raises(ValueError):
+        value(mu, m)
+    assert value(twin, m) == count
+
+
+def _order_shifted(powers):
+    """powers that reads order m + 1 where order m is meant, for every m >= 1."""
+    def broken(column, start, max_m):
+        out = powers(column, start, max_m + 1)
+        return out[:1] + out[2:]
+    return broken
+
+
+@pytest.mark.parametrize("suite", ["oracle", "nonsep"])
+def test_a_broken_shared_evolve_step_fails_the_walk_check_of_both_models(
+        monkeypatch, capsys, suite):
+    # both models evolve through operators.evolve, so one break reaches both
+    monkeypatch.setattr(operators, "powers", _order_shifted(operators.powers))
+    assert main(["verify", "--suite", suite]) == 1
+    assert "\nFAIL walk counts equal evolution on " in capsys.readouterr().out
+
+
+def test_the_unsigned_series_never_calls_the_mirror(monkeypatch):
+    def refuse(piece):
+        raise AssertionError("the mirror was called")
+
+    monkeypatch.setattr(operators, "mirror", refuse)
+    degrees = [(n,) for n in range(7)]
+    for (n,), piece in series(UNSIGNED, degrees, 6, False).pieces.items():
+        assert piece == tilde_labelled_by_paths(n, 6)
+    assert series(UNSIGNED, degrees, 6, True).value(ttype(kappa_odd=(3,)), 6) == 9
+    with pytest.raises(AssertionError, match="mirror"):  # the signed series mirrors
+        series(SIGNED, enumerate_bidegrees(1), 0, False)
+
+
+def test_a_table_evolves_one_block_of_each_sign_swap_pair(monkeypatch, capsys):
+    evolved = []
+    powers = operators.powers
+
+    def recording(column, start, max_m):
+        evolved.append(next(iter(start)).grade)
+        return powers(column, start, max_m)
+
+    monkeypatch.setattr(operators, "powers", recording)
+    assert main(["table", "--max-degree", "6", "--max-m", "10", "--format", "csv"]) == 0
+    assert capsys.readouterr().out
+    assert len(bidegree_box(Bidegree(6, 6))) == 49
+    assert len(evolved) == len(set(evolved)) == 28
+    assert all(b.n_plus >= b.n_minus for b in evolved)

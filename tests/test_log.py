@@ -4,31 +4,21 @@ bidegree-box truncation against the total-degree one."""
 import pytest
 
 from power_sum_reference import power_sum_log
-from realhurwitz.evolution import (
-    box_series,
-    connected_series,
-    disconnected_series,
-    evolve_labelled,
-    hurwitz_value,
-)
+from realhurwitz.evolution import SIGNED, connected_series, disconnected_series, hurwitz_value
 from realhurwitz.model import Bidegree, bidegree, bidegree_box, enumerate_bidegrees
-from realhurwitz.nonsep import tilde_evolve_labelled
-from realhurwitz.poly import LabelledSeries, series_log
+from realhurwitz.nonsep import UNSIGNED
+from realhurwitz.poly import series, series_log
 
 
-def test_signed_log_matches_power_sum_through_degree_eight():
-    blocks = enumerate_bidegrees(8)
-    disc = LabelledSeries({b: evolve_labelled(b, 6) for b in blocks}, 6, False)
-    got = series_log(disc, 6, blocks)
-    assert got.connected and any(got.coeffs)
-    assert got.coeffs == power_sum_log(disc.coeffs, 6, 8)
-
-
-def test_unsigned_log_matches_power_sum_through_six_elements():
-    grades = [(n,) for n in range(7)]
-    disc = LabelledSeries({g: tilde_evolve_labelled(*g, 6) for g in grades}, 6, False)
+@pytest.mark.parametrize("model, grades, max_degree", [
+    (SIGNED, enumerate_bidegrees(8), 8),
+    (UNSIGNED, [(n,) for n in range(7)], 6),
+], ids=["signed", "unsigned"])
+def test_log_matches_power_sum(model, grades, max_degree):
+    disc = series(model, grades, 6, False)
     got = series_log(disc, 6, grades)
-    assert got.coeffs == power_sum_log(disc.coeffs, 6, 6)
+    assert got.connected and any(got.coeffs)
+    assert got.coeffs == power_sum_log(disc.coeffs, 6, max_degree)
 
 
 @pytest.mark.parametrize("corner", [(0, 0), (1, 0), (2, 2), (3, 1), (3, 3), (4, 2)])
@@ -36,7 +26,7 @@ def test_box_series_equals_total_degree_series_on_the_box(corner):
     corner = Bidegree(*corner)
     blocks = set(bidegree_box(corner))
     for connected in (True, False):
-        box = box_series(corner, 6, connected)
+        box = series(SIGNED, bidegree_box(corner), 6, connected)
         full = (connected_series if connected else disconnected_series)(sum(corner), 6)
         for m in range(7):
             assert {bidegree(mu) for mu, _ in box.coeff(m)} <= blocks

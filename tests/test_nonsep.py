@@ -17,7 +17,6 @@ from realhurwitz.nonsep import (
     tilde_classify,
     tilde_connected_value,
     tilde_enumerate_types,
-    tilde_evolve_labelled,
     tilde_labelled_by_paths,
     tilde_mult_c2_matrix,
     tilde_operator_matrix,
@@ -141,16 +140,6 @@ def test_verify_catches_a_wrong_term_family():
         for check in (f"transcribed operator form agrees on {n} elements",
                       f"walk counts equal evolution on {n} elements"):
             assert any(line.startswith(f"FAIL {check}") for line in lines), check
-
-
-def test_initial_vector_weights():
-    # 2! times the coefficients 1/2 and 1/2
-    assert tilde_evolve_labelled(2, 0)[0] == {ttype(kappa_odd=(1, 1)): 1, ttype(lam=(1,)): 1}
-
-
-def test_evolution_matches_walk_counts():
-    for n in range(6):
-        assert tilde_evolve_labelled(n, 6) == tilde_labelled_by_paths(n, 6)
 
 
 def test_hurwitz_single_element():

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from math import comb, perm
 
-from .model import Bidegree, RamificationType, bidegree_box, enumerate_bidegrees, rtype
+from .model import (Bidegree, RamificationType, bidegree_box, enumerate_bidegrees, nonnegative,
+                    rtype)
 from .operators import ModelBinding, wplus_column
 
 
@@ -34,12 +35,14 @@ SIGNED = ModelBinding(wplus_column, _start, rtype)
 def disconnected_series(max_degree: int, max_m: int) -> LabelledSeries:
     """The disconnected series, truncated to total degree max_degree and u^max_m."""
     from .poly import series
+    nonnegative(max_degree=max_degree)
     return series(SIGNED, enumerate_bidegrees(max_degree), max_m, False)
 
 
 def connected_series(max_degree: int, max_m: int) -> LabelledSeries:
     """Formal logarithm of the disconnected series, same truncation."""
     from .poly import series
+    nonnegative(max_degree=max_degree)
     return series(SIGNED, enumerate_bidegrees(max_degree), max_m, True)
 
 
@@ -53,4 +56,5 @@ def table_rows(block_cap: int, max_m: int, connected: bool = True) -> list[Hurwi
     """Nonzero counts for all types with max(n_plus, n_minus) <= block_cap,
     ordered by m and then by canonical type order."""
     from .poly import series
+    nonnegative(block_cap=block_cap)
     return series(SIGNED, bidegree_box(Bidegree(block_cap, block_cap)), max_m, connected).rows()

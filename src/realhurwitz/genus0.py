@@ -15,7 +15,8 @@ from math import comb
 from typing import Iterator, NamedTuple
 
 from .evolution import connected_series
-from .model import Partition, RamificationType, euler_characteristic, merge_partitions, without
+from .model import (Partition, RamificationType, euler_characteristic, merge_partitions,
+                    nonnegative, without)
 from .poly import PolyVector
 
 
@@ -91,6 +92,7 @@ def _sliced(series: tuple[PolyVector, ...] | None, max_m: int,
 def genus0_unit_values(max_m: int, series=None) -> list[Fraction]:
     """Evaluation of the genus-zero series at p_1 = q_1 = 1, rest zero;
     series as in _sliced."""
+    nonnegative(max_m=max_m)
     # every contributing monomial has parts of size one only, and chi = 2
     # forces its degree to be exactly (m + 2) / 2, so this cap loses nothing
     series = _sliced(series, max_m, (max_m + 2) // 2)
@@ -107,7 +109,8 @@ def genus0_unit_values(max_m: int, series=None) -> list[Fraction]:
 def genus0_single_part_values(n_max: int, series=None) -> list[Fraction]:
     """Coefficient of p_n at u^(n-1)/(n-1)! in the genus-zero series,
     for n = 1 .. n_max; series as in _sliced."""
-    series = _sliced(series, n_max - 1, n_max)
+    nonnegative(n_max=n_max)
+    series = _sliced(series, max(n_max - 1, 0), n_max)
     return [series[n - 1].coeff(G0Type((n,), ())) for n in range(1, n_max + 1)]
 
 
@@ -162,4 +165,5 @@ def genus0_pde_residuals(h: tuple[PolyVector, ...], max_m: int,
 def verify_genus0_pde(max_m: int, max_degree: int, series=None) -> PDEResidualReport:
     """Check the computed genus-zero series against its flow equation;
     series as in _sliced."""
+    nonnegative(max_m=max_m, max_degree=max_degree)
     return genus0_pde_residuals(_sliced(series, max_m + 1, max_degree), max_m, max_degree)

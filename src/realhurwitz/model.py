@@ -42,6 +42,14 @@ def partition(parts: Iterable[int]) -> Partition:
     return (_CHECKED.get(t) or _CHECKED.setdefault(t, (t, _counts(t))))[0]
 
 
+def nonnegative(**caps) -> None:
+    """Refuse each named cap that is not a nonnegative int (a bool is not
+    one): ValueError, naming the argument."""
+    for name, value in caps.items():
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{name} must be a nonnegative int, got {value!r}")
+
+
 def partitions_of(n: int) -> Iterator[Partition]:
     """Yield all partitions of n in non-increasing part order."""
     if n < 0:

@@ -33,6 +33,7 @@ from .model import (
     aut_order,
     canonical_key,
     merge_partitions,
+    nonnegative,
     partition,
     partitions_of,
     without,
@@ -296,4 +297,5 @@ def tilde_connected_value(mu: TildeType, m: int):
 
 
 def tilde_table_rows(max_n: int, max_m: int, connected: bool = True) -> list[HurwitzRow]:
+    nonnegative(max_n=max_n)
     return series(UNSIGNED, [(n,) for n in range(max_n + 1)], max_m, connected).rows()

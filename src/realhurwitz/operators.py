@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterator, Mapping
 
@@ -31,6 +31,8 @@ from .model import (
     RamificationType,
     enumerate_types,
     merge_partitions,
+    nonnegative,
+    partition,
     rtype,
     without,
 )
@@ -47,20 +49,25 @@ def _moves(p: Partition) -> tuple:
     """The moves of the term families on p, once per partition: its (part,
     multiplicity) pairs, largest first; p without one of each part, by the
     part; and p after each cut of a part and each join of two, i even (the
-    plus families, read on kappa_plus), as (partition, multiplier)s."""
+    plus families, read on kappa_plus), as (partition, multiplier)s. Every
+    partition handed out is the checked one of model.partition."""
     counts = tuple(Counter(p).items())
-    less = {n: without(p, n) for n, _ in counts}
+    less = {n: partition(without(p, n)) for n, _ in counts}
     return (counts, less,
-            tuple((merge_partitions(less[n], (i, n - i)), c)
+            tuple((partition(merge_partitions(less[n], (i, n - i))), c)
                   for n, c in counts for i in range(2, n, 2)),
-            tuple((merge_partitions(without(p, i, j), (i + j,)), ci * (cj - (i == j)))
+            tuple((partition(merge_partitions(without(p, i, j), (i + j,))), ci * (cj - (i == j)))
                   for i, ci in counts if i % 2 == 0 for j, cj in counts if cj - (i == j)))
 
 
 @lru_cache(maxsize=None)
 def _insert(p: Partition, k: int) -> Partition:
-    """p with one more part k."""
-    return merge_partitions(p, (k,))
+    """p with one more part k, the checked partition."""
+    return partition(merge_partitions(p, (k,)))
+
+
+# RamificationType's own __new__ is a Python function; the images skip it
+_new_type = partial(tuple.__new__, RamificationType)
 
 
 def wplus_images(mu: RamificationType) -> Iterator[tuple[RamificationType, int]]:
@@ -74,26 +81,26 @@ def wplus_images(mu: RamificationType) -> Iterator[tuple[RamificationType, int]]
     (km_counts, km_less), (lam_counts, lam_less) = minus[:2], pairs[:2]
     # cut differentiating a plus part: i even, both new parts positive
     for p, mult in cuts:
-        yield RamificationType(p, km, lam), mult
+        yield _new_type((p, km, lam)), mult
     # cut differentiating a minus part: i odd stays negative, j positive
     for n, mult in km_counts:
         for i in range(1, n, 2):
-            yield RamificationType(_insert(kp, n - i), _insert(km_less[n], i), lam), mult
+            yield _new_type((_insert(kp, n - i), _insert(km_less[n], i), lam)), mult
     # join of two plus parts (i even): result positive
     for p, mult in joins:
-        yield RamificationType(p, km, lam), mult
+        yield _new_type((p, km, lam)), mult
     # join of a minus part (i odd) with a plus part: result negative
     for i, ci in km_counts:
         if i % 2:
             for j, cj in kp_counts:
-                yield RamificationType(kp_less[j], _insert(km_less[i], i + j), lam), ci * cj
+                yield _new_type((kp_less[j], _insert(km_less[i], i + j), lam)), ci * cj
     # complex pair of order l becomes a positive real part 2l, weight l
     for l, mult in lam_counts:
-        yield RamificationType(_insert(kp, 2 * l), km, lam_less[l]), l * mult
+        yield _new_type((_insert(kp, 2 * l), km, lam_less[l])), l * mult
     # even positive real part 2l becomes a complex pair of order l
     for n, mult in kp_counts:
         if n % 2 == 0:
-            yield RamificationType(kp_less[n], km, _insert(lam, n // 2)), mult
+            yield _new_type((kp_less[n], km, _insert(lam, n // 2))), mult
 
 
 _INTERNED: dict = {}  # each type once, with its grade: the keys of every column
@@ -103,7 +110,8 @@ _GRADES: dict = {}  # each grade once, shared by the types of its block
 def _intern(mu, canonical: Callable) -> tuple:
     """The one copy of mu and its grade. On first sight mu must be what
     canonical, its model's validated constructor (each partition checked in full
-    once), rebuilds from its fields; else it lies in no block basis: RuntimeError."""
+    once), rebuilds from its fields; else it lies in no block basis: RuntimeError.
+    The copy kept is the rebuilt one, made of the checked partitions."""
     got = _INTERNED.get(mu)
     if got is None:
         try:
@@ -112,19 +120,21 @@ def _intern(mu, canonical: Callable) -> tuple:
             rebuilt = None
         if rebuilt != mu:
             raise RuntimeError(f"type {mu!r} is not in canonical form")
-        grade = mu.grade
-        got = _INTERNED[mu] = (mu, _GRADES.setdefault(grade, grade))
+        grade = rebuilt.grade
+        got = _INTERNED[rebuilt] = (rebuilt, _GRADES.setdefault(grade, grade))
     return got
 
 
 def cached_columns(image: Callable, canonical: Callable) -> Callable:
     """The column accessor of one operator: the column at mu sums the
     (type, value) pairs of image(mu), built on first use and then handed out
-    read-only. Every type is checked once against canonical (see _intern).
+    read-only. Every type is checked once against canonical (see _intern);
+    an image seen before is read from the interned copies directly.
     A value that is not an int raises ArithmeticError, an image of another
     grade than mu RuntimeError. The canonical types of one grade are exactly
     the basis of its block, so these checks need no block basis."""
     cache: dict = {}
+    interned = _INTERNED.get
 
     def column(mu) -> Mapping:
         col = cache.get(mu)
@@ -132,8 +142,8 @@ def cached_columns(image: Callable, canonical: Callable) -> Callable:
             mu, grade = _intern(mu, canonical)
             col = {}
             for nu, c in image(mu):
-                nu, g = _intern(nu, canonical)
-                if g != grade:
+                nu, g = interned(nu) or _intern(nu, canonical)
+                if g is not grade:
                     raise RuntimeError(f"operator image {nu!r} of {mu!r} leaves grade {grade}")
                 if type(c) is not int:
                     raise ArithmeticError(f"entry {c} at ({nu!r}, {mu!r}) of the operator "
@@ -162,12 +172,12 @@ def _wmean_column(mu) -> Mapping:
 
 def _image(terms: Mapping, column: Callable) -> dict:
     """Sum over the terms c p_mu of c times the sparse column(mu), without
-    the zero sums."""
+    the zero sums: the sum itself when it has none."""
     out: dict = {}
     for mu, c in terms.items():
         for nu, a in column(mu).items():
             out[nu] = out.get(nu, 0) + c * a
-    return {nu: x for nu, x in out.items() if x}
+    return out if all(out.values()) else {nu: x for nu, x in out.items() if x}
 
 
 def powers(column: Callable, start: dict, max_m: int) -> tuple[dict, ...]:
@@ -227,9 +237,16 @@ _COLUMNS = {OperatorKind.WPLUS: wplus_column, OperatorKind.WMINUS: wminus_column
             OperatorKind.WMEAN: _wmean_column}
 
 
-@lru_cache(maxsize=None)
 def block_matrix(kind: OperatorKind, b: Bidegree) -> BlockMatrix:
     """The chosen operator on the enumerate_types(b) basis, assembled once
-    from the shared columns; the mean's half-sum columns are built here."""
+    from the shared columns; the mean's half-sum columns are built here. A
+    component of b that is not a nonnegative int raises ValueError before
+    the cache of blocks is read."""
     b = Bidegree(*b)
+    nonnegative(n_plus=b.n_plus, n_minus=b.n_minus)
+    return _block_matrix(kind, b)
+
+
+@lru_cache(maxsize=None)
+def _block_matrix(kind: OperatorKind, b: Bidegree) -> BlockMatrix:
     return BlockMatrix(b, enumerate_types(b), _COLUMNS[kind])

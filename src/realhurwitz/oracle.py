@@ -9,8 +9,9 @@ Relabelling the ground sets keeps every type, move and walk and is transitive
 on the states with one pair count and on each class of transitions, so walks
 start from one state per orbit, times its size, and one transition stands
 for its class; the rest is enumerated exhaustively. Each pair that starts at
-a representative is classified once per block (orbit_types), and the class
-search, its moves and the walks read that table; each representative's walk
+a representative is classified once per block (orbit_types), the neighbours
+of each state are listed once per block (neighbour_table), and the class
+search, its moves and the walks read those tables; each representative's walk
 is stepped once through every order, so labelled_by_paths(b, max_m) returns
 the orders 0 .. max_m, as the evolution does. This module is the
 independent check on the operator route, so it imports nothing from it but the
@@ -173,6 +174,13 @@ def orbit_types(model: WalkModel, block: tuple) -> tuple[tuple[State, int, Mappi
                  for rep, size in orbits(model, block))
 
 
+@lru_cache(maxsize=None)
+def neighbour_table(model: WalkModel, block: tuple) -> Mapping:
+    """{state: the states one transposition away}, read-only: model.neighbours
+    asked once per state of the block and shared by the class search and the walks."""
+    return MappingProxyType({s: tuple(model.neighbours(s, *block)) for s in model.states(*block)})
+
+
 def class_multiplication(model: WalkModel, block: tuple, side: str = "left") -> dict:
     """Multiplication by the transposition class sum on a block, in the
     operators' column form {mu: {nu: count}}. The representative of mu is the
@@ -193,10 +201,11 @@ def class_multiplication(model: WalkModel, block: tuple, side: str = "left") -> 
     for rep, types in tables.items():
         for final, mu in types.items():
             found.setdefault(mu, (rep, final))
+    neighbours = neighbour_table(model, block)
     columns: dict = {}
     for mu, (initial, final) in found.items():
         column = columns[mu] = {}
-        for s in model.neighbours(initial if side == "left" else final, *block):
+        for s in neighbours[initial if side == "left" else final]:
             nu = kind(s, final) if side == "left" else kind(initial, s)
             column[nu] = column.get(nu, 0) + 1
     return columns
@@ -208,13 +217,14 @@ def walk_totals(model: WalkModel, block: tuple, max_m: int) -> tuple[dict, ...]:
     m = 0 .. max_m; types without walks are left out. Each representative's
     walk counts {state: walks} are stepped once, one order after the other."""
     totals: tuple[dict, ...] = tuple({} for _ in range(max_m + 1))
+    neighbours = neighbour_table(model, block)
     for rep, weight, types in orbit_types(model, block):
         counts = {rep: 1}
         for m, total in enumerate(totals):
             if m:
                 step: dict[State, int] = {}
                 for s, c in counts.items():
-                    for t in model.neighbours(s, *block):
+                    for t in neighbours[s]:
                         step[t] = step.get(t, 0) + c
                 counts = step
             for s, c in counts.items():

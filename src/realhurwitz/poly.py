@@ -35,7 +35,7 @@ from __future__ import annotations
 from math import comb, gcd, prod
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .model import EMPTY_TYPE, key_and_chi, label
+from .model import EMPTY_TYPE, key_and_chi, label, nonnegative
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -302,6 +302,7 @@ def series(model, grades, max_m: int, connected: bool) -> LabelledSeries:
     """The disconnected series of a walk model on the listed grades through
     u^max_m, or its log; each sign-swap pair of grades is evolved once."""
     from .operators import evolve, mirror
+    nonnegative(max_m=max_m)
     pieces = {g: evolve(model, g, max_m) for g in grades if g >= g[::-1] or g[::-1] not in grades}
     pieces = {g: pieces.get(g) or mirror(pieces[g[::-1]]) for g in grades}
     disc = LabelledSeries(pieces, max_m, False)
@@ -311,7 +312,9 @@ def series(model, grades, max_m: int, connected: bool) -> LabelledSeries:
 def value(model, mu, m: int, connected: bool = True) -> Fraction:
     """One count, a Fraction: the coefficient of p_mu u^m/m! in the chosen series
     on the grades at most mu's. A type that model.canonical does not rebuild
-    unchanged, or one of another model, raises ValueError."""
+    unchanged, or one of another model, raises ValueError, and so does an
+    order m that is not a nonnegative int."""
+    nonnegative(m=m)
     if type(mu) is not type(model.canonical()) or model.canonical(*mu) != mu:
         raise ValueError(f"type {mu!r} is not in canonical form")
     from itertools import product

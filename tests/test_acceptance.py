@@ -92,6 +92,36 @@ def test_alternating_permutation_values_up_to_degree_eight():
     assert watch.elapsed < 30
 
 
+def zigzag_numbers(count: int) -> list[int]:
+    """The Euler zigzag numbers A000111(0 .. count - 1), the last entries of
+    the rows of the Seidel-Entringer-Arnold boustrophedon: each row is the
+    running sum, from 0, of the previous row read backwards."""
+    row, out = [1], [1]
+    while len(out) < count:
+        new = [0]
+        for x in reversed(row):
+            new.append(new[-1] + x)
+        row = new
+        out.append(row[-1])
+    return out
+
+
+def test_single_pole_counts_are_the_euler_zigzag_numbers_through_twelve():
+    # observed, not proven here: the connected count of one real pole of
+    # order n at u^(n-1)/(n-1)! is A000111(n-1), and half that for an even
+    # pole of the unsigned model; one series per model holds all of them
+    zigzag = zigzag_numbers(12)
+    assert zigzag[:8] == [1, 1, 1, 2, 5, 16, 61, 272]
+    signed = series(SIGNED, bidegree_box(Bidegree(6, 6)), 11, True)
+    for pole in (p_plus, p_minus):
+        assert [signed.value(pole(n), n - 1) for n in range(1, 13)] == zigzag
+    unsigned = series(UNSIGNED, [(n,) for n in range(13)], 11, True)
+    for field in ("kappa_plus", "kappa_minus"):
+        assert [unsigned.value(ttype(**{field if n % 2 == 0 else "kappa_odd": (n,)}), n - 1)
+                for n in range(1, 13)] == [Fraction(z, 2 - n % 2) for n, z in
+                                           enumerate(zigzag, 1)]
+
+
 def test_genus0_unit_evaluation_matches_printed_series():
     # The printed 1/2 at u^2/2! is a misprint. The genus-zero series is half
     # the chi = 2 part of the connected series with signs forgotten, so at

@@ -31,9 +31,9 @@ from realhurwitz.model import (
     rtype,
 )
 from realhurwitz import genus0
-from realhurwitz.nonsep import UNSIGNED, tilde_labelled_by_paths, ttype
+from realhurwitz.nonsep import UNSIGNED, tilde_labelled_by_paths, tilde_table_rows, ttype
 from realhurwitz.oracle import labelled_by_paths
-from realhurwitz.operators import evolve
+from realhurwitz.operators import OperatorKind, block_matrix, evolve
 from realhurwitz.poly import LabelledSeries, PolyVector, series, series_exp
 
 
@@ -203,3 +203,43 @@ def test_genus0_pde_flags_wrong_series():
     assert not report.is_zero
     m, key, value = report.offending
     assert (m, key, value) == (0, G0Type((2,), ()), Fraction(-1, 2))
+
+
+# each exported entry point refuses a cap that is not a nonnegative int, by
+# name, before it computes anything
+@pytest.mark.parametrize("call, name", [
+    (lambda: connected_series(2, -1), "max_m"),
+    (lambda: connected_series(-1, 3), "max_degree"),
+    (lambda: disconnected_series(2, -1), "max_m"),
+    (lambda: tilde_table_rows(3, -2), "max_m"),
+    (lambda: tilde_table_rows(-1, 2), "max_n"),
+    (lambda: genus0_unit_values(-1), "max_m"),
+    (lambda: genus0_single_part_values(-1), "n_max"),
+    (lambda: verify_genus0_pde(2, -1), "max_degree"),
+    (lambda: table_rows(True, 2), "block_cap"),
+    (lambda: table_rows(2, 3.0), "max_m"),
+    (lambda: connected_series(2.0, 3), "max_degree"),
+    (lambda: hurwitz_value(p_plus(2), 1.0), "m"),
+    (lambda: hurwitz_value(p_plus(2), False), "m"),
+], ids=["connected-negative-m", "connected-negative-degree", "disconnected-negative-m",
+        "tilde-negative-m", "tilde-negative-n", "genus0-units-negative", "genus0-poles-negative",
+        "genus0-pde-negative-degree", "table-bool-cap", "table-float-m",
+        "connected-float-degree", "value-float-m", "value-bool-m"])
+def test_an_entry_point_refuses_a_malformed_cap(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a nonnegative int"):
+        call()
+
+
+def test_caps_of_zero_are_accepted():
+    assert table_rows(0, 0) == [] and tilde_table_rows(0, 0) == []
+    assert genus0_single_part_values(0) == []
+    assert connected_series(2, 0).max_m == 0
+
+
+@pytest.mark.parametrize("b", [(True, 1), (1, False), (1, 1.0), (-1, 0)],
+                         ids=["bool-plus", "bool-minus", "float", "negative"])
+def test_block_matrix_refuses_a_malformed_bidegree_and_caches_none(b):
+    with pytest.raises(ValueError, match="^n_(plus|minus) must be a nonnegative int"):
+        block_matrix(OperatorKind.WPLUS, b)
+    block = block_matrix(OperatorKind.WPLUS, (1, 1)).block
+    assert block == (1, 1) and {type(x) for x in block} == {int}

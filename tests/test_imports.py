@@ -42,20 +42,20 @@ SPECTRUM = ["spectrum", "--nplus", "2", "--nminus", "1", "--format", "json"]
 VERIFY_ORACLE = ["verify", "--suite", "oracle", "--max-size", "2"]
 ORACLE = ["oracle", "--nplus", "1", "--nminus", "1"]
 VERIFY, GENUS0 = "realhurwitz.verify", "realhurwitz.genus0"
-OPERATORS = "realhurwitz.operators"
+OPERATORS, DUMP = "realhurwitz.operators", "realhurwitz.dump"
 
 
 @pytest.mark.parametrize("argv, runs, left_out", [
     (TABLE, "realhurwitz.evolution",
      {"realhurwitz.oracle", "realhurwitz.spectral", "realhurwitz.nonsep", VERIFY, GENUS0,
-      "json", "numpy", "csv", "fractions"}),
+      DUMP, "json", "numpy", "csv", "fractions"}),
     (NONSEP, "realhurwitz.nonsep",
      {"realhurwitz.spectral", "realhurwitz.oracle", "realhurwitz.evolution", VERIFY, GENUS0,
-      "csv", "fractions"}),
-    (ORACLE, "realhurwitz.oracle", {OPERATORS, "realhurwitz.evolution"}),
+      DUMP, "csv", "fractions"}),
+    (ORACLE, "realhurwitz.oracle", {OPERATORS, "realhurwitz.evolution", DUMP}),
     (SPECTRUM, "realhurwitz.spectral", {"realhurwitz.nonsep", "realhurwitz.oracle"}),
     (VERIFY_ORACLE, "realhurwitz.oracle",
-     {GENUS0, "realhurwitz.spectral", "realhurwitz.nonsep", "realhurwitz.poly",
+     {GENUS0, "realhurwitz.spectral", "realhurwitz.nonsep", "realhurwitz.poly", DUMP,
       "fractions", "decimal"}),
     (["verify", "--suite", "genus0", "--max-m", "2", "--max-degree", "2"], GENUS0, set()),
 ], ids=["table", "nonsep", "oracle", "spectrum", "verify-oracle", "verify-genus0"])
@@ -86,7 +86,13 @@ def test_the_parser_loads_no_operators():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "realhurwitz.cli" in loaded
-    assert OPERATORS not in loaded
+    assert OPERATORS not in loaded and DUMP not in loaded
+
+
+def test_only_block_and_spectrum_load_the_dump_module():
+    block = ["block", "--nplus", "1", "--nminus", "1", "--format", "csv"]
+    assert {DUMP, OPERATORS} <= _loaded(*block)
+    assert DUMP in _loaded(*SPECTRUM)
 
 
 def test_importing_the_package_loads_no_submodule():

@@ -141,6 +141,16 @@ def test_an_image_not_in_canonical_form_raises(mu, nu, canonical):
     assert repr(nu) in str(err.value)
 
 
+def test_a_column_cache_hit_reads_a_type_by_equality():
+    # kept as it is: a hit costs no check, and the exported entry points
+    # check a type before it reaches a column cache. A type with a float
+    # part equal to a cached one reads that column; on first sight it is refused
+    col = wplus_column(rtype((2, 1)))
+    assert wplus_column(RamificationType((2.0, 1), (), ())) is col
+    with pytest.raises(RuntimeError, match="canonical form"):
+        wplus_column(RamificationType((25.0,), (), ()))
+
+
 # counts the full partition checks during a cold disconnected table (each
 # sorts the parts, so they are the calls of sorted from model.partition), and
 # compares its records with the stored entries

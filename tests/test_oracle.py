@@ -298,6 +298,29 @@ def test_each_representative_pair_is_classified_once(model, block):
         oracle.orbit_types(model, block)[0][2][model.states(*block)[0]] = None
 
 
+def test_the_walks_and_the_class_search_list_the_neighbours_of_a_state_once():
+    # every (state, block) of the oracle suite's blocks is asked once, though
+    # the walks revisit states at each representative and order
+    calls = Counter()
+    blocks = [(SIGNED, b) for b in enumerate_bidegrees(5)] + [(UNSIGNED, (n,)) for n in range(6)]
+    for model, block in blocks:
+        def counted(s, *args, model=model):
+            calls[s, args] += 1
+            return model.neighbours(s, *args)
+
+        counting = oracle.WalkModel(model.states, counted, model.classify)
+        assert oracle.walk_totals(counting, block, 6) == oracle.walk_totals(model, block, 6)
+        for side in ("left", "right"):
+            assert (oracle.class_multiplication(counting, block, side)
+                    == oracle.class_multiplication(model, block, side))
+    assert set(calls.values()) == {1}
+    assert set(calls) == {(s, tuple(block)) for model, block in blocks
+                          for s in model.states(*block)}
+    # the shared table refuses edits
+    with pytest.raises(TypeError):
+        oracle.neighbour_table(SIGNED, Bidegree(1, 1))[EMPTY] = ()
+
+
 def test_class_size_matches_formula():
     for b in enumerate_bidegrees(4):
         for mu in enumerate_types(b):

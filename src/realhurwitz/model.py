@@ -7,15 +7,18 @@ Monomials correspond to types via p_mu = prod p_k^+ prod p_k^- prod q_l with
 deg p_k^{+-} = k and deg q_l = 2l.
 
 canonical_key, euler_characteristic and format_type read a type only through
-its degree, its partitions and their field names, so they serve the unsigned
-quadruple of nonsep (with its odd real poles kappa_odd) unchanged.
+its degree, its partitions and their field names, and types_by_grade lists a
+model's types through its validated constructor, so all four serve the
+unsigned quadruple of nonsep (with its odd real poles kappa_odd) unchanged.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby, product
 from math import factorial, prod
-from typing import Iterable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 Partition = tuple[int, ...]
 
@@ -181,41 +184,37 @@ def key_and_chi(mu) -> tuple[tuple, int]:
 
 
 @lru_cache(maxsize=None)
+def types_by_grade(canonical: Callable, degree: int) -> Mapping:
+    """A walk model's types of the given total degree, by grade, each in
+    canonical order: the tuples of checked partitions, one per field of its
+    type (a lam part counts twice), that canonical, its validated
+    constructor, accepts. The types of one grade are exactly its block's basis."""
+    weights = [2 if field == "lam" else 1 for field in canonical()._fields]
+    by_weight = [tuple(map(partition, partitions_of(k))) for k in range(degree + 1)]
+    found = []
+    for ks in product(*(range(degree // w + 1) for w in weights)):
+        if sum(w * k for w, k in zip(weights, ks)) == degree:
+            for parts in product(*map(by_weight.__getitem__, ks)):
+                try:
+                    found.append(canonical(*parts))
+                except ValueError:
+                    continue
+    found.sort(key=lambda mu: (mu.grade, canonical_key(mu)))
+    return MappingProxyType({g: tuple(ts) for g, ts in groupby(found, lambda mu: mu.grade)})
+
+
 def enumerate_types(b: Bidegree) -> tuple[RamificationType, ...]:
     """All ramification types of the given bidegree, in canonical order."""
     b = Bidegree(*b)
-    if b.n_plus < 0 or b.n_minus < 0:
-        raise ValueError(f"bidegree components must be nonnegative, got {b}")
-    found: list[RamificationType] = []
-    # Each lam part l contributes (l, l), so sum(lam) <= min(n+, n-).
-    for l_total in range(min(b.n_plus, b.n_minus) + 1):
-        rem_plus = b.n_plus - l_total
-        rem_minus = b.n_minus - l_total
-        for lam in partitions_of(l_total):
-            for kp_weight in range(rem_plus + rem_minus + 1):
-                for kp in partitions_of(kp_weight):
-                    kp_p = sum((k + 1) // 2 for k in kp)
-                    kp_m = sum(k // 2 for k in kp)
-                    need_floor = rem_plus - kp_p  # kappa_minus floor-sum
-                    need_ceil = rem_minus - kp_m  # kappa_minus ceil-sum
-                    if need_floor < 0 or need_ceil < 0:
-                        continue
-                    km_weight = rem_plus + rem_minus - kp_weight
-                    for km in partitions_of(km_weight):
-                        if (sum(k // 2 for k in km) == need_floor
-                                and sum((k + 1) // 2 for k in km) == need_ceil):
-                            found.append(RamificationType(kp, km, lam))
-    found.sort(key=canonical_key)
-    return tuple(found)
+    nonnegative(n_plus=b.n_plus, n_minus=b.n_minus)
+    return types_by_grade(rtype, sum(b)).get(b, ())
 
 
 def enumerate_bidegrees(max_degree: int) -> list[Bidegree]:
     """All bidegrees with n+ + n- <= max_degree, ordered by (total, n+)."""
-    out = []
-    for total in range(max_degree + 1):
-        for n_plus in range(total + 1):
-            out.append(Bidegree(n_plus, total - n_plus))
-    return out
+    nonnegative(max_degree=max_degree)
+    return [Bidegree(n_plus, total - n_plus)
+            for total in range(max_degree + 1) for n_plus in range(total + 1)]
 
 
 def bidegree_box(corner: Bidegree) -> list[Bidegree]:

@@ -9,7 +9,8 @@ on the invariant algebra is left multiplication by the class sum of
 transpositions; it preserves the total degree but not a bidegree. Its
 columns come from its term families (tilde_images), the transcribed
 differential-operator form with its garbled superscripts repaired, as the
-signed plus operator's come from wplus_images. The walks are the check:
+signed plus operator's come from wplus_images; both read the same per-partition
+move tables (operators._moves). The walks are the check:
 tilde_mult_c2_matrix derives the same columns from the walk model, and
 tilde_labelled_by_paths gives the walk totals that the evolution must equal.
 The entries are integers, so the series run on labelled integer counts, n!
@@ -17,28 +18,19 @@ times each count of degree n. UNSIGNED binds the model to the pipeline that
 the signed model shares (operators.evolve, poly.series, poly.value): these
 columns, the labelled start vector of a degree (a 1-tuple grade) and ttype,
 with no mirror, for a degree is its own sign swap. A TildeType is
-ordered, printed and given its Euler characteristic by the signed model's
-canonical_key, format_type and euler_characteristic.
+listed, ordered, printed and given its Euler characteristic by the signed
+model's types_by_grade, canonical_key, format_type and euler_characteristic.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial, prod
 from typing import Iterator, NamedTuple
 
-from .model import (
-    Partition,
-    aut_order,
-    canonical_key,
-    merge_partitions,
-    nonnegative,
-    partition,
-    partitions_of,
-    without,
-)
-from .operators import BlockMatrix, ModelBinding, cached_columns
+from .model import Partition, aut_order, merge_partitions, nonnegative, partition, types_by_grade
+from .operators import BlockMatrix, ModelBinding, _insert, _moves, cached_columns
 from .poly import series, value
 
 TildeState = frozenset
@@ -101,26 +93,10 @@ def tilde_class_size_formula(mu: TildeType) -> int:
     return size
 
 
-@lru_cache(maxsize=None)
 def tilde_enumerate_types(n: int) -> tuple[TildeType, ...]:
     """All quadruples of total degree n, in canonical order."""
-    out = []
-    for lam_weight in range(n // 2 + 1):
-        rest = n - 2 * lam_weight
-        for lam in partitions_of(lam_weight):
-            for wp in range(rest + 1):
-                for kp in partitions_of(wp):
-                    if any(k % 2 for k in kp):
-                        continue
-                    for wm in range(rest - wp + 1):
-                        for km in partitions_of(wm):
-                            if any(k % 2 for k in km):
-                                continue
-                            for ko in partitions_of(rest - wp - wm):
-                                if any(k % 2 == 0 for k in ko):
-                                    continue
-                                out.append(TildeType(kp, km, ko, lam))
-    return tuple(sorted(out, key=canonical_key))
+    nonnegative(n=n)
+    return types_by_grade(ttype, n)[(n,)]
 
 
 @lru_cache(maxsize=None)
@@ -192,75 +168,67 @@ def tilde_class_sizes(n: int) -> Counter:
     return sizes
 
 
+# TildeType's own __new__ is a Python function; the images skip it
+_new_tilde = partial(tuple.__new__, TildeType)
+
+
 def tilde_images(mu: TildeType) -> Iterator[tuple[TildeType, int]]:
     """Images of the evolution operator on the monomial of mu: the
     transcribed differential form, with its garbled superscripts repaired
     (odd-order variables carry no sign, and the join prefactors are 2, 1/2,
     2). Yields (type, integer coefficient); repeated types may appear and
     must be summed by the caller."""
-    kp, km, ko, lam = mu.kappa_plus, mu.kappa_minus, mu.kappa_odd, mu.lam
-    kp_counts, km_counts = Counter(kp), Counter(km)
-    ko_counts, lam_counts = Counter(ko), Counter(lam)
+    kp, km, ko, lam = mu
+    (kp_counts, kp_less, cuts, joins), minus, odd, pairs = map(_moves, mu)
+    (km_counts, km_less), (ko_counts, ko_less) = minus[:2], odd[:2]
+    lam_counts, lam_less = pairs[:2]
     # join of an odd pole with a positive even pole, prefactor 2
-    for a in ko_counts:
-        for b in kp_counts:
-            nu = TildeType(without(kp, b), km,
-                           merge_partitions(without(ko, a), (a + b,)), lam)
-            yield nu, 2 * ko_counts[a] * kp_counts[b]
+    for a, ca in ko_counts:
+        for b, cb in kp_counts:
+            yield _new_tilde((kp_less[b], km, _insert(ko_less[a], a + b), lam)), 2 * ca * cb
     # join of two odd poles into a negative even pole, prefactor 1/2 over
     # ordered pairs: once per unordered pair
-    for a, ca in ko_counts.items():
-        for b, cb in ko_counts.items():
+    for a, ca in ko_counts:
+        for b, cb in ko_counts:
             mult = ca * cb if a < b else comb(ca, 2) if a == b else 0
             if mult:
-                nu = TildeType(kp, merge_partitions(km, (a + b,)),
-                               without(ko, a, b), lam)
-                yield nu, mult
+                yield _new_tilde((kp, _insert(km, a + b), _moves(ko_less[a])[1][b], lam)), mult
     # join of two positive even poles, prefactor 2
-    for a in kp_counts:
-        for b in kp_counts:
-            mult = kp_counts[a] * (kp_counts[b] - (1 if a == b else 0))
-            if mult:
-                nu = TildeType(merge_partitions(without(kp, a, b), (a + b,)),
-                               km, ko, lam)
-                yield nu, 2 * mult
+    for p, mult in joins:
+        yield _new_tilde((p, km, ko, lam)), 2 * mult
     # cut of a negative even pole into two odd ones
-    for n_part, mult in km_counts.items():
-        for a in range(1, n_part, 2):
-            nu = TildeType(kp, without(km, n_part),
-                           merge_partitions(ko, (a, n_part - a)), lam)
-            yield nu, mult
+    for n, mult in km_counts:
+        for a in range(1, n, 2):
+            yield _new_tilde((kp, km_less[n], _insert(_insert(ko, a), n - a), lam)), mult
     # cut of an odd pole into an odd and a positive even one
-    for n_part, mult in ko_counts.items():
-        for a in range(1, n_part - 1, 2):
-            nu = TildeType(merge_partitions(kp, (n_part - a,)), km,
-                           merge_partitions(without(ko, n_part), (a,)), lam)
-            yield nu, mult
+    for n, mult in ko_counts:
+        for a in range(1, n - 1, 2):
+            yield _new_tilde((_insert(kp, n - a), km, _insert(ko_less[n], a), lam)), mult
     # cut of a positive even pole into two positive even ones
-    for n_part, mult in kp_counts.items():
-        for a in range(2, n_part - 1, 2):
-            nu = TildeType(merge_partitions(without(kp, n_part), (a, n_part - a)),
-                           km, ko, lam)
-            yield nu, mult
+    for p, mult in cuts:
+        yield _new_tilde((p, km, ko, lam)), mult
     # conjugate pair of order l to a positive pole of order 2l, weight l
-    for l, mult in lam_counts.items():
-        nu = TildeType(merge_partitions(kp, (2 * l,)), km, ko, without(lam, l))
-        yield nu, l * mult
+    for l, mult in lam_counts:
+        yield _new_tilde((_insert(kp, 2 * l), km, ko, lam_less[l])), l * mult
     # positive even pole to a conjugate pair of half the order
-    for n_part, mult in kp_counts.items():
-        nu = TildeType(without(kp, n_part), km, ko,
-                       merge_partitions(lam, (n_part // 2,)))
-        yield nu, mult
+    for n, mult in kp_counts:
+        yield _new_tilde((kp_less[n], km, ko, _insert(lam, n // 2))), mult
 
 
 # through the module-level name, so that a rebound tilde_images takes effect
 tilde_column = cached_columns(lambda mu: tilde_images(mu), ttype)
 
 
-@lru_cache(maxsize=None)
 def tilde_operator_matrix(n: int) -> BlockMatrix:
     """Matrix of the evolution operator on the degree-n invariant algebra,
-    assembled once from the shared columns of tilde_images."""
+    assembled once from the shared columns of tilde_images. An n that is
+    not a nonnegative int raises ValueError before the cache is read."""
+    nonnegative(n=n)
+    return _tilde_operator_matrix(n)
+
+
+@lru_cache(maxsize=None)
+def _tilde_operator_matrix(n: int) -> BlockMatrix:
     return BlockMatrix(n, tilde_enumerate_types(n), tilde_column)
 
 

@@ -46,10 +46,10 @@ class OperatorKind(Enum):
 
 @lru_cache(maxsize=None)
 def _moves(p: Partition) -> tuple:
-    """The moves of the term families on p, once per partition: its (part,
-    multiplicity) pairs, largest first; p without one of each part, by the
-    part; and p after each cut of a part and each join of two, i even (the
-    plus families, read on kappa_plus), as (partition, multiplier)s. Every
+    """The moves on p of both walk models' term families, once per partition:
+    its (part, multiplicity) pairs, largest first; p without one of each part,
+    by the part; and p after each cut of a part and each join of two, i even
+    (the plus families, on kappa_plus), as (partition, multiplier)s. Every
     partition handed out is the checked one of model.partition."""
     counts = tuple(Counter(p).items())
     less = {n: partition(without(p, n)) for n, _ in counts}

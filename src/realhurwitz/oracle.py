@@ -26,19 +26,21 @@ from itertools import combinations, permutations
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterator, Mapping, NamedTuple
 
-from .model import (
-    Bidegree,
-    RamificationType,
-    partition,
-)
+from .model import Bidegree, RamificationType, nonnegative, partition
 
 State = frozenset
 Transition = tuple[State, State]
 
 
-@lru_cache(maxsize=None)
 def states(n_plus: int, n_minus: int) -> tuple[State, ...]:
-    """All partial matchings between {0..n+-1} and {0..n--1}, in a fixed order."""
+    """All partial matchings between {0..n+-1} and {0..n--1}, in a fixed order;
+    a size that is not a nonnegative int raises ValueError before the cache."""
+    nonnegative(n_plus=n_plus, n_minus=n_minus)
+    return _states(n_plus, n_minus)
+
+
+@lru_cache(maxsize=None)
+def _states(n_plus: int, n_minus: int) -> tuple[State, ...]:
     found = []
     for k in range(min(n_plus, n_minus) + 1):
         for plus_side in combinations(range(n_plus), k):
@@ -237,7 +239,9 @@ def mult_c2_matrix(b: Bidegree, side: str = "left") -> dict:
     """Multiplication by the transposition class sum on the block b, in
     column form (see class_multiplication): what block_matrix(kind, b).columns
     must equal, with the plus operator on the left and the minus on the right."""
-    return class_multiplication(_signed(), Bidegree(*b), side)
+    b = Bidegree(*b)
+    nonnegative(n_plus=b.n_plus, n_minus=b.n_minus)
+    return class_multiplication(_signed(), b, side)
 
 
 def labelled_by_paths(b: Bidegree, max_m: int) -> tuple[dict[RamificationType, int], ...]:

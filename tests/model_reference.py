@@ -1,8 +1,9 @@
 """Reference formulas and a text parser for ramification types.
 
 They are kept only as the independent references that the tests check the
-package against: the product formula for the number of types of each
-bidegree (enumerate_types), the class size n+! n-! / zeta(mu) (zeta and the
+package against: the product formulas for the number of types of each
+bidegree (enumerate_types) and of each unsigned degree
+(tilde_enumerate_types), the class size n+! n-! / zeta(mu) (zeta and the
 exhaustive classes of the walk model), and a parser of the text form of
 both walk models' types, which shows that format_type loses nothing.
 """
@@ -43,6 +44,19 @@ def dimension_series(max_total: int) -> dict[tuple[int, int], int]:
         series = mul_geometric(series, (k, k - 1), 1)
         series = mul_geometric(series, (k - 1, k), 1)
     return {key: c for key, c in series.items() if sum(key) <= max_total}
+
+
+def unsigned_type_counts(max_n: int) -> list[int]:
+    """Coefficients of prod_(k even) (1-x^k)^-2 prod_(k odd) (1-x^k)^-1
+    prod_l (1-x^(2l))^-1 through x^max_n: the number of unsigned types of
+    each degree, even real poles signed, odd ones not, conjugate pairs of
+    order l at degree 2l."""
+    series = [1] + [0] * max_n
+    factors = [k for k in range(1, max_n + 1) for _ in range(2 - k % 2)]
+    for step in factors + list(range(2, max_n + 1, 2)):
+        for n in range(step, max_n + 1):  # times 1/(1 - x^step), in place
+            series[n] += series[n - step]
+    return series
 
 
 def class_size_formula(mu: RamificationType) -> int:

@@ -24,6 +24,7 @@ from realhurwitz.model import (
     EMPTY_TYPE,
     bidegree_box,
     enumerate_bidegrees,
+    enumerate_types,
     label,
     p_minus,
     p_plus,
@@ -31,8 +32,9 @@ from realhurwitz.model import (
     rtype,
 )
 from realhurwitz import genus0
-from realhurwitz.nonsep import UNSIGNED, tilde_labelled_by_paths, tilde_table_rows, ttype
-from realhurwitz.oracle import labelled_by_paths
+from realhurwitz.nonsep import (UNSIGNED, tilde_labelled_by_paths, tilde_operator_matrix,
+                                tilde_table_rows, ttype)
+from realhurwitz.oracle import labelled_by_paths, mult_c2_matrix, states
 from realhurwitz.operators import OperatorKind, block_matrix, evolve
 from realhurwitz.poly import LabelledSeries, PolyVector, series, series_exp
 
@@ -221,10 +223,17 @@ def test_genus0_pde_flags_wrong_series():
     (lambda: connected_series(2.0, 3), "max_degree"),
     (lambda: hurwitz_value(p_plus(2), 1.0), "m"),
     (lambda: hurwitz_value(p_plus(2), False), "m"),
+    (lambda: tilde_operator_matrix(True), "n"),
+    (lambda: states(True, 1), "n_plus"),
+    (lambda: mult_c2_matrix((True, 1)), "n_plus"),
+    (lambda: enumerate_bidegrees(-1), "max_degree"),
+    (lambda: enumerate_types((1.0, 1)), "n_plus"),
 ], ids=["connected-negative-m", "connected-negative-degree", "disconnected-negative-m",
         "tilde-negative-m", "tilde-negative-n", "genus0-units-negative", "genus0-poles-negative",
         "genus0-pde-negative-degree", "table-bool-cap", "table-float-m",
-        "connected-float-degree", "value-float-m", "value-bool-m"])
+        "connected-float-degree", "value-float-m", "value-bool-m", "tilde-matrix-bool-n",
+        "states-bool-size", "mult-c2-bool-bidegree", "bidegrees-negative-degree",
+        "types-float-bidegree"])
 def test_an_entry_point_refuses_a_malformed_cap(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be a nonnegative int"):
         call()
@@ -243,3 +252,12 @@ def test_block_matrix_refuses_a_malformed_bidegree_and_caches_none(b):
         block_matrix(OperatorKind.WPLUS, b)
     block = block_matrix(OperatorKind.WPLUS, (1, 1)).block
     assert block == (1, 1) and {type(x) for x in block} == {int}
+
+
+def test_the_cached_lookups_check_a_size_before_their_cache():
+    # True equals 1 and hashes alike, so a cache read first would answer it
+    assert states(1, 1) == (frozenset(), frozenset({(0, 0)}))
+    assert type(tilde_operator_matrix(1).block) is int
+    for call in (lambda: tilde_operator_matrix(True), lambda: states(True, 1)):
+        with pytest.raises(ValueError, match="must be a nonnegative int"):
+            call()

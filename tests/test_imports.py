@@ -41,6 +41,8 @@ NONSEP = ["nonsep", "--max-n", "3", "--max-m", "3", "--connected", "--format", "
 SPECTRUM = ["spectrum", "--nplus", "2", "--nminus", "1", "--format", "json"]
 VERIFY_ORACLE = ["verify", "--suite", "oracle", "--max-size", "2"]
 ORACLE = ["oracle", "--nplus", "1", "--nminus", "1"]
+BLOCK = ["block", "--nplus", "1", "--nminus", "1", "--format", "csv"]
+VERIFY_GENUS0 = ["verify", "--suite", "genus0", "--max-m", "2", "--max-degree", "2"]
 VERIFY, GENUS0 = "realhurwitz.verify", "realhurwitz.genus0"
 OPERATORS, DUMP = "realhurwitz.operators", "realhurwitz.dump"
 
@@ -57,7 +59,7 @@ OPERATORS, DUMP = "realhurwitz.operators", "realhurwitz.dump"
     (VERIFY_ORACLE, "realhurwitz.oracle",
      {GENUS0, "realhurwitz.spectral", "realhurwitz.nonsep", "realhurwitz.poly", DUMP,
       "fractions", "decimal"}),
-    (["verify", "--suite", "genus0", "--max-m", "2", "--max-degree", "2"], GENUS0, set()),
+    (VERIFY_GENUS0, GENUS0, set()),
 ], ids=["table", "nonsep", "oracle", "spectrum", "verify-oracle", "verify-genus0"])
 def test_a_command_imports_only_the_modules_it_runs(argv, runs, left_out):
     loaded = _loaded(*argv)
@@ -67,7 +69,10 @@ def test_a_command_imports_only_the_modules_it_runs(argv, runs, left_out):
 
 @pytest.mark.parametrize("argv, budget", [
     (TABLE, 1147), (NONSEP, 1400), (VERIFY_ORACLE, 1235), (SPECTRUM, 1812),
-], ids=["table", "nonsep", "verify-oracle", "spectrum"])
+    (ORACLE, 1030), (BLOCK, 819), (["verify", "--suite", "nonsep"], 1721),
+    (["verify", "--suite", "paper"], 1530), (VERIFY_GENUS0, 1430),
+], ids=["table", "nonsep", "verify-oracle", "spectrum", "oracle", "block", "verify-nonsep",
+        "verify-paper", "verify-genus0"])
 def test_a_command_compiles_at_most_its_budget_of_lines(argv, budget):
     # a cold run compiles every submodule it loads, so their source lines
     # bound what its start-up spends on compiling
@@ -90,8 +95,7 @@ def test_the_parser_loads_no_operators():
 
 
 def test_only_block_and_spectrum_load_the_dump_module():
-    block = ["block", "--nplus", "1", "--nminus", "1", "--format", "csv"]
-    assert {DUMP, OPERATORS} <= _loaded(*block)
+    assert {DUMP, OPERATORS} <= _loaded(*BLOCK)
     assert DUMP in _loaded(*SPECTRUM)
 
 

@@ -243,15 +243,26 @@ def test_cached_columns_refuse_edits_and_the_evolution_stays_intact():
         assert evolve(UNSIGNED, (n,), 2) == tilde_labelled_by_paths(n, 2)
 
 
-# the evolution with both type enumerations rebound to raise, in a fresh
+# the evolution with model.types_by_grade, the one type enumerator of both
+# models, rebound to raise before any module binds it, in a fresh
 # interpreter so that no cached block or basis exists yet
 NO_BASIS = """
-from realhurwitz import evolution, nonsep, operators
+from realhurwitz import model
 
 def refuse(*args):
     raise AssertionError("the evolution enumerated a block basis")
 
-operators.enumerate_types = nonsep.tilde_enumerate_types = refuse
+model.types_by_grade = refuse
+from realhurwitz import evolution, nonsep, operators
+
+for enumerate_basis, grade in ((operators.enumerate_types, (1, 1)),
+                               (nonsep.tilde_enumerate_types, 2)):
+    try:
+        enumerate_basis(grade)
+    except AssertionError:
+        pass
+    else:
+        raise SystemExit("the patch does not reach " + enumerate_basis.__name__)
 print(repr(evolution.table_rows(3, 6, connected=False)))
 print(repr(nonsep.tilde_table_rows(5, 6, connected=False)))
 """

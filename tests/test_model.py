@@ -2,7 +2,8 @@
 
 import pytest
 
-from model_reference import class_size_formula, dimension_series, parse_partition, parse_type
+from model_reference import (class_size_formula, dimension_series, parse_partition, parse_type,
+                             unsigned_type_counts)
 from realhurwitz.model import (
     Bidegree,
     EMPTY_TYPE,
@@ -128,6 +129,12 @@ def test_enumerate_types_matches_dimension_series():
     dims = dimension_series(5)
     for (a, b), expected in dims.items():
         assert len(enumerate_types(Bidegree(a, b))) == expected
+
+
+def test_tilde_enumerate_types_matches_its_generating_function():
+    counts = [1, 1, 4, 5, 14, 18, 41, 54, 109, 145, 267, 357, 618, 826, 1359]
+    assert unsigned_type_counts(14) == counts
+    assert [len(tilde_enumerate_types(n)) for n in range(15)] == counts
 
 
 def test_dimension_series_printed_rows():

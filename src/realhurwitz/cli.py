@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 from itertools import islice
 
 from .model import Bidegree, RamificationType, bidegree_box, format_type
@@ -43,6 +44,7 @@ def _tolerance(text: str) -> float:
     return value
 
 
+@lru_cache(maxsize=None)  # once per partition: the 3,529 types of (6,6) share 138
 def _part_str(p) -> str:
     return " ".join(map(str, p))
 
@@ -77,19 +79,18 @@ def _emit_rows(series, fmt: str, fields: tuple) -> None:
         def row(m, p, chi, num, den):
             return (f'    {{\n      "m": {m},\n{p}      "chi": {chi},\n      "connected": {flag},\n'
                     f'      "value_num": "{num}",\n      "value_den": "{den}"\n    }}')
-        frame = '{\n  "rows": [\n', ",\n", "\n  ]\n}\n", '{\n  "rows": []\n}\n'
+        head, sep, tail, empty = '{\n  "rows": [\n', ",\n", "\n  ]\n}\n", '{\n  "rows": []\n}\n'
     elif fmt == "csv":
         def part(mu):
             return ",".join(map(_part_str, mu))
 
         def row(m, p, chi, num, den):
             return f"{m},{p},{chi},{flag},{num},{den}"
-        frame = ",".join(names) + "\n", "\n", "\n", ",".join(names) + "\n"
+        head, sep, tail, empty = ",".join(names) + "\n", "\n", "\n", ",".join(names) + "\n"
     else:
         def row(m, p, chi, num, den):
             return f"m={m} {p} chi={chi} value={num}" + (f"/{den}" if den != 1 else "")
-        part, frame = format_type, ("", "\n", "\n", "")
-    head, sep, tail, empty = frame
+        part, (head, sep, tail, empty) = format_type, ("", "\n", "\n", "")
     parts: dict = {}  # a type recurs at every m, so its text is built once
     texts = (row(m, parts.get(mu) or parts.setdefault(mu, part(mu)), chi, num, den)
              for m, mu, chi, num, den in series.records())
@@ -212,8 +213,7 @@ def main(argv=None) -> int:
         return 141
     except Exception as exc:
         message = " ".join(str(exc).split())
-        print(f"realhurwitz: internal error: {type(exc).__name__}: {message}",
-              file=sys.stderr)
+        print(f"realhurwitz: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 3
 
 

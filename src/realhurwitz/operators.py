@@ -126,13 +126,13 @@ def _intern(mu, canonical: Callable) -> tuple:
 
 
 def cached_columns(image: Callable, canonical: Callable) -> Callable:
-    """The column accessor of one operator: the column at mu sums the
-    (type, value) pairs of image(mu), built on first use and then handed out
-    read-only. Every type is checked once against canonical (see _intern);
-    an image seen before is read from the interned copies directly.
-    A value that is not an int raises ArithmeticError, an image of another
-    grade than mu RuntimeError. The canonical types of one grade are exactly
-    the basis of its block, so these checks need no block basis."""
+    """The column accessor of one operator: the column at mu sums the (type,
+    value) pairs of image(mu), built on first use and handed out read-only, the
+    sum itself unless an entry cancelled. Every type is checked once against
+    canonical (see _intern); an image seen before is read from the interned
+    copies directly. A value that is not an int raises ArithmeticError, an image
+    of another grade than mu RuntimeError. The canonical types of one grade are
+    exactly the basis of its block, so these checks need no block basis."""
     cache: dict = {}
     interned = _INTERNED.get
 
@@ -149,7 +149,8 @@ def cached_columns(image: Callable, canonical: Callable) -> Callable:
                     raise ArithmeticError(f"entry {c} at ({nu!r}, {mu!r}) of the operator "
                                           "is not an int")
                 col[nu] = col.get(nu, 0) + c
-            col = cache[mu] = MappingProxyType({nu: c for nu, c in col.items() if c})
+            col = cache[mu] = MappingProxyType(
+                col if all(col.values()) else {nu: c for nu, c in col.items() if c})
         return col
 
     return column
@@ -162,8 +163,7 @@ wminus_column = cached_columns(lambda mu: ((nu.swap_signs(), c) for nu, c in
 
 
 def _wmean_column(mu) -> Mapping:
-    """Half the sum of the plus and minus columns at mu, in Fractions: the
-    image of the two columns, each weighted 1/2."""
+    """Half the sum of the plus and minus columns at mu, in Fractions: their image."""
     from fractions import Fraction
     half = Fraction(1, 2)
     return MappingProxyType(_image({0: half, 1: half},

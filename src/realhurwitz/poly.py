@@ -21,17 +21,17 @@ it in int arithmetic, with an exact division that raises ArithmeticError on
 a remainder. series, the one pipeline of both walk models, evolves the
 listed grades through a model's binding (operators.evolve) and takes the log
 for connected counts; value reads one count. A table leaves the store as
-records, each value two ints in lowest terms; the command line reads only
-those. Fractions, imported where one is built, enter where a value leaves
-the store otherwise: a row, one value, or the PolyVector of one order.
-Records are ordered by model.canonical_key and carry
-model.euler_characteristic, which serve the types of both walk models. A
-read above the order or outside the grades a store was computed on raises
-ValueError; it never reads as zero.
+records, each value two ints in lowest terms, ordered by model.canonical_key
+and with model.euler_characteristic (both serve either model's types); the
+command line reads only those. Fractions, imported where one is built, enter
+where a value leaves the store otherwise: a row, one value, or the
+PolyVector of one order. A read above the order or outside the grades a
+store was computed on raises ValueError; it never reads as zero.
 """
 
 from __future__ import annotations
 
+from itertools import chain, compress, product
 from math import comb, gcd, prod
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
@@ -151,21 +151,22 @@ class LabelledSeries(NamedTuple):
 
     def records(self) -> Iterator[tuple]:
         """Nonzero coefficients as (m, key, chi, num, den), num/den in lowest
-        terms with den > 0, ordered by m and then by canonical_key. Each piece's
-        label and each key's sort key and chi are built once; then each stored
-        entry is read once, an order at a time."""
-        pieces = [(piece, label(g)) for g, piece in self.pieces.items()]
-        keyed = [(k, chi) for _, chi, k in sorted(
-            (*key_and_chi(k), k) for piece, _ in pieces for k in set().union(*piece))]
-        rank = {k: i for i, (k, _) in enumerate(keyed)}
-        # a table reads thousands of keys, so of the grade check of _keys it
-        # keeps only the part that costs nothing: no key in two pieces
+        terms with den > 0, ordered by m and then by canonical_key: each key ranked
+        once, with its chi and label, and each order's entries placed by rank."""
+        keyed = sorted((*key_and_chi(k), k, d) for g, piece in self.pieces.items()
+                       for d in (label(g),) for k in set().union(*piece))
+        rank = {k: i for i, (_, _, k, _) in enumerate(keyed)}
+        # of the grade check of _keys, the part that costs nothing: no key in two pieces
         if len(rank) != len(keyed):
             raise ValueError("a key lies in two pieces")
-        return ((m, keyed[i][0], keyed[i][1] - m, x // (q := gcd(x, d)), d // q)
-                for m in range(self.max_m + 1)
-                for i, x, d in sorted((rank[k], x, d) for piece, d in pieces
-                                      for k, x in piece[m].items() if x))
+        def placed():
+            for m in range(self.max_m + 1):
+                slots = [0] * len(keyed)
+                for k, x in chain.from_iterable(p[m].items() for p in self.pieces.values()):
+                    slots[rank[k]] = x
+                for (_, chi, k, d), x in compress(zip(keyed, slots), slots):
+                    yield m, k, chi - m, x // (q := gcd(x, d)), d // q
+        return placed()
 
     def rows(self) -> list[HurwitzRow]:
         """The records as table rows, each value a Fraction."""
@@ -317,6 +318,5 @@ def value(model, mu, m: int, connected: bool = True) -> Fraction:
     nonnegative(m=m)
     if type(mu) is not type(model.canonical()) or model.canonical(*mu) != mu:
         raise ValueError(f"type {mu!r} is not in canonical form")
-    from itertools import product
     grades = list(product(*(range(x + 1) for x in mu.grade)))
     return series(model, grades, m, connected).value(mu, m)

@@ -18,7 +18,8 @@ import realhurwitz
 from realhurwitz.cli import main
 from realhurwitz.evolution import SIGNED, disconnected_series, hurwitz_value
 from realhurwitz.model import (Bidegree, RamificationType, bidegree_box, canonical_key,
-                              enumerate_bidegrees, euler_characteristic, p_minus, p_plus, rtype)
+                              enumerate_bidegrees, enumerate_types, euler_characteristic,
+                              p_minus, p_plus, rtype)
 from realhurwitz import evolution, nonsep, operators
 from realhurwitz.nonsep import (UNSIGNED, TildeType, tilde_connected_value,
                                tilde_labelled_by_paths, tilde_operator_matrix, ttype)
@@ -149,6 +150,30 @@ def test_a_column_cache_hit_reads_a_type_by_equality():
     assert wplus_column(RamificationType((2.0, 1), (), ())) is col
     with pytest.raises(RuntimeError, match="canonical form"):
         wplus_column(RamificationType((25.0,), (), ()))
+
+
+def test_a_column_drops_the_entries_that_cancel():
+    mu, nu, kappa = rtype((1,), (1,)), rtype((2,)), rtype(lam=(1,))
+    column = cached_columns(lambda _: [(nu, 1), (kappa, 2), (nu, -1)], rtype)(mu)
+    assert dict(column) == {kappa: 2} and nu not in column
+    with pytest.raises(TypeError):
+        column[nu] = 1
+
+
+def test_a_column_without_cancellation_is_its_summed_images_read_only():
+    for b in bidegree_box(Bidegree(4, 4)):
+        for mu in enumerate_types(b):
+            summed = {}
+            for nu, c in operators.wplus_images(mu):
+                summed[nu] = summed.get(nu, 0) + c
+            assert all(summed.values()) and wplus_column(mu) == summed
+    mu = rtype((2, 1))
+    column = cached_columns(lambda _: [(rtype((3,)), 1), (mu, 2), (rtype((3,)), 3)], rtype)(mu)
+    assert dict(column) == {rtype((3,)): 4, mu: 2}
+    with pytest.raises(TypeError):
+        column[mu] = 5
+    with pytest.raises(TypeError):
+        del column[mu]
 
 
 # counts the full partition checks during a cold disconnected table (each

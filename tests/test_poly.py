@@ -151,6 +151,21 @@ def test_labelled_series_rejects_a_key_in_two_pieces():
                                   False), 0, [Bidegree(0, 0), Bidegree(1, 0), Bidegree(2, 0)])
 
 
+def test_records_refuse_a_key_in_two_pieces_before_any_record():
+    # order 0 holds good entries only; p+_1 appears in a second piece at
+    # order 1, so a check made while the records are read would yield the
+    # order-0 records first. records() raises on the call itself
+    series = LabelledSeries({Bidegree(1, 0): [{p_plus(1): 1}, {}],
+                             Bidegree(1, 1): [{rtype((1,), (1,)): 1}, {}],
+                             Bidegree(2, 0): [{rtype((1, 1)): 2}, {p_plus(1): 2}]}, 1, False)
+    with pytest.raises(ValueError, match="two pieces"):
+        series.records()
+    fixed = series._replace(pieces={**series.pieces,
+                                    Bidegree(2, 0): [{rtype((1, 1)): 2}, {}]})
+    assert [r[:2] for r in fixed.records()] == [(0, p_plus(1)), (0, rtype((1,), (1,))),
+                                                (0, rtype((1, 1)))]
+
+
 def test_series_log_rejects_grades_missing_a_smaller_one():
     big = series_exp(store({p_plus(1): 1}), 0, enumerate_bidegrees(2))
     with pytest.raises(ValueError):

@@ -1,10 +1,10 @@
 """The genus-zero layer: the unsigned genus-zero series and its flow equation.
 
 The genus-zero series is half the top Euler characteristic part of the
-connected series, with signs forgotten (G0Type). Its quadratic flow equation
-is checked on the images of the flow's terms: the cut and the q-term of one
-monomial, and the join of a pair of monomials. Only `verify --suite genus0`
-and the names the package exports from here load this module.
+connected series with signs forgotten, one dict {G0Type: Fraction} per order.
+Its quadratic flow equation is checked on the images of the flow's terms: the
+cut and the q-term of one monomial, and the join of a pair of monomials. Only
+`verify --suite genus0` and the names the package exports from here load it.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from math import comb
 from typing import Iterator, NamedTuple
 
 from .evolution import connected_series
-from .model import (Partition, RamificationType, euler_characteristic, merge_partitions,
+from .model import (Partition, RamificationType, enumerate_bidegrees, merge_partitions,
                     nonnegative, without)
-from .poly import PolyVector
+from .poly import LabelledSeries
 
 
 class G0Type(NamedTuple):
@@ -66,27 +66,29 @@ def genus0_join_images(a: G0Type, b: G0Type) -> Iterator[tuple[G0Type, int]]:
                    mult_a * mult_b)
 
 
-def genus0_series(max_m: int, max_degree: int) -> tuple[PolyVector, ...]:
-    """Unsigned genus-zero series, its coefficients of u^m/m! for
-    m = 0 .. max_m: half the chi = 2 part of the connected series, with both
-    signed variable families collapsed to one."""
-    conn = connected_series(max_degree, max_m)
-    coeffs = []
-    for m in range(max_m + 1):
-        kept = {mu: c / 2 for mu, c in conn.coeff(m)
-                if euler_characteristic(mu, m) == 2}
-        coeffs.append(PolyVector(kept).map_keys(g0_from_type))
-    return tuple(coeffs)
+def genus0_series(max_m: int, max_degree: int) -> tuple[dict, ...]:
+    """Unsigned genus-zero series, its coefficients of u^m/m! for m = 0 .. max_m:
+    half the chi = 2 part of the connected series, signs forgotten."""
+    return _sliced(None, max_m, max_degree)
 
 
-def _sliced(series: tuple[PolyVector, ...] | None, max_m: int,
-            max_degree: int) -> tuple[PolyVector, ...]:
-    """The genus-zero series through u^max_m and degree max_degree: sliced
-    from series, one read through at least those caps, or computed afresh if
-    it is None. A coefficient does not depend on the caps, so a slice is exact."""
-    if series is None:
-        return genus0_series(max_m, max_degree)
-    return tuple(c.restrict_degree(max_degree) for c in series[:max_m + 1])
+def _sliced(conn: LabelledSeries | None, max_m: int, max_degree: int) -> tuple[dict, ...]:
+    """The genus-zero series through u^max_m and degree max_degree, read from
+    the records of conn, a connected series (computed to those caps if None).
+    A coefficient does not depend on the caps, so a slice is exact; a conn
+    short of u^max_m or of a bidegree of total at most max_degree raises
+    ValueError."""
+    if conn is None:
+        conn = connected_series(max_degree, max_m)
+    if not (isinstance(conn, LabelledSeries) and conn.connected and max_m <= conn.max_m
+            and all(b in conn.pieces for b in enumerate_bidegrees(max_degree))):
+        raise ValueError(f"not a connected LabelledSeries to u^{max_m} and degree {max_degree}")
+    coeffs = tuple({} for _ in range(max_m + 1))
+    for m, mu, chi, num, den in conn.records():
+        if chi == 2 and m <= max_m and mu.degree <= max_degree:
+            key = g0_from_type(mu)
+            coeffs[m][key] = coeffs[m].get(key, 0) + Fraction(num, 2 * den)
+    return coeffs
 
 
 def genus0_unit_values(max_m: int, series=None) -> list[Fraction]:
@@ -99,7 +101,7 @@ def genus0_unit_values(max_m: int, series=None) -> list[Fraction]:
     values = []
     for m in range(max_m + 1):
         total = Fraction(0)
-        for key, c in series[m]:
+        for key, c in series[m].items():
             if all(p == 1 for p in key.p_parts) and all(q == 1 for q in key.q_parts):
                 total += c
         values.append(total)
@@ -111,7 +113,7 @@ def genus0_single_part_values(n_max: int, series=None) -> list[Fraction]:
     for n = 1 .. n_max; series as in _sliced."""
     nonnegative(n_max=n_max)
     series = _sliced(series, max(n_max - 1, 0), n_max)
-    return [series[n - 1].coeff(G0Type((n,), ())) for n in range(1, n_max + 1)]
+    return [series[n - 1].get(G0Type((n,), ()), Fraction(0)) for n in range(1, n_max + 1)]
 
 
 class PDEResidualReport(NamedTuple):
@@ -119,7 +121,7 @@ class PDEResidualReport(NamedTuple):
 
     max_m: int
     max_degree: int
-    residuals: tuple[PolyVector, ...]
+    residuals: tuple[dict, ...]
 
     @property
     def is_zero(self) -> bool:
@@ -128,15 +130,16 @@ class PDEResidualReport(NamedTuple):
     @property
     def offending(self) -> tuple[int, G0Type, Fraction] | None:
         for m, r in enumerate(self.residuals):
-            for key, c in sorted(r, key=lambda item: item[0]):
+            for key, c in sorted(r.items()):
                 return (m, key, c)
         return None
 
 
-def genus0_pde_residuals(h: tuple[PolyVector, ...], max_m: int,
+def genus0_pde_residuals(h: tuple[dict, ...], max_m: int,
                          max_degree: int) -> PDEResidualReport:
     """Residual h[m+1] - rhs_m for any candidate genus-zero series h, given
-    by its coefficients of u^m/m! for m = 0 .. max_m + 1.
+    by its coefficients {G0Type: value} of u^m/m! for m = 0 .. max_m + 1;
+    each residual holds its nonzero entries of degree at most max_degree.
 
     The right side is half the sum of the cut and q-term images of h[m], the
     join images of the pairs of monomials of h[k] and h[m-k] weighted by
@@ -146,19 +149,18 @@ def genus0_pde_residuals(h: tuple[PolyVector, ...], max_m: int,
     residuals = []
     for m in range(max_m + 1):
         rhs: dict = {G0Type((2,), ()): 1} if m == 0 else {}
-        for key, c in h[m]:
+        for key, c in h[m].items():
             for nu, a in genus0_images(key):
                 rhs[nu] = rhs.get(nu, 0) + c * a
         for k in range(m + 1):
             weight = comb(m, k)
-            for a, x in h[k]:
-                for b, y in h[m - k]:
+            for a, x in h[k].items():
+                for b, y in h[m - k].items():
                     if a.degree + b.degree <= max_degree:
                         for nu, e in genus0_join_images(a, b):
                             rhs[nu] = rhs.get(nu, 0) + weight * x * y * e
-        residual = PolyVector({k: h[m + 1].coeff(k) - Fraction(rhs.get(k, 0), 2)
-                               for k in {**h[m + 1].terms, **rhs}})
-        residuals.append(residual.restrict_degree(max_degree))
+        residuals.append({k: c for k in {**h[m + 1], **rhs} if k.degree <= max_degree
+                          and (c := h[m + 1].get(k, 0) - Fraction(rhs.get(k, 0), 2))})
     return PDEResidualReport(max_m, max_degree, tuple(residuals))
 
 

@@ -1,8 +1,4 @@
-"""Read-only sparse polynomials indexed by monomial keys, and exp/log of u-series.
-
-A PolyVector is the read-only view of a finitely supported map key ->
-Fraction that callers receive, with no arithmetic of its own. Its keys need
-only be hashable, plus `.degree` (int) for restrict_degree.
+"""The labelled store of u-series of counts, and its exp and log.
 
 A series stores the coefficients of u^m/m!, so series products use binomial
 convolution and exp/log are the exponential-generating-function transforms
@@ -24,64 +20,22 @@ for connected counts; value reads one count. A table leaves the store as
 records, each value two ints in lowest terms, ordered by model.canonical_key
 and with model.euler_characteristic (both serve either model's types); the
 command line reads only those. Fractions, imported where one is built, enter
-where a value leaves the store otherwise: a row, one value, or the
-PolyVector of one order. A read above the order or outside the grades a
-store was computed on raises ValueError; it never reads as zero.
+where a value leaves the store otherwise: a row, one value, or the dict
+{key: Fraction} of the nonzero entries of one order. A read above the order
+or outside the grades a store was computed on raises ValueError, and so do
+an exp or log asked for an order above its input's; none reads as zero.
 """
 
 from __future__ import annotations
 
 from itertools import chain, compress, product
 from math import comb, gcd, prod
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .model import EMPTY_TYPE, key_and_chi, label, nonnegative
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-
-class PolyVector:
-    """Read-only finitely supported map from monomial keys to exact rationals;
-    zero coefficients are dropped."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | Iterable[tuple[object, Fraction]] = ()):
-        from fractions import Fraction
-        self.terms = {k: c if type(c) is Fraction else Fraction(c)
-                      for k, c in dict(terms).items() if c != 0}
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyVector) and self.terms == other.terms
-
-    def __iter__(self) -> Iterator[tuple[object, Fraction]]:
-        return iter(self.terms.items())
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def coeff(self, key) -> Fraction:
-        from fractions import Fraction
-        return self.terms.get(key, Fraction(0))
-
-    def restrict_degree(self, max_degree: int) -> "PolyVector":
-        return PolyVector({k: c for k, c in self.terms.items() if k.degree <= max_degree})
-
-    def map_keys(self, f) -> "PolyVector":
-        out: dict = {}
-        for k, c in self.terms.items():
-            key = f(k)
-            out[key] = out.get(key, 0) + c
-        return PolyVector(out)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}: {c}" for k, c in sorted(
-            self.terms.items(), key=lambda item: repr(item[0])))
-        return f"PolyVector({{{inner}}})"
 
 
 def _keys(grade, piece) -> dict:
@@ -120,8 +74,8 @@ class LabelledSeries(NamedTuple):
     connected: bool
 
     def _order(self, m: int) -> None:
-        if not 0 <= m <= self.max_m:
-            raise ValueError(f"order {m} is outside the series, computed to u^{self.max_m}")
+        if type(m) is not int or not 0 <= m <= self.max_m:
+            raise ValueError(f"order {m!r} is outside the series, computed to u^{self.max_m}")
 
     def value(self, key, m: int) -> Fraction:
         """The coefficient of p_key u^m/m!."""
@@ -132,20 +86,20 @@ class LabelledSeries(NamedTuple):
         from fractions import Fraction
         return Fraction(self.pieces[g][m].get(key, 0), label(g))
 
-    def coeff(self, m: int) -> PolyVector:
-        """The coefficient of u^m/m! as a PolyVector, built on each call:
-        each labelled entry over the label factor of its grade."""
+    def coeff(self, m: int) -> dict:
+        """The coefficient of u^m/m! as a new dict {key: Fraction} of its
+        nonzero entries: each labelled entry over the label factor of its grade."""
         from fractions import Fraction
         self._order(m)
         out: dict = {}
         for g, piece in self.pieces.items():
             _keys(g, (piece[m],))
             d = label(g)
-            out.update((k, Fraction(x, d)) for k, x in piece[m].items())
-        return PolyVector(out)
+            out.update((k, Fraction(x, d)) for k, x in piece[m].items() if x)
+        return out
 
     @property
-    def coeffs(self) -> list[PolyVector]:
+    def coeffs(self) -> list[dict]:
         """The coefficients of u^m/m!, m = 0 .. max_m."""
         return [self.coeff(m) for m in range(self.max_m + 1)]
 
@@ -229,8 +183,12 @@ def _euler_recurrence(given: LabelledSeries, max_m: int, grades, log: bool) -> L
     integer weights), so the division by |b| is exact; a remainder raises
     ArithmeticError. grades must contain, with every grade, all smaller
     ones (componentwise); a product of pieces c and b - c lies in piece b,
-    so the result is exact on every listed grade.
+    so the result is exact on every listed grade. An order max_m that is
+    not a nonnegative int, or one above given's, raises ValueError.
     """
+    nonnegative(max_m=max_m)
+    if max_m > given.max_m:
+        raise ValueError(f"max_m {max_m} is above the input's, computed to u^{given.max_m}")
     grades = set(grades)
     for g in grades:
         for i, x in enumerate(g):
@@ -275,7 +233,8 @@ def _euler_recurrence(given: LabelledSeries, max_m: int, grades, log: bool) -> L
 def series_exp(h: LabelledSeries, max_m: int, grades,
                empty_key=EMPTY_TYPE) -> LabelledSeries:
     """exp of a series with no constant-monomial term, on the listed grades
-    (closed under taking smaller grades) and through u^max_m. The result's
+    (closed under taking smaller grades) and through u^max_m, at most h's
+    max_m. The result's
     constant monomial (coefficient 1 at m=0) is indexed by empty_key, which
     must match the key type of h."""
     for m, x in enumerate(_constant_row(h)):
@@ -289,7 +248,7 @@ def series_exp(h: LabelledSeries, max_m: int, grades,
 def series_log(big_h: LabelledSeries, max_m: int, grades) -> LabelledSeries:
     """log of a series whose m=0 coefficient has constant term 1 (and 0 for
     m>0), on the listed grades (closed under taking smaller grades) and
-    through u^max_m."""
+    through u^max_m, at most big_h's max_m."""
     constant = _constant_row(big_h)
     if constant[:1] != [1]:
         raise ValueError("series_log input must have constant-monomial coefficient 1 at m=0")

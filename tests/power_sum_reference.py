@@ -2,38 +2,37 @@
 and exponential by exp(X) = sum X^n/n!.
 
 A series here is the list of its coefficients of u^m/m!, m = 0 .. max_m, as
-PolyVectors of Fractions; LabelledSeries.coeffs yields one. The functions
-build X^2, X^3, ... as full series products truncated to total degree, by
-the bucketed monomial product `mul`, and are kept only as the slow reference
-that the one-pass labelled recurrence of realhurwitz.poly is checked against.
-PolyVector is a read-only view, so the sums they need are formed by `add`.
+dicts {key: Fraction} of their nonzero entries; LabelledSeries.coeffs yields
+one. The functions build X^2, X^3, ... as full series products truncated to
+total degree, by the bucketed monomial product `mul`, and are kept only as
+the slow reference that the one-pass labelled recurrence of realhurwitz.poly
+is checked against. Each function returns new dicts; the sums they need are
+formed by `add`, which drops the entries that cancel.
 """
 
 from fractions import Fraction
 from math import comb
 
-from realhurwitz.poly import PolyVector
 
-
-def add(a: PolyVector, b: PolyVector, scale: Fraction | int = 1) -> PolyVector:
+def add(a: dict, b: dict, scale: Fraction | int = 1) -> dict:
     """a + scale * b; coefficients that sum to zero drop out."""
-    out = dict(a.terms)
-    for k, c in b.terms.items():
+    out = dict(a)
+    for k, c in b.items():
         out[k] = out.get(k, 0) + scale * c
-    return PolyVector(out)
+    return {k: c for k, c in out.items() if c}
 
 
-def _by_degree(v: PolyVector) -> dict[int, list[tuple[object, Fraction]]]:
+def _by_degree(v: dict) -> dict[int, list[tuple[object, Fraction]]]:
     buckets: dict[int, list[tuple[object, Fraction]]] = {}
-    for k, c in v.terms.items():
+    for k, c in v.items():
         buckets.setdefault(k.degree, []).append((k, c))
     return buckets
 
 
-def mul(a: PolyVector, b: PolyVector, max_degree: int | None = None) -> PolyVector:
+def mul(a: dict, b: dict, max_degree: int | None = None) -> dict:
     """Bilinear monomial product; keys combine by part-wise union."""
-    if not a.terms or not b.terms:
-        return PolyVector()
+    if not a or not b:
+        return {}
     out: dict = {}
     for da, a_terms in _by_degree(a).items():
         for db, b_terms in _by_degree(b).items():
@@ -47,15 +46,14 @@ def mul(a: PolyVector, b: PolyVector, max_degree: int | None = None) -> PolyVect
                         out[key] = s
                     else:
                         del out[key]
-    return PolyVector(out)
+    return out
 
 
-def series_mul(a: list[PolyVector], b: list[PolyVector], max_m: int,
-               max_degree: int) -> list[PolyVector]:
+def series_mul(a: list[dict], b: list[dict], max_m: int, max_degree: int) -> list[dict]:
     """Product of u-series in the u^m/m! normalization (binomial convolution)."""
     out = []
     for m in range(max_m + 1):
-        acc = PolyVector()
+        acc: dict = {}
         for k in range(m + 1):
             ak = a[k]
             bk = b[m - k]
@@ -65,10 +63,14 @@ def series_mul(a: list[PolyVector], b: list[PolyVector], max_m: int,
     return out
 
 
-def power_sum_log(big_h: list[PolyVector], max_m: int, max_degree: int) -> list[PolyVector]:
+def _up_to(v: dict, max_degree: int) -> dict:
+    return {k: c for k, c in v.items() if k.degree <= max_degree}
+
+
+def power_sum_log(big_h: list[dict], max_m: int, max_degree: int) -> list[dict]:
     """log of a series with constant term 1, truncated to total degree
     max_degree and order max_m in u."""
-    x = [PolyVector({k: c for k, c in big_h[m] if any(k.grade)}).restrict_degree(max_degree)
+    x = [{k: c for k, c in _up_to(big_h[m], max_degree).items() if any(k.grade)}
          for m in range(max_m + 1)]
     result = list(x)
     power = x
@@ -84,13 +86,12 @@ def power_sum_log(big_h: list[PolyVector], max_m: int, max_degree: int) -> list[
     return result
 
 
-def power_sum_exp(x: list[PolyVector], max_m: int, max_degree: int,
-                  empty_key) -> list[PolyVector]:
+def power_sum_exp(x: list[dict], max_m: int, max_degree: int, empty_key) -> list[dict]:
     """exp of a series with no constant term, truncated to total degree
     max_degree and order max_m in u."""
-    x = [x[m].restrict_degree(max_degree) for m in range(max_m + 1)]
+    x = [_up_to(x[m], max_degree) for m in range(max_m + 1)]
     result = list(x)
-    result[0] = add(result[0], PolyVector({empty_key: 1}))
+    result[0] = add(result[0], {empty_key: 1})
     power = x
     factorial = 1
     for n in range(2, max_degree + 1):

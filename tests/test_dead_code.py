@@ -10,8 +10,7 @@ tracer (perfbench/tracer.py, the only reader of LabelledSeries.coeffs); a
 bare name, such as a local variable, does not count, and dunder methods are
 exempt. A mention in a docstring or an import line is not a use. The guard
 matches names, not classes, so two classes' methods of one name still cover
-each other: PolyVector.coeff and LabelledSeries.coeff pass as long as
-either is read.
+each other: both pass as long as either is read.
 """
 
 import ast

@@ -36,7 +36,7 @@ from realhurwitz.nonsep import (UNSIGNED, tilde_labelled_by_paths, tilde_operato
                                 tilde_table_rows, ttype)
 from realhurwitz.oracle import labelled_by_paths, mult_c2_matrix, states
 from realhurwitz.operators import OperatorKind, block_matrix, evolve
-from realhurwitz.poly import LabelledSeries, PolyVector, series, series_exp
+from realhurwitz.poly import LabelledSeries, series, series_exp
 
 
 # label(g) times the coefficients of the start: 1 and 1 on the block (1, 1),
@@ -62,9 +62,9 @@ def test_evolution_matches_walk_counts(model, grades, max_m, walks):
 
 def test_disconnected_series_constant_term():
     s = disconnected_series(3, 3)
-    assert s.coeff(0).coeff(EMPTY_TYPE) == 1
+    assert s.coeff(0).get(EMPTY_TYPE, 0) == 1
     for m in range(1, 4):
-        assert s.coeff(m).coeff(EMPTY_TYPE) == 0
+        assert s.coeff(m).get(EMPTY_TYPE, 0) == 0
 
 
 def test_reads_outside_the_truncation_raise():
@@ -88,6 +88,17 @@ def test_reads_outside_the_truncation_raise():
         assert box.value(p_plus(2), 1) == 1
 
 
+def test_a_read_refuses_an_order_that_is_not_an_int():
+    # True and 1.0 equal 1, so a read that took them would answer for m = 1
+    conn = connected_series(2, 2)
+    assert conn.coeff(1) == {p_plus(2): 1, p_minus(2): 1}
+    for m in (True, False, 1.0):
+        with pytest.raises(ValueError, match="order"):
+            conn.coeff(m)
+        with pytest.raises(ValueError, match="order"):
+            conn.value(p_plus(1), m)
+
+
 def test_connected_series_leading_coefficients():
     conn = connected_series(4, 3)
     assert dict(conn.coeff(0)) == {
@@ -108,7 +119,7 @@ def test_exp_of_connected_recovers_disconnected():
     blocks = enumerate_bidegrees(4)
     pieces = {b: [{} for _ in range(5)] for b in blocks}
     for m, vector in enumerate(connected_series(4, 4).coeffs):
-        for mu, c in vector:
+        for mu, c in vector.items():
             x = c * label(mu.grade)
             assert x.denominator == 1, (m, mu, c)
             pieces[mu.grade][m][mu] = x.numerator
@@ -122,8 +133,7 @@ def test_series_symmetric_under_sign_swap():
     disc = disconnected_series(6, 6)
     for m in range(7):
         v = disc.coeff(m)
-        swapped = v.map_keys(
-            lambda mu: rtype(mu.kappa_minus, mu.kappa_plus, mu.lam))
+        swapped = {rtype(mu.kappa_minus, mu.kappa_plus, mu.lam): c for mu, c in v.items()}
         assert swapped == v
 
 
@@ -167,11 +177,11 @@ def test_table_rows_connected_excludes_empty_type():
 
 def test_genus0_series_halves_unsigned_counts():
     g0 = genus0_series(2, 3)
-    assert g0[0].coeff(G0Type((1,), ())) == 1
-    assert g0[1].coeff(G0Type((2,), ())) == 1
-    assert g0[2].coeff(G0Type((3,), ())) == 1
-    assert g0[2].coeff(G0Type((1, 1), ())) == Fraction(1, 2)
-    assert g0[2].coeff(G0Type((), (1,))) == Fraction(1, 2)
+    assert g0[0].get(G0Type((1,), ()), 0) == 1
+    assert g0[1].get(G0Type((2,), ()), 0) == 1
+    assert g0[2].get(G0Type((3,), ()), 0) == 1
+    assert g0[2].get(G0Type((1, 1), ()), 0) == Fraction(1, 2)
+    assert g0[2].get(G0Type((), (1,)), 0) == Fraction(1, 2)
 
 
 def test_genus0_single_part_values_match_signed_route():
@@ -191,16 +201,39 @@ def test_genus0_pde_residual_is_zero():
 
 def test_genus0_checks_read_a_larger_series_sliced():
     # a coefficient does not depend on the caps, so each check reads the
-    # same values from one series through the union of their caps
-    series = genus0_series(10, 8)
+    # same values from one connected series through the union of their caps
+    series = connected_series(8, 10)
     assert genus0_single_part_values(8, series) == genus0_single_part_values(8)
     assert genus0_unit_values(10, series) == genus0_unit_values(10)
     assert verify_genus0_pde(6, 5, series) == verify_genus0_pde(6, 5)
     assert genus0._sliced(series, 7, 5) == genus0_series(7, 5)
 
 
+# a series that does not reach a check's caps: too low a degree, too few
+# orders, the genus-zero tuple instead of the connected series, or not connected
+@pytest.mark.parametrize("call", [
+    lambda: genus0_single_part_values(5, connected_series(2, 4)),
+    lambda: genus0_single_part_values(5, genus0_series(4, 2)),
+    lambda: verify_genus0_pde(2, 4, connected_series(2, 3)),
+    lambda: verify_genus0_pde(2, 4, genus0_series(3, 2)),
+    lambda: genus0_unit_values(10, connected_series(8, 3)),
+    lambda: genus0_unit_values(4, series(SIGNED, bidegree_box(Bidegree(2, 2)), 4, True)),
+    lambda: genus0_unit_values(4, disconnected_series(3, 4)),
+], ids=["poles-low-degree", "poles-genus0-tuple", "pde-low-degree", "pde-genus0-tuple",
+        "units-few-orders", "units-box", "units-disconnected"])
+def test_genus0_checks_refuse_a_series_short_of_their_caps(call):
+    with pytest.raises(ValueError, match="connected LabelledSeries"):
+        call()
+
+
+def test_genus0_checks_read_a_series_that_just_reaches_their_caps():
+    assert genus0_single_part_values(5, connected_series(5, 4)) == [1, 1, 1, 2, 5]
+    assert genus0_unit_values(4, connected_series(3, 4)) == [1, 0, 1, 0, 2]
+    assert verify_genus0_pde(2, 4, connected_series(4, 3)).is_zero
+
+
 def test_genus0_pde_flags_wrong_series():
-    zero = tuple(PolyVector({}) for _ in range(4))
+    zero = ({},) * 4
     report = genus0_pde_residuals(zero, 2, 4)
     assert not report.is_zero
     m, key, value = report.offending

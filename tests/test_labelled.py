@@ -324,6 +324,23 @@ def test_records_are_the_rows_in_lowest_terms(series):
         assert chi == euler_characteristic(mu, m)
 
 
+@pytest.mark.parametrize("connected", [True, False], ids=["connected", "disconnected"])
+@pytest.mark.parametrize("model, grades", [
+    (SIGNED, bidegree_box(Bidegree(4, 4))),
+    (UNSIGNED, [(n,) for n in range(9)]),
+], ids=["box", "unsigned"])
+def test_coeff_is_the_records_of_its_order(model, grades, connected):
+    # the coefficient of u^m/m! is a new dict {key: Fraction} holding exactly
+    # the records at m
+    got = series(model, grades, 8, connected)
+    by_order = [{} for _ in range(9)]
+    for m, mu, _, num, den in got.records():
+        by_order[m][mu] = Fraction(num, den)
+    assert got.coeffs == by_order and all(by_order)
+    assert all(type(c) is Fraction for vec in got.coeffs for c in vec.values())
+    assert got.coeff(3) is not got.coeff(3)
+
+
 # a type beside its canonical twin: parts out of order, a float or bool part,
 # an even part in the odd slot, a type of the other model or none; the first
 # five used to read a wrong value or to fail deep inside the pipeline

@@ -29,13 +29,13 @@ def test_box_series_equals_total_degree_series_on_the_box(corner):
         box = series(SIGNED, bidegree_box(corner), 6, connected)
         full = (connected_series if connected else disconnected_series)(sum(corner), 6)
         for m in range(7):
-            assert {bidegree(mu) for mu, _ in box.coeff(m)} <= blocks
-            assert box.coeff(m).terms == {mu: c for mu, c in full.coeff(m)
-                                          if bidegree(mu) in blocks}
+            assert {bidegree(mu) for mu in box.coeff(m)} <= blocks
+            assert box.coeff(m) == {mu: c for mu, c in full.coeff(m).items()
+                                    if bidegree(mu) in blocks}
 
 
 def test_hurwitz_value_reads_the_box_of_its_type():
     full = connected_series(6, 5)
     for m in range(6):
-        for mu, c in full.coeff(m):
+        for mu, c in full.coeff(m).items():
             assert hurwitz_value(mu, m) == c

@@ -1,4 +1,5 @@
-"""Tests for sparse polynomial vectors and exponential series transforms."""
+"""Tests for the labelled series store, its exp and log, and the power-sum
+reference they are checked against."""
 
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import realhurwitz
 from power_sum_reference import add, mul, power_sum_exp, power_sum_log, series_mul
-from realhurwitz.evolution import connected_series
+from realhurwitz.evolution import connected_series, disconnected_series
 from realhurwitz.model import (
     EMPTY_TYPE,
     Bidegree,
@@ -22,14 +23,13 @@ from realhurwitz.model import (
 from realhurwitz.nonsep import TILDE_EMPTY, tilde_enumerate_types, ttype
 from realhurwitz.poly import (
     LabelledSeries,
-    PolyVector,
     series_exp,
     series_log,
 )
 
 
 def vec(*pairs):
-    return PolyVector({mu: Fraction(c) for mu, c in pairs})
+    return {mu: Fraction(c) for mu, c in pairs}
 
 
 def store(*vectors, connected=True):
@@ -41,50 +41,34 @@ def store(*vectors, connected=True):
     return LabelledSeries(pieces, len(vectors) - 1, connected)
 
 
-def test_coeff_reads_zero_off_the_support():
-    v = vec((p_plus(2), 3))
-    assert v.coeff(p_plus(2)) == 3
-    assert v.coeff(p_plus(1)) == 0
-
-
 def test_zero_coefficients_are_dropped():
-    v = vec((p_plus(1), 0), (q_var(1), 0))
-    assert not v.terms
-    assert v == PolyVector({})
-    assert add(vec((p_plus(1), 1)), vec((p_plus(1), 1)), -1) == PolyVector({})
+    # by the reference sum, and by the store's coefficient of one order
+    assert add(vec((p_plus(1), 1)), vec((p_plus(1), 1)), -1) == {}
+    series = store({p_plus(1): 0, q_var(1): 2, rtype((1, 1)): 0}, {p_plus(1): 0})
+    assert series.coeff(0) == {q_var(1): 2} and series.coeff(1) == {}
 
 
 def test_reference_add_scales_its_second_term():
     v = vec((p_plus(1), 1), (q_var(1), 2))
     w = add(v, v, Fraction(1, 2))
-    assert w.coeff(p_plus(1)) == Fraction(3, 2)
-    assert w.coeff(q_var(1)) == 3
+    assert w == {p_plus(1): Fraction(3, 2), q_var(1): 3}
 
 
 def test_mul_merges_types():
     v = vec((p_plus(2), 1))
     w = vec((p_minus(1), 1), (q_var(1), 1))
-    prod = mul(v, w)
-    assert prod.coeff(rtype((2,), (1,))) == 1
-    assert prod.coeff(rtype((2,), (), (1,))) == 1
+    assert mul(v, w) == {rtype((2,), (1,)): 1, rtype((2,), (), (1,)): 1}
 
 
 def test_mul_respects_degree_cap():
     v = vec((p_plus(2), 1), (p_plus(1), 1))
     prod = mul(v, v, max_degree=3)
-    assert prod.coeff(rtype((1, 1), ())) == 1
-    assert prod.coeff(rtype((2, 1), ())) == 2
-    assert prod.coeff(rtype((2, 2), ())) == 0
+    assert prod == {rtype((1, 1), ()): 1, rtype((2, 1), ()): 2}
 
 
 def test_mul_collects_automorphic_monomials():
     v = vec((p_plus(1), 1))
-    assert mul(v, v).coeff(rtype((1, 1), ())) == 1
-
-
-def test_restrict_degree():
-    v = vec((p_plus(1), 1), (p_plus(3), 1))
-    assert v.restrict_degree(2) == vec((p_plus(1), 1))
+    assert mul(v, v) == {rtype((1, 1), ()): 1}
 
 
 def test_series_mul_uses_binomial_convolution():
@@ -93,7 +77,7 @@ def test_series_mul_uses_binomial_convolution():
     s = [one for _ in range(4)]
     sq = series_mul(s, s, 3, 10)
     for m in range(4):
-        assert sq[m].coeff(rtype((1, 1), ())) == 2 ** m
+        assert sq[m] == {rtype((1, 1), ()): 2 ** m}
 
 
 def test_series_exp_log_roundtrip():
@@ -105,9 +89,9 @@ def test_series_exp_log_roundtrip():
 
 
 def test_series_exp_constant_term_is_exponential():
-    big = series_exp(store({}), 3, enumerate_bidegrees(4))
+    big = series_exp(store({}, {}, {}, {}), 3, enumerate_bidegrees(4))
     for m in range(4):
-        assert big.coeff(m) == (vec((EMPTY_TYPE, 1)) if m == 0 else PolyVector({}))
+        assert big.coeff(m) == ({EMPTY_TYPE: 1} if m == 0 else {})
 
 
 @pytest.mark.parametrize("transform", [series_exp, series_log], ids=["exp", "log"])
@@ -117,6 +101,32 @@ def test_exp_and_log_take_only_the_labelled_store(transform):
     assert realhurwitz.LabelledSeries is LabelledSeries
     with pytest.raises(TypeError, match="LabelledSeries"):
         transform(connected_series(2, 2).coeffs, 2, [(0, 0)])
+
+
+@pytest.mark.parametrize("transform, given, max_m", [
+    (series_log, disconnected_series(2, 2), 4),
+    (series_log, disconnected_series(2, 2), 3),
+    (series_exp, connected_series(2, 2), 3),
+    (series_log, disconnected_series(2, 2), -1),
+    (series_exp, connected_series(2, 2), -1),
+    (series_log, disconnected_series(2, 2), True),
+    (series_exp, connected_series(2, 2), True),
+], ids=["log-above", "log-one-above", "exp-above", "log-negative", "exp-negative",
+        "log-bool", "exp-bool"])
+def test_exp_and_log_refuse_an_order_they_cannot_compute(transform, given, max_m):
+    # an order above the input's would read its missing orders as zero:
+    # the log of the disconnected series through u^2, taken to u^4, would
+    # be empty at m = 3 and 4, where the connected series is not
+    with pytest.raises(ValueError, match="max_m"):
+        transform(given, max_m, enumerate_bidegrees(2))
+
+
+def test_exp_and_log_through_a_lower_order_truncate():
+    grades = enumerate_bidegrees(3)
+    assert series_log(disconnected_series(3, 4), 2, grades).coeffs == \
+        connected_series(3, 2).coeffs
+    assert series_exp(connected_series(3, 4), 2, grades).coeffs == \
+        disconnected_series(3, 2).coeffs
 
 
 def test_series_log_requires_unit_constant():
@@ -173,16 +183,19 @@ def test_series_log_rejects_grades_missing_a_smaller_one():
 
 
 # labelled entries that their label factors (2, 4 or 6) do not divide, so
-# the coefficients keep denominators: 2, 4 and 6 signed, 2 and 6 unsigned
+# the coefficients keep denominators: 2, 4 and 6 signed, 2 and 6 unsigned;
+# both are written through u^3, where they are zero
 SIGNED_LABELLED = store(
     {rtype((1,), (1,)): 1, q_var(1): 1, rtype((1, 1), ()): 1},
     {p_plus(3): 1, p_minus(1): 2},
-    {rtype((), (1, 1, 1)): -5, rtype((3,), (1,)): 3})
+    {rtype((), (1, 1, 1)): -5, rtype((3,), (1,)): 3},
+    {})
 
 UNSIGNED_LABELLED = store(
     {ttype(kappa_odd=(1,)): 1, ttype(lam=(1,)): 1},
     {ttype(kappa_plus=(2,)): 1, ttype(kappa_odd=(1, 1)): 3},
-    {ttype(kappa_odd=(3,)): -1, ttype(kappa_plus=(2,), kappa_odd=(1,)): 5})
+    {ttype(kappa_odd=(3,)): -1, ttype(kappa_plus=(2,), kappa_odd=(1,)): 5},
+    {})
 
 
 @pytest.mark.parametrize("h, grades, empty", [
@@ -190,8 +203,9 @@ UNSIGNED_LABELLED = store(
     (UNSIGNED_LABELLED, [(n,) for n in range(7)], TILDE_EMPTY),
 ], ids=["signed", "unsigned"])
 def test_rational_exp_log_round_trip_matches_power_sums(h, grades, empty):
-    rational = h.coeffs + [PolyVector()]  # through u^3, where h is zero
-    assert any(c.denominator > 1 for vector in rational for _, c in vector)
+    rational = h.coeffs
+    assert len(rational) == 4 and rational[3] == {}
+    assert any(c.denominator > 1 for vector in rational for c in vector.values())
     big = series_exp(h, 3, grades, empty)
     assert big.coeffs == power_sum_exp(rational, 3, 6, empty)
     assert big.value(empty, 0) == 1

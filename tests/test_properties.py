@@ -41,5 +41,5 @@ def test_connected_counts_through_degree_eight_are_integers():
     series = connected_series(8, 8)
     assert any(series.coeffs)
     for m, vec in enumerate(series.coeffs):
-        for mu, c in vec:
+        for mu, c in vec.items():
             assert c.denominator == 1, (m, format_type(mu), c)

@@ -5,7 +5,6 @@ command compiles it; their output goes through cli's writer.
 
 from __future__ import annotations
 
-import io
 import sys
 from itertools import islice
 from typing import Iterable
@@ -19,14 +18,12 @@ def _frac_pair(x) -> list[str]:
 
 
 def _write_csv(header: list, records: Iterable[list]) -> None:
-    """CSV on stdout by csv.writer, written a block of 1,024 rows at a time."""
-    import csv
+    """CSV on stdout, written a block of 1,024 rows at a time. No field of
+    these dumps (digits, signs, points, spaces, brackets, colons) needs quoting."""
     records = iter(records)
     block = [header]
     while block:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(block)
-        _write(buf.getvalue())
+        _write("".join(",".join(row) + "\n" for row in block))
         block = list(islice(records, 1024))
 
 

@@ -1,18 +1,20 @@
 """Unsigned transition model for simple real functions on curves that need
 not separate.
 
-States are involutive partial matchings on one unsigned ground set of n
-elements; a real pole carries a sign only when its order is even, so
-ramification data is a quadruple: even positive real poles, even negative
-real poles, odd real poles, and conjugate pole pairs. The evolution operator
+States are the involutive partial matchings of one unsigned ground set
+range(n), the matchings of its complete graph (oracle.matchings); a real
+pole carries a sign only when its order is even, so ramification data is a
+quadruple: even positive real poles, even negative real poles, odd real
+poles, and conjugate pole pairs. The evolution operator
 on the invariant algebra is left multiplication by the class sum of
 transpositions; it preserves the total degree but not a bidegree. Its
 columns come from its term families (tilde_images), the transcribed
 differential-operator form with its garbled superscripts repaired, as the
 signed plus operator's come from wplus_images; both read the same per-partition
-move tables (operators._moves). The walks are the check:
-tilde_mult_c2_matrix derives the same columns from the walk model, and
-tilde_labelled_by_paths gives the walk totals that the evolution must equal.
+move tables (operators._moves). The walks are the check: bound to the
+oracle's core as tilde_states and tilde_classify, tilde_mult_c2_matrix derives
+the same columns and tilde_labelled_by_paths the walk totals that the
+evolution must equal; only these walk bindings import the oracle.
 The entries are integers, so the series run on labelled integer counts, n!
 times each count of degree n. UNSIGNED binds the model to the pipeline that
 the signed model shares (operators.evolve, poly.series, poly.value): these
@@ -25,7 +27,8 @@ model's types_by_grade, canonical_key, format_type and euler_characteristic.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache, partial
+from functools import partial
+from itertools import combinations
 from math import comb, factorial, prod
 from typing import Iterator, NamedTuple
 
@@ -99,34 +102,11 @@ def tilde_enumerate_types(n: int) -> tuple[TildeType, ...]:
     return types_by_grade(ttype, n)[(n,)]
 
 
-@lru_cache(maxsize=None)
 def tilde_states(n: int) -> tuple[TildeState, ...]:
-    """Involutive partial matchings on range(n)."""
-
-    def matchings(elems: tuple[int, ...]) -> Iterator[frozenset]:
-        if not elems:
-            yield frozenset()
-            return
-        first, rest = elems[0], elems[1:]
-        yield from matchings(rest)  # first stays single
-        for k, other in enumerate(rest):
-            remaining = rest[:k] + rest[k + 1:]
-            for m in matchings(remaining):
-                yield m | {(first, other)}
-
-    return tuple(sorted(matchings(tuple(range(n))),
-                        key=lambda s: (len(s), sorted(s))))
-
-
-def tilde_neighbors(s: TildeState, n: int) -> Iterator[TildeState]:
-    """States one transposition away: one pair removed or one pair added."""
-    for pair in sorted(s):
-        yield s - {pair}
-    used = {i for pair in s for i in pair}
-    free = [i for i in range(n) if i not in used]
-    for a in range(len(free)):
-        for b in range(a + 1, len(free)):
-            yield s | {(free[a], free[b])}
+    """Involutive partial matchings on range(n): the matchings of the
+    complete graph on it."""
+    from .oracle import matchings
+    return matchings(tuple(combinations(range(n), 2)))
 
 
 def tilde_classify(t: TildeTransition, n: int) -> TildeType:
@@ -154,7 +134,7 @@ def tilde_classify(t: TildeTransition, n: int) -> TildeType:
 def _unsigned():
     # built per call, so that a rebound module-level name takes effect
     from .oracle import WalkModel
-    return WalkModel(tilde_states, tilde_neighbors, tilde_classify)
+    return WalkModel(tilde_states, tilde_classify)
 
 
 def tilde_class_sizes(n: int) -> Counter:
@@ -221,14 +201,9 @@ tilde_column = cached_columns(lambda mu: tilde_images(mu), ttype)
 
 def tilde_operator_matrix(n: int) -> BlockMatrix:
     """Matrix of the evolution operator on the degree-n invariant algebra,
-    assembled once from the shared columns of tilde_images. An n that is
-    not a nonnegative int raises ValueError before the cache is read."""
+    assembled from the shared columns of tilde_images. An n that is not a
+    nonnegative int raises ValueError."""
     nonnegative(n=n)
-    return _tilde_operator_matrix(n)
-
-
-@lru_cache(maxsize=None)
-def _tilde_operator_matrix(n: int) -> BlockMatrix:
     return BlockMatrix(n, tilde_enumerate_types(n), tilde_column)
 
 

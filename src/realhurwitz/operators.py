@@ -238,15 +238,9 @@ _COLUMNS = {OperatorKind.WPLUS: wplus_column, OperatorKind.WMINUS: wminus_column
 
 
 def block_matrix(kind: OperatorKind, b: Bidegree) -> BlockMatrix:
-    """The chosen operator on the enumerate_types(b) basis, assembled once
-    from the shared columns; the mean's half-sum columns are built here. A
-    component of b that is not a nonnegative int raises ValueError before
-    the cache of blocks is read."""
+    """The chosen operator on the enumerate_types(b) basis, assembled from
+    the shared columns; the mean's half-sum columns are built here. A
+    component of b that is not a nonnegative int raises ValueError."""
     b = Bidegree(*b)
     nonnegative(n_plus=b.n_plus, n_minus=b.n_minus)
-    return _block_matrix(kind, b)
-
-
-@lru_cache(maxsize=None)
-def _block_matrix(kind: OperatorKind, b: Bidegree) -> BlockMatrix:
     return BlockMatrix(b, enumerate_types(b), _COLUMNS[kind])

@@ -1,28 +1,30 @@
 """Brute-force transition model on signed partial matchings.
 
-A state on the block (n+, n-) is a partial matching between two labeled sets;
-a transition is an ordered pair of states. The alternating chains and cycles
-of a transition encode a ramification type, transpositions are the transitions
-whose states differ by a single matched pair, and multiplying by the class sum
-of transpositions gives the columns that the cut-and-join operators must equal.
+A state of a walk model is a matching on the vertices range(size), a frozenset
+of pairs (a, b) with a < b, and a transition is an ordered pair of states. On
+the signed block (n+, n-) the plus vertices 0 .. n+-1 come first and each pair
+joins one to a minus vertex; both models list their states by matchings. The
+alternating chains and cycles of a transition encode a ramification type,
+transpositions are the transitions whose states differ by a single pair, and
+multiplying by the class sum of transpositions gives the columns that the
+cut-and-join operators must equal.
 Relabelling the ground sets keeps every type, move and walk and is transitive
 on the states with one pair count and on each class of transitions, so walks
 start from one state per orbit, times its size, and one transition stands
 for its class; the rest is enumerated exhaustively. Each pair that starts at
-a representative is classified once per block (orbit_types), the neighbours
-of each state are listed once per block (neighbour_table), and the class
-search, its moves and the walks read those tables; each representative's walk
-is stepped once through every order, so labelled_by_paths(b, max_m) returns
-the orders 0 .. max_m, as the evolution does. This module is the
-independent check on the operator route, so it imports nothing from it but the
-model. The chain/cycle decomposition, orbits, walks and class multiplication
-are generic over the transition model, and the unsigned model binds them too.
+a representative is classified once per block (orbit_types), the moves of
+each state are listed once per block from its states alone (neighbour_table),
+and the class search, its moves and the walks read those tables; each
+representative's walk is stepped once through every order, so
+labelled_by_paths(b, max_m) returns the orders 0 .. max_m, as the evolution
+does. This module is the independent check on the operator route, so it
+imports nothing from it but the model. A walk model is its states and its
+classifier, and the unsigned model binds the same core.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterator, Mapping, NamedTuple
 
@@ -33,36 +35,24 @@ Transition = tuple[State, State]
 
 
 def states(n_plus: int, n_minus: int) -> tuple[State, ...]:
-    """All partial matchings between {0..n+-1} and {0..n--1}, in a fixed order;
-    a size that is not a nonnegative int raises ValueError before the cache."""
+    """All partial matchings of the block: the matchings of the graph joining
+    each plus vertex 0 .. n+-1 to each minus vertex n+ .. n+ + n- - 1; a size
+    that is not a nonnegative int raises ValueError before the cache."""
     nonnegative(n_plus=n_plus, n_minus=n_minus)
-    return _states(n_plus, n_minus)
+    return matchings(tuple((i, n_plus + j) for i in range(n_plus) for j in range(n_minus)))
 
 
 @lru_cache(maxsize=None)
-def _states(n_plus: int, n_minus: int) -> tuple[State, ...]:
-    found = []
-    for k in range(min(n_plus, n_minus) + 1):
-        for plus_side in combinations(range(n_plus), k):
-            for minus_side in permutations(range(n_minus), k):
-                found.append(frozenset(zip(plus_side, minus_side)))
-    found.sort(key=lambda s: sorted(s))
-    found.sort(key=len)
+def matchings(edges: tuple) -> tuple[State, ...]:
+    """Every matching of the graph with these sorted edges (a, b), a < b,
+    ordered by pair count and then by sorted pairs: each one built once, its
+    pairs added in increasing order, so every level comes out sorted."""
+    found, level = [], [((), ())]
+    while level:
+        found += (frozenset(pairs) for pairs, _ in level)
+        level = [(pairs + (e,), used + e) for pairs, used in level for e in edges
+                 if (not pairs or e > pairs[-1]) and e[0] not in used and e[1] not in used]
     return tuple(found)
-
-
-def neighbor_states(s: State, n_plus: int, n_minus: int) -> Iterator[State]:
-    """States differing from s by one pair: every removal, then every addition."""
-    for pair in sorted(s):
-        yield s - {pair}
-    used_plus = {i for i, _ in s}
-    used_minus = {j for _, j in s}
-    for i in range(n_plus):
-        if i in used_plus:
-            continue
-        for j in range(n_minus):
-            if j not in used_minus:
-                yield s | {(i, j)}
 
 
 def chains_and_cycles(t, size: int, initial_pairs, final_pairs
@@ -113,19 +103,16 @@ def chains_and_cycles(t, size: int, initial_pairs, final_pairs
 def classify(t: Transition, n_plus: int, n_minus: int) -> RamificationType:
     """Ramification type of a transition, from its chain decomposition.
 
-    Plus element i is vertex i and minus element j is vertex n_plus + j. A
-    cycle on 2l vertices gives a part l of lam. A chain on k vertices gives
-    a part k: for odd k in the kappa of the side holding both ends, for even
-    k in kappa_plus when the ends are unmatched in the initial state and in
-    kappa_minus when unmatched in the final state.
+    The states are matchings of the block (see states), plus vertices
+    first. A cycle on 2l vertices gives a part l of lam. A chain on k
+    vertices gives a part k: for odd k in the kappa of the side holding both
+    ends, for even k in kappa_plus when the ends are unmatched in the
+    initial state and in kappa_minus when unmatched in the final state.
     """
-    initial, final = t
     kappa_plus: list[int] = []
     kappa_minus: list[int] = []
     lam: list[int] = []
-    for k, ends, sides in chains_and_cycles(
-            t, n_plus + n_minus, [(i, n_plus + j) for i, j in initial],
-            [(i, n_plus + j) for i, j in final]):
+    for k, ends, sides in chains_and_cycles(t, n_plus + n_minus, *t):
         if not ends:
             lam.append(k // 2)
         elif k % 2:
@@ -142,18 +129,16 @@ def classify(t: Transition, n_plus: int, n_minus: int) -> RamificationType:
 
 
 class WalkModel(NamedTuple):
-    """states(*block) in a fixed order, the states one transposition away
-    from s as neighbours(s, *block), and the type of a transition t as
-    classify(t, *block)."""
+    """states(*block), the matchings of the block in the order of matchings,
+    and the type of a transition t as classify(t, *block)."""
 
     states: Callable[..., tuple]
-    neighbours: Callable[..., Iterator]
     classify: Callable[..., Hashable]
 
 
 def _signed() -> WalkModel:
     # built per call, so that a rebound module-level name takes effect
-    return WalkModel(states, neighbor_states, classify)
+    return WalkModel(states, classify)
 
 
 def orbits(model: WalkModel, block: tuple) -> list[tuple[State, int]]:
@@ -178,9 +163,17 @@ def orbit_types(model: WalkModel, block: tuple) -> tuple[tuple[State, int, Mappi
 
 @lru_cache(maxsize=None)
 def neighbour_table(model: WalkModel, block: tuple) -> Mapping:
-    """{state: the states one transposition away}, read-only: model.neighbours
-    asked once per state of the block and shared by the class search and the walks."""
-    return MappingProxyType({s: tuple(model.neighbours(s, *block)) for s in model.states(*block)})
+    """{state: the states one transposition away}, read-only, built once per
+    block and shared by the class search and the walks. A move removes one
+    pair, or adds one edge of the block (a pair of one of its states) whose
+    two ends are free."""
+    all_states = model.states(*block)
+    edges = sorted(set().union(*all_states))
+    table = {}
+    for s in all_states:
+        used = set().union(*s)
+        table[s] = (*(s - {p} for p in s), *(s | {e} for e in edges if used.isdisjoint(e)))
+    return MappingProxyType(table)
 
 
 def class_multiplication(model: WalkModel, block: tuple, side: str = "left") -> dict:

@@ -184,7 +184,8 @@ def _euler_recurrence(given: LabelledSeries, max_m: int, grades, log: bool) -> L
     ArithmeticError. grades must contain, with every grade, all smaller
     ones (componentwise); a product of pieces c and b - c lies in piece b,
     so the result is exact on every listed grade. An order max_m that is
-    not a nonnegative int, or one above given's, raises ValueError.
+    not a nonnegative int, or one above given's, raises ValueError, and so
+    does a listed grade of nonzero size that given has no piece of.
     """
     nonnegative(max_m=max_m)
     if max_m > given.max_m:
@@ -211,7 +212,9 @@ def _euler_recurrence(given: LabelledSeries, max_m: int, grades, log: bool) -> L
             if min(d) >= 0 and sum(d):
                 weight = prod(comb(x, y) for x, y in zip(b, c))
                 _convolve_into(acc, piece, h[d], weight, binom, max_m)
-        vectors = list(given.pieces.get(b, ()))[:width]
+        if b not in given.pieces:
+            raise ValueError(f"grade {tuple(b)} is listed but was not computed")
+        vectors = list(given.pieces[b])[:width]
         vectors += [{}] * (width - len(vectors))
         known = {k: [vec.get(k, 0) for vec in vectors] for k in _keys(b, vectors)}
         out = {}

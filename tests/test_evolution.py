@@ -289,7 +289,7 @@ def test_block_matrix_refuses_a_malformed_bidegree_and_caches_none(b):
 
 def test_the_cached_lookups_check_a_size_before_their_cache():
     # True equals 1 and hashes alike, so a cache read first would answer it
-    assert states(1, 1) == (frozenset(), frozenset({(0, 0)}))
+    assert states(1, 1) == (frozenset(), frozenset({(0, 1)}))
     assert type(tilde_operator_matrix(1).block) is int
     for call in (lambda: tilde_operator_matrix(True), lambda: states(True, 1)):
         with pytest.raises(ValueError, match="must be a nonnegative int"):

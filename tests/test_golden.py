@@ -49,6 +49,11 @@ GOLDEN = [
      "cc1ab7c43b582e8b02c9823444032bc856da3c4e33ab4f15d77e3c444a01c3a0"),
     ("spectrum --nplus 1 --nminus 1 --format json", 0,
      "858c3b726748f84b88c732e4ed5eafee47c8d54dcd64d1ccd41fc71650804eee"),
+    # the exact path and the float path of the CSV dump
+    ("spectrum --nplus 1 --nminus 1 --format csv", 0,
+     "c8791f2786a02860827729e478670b61b6ae1e98fc6764129ba469d8fe6b7f55"),
+    ("spectrum --nplus 4 --nminus 2 --format csv", 0,
+     "ec224573cec21e55a5f50d9e203b60574cf376b101738d0804366343c9bcb64b"),
     ("spectrum --nplus 2 --nminus 1", 0,
      "bcd231820148bfce7551b20bb592ffef213c1a75e5e75b88d64ed48ab3f3adc7"),
     ("spectrum --nplus 3 --nminus 3 --format json", 0,

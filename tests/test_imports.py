@@ -71,8 +71,9 @@ def test_a_command_imports_only_the_modules_it_runs(argv, runs, left_out):
     (TABLE, 1147), (NONSEP, 1400), (VERIFY_ORACLE, 1235), (SPECTRUM, 1812),
     (ORACLE, 1030), (BLOCK, 819), (["verify", "--suite", "nonsep"], 1721),
     (["verify", "--suite", "paper"], 1530), (VERIFY_GENUS0, 1430),
+    (["verify", "--suite", "spectral"], 1258),
 ], ids=["table", "nonsep", "verify-oracle", "spectrum", "oracle", "block", "verify-nonsep",
-        "verify-paper", "verify-genus0"])
+        "verify-paper", "verify-genus0", "verify-spectral"])
 def test_a_command_compiles_at_most_its_budget_of_lines(argv, budget):
     # a cold run compiles every submodule it loads, so their source lines
     # bound what its start-up spends on compiling

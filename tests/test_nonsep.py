@@ -20,7 +20,6 @@ from realhurwitz.nonsep import (
     tilde_labelled_by_paths,
     tilde_mult_c2_matrix,
     tilde_operator_matrix,
-    tilde_states,
     tilde_table_rows,
     tilde_zeta,
     ttype,
@@ -28,10 +27,6 @@ from realhurwitz.nonsep import (
 
 EMPTY = frozenset()
 PAIR01 = frozenset({(0, 1)})
-
-
-def test_state_counts_are_involution_numbers():
-    assert [len(tilde_states(n)) for n in range(6)] == [1, 1, 2, 4, 10, 26]
 
 
 def test_ttype_validates_parity():

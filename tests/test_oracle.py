@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial
 from pathlib import Path
 
@@ -29,8 +29,9 @@ from realhurwitz.model import (
 from realhurwitz.oracle import (
     classify,
     labelled_by_paths,
+    matchings,
     mult_c2_matrix,
-    neighbor_states,
+    neighbour_table,
     orbits,
     states,
 )
@@ -44,7 +45,11 @@ from walk_reference import (
 )
 
 EMPTY = frozenset()
-PAIR = frozenset({(0, 0)})
+PAIR = frozenset({(0, 1)})  # on the block (1, 1): plus vertex 0, minus vertex 1
+
+# the blocks of each model that the state tests run on
+MODEL_BLOCKS = [pytest.param(SIGNED, [(a, b) for a in range(5) for b in range(5)], id="signed"),
+                pytest.param(UNSIGNED, [(n,) for n in range(10)], id="unsigned")]
 
 
 def matching_count(n_plus, n_minus):
@@ -52,16 +57,38 @@ def matching_count(n_plus, n_minus):
                for k in range(min(n_plus, n_minus) + 1))
 
 
-def test_state_counts():
-    for a in range(4):
-        for b in range(4):
-            assert len(states(a, b)) == matching_count(a, b)
+def involution_count(n):
+    return sum(comb(n, 2 * k) * factorial(2 * k) // (2 ** k * factorial(k))
+               for k in range(n // 2 + 1))
+
+
+@pytest.mark.parametrize("model, blocks", MODEL_BLOCKS)
+def test_state_counts(model, blocks):
+    count = matching_count if model is SIGNED else involution_count
+    for block in blocks:
+        assert len(model.states(*block)) == count(*block)
+    if model is UNSIGNED:
+        assert [count(n) for n in range(8)] == [1, 1, 2, 4, 10, 26, 76, 232]
+
+
+@pytest.mark.parametrize("model, blocks", MODEL_BLOCKS)
+def test_states_are_ordered_by_pair_count_then_pairs(model, blocks):
+    for block in blocks:
+        found = model.states(*block)
+        assert list(found) == sorted(found, key=lambda s: (len(s), sorted(s)))
+        assert len(set(found)) == len(found)
 
 
 def test_states_are_partial_matchings():
+    # a signed state joins plus vertices 0 .. n+-1 to minus vertices after
+    # them; an unsigned one pairs any two vertices of range(n)
     for s in states(3, 2):
-        assert len({i for i, _ in s}) == len(s)
-        assert len({j for _, j in s}) == len(s)
+        assert all(a < 3 <= b < 5 for a, b in s)
+        assert len(set().union(*s)) == 2 * len(s)
+    assert states(3, 2) is matchings(tuple((a, b) for a in range(3) for b in (3, 4)))
+    assert UNSIGNED.states(4) is matchings(tuple(combinations(range(4), 2)))
+    assert matchings(((0, 1), (0, 2), (1, 2))) == (
+        EMPTY, frozenset({(0, 1)}), frozenset({(0, 2)}), frozenset({(1, 2)}))
 
 
 def test_classify_identity_transitions():
@@ -75,11 +102,11 @@ def test_classify_single_transpositions():
 
 
 @pytest.mark.parametrize("t, n_plus, n_minus", [
-    # plus element 0 lies in two pairs of the initial "matching"
-    ((frozenset({(0, 0), (0, 1)}), frozenset({(1, 1)})), 2, 2),
-    ((frozenset({(0, 0), (0, 1)}), frozenset({(0, 0), (0, 1)})), 1, 2),
-    # a tree with three ends: one plus element paired with three minus ones
-    ((frozenset({(0, 0), (0, 1), (0, 2)}), frozenset()), 1, 3),
+    # plus vertex 0 lies in two pairs of the initial "matching"
+    ((frozenset({(0, 2), (0, 3)}), frozenset({(1, 3)})), 2, 2),
+    ((frozenset({(0, 1), (0, 2)}), frozenset({(0, 1), (0, 2)})), 1, 2),
+    # a tree with three ends: one plus vertex paired with three minus ones
+    ((frozenset({(0, 1), (0, 2), (0, 3)}), frozenset()), 1, 3),
 ], ids=["mixed-end-matchings", "neither-chain-nor-cycle", "branching-chain"])
 def test_classify_rejects_malformed_transition(t, n_plus, n_minus):
     with pytest.raises(AssertionError):
@@ -116,12 +143,16 @@ def test_classify_covariant_under_inversion():
             assert nu.kappa_minus.count(k) == mu.kappa_plus.count(k)
 
 
-def test_neighbor_states_are_the_transpositions():
-    for s in states(2, 2):
-        neighbors = set(neighbor_states(s, 2, 2))
-        # a transposition adds or removes exactly one matched pair
-        expected = {t for t in states(2, 2) if len(s ^ t) == 1}
-        assert neighbors == expected
+@pytest.mark.parametrize("model, blocks", MODEL_BLOCKS)
+def test_moves_are_the_transpositions(model, blocks):
+    # a transposition adds or removes exactly one matched pair, each move once
+    for block in (b for b in blocks if sum(b) <= 7):
+        all_states = model.states(*block)
+        moves = neighbour_table(model, block)
+        assert list(moves) == list(all_states)
+        for s in all_states:
+            assert len(set(moves[s])) == len(moves[s])
+            assert set(moves[s]) == {t for t in all_states if len(s ^ t) == 1}
 
 
 def test_transpositions_have_a_single_part_two():
@@ -145,8 +176,8 @@ def _relabellings(model, block):
         return
     n_plus, n_minus = block
     for p in permutations(range(n_plus)):
-        for q in permutations(range(n_minus)):
-            yield lambda s, p=p, q=q: frozenset((p[i], q[j]) for i, j in s)
+        for q in permutations(range(n_plus, n_plus + n_minus)):
+            yield lambda s, p=p, q=q: frozenset((p[a], q[b - n_plus]) for a, b in s)
 
 
 def _blocks_through(size):
@@ -185,14 +216,14 @@ def test_orbit_sums_equal_full_enumeration(model, block):
         assert total == walk_reference.walk_totals(model, block, m)
 
 
-def _run_verify(script: str, suite: str) -> list[str]:
+def _run_verify(script: str, suite: str, code: int = 1) -> list[str]:
     """Run script with SUITE bound to the suite name in a fresh interpreter;
-    assert that it exits 1 and return its FAIL lines."""
+    assert that it exits with code and return its FAIL lines."""
     src = os.path.dirname(os.path.dirname(realhurwitz.__file__))
     proc = subprocess.run([sys.executable, "-c", f"SUITE = {suite!r}\n{script}"],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return [line for line in proc.stdout.splitlines() if line.startswith("FAIL")]
 
 
@@ -267,6 +298,22 @@ WRONG_TABLE = _source_mutant("model.classify((rep, s), *block)",
 ORDER_SHIFT = _source_mutant("            if m:\n", "            if True:\n")
 
 
+# the signed edges with one same-side pair added: plus vertices 0 and 1
+SAME_SIDE_EDGE = _source_mutant(
+    "matchings(tuple((i, n_plus + j) for i in range(n_plus) for j in range(n_minus)))",
+    "matchings(tuple(sorted([(i, n_plus + j) for i in range(n_plus) for j in range(n_minus)]"
+    " + [(0, 1)] * (n_plus > 1))))")
+
+
+def test_verify_catches_a_same_side_edge():
+    # the class search on (2, 0) finds types the operators do not have, and
+    # on (2, 1) the classifier refuses an odd chain with one end on each side
+    failed = _run_verify(SAME_SIDE_EDGE, "oracle", code=3)
+    assert failed[:2] == [
+        f"FAIL {op} operator equals {side} class multiplication on (2, 0): "
+        "expected True actual False" for op, side in (("plus", "left"), ("minus", "right"))]
+
+
 @pytest.mark.parametrize("script", [WRONG_TABLE, ORDER_SHIFT],
                          ids=["wrong-table", "order-shift"])
 def test_verify_catches_wrong_walk_totals(script):
@@ -284,7 +331,7 @@ def test_each_representative_pair_is_classified_once(model, block):
         calls[t] += 1
         return model.classify(t, *args)
 
-    counting = oracle.WalkModel(model.states, model.neighbours, counted)
+    counting = oracle.WalkModel(model.states, counted)
     assert oracle.walk_totals(counting, block, 6) == oracle.walk_totals(model, block, 6)
     for side in ("left", "right"):
         assert (oracle.class_multiplication(counting, block, side)
@@ -299,23 +346,29 @@ def test_each_representative_pair_is_classified_once(model, block):
 
 
 def test_the_walks_and_the_class_search_list_the_neighbours_of_a_state_once():
-    # every (state, block) of the oracle suite's blocks is asked once, though
-    # the walks revisit states at each representative and order
+    # the moves of every state of the oracle suite's blocks are listed once,
+    # in one table per block, though the walks revisit states at each
+    # representative and order and both sides of the class search read them
     calls = Counter()
     blocks = [(SIGNED, b) for b in enumerate_bidegrees(5)] + [(UNSIGNED, (n,)) for n in range(6)]
-    for model, block in blocks:
-        def counted(s, *args, model=model):
-            calls[s, args] += 1
-            return model.neighbours(s, *args)
+    expected = [(oracle.walk_totals(model, block, 6),
+                 *(oracle.class_multiplication(model, block, side) for side in ("left", "right")))
+                for model, block in blocks]
+    built = oracle.neighbour_table.cache_info().misses
+    for (model, block), want in zip(blocks, expected):
+        def counted(*block, model=model):
+            calls[block] += 1
+            return model.states(*block)
 
-        counting = oracle.WalkModel(model.states, counted, model.classify)
-        assert oracle.walk_totals(counting, block, 6) == oracle.walk_totals(model, block, 6)
-        for side in ("left", "right"):
-            assert (oracle.class_multiplication(counting, block, side)
-                    == oracle.class_multiplication(model, block, side))
-    assert set(calls.values()) == {1}
-    assert set(calls) == {(s, tuple(block)) for model, block in blocks
-                          for s in model.states(*block)}
+        counting = oracle.WalkModel(counted, model.classify)
+        table = oracle.neighbour_table(counting, block)
+        assert calls[tuple(block)] == 1
+        assert (oracle.walk_totals(counting, block, 6),
+                *(oracle.class_multiplication(counting, block, side)
+                  for side in ("left", "right"))) == want
+        assert oracle.neighbour_table(counting, block) is table
+    # one table built per block, its moves taken from the states alone
+    assert oracle.neighbour_table.cache_info().misses - built == len(blocks)
     # the shared table refuses edits
     with pytest.raises(TypeError):
         oracle.neighbour_table(SIGNED, Bidegree(1, 1))[EMPTY] = ()

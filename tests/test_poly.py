@@ -32,9 +32,10 @@ def vec(*pairs):
     return {mu: Fraction(c) for mu, c in pairs}
 
 
-def store(*vectors, connected=True):
-    """A LabelledSeries of labelled vectors {key: x}, one for each m."""
-    pieces: dict = {}
+def store(*vectors, connected=True, grades=()):
+    """A LabelledSeries of labelled vectors {key: x}, one for each m, with a
+    piece for each listed grade, empty where no vector has a key of it."""
+    pieces: dict = {g: [{} for _ in vectors] for g in grades}
     for m, vector in enumerate(vectors):
         for k, x in vector.items():
             pieces.setdefault(k.grade, [{} for _ in vectors])[m][k] = x
@@ -81,7 +82,8 @@ def test_series_mul_uses_binomial_convolution():
 
 
 def test_series_exp_log_roundtrip():
-    h = store({p_plus(1): 1, q_var(1): 1}, {p_plus(2): 1}, {p_plus(3): 2, p_minus(1): 1})
+    h = store({p_plus(1): 1, q_var(1): 1}, {p_plus(2): 1}, {p_plus(3): 2, p_minus(1): 1},
+              grades=enumerate_bidegrees(6))
     big = series_exp(h, 2, enumerate_bidegrees(6))
     assert big.value(EMPTY_TYPE, 0) == 1
     back = series_log(big, 2, enumerate_bidegrees(6))
@@ -89,7 +91,8 @@ def test_series_exp_log_roundtrip():
 
 
 def test_series_exp_constant_term_is_exponential():
-    big = series_exp(store({}, {}, {}, {}), 3, enumerate_bidegrees(4))
+    big = series_exp(store({}, {}, {}, {}, grades=enumerate_bidegrees(4)), 3,
+                     enumerate_bidegrees(4))
     for m in range(4):
         assert big.coeff(m) == ({EMPTY_TYPE: 1} if m == 0 else {})
 
@@ -119,6 +122,17 @@ def test_exp_and_log_refuse_an_order_they_cannot_compute(transform, given, max_m
     # be empty at m = 3 and 4, where the connected series is not
     with pytest.raises(ValueError, match="max_m"):
         transform(given, max_m, enumerate_bidegrees(2))
+
+
+@pytest.mark.parametrize("transform, given, grade", [
+    (series_log, disconnected_series(2, 2), Bidegree(3, 0)),
+    (series_exp, connected_series(2, 2), Bidegree(2, 1)),
+], ids=["log", "exp"])
+def test_exp_and_log_refuse_a_listed_grade_their_input_lacks(transform, given, grade):
+    # read as zeros, the missing piece would give the log -1/6 at p_1^+3,
+    # m = 0, and the exp 0 at p_3^+, m = 2, where the true values are 0 and 1
+    with pytest.raises(ValueError, match=r"grade \(\d, \d\) is listed but was not computed"):
+        transform(given, 2, enumerate_bidegrees(2) + [grade])
 
 
 def test_exp_and_log_through_a_lower_order_truncate():
@@ -177,7 +191,8 @@ def test_records_refuse_a_key_in_two_pieces_before_any_record():
 
 
 def test_series_log_rejects_grades_missing_a_smaller_one():
-    big = series_exp(store({p_plus(1): 1}), 0, enumerate_bidegrees(2))
+    big = series_exp(store({p_plus(1): 1}, grades=enumerate_bidegrees(2)), 0,
+                     enumerate_bidegrees(2))
     with pytest.raises(ValueError):
         series_log(big, 0, [Bidegree(0, 0), Bidegree(1, 1)])
 
@@ -189,13 +204,13 @@ SIGNED_LABELLED = store(
     {rtype((1,), (1,)): 1, q_var(1): 1, rtype((1, 1), ()): 1},
     {p_plus(3): 1, p_minus(1): 2},
     {rtype((), (1, 1, 1)): -5, rtype((3,), (1,)): 3},
-    {})
+    {}, grades=enumerate_bidegrees(6))
 
 UNSIGNED_LABELLED = store(
     {ttype(kappa_odd=(1,)): 1, ttype(lam=(1,)): 1},
     {ttype(kappa_plus=(2,)): 1, ttype(kappa_odd=(1, 1)): 3},
     {ttype(kappa_odd=(3,)): -1, ttype(kappa_plus=(2,), kappa_odd=(1,)): 5},
-    {})
+    {}, grades=[(n,) for n in range(7)])
 
 
 @pytest.mark.parametrize("h, grades, empty", [
@@ -238,12 +253,12 @@ def labelled_vectors(draw, keys):
 def test_exp_and_log_of_an_integer_store_are_integers(keys, grades, empty, max_degree, data):
     vectors = data.draw(labelled_vectors(keys))
     max_m = len(vectors) - 1
-    h = store(*vectors)
+    h = store(*vectors, grades=grades)
     big = series_exp(h, max_m, grades, empty)
     assert big.coeffs == power_sum_exp(h.coeffs, max_m, max_degree, empty)
     back = series_log(big, max_m, grades)
     assert back.coeffs == h.coeffs
-    unit = store({**vectors[0], empty: 1}, *vectors[1:], connected=False)
+    unit = store({**vectors[0], empty: 1}, *vectors[1:], connected=False, grades=grades)
     conn = series_log(unit, max_m, grades)
     assert conn.coeffs == power_sum_log(unit.coeffs, max_m, max_degree)
     for result in (big, back, conn):

@@ -14,13 +14,22 @@ given in that column form.
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 from realhurwitz.model import RamificationType, bidegree
-from realhurwitz.nonsep import tilde_classify, tilde_neighbors, tilde_states
-from realhurwitz.oracle import WalkModel, classify, neighbor_states, states
+from realhurwitz.nonsep import tilde_classify, tilde_states
+from realhurwitz.oracle import WalkModel, classify, states
 
-SIGNED = WalkModel(states, neighbor_states, classify)
-UNSIGNED = WalkModel(tilde_states, tilde_neighbors, tilde_classify)
+SIGNED = WalkModel(states, classify)
+UNSIGNED = WalkModel(tilde_states, tilde_classify)
+
+
+@lru_cache(maxsize=None)
+def transpositions(model: WalkModel, block: tuple) -> dict:
+    """{state: the states that differ from it by one pair}, by comparing
+    every two states of the block."""
+    all_states = model.states(*block)
+    return {s: [t for t in all_states if len(s ^ t) == 1] for s in all_states}
 
 
 def transitions(n_plus: int, n_minus: int) -> list[tuple]:
@@ -39,13 +48,13 @@ def members(model: WalkModel, block: tuple, mu) -> tuple:
 def member_moves(model: WalkModel, block: tuple, side: str = "left") -> dict:
     """Per type, the one-step move counts {type: count} on that side of each
     of its transitions, every transition and move classified once."""
-    kind, neighbours = model.classify, model.neighbours
+    kind, neighbours = model.classify, transpositions(model, block)
     found: dict = {}
     all_states = model.states(*block)
     for initial in all_states:
         for final in all_states:
             counts: dict = {}
-            for s in neighbours(initial if side == "left" else final, *block):
+            for s in neighbours[initial if side == "left" else final]:
                 nu = kind((s, final) if side == "left" else (initial, s), *block)
                 counts[nu] = counts.get(nu, 0) + 1
             found.setdefault(kind((initial, final), *block), []).append(counts)
@@ -68,10 +77,11 @@ def walks_from(model: WalkModel, block: tuple, start, m: int) -> dict:
     """Number of m-step transposition walks from start to each state they
     reach, stepped afresh from start for each m."""
     counts = {start: 1}
+    neighbours = transpositions(model, block)
     for _ in range(m):
         step: dict = {}
         for s, c in counts.items():
-            for t in model.neighbours(s, *block):
+            for t in neighbours[s]:
                 step[t] = step.get(t, 0) + c
         counts = step
     return counts

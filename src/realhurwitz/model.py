@@ -54,17 +54,11 @@ def nonnegative(**caps) -> None:
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
-    """Yield all partitions of n in non-increasing part order."""
-    if n < 0:
-        return
-    if n == 0:
-        yield ()
-        return
+    """Yield all partitions of n in non-increasing part order; none if n < 0."""
 
     def gen(remaining: int, largest: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
             yield ()
-            return
         for first in range(min(remaining, largest), 0, -1):
             for rest in gen(remaining - first, first):
                 yield (first,) + rest

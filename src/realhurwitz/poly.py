@@ -185,7 +185,7 @@ def _euler_recurrence(given: LabelledSeries, max_m: int, grades, log: bool) -> L
     ones (componentwise); a product of pieces c and b - c lies in piece b,
     so the result is exact on every listed grade. An order max_m that is
     not a nonnegative int, or one above given's, raises ValueError, and so
-    does a listed grade of nonzero size that given has no piece of.
+    does a listed grade of nonzero size whose piece given lacks or cuts short.
     """
     nonnegative(max_m=max_m)
     if max_m > given.max_m:
@@ -215,7 +215,8 @@ def _euler_recurrence(given: LabelledSeries, max_m: int, grades, log: bool) -> L
         if b not in given.pieces:
             raise ValueError(f"grade {tuple(b)} is listed but was not computed")
         vectors = list(given.pieces[b])[:width]
-        vectors += [{}] * (width - len(vectors))
+        if len(vectors) < width:
+            raise ValueError(f"grade {tuple(b)} stops at u^{len(vectors) - 1}, below u^{max_m}")
         known = {k: [vec.get(k, 0) for vec in vectors] for k in _keys(b, vectors)}
         out = {}
         for k in {**known, **acc}:

@@ -2,10 +2,10 @@
 
 On every bidegree block the plus and minus operators commute and are
 self-adjoint for the scalar product with diagonal Gram matrix Z = diag(zeta),
-so they share an eigenbasis. The decomposition below works in exact rational
-arithmetic whenever both characteristic polynomials factor over the integers
-(their monic integer form makes every rational root an integer), and falls
-back to certified floating point otherwise. Both properties are verified at
+so they share an eigenbasis. It is exact when a descending integer scan divides
+both characteristic polynomials out (every rational root of their monic integer
+form is an integer), else certified float; either way pairs come largest first
+and both checks allow a slack of 0 or 10 tol. Both properties are verified at
 runtime and violations raise instead of degrading silently.
 """
 
@@ -57,52 +57,43 @@ def charpoly(m: Matrix) -> tuple[Fraction, ...]:
 
 def eigenvalue_bound(m: Matrix) -> int:
     """Integer upper bound on eigenvalue magnitudes: the max row sum norm."""
-    bound = max((sum(abs(x) for x in row) for row in m), default=Fraction(0))
-    return int(bound) + 1
+    return int(max((sum(abs(x) for x in row) for row in m), default=Fraction(0))) + 1
 
 
 def integer_roots(coeffs: Sequence[Fraction], bound: int) -> list[int] | None:
-    """Roots with multiplicity of a monic integer polynomial, or None if it
-    does not factor completely over the integers.
+    """Roots with multiplicity, largest first, of a monic integer polynomial,
+    or None if it does not factor completely over the integers.
 
-    Candidates are integers r with |r| <= bound dividing the constant term,
-    so bound must dominate every root (eigenvalue_bound does). Returns None
-    on any rational non-integer coefficient.
+    Scans r from bound down to -bound, skips an r that does not divide the
+    constant term, and divides r out by synthetic division for as long as it
+    is a root; so bound must dominate every root (eigenvalue_bound does).
+    Returns None on any rational non-integer coefficient.
     """
     if any(c.denominator != 1 for c in coeffs):
         return None
     poly = [int(c) for c in coeffs]  # poly[i] = coefficient of x^i
     roots: list[int] = []
-    while len(poly) > 1:
-        if poly[0] == 0:
-            candidates = [0]
-        else:
-            candidates = [s * d for d in range(1, bound + 1) for s in (1, -1)
-                          if poly[0] % d == 0]
-        for r in candidates:
+    for r in range(bound, -bound - 1, -1):
+        while len(poly) > 1 and not (r and poly[0] % r):
             # synthetic division from the leading coefficient down
-            quotient = []
-            acc = 0
+            quotient, acc = [], 0
             for c in reversed(poly):
                 acc = acc * r + c
                 quotient.append(acc)
-            if acc == 0:
-                roots.append(r)
-                poly = quotient[:-1][::-1]
+            if acc:
                 break
-        else:
-            return None
-    roots.sort(reverse=True)
-    return roots
+            roots.append(r)
+            poly = quotient[:-1][::-1]
+    return roots if len(poly) == 1 else None
 
 
-def _row_reduce(rows: list[list], width: int) -> list[int]:
-    """Gauss-Jordan elimination of rows in place on the first width columns.
-
-    Returns the pivot columns; the pivot of row r is pivots[r], scaled to 1.
-    """
-    pivots: list[int] = []
-    for col in range(width):
+def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
+    """Basis of the null space, from the reduced row echelon form that
+    Gauss-Jordan elimination leaves; m may have more rows than columns."""
+    n = len(m[0])
+    rows = [list(r) for r in m]
+    pivots: list[int] = []  # the pivot of row r is pivots[r], scaled to 1
+    for col in range(n):
         rank = len(pivots)
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
@@ -115,15 +106,6 @@ def _row_reduce(rows: list[list], width: int) -> list[int]:
                 factor = rows[r][col]
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
         pivots.append(col)
-    return pivots
-
-
-def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the null space, from reduced row echelon form; m may have
-    more rows than columns."""
-    n = len(m[0])
-    rows = [list(r) for r in m]
-    pivots = _row_reduce(rows, n)
     basis = []
     for fc in (c for c in range(n) if c not in pivots):
         vec = [Fraction(0)] * n
@@ -191,16 +173,15 @@ def _gram_schmidt_z(vectors: list[tuple[Fraction, ...]],
     return ortho
 
 
-def _exact_eigenbasis(plus: BlockMatrix, minus: BlockMatrix, zs: tuple[Fraction, ...],
+def _exact_eigenbasis(wp: Matrix, wm: Matrix, zs: tuple[Fraction, ...],
                       charpoly_plus: tuple[Fraction, ...],
                       charpoly_minus: tuple[Fraction, ...]):
     """The joint eigenspace of each pair of integer roots (a, b) of the two
     characteristic polynomials: the kernel of W+ - a stacked on W- - b.
 
-    Returns (pairs, vectors) or None when a characteristic polynomial does
-    not factor over the integers.
+    Returns (pairs, vectors, residual 0.0), pairs largest first, or None when
+    a characteristic polynomial does not factor over the integers.
     """
-    wp, wm = plus.entries, minus.entries
     bound = max(eigenvalue_bound(wp), eigenvalue_bound(wm))
     roots_plus = integer_roots(charpoly_plus, bound)
     if roots_plus is None:
@@ -208,18 +189,17 @@ def _exact_eigenbasis(plus: BlockMatrix, minus: BlockMatrix, zs: tuple[Fraction,
     roots_minus = integer_roots(charpoly_minus, bound)
     if roots_minus is None:
         return None
-    out: list[tuple[tuple[Fraction, Fraction], tuple[Fraction, ...]]] = []
-    for lam_p in sorted(set(roots_plus), reverse=True):
+    pairs, vectors = [], []
+    for lam_p in dict.fromkeys(roots_plus):  # distinct roots, largest first
         shifted_plus = _mat_scale_diag(wp, Fraction(lam_p))
-        for lam_m in sorted(set(roots_minus), reverse=True):
+        for lam_m in dict.fromkeys(roots_minus):
             space = kernel_basis(shifted_plus + _mat_scale_diag(wm, Fraction(lam_m)))
             for vec in _gram_schmidt_z(space, zs):
-                out.append(((Fraction(lam_p), Fraction(lam_m)),
-                            normalize_primitive(vec)))
-    if len(out) != len(wp):
-        raise RuntimeError(f"joint eigenspaces span {len(out)} of {len(wp)} dimensions")
-    out.sort(key=lambda item: (item[0][0], item[0][1]), reverse=True)
-    return tuple(p for p, _ in out), tuple(v for _, v in out)
+                pairs.append((Fraction(lam_p), Fraction(lam_m)))
+                vectors.append(normalize_primitive(vec))
+    if len(pairs) != len(wp):
+        raise RuntimeError(f"joint eigenspaces span {len(pairs)} of {len(wp)} dimensions")
+    return tuple(pairs), tuple(vectors), 0.0
 
 
 # W+ eigenvalues closer than this, relative to the operator scale, form one
@@ -246,8 +226,7 @@ def _float_eigenbasis(wp: Matrix, wm: Matrix, zs: tuple[Fraction, ...], tol: flo
     vals_p, u = np.linalg.eigh(sp)
     order = np.argsort(-vals_p, kind="stable")
     vals_p, u = vals_p[order], u[:, order]
-    pairs = []
-    vectors = []
+    pairs, vectors = [], []
     worst = 0.0
     i = 0
     scale = max(1.0, float(np.abs(sp).max()), float(np.abs(sm).max()))
@@ -278,8 +257,7 @@ def _float_eigenbasis(wp: Matrix, wm: Matrix, zs: tuple[Fraction, ...], tol: flo
             pairs.append((lp, lm))
             vectors.append(tuple(x))
         i = j
-    order3 = sorted(range(n), key=lambda t: (pairs[t][0], pairs[t][1]), reverse=True)
-    return (tuple(pairs[t] for t in order3), tuple(vectors[t] for t in order3), worst)
+    return tuple(pairs), tuple(vectors), worst
 
 
 def common_eigenbasis(b: Bidegree, tol: float = 1e-10) -> SpectralReport:
@@ -294,19 +272,21 @@ def common_eigenbasis(b: Bidegree, tol: float = 1e-10) -> SpectralReport:
     wm = block_matrix(OperatorKind.WMINUS, b)
     zs = _check_block_structure(wp, wm)
     cp, cm = charpoly(wp.entries), charpoly(wm.entries)
-    exact = _exact_eigenbasis(wp, wm, zs, cp, cm)
-    if exact is not None:
-        pairs, vectors = exact
-        return SpectralReport(wp.block, wp.basis, cp, cm, pairs, vectors,
-                              True, tol, 0.0)
-    pairs, vectors, residual = _float_eigenbasis(wp.entries, wm.entries, zs, tol)
+    found = _exact_eigenbasis(wp.entries, wm.entries, zs, cp, cm)
+    pairs, vectors, residual = found or _float_eigenbasis(wp.entries, wm.entries, zs, tol)
     return SpectralReport(wp.block, wp.basis, cp, cm, pairs, vectors,
-                          False, tol, residual)
+                          found is not None, tol, residual)
+
+
+def _slack(report: SpectralReport) -> float:
+    """The deviation both checks accept: 0 when exact, else 10 tol."""
+    return 0 if report.exact else 10 * report.tol
 
 
 def orthogonality_check(report: SpectralReport) -> bool:
     """Z-orthogonality of eigenvectors with distinct eigenvalue pairs."""
     zs = [zeta(mu) for mu in report.basis]
+    slack = _slack(report)
     n = len(report.vectors)
     for i in range(n):
         for j in range(i + 1, n):
@@ -314,10 +294,7 @@ def orthogonality_check(report: SpectralReport) -> bool:
                 continue
             dot = sum(a * b * z for a, b, z in
                       zip(report.vectors[i], report.vectors[j], zs))
-            if report.exact:
-                if dot != 0:
-                    return False
-            elif abs(float(dot)) > report.tol * 10:
+            if abs(dot) > slack:
                 return False
     return True
 
@@ -326,15 +303,12 @@ def mean_eigenvalue_check(report: SpectralReport) -> bool:
     """Each common eigenvector is an eigenvector of the mean operator with
     eigenvalue the average of the pair."""
     wmean = block_matrix(OperatorKind.WMEAN, report.bidegree)
+    slack = _slack(report)
     for (lp, lm), vec in zip(report.pairs, report.vectors):
         # exact: a float coordinate is read as the rational it equals
         image = wmean.step({mu: Fraction(c) for mu, c in zip(wmean.basis, vec) if c})
-        image = [image.get(mu, 0) for mu in wmean.basis]
         want = [(lp + lm) / 2 * c for c in vec]
-        if report.exact:
-            if image != want:
-                return False
-        elif any(abs(float(x - y)) > report.tol * 10 for x, y in zip(image, want)):
+        if any(abs(image.get(mu, 0) - y) > slack for mu, y in zip(wmean.basis, want)):
             return False
     return True
 

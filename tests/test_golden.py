@@ -54,6 +54,11 @@ GOLDEN = [
      "c8791f2786a02860827729e478670b61b6ae1e98fc6764129ba469d8fe6b7f55"),
     ("spectrum --nplus 4 --nminus 2 --format csv", 0,
      "ec224573cec21e55a5f50d9e203b60574cf376b101738d0804366343c9bcb64b"),
+    # the other exact blocks with more than one type through total degree 7
+    ("spectrum --nplus 4 --nminus 1 --format json", 0,
+     "0b9cda2d78ffc2798d3241cfd5250a7f6ced4ceb7e4a08e08d0471a700282825"),
+    ("spectrum --nplus 1 --nminus 4 --format csv", 0,
+     "ca4fd00c6b498f42071a5af94e03b0f2bab7434016f82a4586dd19b8415df599"),
     ("spectrum --nplus 2 --nminus 1", 0,
      "bcd231820148bfce7551b20bb592ffef213c1a75e5e75b88d64ed48ab3f3adc7"),
     ("spectrum --nplus 3 --nminus 3 --format json", 0,

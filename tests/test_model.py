@@ -64,6 +64,10 @@ def test_partitions_of_zero_is_empty_partition():
     assert list(partitions_of(0)) == [()]
 
 
+def test_partitions_of_a_negative_number_are_none():
+    assert list(partitions_of(-1)) == []
+
+
 def test_aut_order():
     assert aut_order(()) == 1
     assert aut_order((3, 1, 1)) == 2

@@ -135,6 +135,22 @@ def test_exp_and_log_refuse_a_listed_grade_their_input_lacks(transform, given, g
         transform(given, 2, enumerate_bidegrees(2) + [grade])
 
 
+@pytest.mark.parametrize("transform, given, connected", [
+    (series_log, disconnected_series(2, 3), False),
+    (series_exp, connected_series(2, 3), True),
+], ids=["log", "exp"])
+def test_exp_and_log_refuse_a_piece_shorter_than_the_order(transform, given, connected):
+    # read as zeros, the orders the piece of (1, 1) lacks would give both
+    # the log and the exp 0 at p_2^+, m = 1, where the true value is 1
+    pieces = dict(given.pieces)
+    pieces[Bidegree(1, 1)] = pieces[Bidegree(1, 1)][:1]
+    with pytest.raises(ValueError, match=r"grade \(1, 1\) stops at u\^0, below u\^3"):
+        transform(LabelledSeries(pieces, 3, connected), 3, enumerate_bidegrees(2))
+    # the same cut asked for through u^0 only is complete
+    assert transform(LabelledSeries(pieces, 3, connected), 0, enumerate_bidegrees(2)) \
+        .coeffs == transform(given, 0, enumerate_bidegrees(2)).coeffs
+
+
 def test_exp_and_log_through_a_lower_order_truncate():
     grades = enumerate_bidegrees(3)
     assert series_log(disconnected_series(3, 4), 2, grades).coeffs == \

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from realhurwitz import spectral
 from realhurwitz.model import Bidegree, p_minus, p_plus, q_var, rtype
@@ -61,6 +63,32 @@ def test_integer_roots_rejects_nonintegral_polynomials():
 def test_integer_roots_of_zero_constant():
     # x^2 - x has roots 1 and 0.
     assert integer_roots((F(0), F(-1), F(1)), 1) == [1, 0]
+
+
+def _times(a, b):
+    """Product of two polynomials given as coefficients (c_0, ..., c_n)."""
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(min_value=-6, max_value=6), max_size=7))
+@example([])
+@example([0, 0, 3, -3])
+@example([6] * 7)
+@example([-6, 6, -6])
+def test_integer_roots_scan_finds_every_root_largest_first(roots):
+    poly = [F(1)]
+    for r in roots:
+        poly = _times(poly, [F(-r), F(1)])
+    assert integer_roots(poly, 7) == sorted(roots, reverse=True)
+    # an irrational factor, or a root beyond the bound, leaves a quotient
+    assert integer_roots(_times(poly, [F(-2), F(0), F(1)]), 7) is None
+    if any(roots):
+        assert integer_roots(poly, max(map(abs, roots)) - 1) is None
 
 
 def test_eigenvalue_bound_dominates():
@@ -166,6 +194,39 @@ def test_float_block_reports_measured_residual():
 
 def test_exact_block_reports_zero_residual():
     assert common_eigenbasis(Bidegree(1, 1)).max_residual == 0.0
+
+
+BLOCKS = [(p, total - p) for total in range(8) for p in range(total + 1)]
+
+
+@pytest.mark.parametrize("b", BLOCKS, ids=[f"{p},{q}" for p, q in BLOCKS])
+def test_pairs_come_largest_first(b):
+    # neither path sorts its pairs: the exact loops run over descending
+    # roots, the float clusters over descending W+ eigenvalues
+    pairs = common_eigenbasis(Bidegree(*b)).pairs
+    assert all(x >= y for x, y in zip(pairs, pairs[1:]))
+
+
+def test_a_block_whose_plus_charpoly_does_not_factor_never_scans_minus(monkeypatch):
+    seen = []
+
+    def counting(coeffs, bound):
+        seen.append(coeffs)
+        return integer_roots(coeffs, bound)
+
+    monkeypatch.setattr(spectral, "integer_roots", counting)
+    rep = common_eigenbasis(Bidegree(4, 2))
+    assert not rep.exact and seen == [rep.charpoly_plus]
+
+
+@pytest.mark.parametrize("b, exact", [((1, 1), True), ((2, 1), False)],
+                         ids=["exact", "float"])
+def test_orthogonality_check_sees_a_repeated_vector(b, exact):
+    rep = common_eigenbasis(Bidegree(*b))
+    assert rep.exact is exact and orthogonality_check(rep)
+    assert rep.pairs[1] != rep.pairs[0]
+    repeated = rep._replace(vectors=(rep.vectors[0],) * 2 + rep.vectors[2:])
+    assert not orthogonality_check(repeated)
 
 
 def test_float_certification_rejects_absurd_tolerance():

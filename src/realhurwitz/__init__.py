@@ -20,7 +20,8 @@ _EXPORTS = {
         "format_type", "p_plus", "p_minus", "partition", "partitions_of",
         "q_var", "rtype", "zeta",
     ),
-    "poly": ("HurwitzRow", "LabelledSeries", "series_exp", "series_log"),
+    "poly": ("HurwitzRow", "LabelledSeries"),
+    "explog": ("series_exp", "series_log"),
     "operators": ("BlockMatrix", "OperatorKind", "block_matrix"),
     "oracle": ("classify", "mult_c2_matrix", "states"),
     "evolution": ("connected_series", "disconnected_series", "hurwitz_value", "table_rows"),

@@ -11,12 +11,14 @@ quietly with 141, the status of a death by SIGPIPE.
 
 A cold run compiles only the modules its command runs, each imported inside
 the handler that uses it. Every command compiles cli and model; table adds
-evolution, operators and poly, nonsep adds nonsep, operators and poly, block
-adds dump and operators, spectrum adds dump, spectral and operators, oracle
-adds oracle and poly, and verify adds verify and the modules of its suite,
-genus0 only for `--suite genus0`. Tables leave the store as reduced int
-pairs, so table, nonsep and oracle import none of fractions, csv and json,
-in any format.
+evolution, operators and poly, nonsep adds nonsep, operators and poly, and
+with --connected both add explog; block adds dump and operators, spectrum
+adds dump, spectral and operators, oracle adds oracle and poly, and verify
+adds verify and the modules of its suite, genus0 only for `--suite genus0`.
+Tables leave the store as reduced int pairs, so table, nonsep and oracle
+import none of fractions, csv and json, in any format. main leaves the
+garbage collector as it is; the process entry (realhurwitz.__main__)
+freezes the heap after it.
 """
 
 from __future__ import annotations
@@ -215,7 +217,3 @@ def main(argv=None) -> int:
         message = " ".join(str(exc).split())
         print(f"realhurwitz: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

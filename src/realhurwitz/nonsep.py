@@ -104,8 +104,10 @@ def tilde_enumerate_types(n: int) -> tuple[TildeType, ...]:
 
 def tilde_states(n: int) -> tuple[TildeState, ...]:
     """Involutive partial matchings on range(n): the matchings of the
-    complete graph on it."""
+    complete graph on it. An n that is not a nonnegative int raises
+    ValueError."""
     from .oracle import matchings
+    nonnegative(n=n)
     return matchings(tuple(combinations(range(n), 2)))
 
 
@@ -115,9 +117,11 @@ def tilde_classify(t: TildeTransition, n: int) -> TildeType:
     Cycles of length 2l give a conjugate pair of order l. Odd chains give an
     unsigned real pole. Even chains give a positive pole when both end edges
     lie in the final matching (ends unmatched initially), negative when both
-    lie in the initial one.
+    lie in the initial one. A t that is not a pair of states of the block,
+    tilde_states(n), raises ValueError.
     """
-    from .oracle import chains_and_cycles
+    from .oracle import chains_and_cycles, check_transition
+    check_transition(t, tilde_states, (n,))
     kp, km, ko, lam = [], [], [], []
     for k, ends, sides in chains_and_cycles(t, n, *t):
         if not ends:

@@ -19,7 +19,8 @@ representative's walk is stepped once through every order, so
 labelled_by_paths(b, max_m) returns the orders 0 .. max_m, as the evolution
 does. This module is the independent check on the operator route, so it
 imports nothing from it but the model. A walk model is its states and its
-classifier, and the unsigned model binds the same core.
+classifier, and the unsigned model binds the same core; both classifiers
+refuse a transition that is not two states of its block (check_transition).
 """
 
 from __future__ import annotations
@@ -100,15 +101,33 @@ def chains_and_cycles(t, size: int, initial_pairs, final_pairs
             raise AssertionError(f"component of {t!r} is neither chain nor cycle")
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: a bool size is not the int's block
+def _state_set(states_of: Callable[..., tuple], *block) -> frozenset:
+    return frozenset(states_of(*block))
+
+
+def check_transition(t, states_of: Callable[..., tuple], block: tuple) -> None:
+    """Raise ValueError, naming the first bad state, unless t is a pair of
+    states of the block, states_of(*block), read as a set cached per block."""
+    known = _state_set(states_of, *block)
+    if type(t) is not tuple or len(t) != 2:
+        raise ValueError(f"transition {t!r} is not a pair of states")
+    for s in t:
+        if type(s) is not frozenset or s not in known:
+            raise ValueError(f"{s!r} is not a state of the block {block}")
+
+
 def classify(t: Transition, n_plus: int, n_minus: int) -> RamificationType:
     """Ramification type of a transition, from its chain decomposition.
 
     The states are matchings of the block (see states), plus vertices
-    first. A cycle on 2l vertices gives a part l of lam. A chain on k
-    vertices gives a part k: for odd k in the kappa of the side holding both
-    ends, for even k in kappa_plus when the ends are unmatched in the
-    initial state and in kappa_minus when unmatched in the final state.
+    first; a t that is not a pair of them raises ValueError. A cycle on 2l
+    vertices gives a part l of lam. A chain on k vertices gives a part k:
+    for odd k in the kappa of the side holding both ends, for even k in
+    kappa_plus when the ends are unmatched in the initial state and in
+    kappa_minus when unmatched in the final state.
     """
+    check_transition(t, states, (n_plus, n_minus))
     kappa_plus: list[int] = []
     kappa_minus: list[int] = []
     lam: list[int] = []

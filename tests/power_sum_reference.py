@@ -5,7 +5,7 @@ A series here is the list of its coefficients of u^m/m!, m = 0 .. max_m, as
 dicts {key: Fraction} of their nonzero entries; LabelledSeries.coeffs yields
 one. The functions build X^2, X^3, ... as full series products truncated to
 total degree, by the bucketed monomial product `mul`, and are kept only as
-the slow reference that the one-pass labelled recurrence of realhurwitz.poly
+the slow reference that the one-pass labelled recurrence of realhurwitz.explog
 is checked against. Each function returns new dicts; the sums they need are
 formed by `add`, which drops the entries that cancel.
 """

@@ -36,7 +36,8 @@ from realhurwitz.nonsep import (UNSIGNED, tilde_labelled_by_paths, tilde_operato
                                 tilde_table_rows, ttype)
 from realhurwitz.oracle import labelled_by_paths, mult_c2_matrix, states
 from realhurwitz.operators import OperatorKind, block_matrix, evolve
-from realhurwitz.poly import LabelledSeries, series, series_exp
+from realhurwitz.explog import series_exp
+from realhurwitz.poly import LabelledSeries, series
 
 
 # label(g) times the coefficients of the start: 1 and 1 on the block (1, 1),

@@ -45,16 +45,17 @@ BLOCK = ["block", "--nplus", "1", "--nminus", "1", "--format", "csv"]
 VERIFY_GENUS0 = ["verify", "--suite", "genus0", "--max-m", "2", "--max-degree", "2"]
 VERIFY, GENUS0 = "realhurwitz.verify", "realhurwitz.genus0"
 OPERATORS, DUMP = "realhurwitz.operators", "realhurwitz.dump"
+EXPLOG = "realhurwitz.explog"
 
 
 @pytest.mark.parametrize("argv, runs, left_out", [
     (TABLE, "realhurwitz.evolution",
      {"realhurwitz.oracle", "realhurwitz.spectral", "realhurwitz.nonsep", VERIFY, GENUS0,
-      DUMP, "json", "numpy", "csv", "fractions"}),
+      DUMP, EXPLOG, "json", "numpy", "csv", "fractions"}),
     (NONSEP, "realhurwitz.nonsep",
      {"realhurwitz.spectral", "realhurwitz.oracle", "realhurwitz.evolution", VERIFY, GENUS0,
       DUMP, "csv", "fractions"}),
-    (ORACLE, "realhurwitz.oracle", {OPERATORS, "realhurwitz.evolution", DUMP}),
+    (ORACLE, "realhurwitz.oracle", {OPERATORS, "realhurwitz.evolution", DUMP, EXPLOG}),
     (SPECTRUM, "realhurwitz.spectral", {"realhurwitz.nonsep", "realhurwitz.oracle"}),
     (VERIFY_ORACLE, "realhurwitz.oracle",
      {GENUS0, "realhurwitz.spectral", "realhurwitz.nonsep", "realhurwitz.poly", DUMP,

@@ -26,7 +26,8 @@ from realhurwitz.nonsep import (UNSIGNED, TildeType, tilde_connected_value,
 from realhurwitz.operators import (OperatorKind, block_matrix, cached_columns, evolve,
                                    wplus_column)
 from realhurwitz.oracle import labelled_by_paths
-from realhurwitz.poly import LabelledSeries, series, series_exp, series_log
+from realhurwitz.explog import series_exp, series_log
+from realhurwitz.poly import LabelledSeries, series
 
 
 def _walk_totals(model, grade, max_m):
@@ -90,7 +91,8 @@ cached_columns(lambda mu: [(mu, Fraction(1, 2))], rtype)(p_plus(1))
 HALF_ENTRY = """
 from fractions import Fraction
 from realhurwitz.nonsep import TILDE_EMPTY, ttype
-from realhurwitz.poly import LabelledSeries, series_log
+from realhurwitz.explog import series_log
+from realhurwitz.poly import LabelledSeries
 store = LabelledSeries({(0,): [{TILDE_EMPTY: 1}], (1,): [{ttype(kappa_odd=(1,)): Fraction(1, 2)}],
                         (2,): [{}]}, 0, False)
 series_log(store, 0, [(0,), (1,), (2,)])

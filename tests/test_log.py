@@ -7,7 +7,8 @@ from power_sum_reference import power_sum_log
 from realhurwitz.evolution import SIGNED, connected_series, disconnected_series, hurwitz_value
 from realhurwitz.model import Bidegree, bidegree, bidegree_box, enumerate_bidegrees
 from realhurwitz.nonsep import UNSIGNED
-from realhurwitz.poly import series, series_log
+from realhurwitz.explog import series_log
+from realhurwitz.poly import series
 
 
 @pytest.mark.parametrize("model, grades, max_degree", [

@@ -59,10 +59,19 @@ def test_classify_small_transitions():
     # vertex 1 lies in two pairs of the initial "matching"
     ((frozenset({(0, 1), (1, 2)}), frozenset({(2, 3)})), 4),
     ((frozenset({(0, 1), (1, 2)}), frozenset({(0, 2)})), 3),  # odd cycle
-], ids=["mixed-chain", "odd-cycle"])
+    ((frozenset({(0, 1), (0, 2)}), EMPTY), 3),
+    ((frozenset({(0, 5)}), EMPTY), 3),
+], ids=["mixed-chain", "odd-cycle", "vertex-matched-twice", "vertex-out-of-range"])
 def test_classify_rejects_malformed_transition(t, n):
-    with pytest.raises(AssertionError):
+    # refused as a state, before its chains are read
+    with pytest.raises(ValueError, match="is not a state of the block"):
         tilde_classify(t, n)
+
+
+@pytest.mark.parametrize("n", [-1, True, 2.0])
+def test_classify_rejects_a_size_that_is_not_a_nonnegative_int(n):
+    with pytest.raises(ValueError, match="n must be a nonnegative int"):
+        tilde_classify((EMPTY, EMPTY), n)
 
 
 def test_classify_check_survives_optimized_mode():
@@ -74,7 +83,7 @@ def test_classify_check_survives_optimized_mode():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode != 0
-    assert "AssertionError" in proc.stderr
+    assert "ValueError" in proc.stderr
     assert proc.stdout == ""
 
 

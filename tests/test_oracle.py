@@ -107,10 +107,40 @@ def test_classify_single_transpositions():
     ((frozenset({(0, 1), (0, 2)}), frozenset({(0, 1), (0, 2)})), 1, 2),
     # a tree with three ends: one plus vertex paired with three minus ones
     ((frozenset({(0, 1), (0, 2), (0, 3)}), frozenset()), 1, 3),
-], ids=["mixed-end-matchings", "neither-chain-nor-cycle", "branching-chain"])
+    # on the block (2, 1), 0 and 1 are both plus vertices
+    ((frozenset({(0, 1)}), EMPTY), 2, 1),
+    ((frozenset({(0, 5)}), EMPTY), 2, 1),
+    ((PAIR, [(0, 1)]), 1, 1),
+], ids=["mixed-end-matchings", "neither-chain-nor-cycle", "branching-chain", "plus-plus-pair",
+        "vertex-out-of-range", "list-state"])
 def test_classify_rejects_malformed_transition(t, n_plus, n_minus):
-    with pytest.raises(AssertionError):
+    # refused as a state, before its chains are read
+    with pytest.raises(ValueError, match="is not a state of the block"):
         classify(t, n_plus, n_minus)
+
+
+def test_classify_refuses_a_bool_size_after_the_int_block():
+    # the cached state set of (1, 1) does not serve (True, 1)
+    assert classify((EMPTY, EMPTY), 1, 1) == rtype((1,), (1,))
+    with pytest.raises(ValueError, match="n_plus must be a nonnegative int"):
+        classify((EMPTY, EMPTY), True, 1)
+
+
+@pytest.mark.parametrize("t, size", [
+    ((frozenset({(0, 1), (0, 2), (0, 3)}), EMPTY), 4),
+    ((frozenset({(0, 1), (1, 2)}), frozenset({(0, 2)})), 3),
+], ids=["branching-chain", "odd-cycle"])
+def test_chains_and_cycles_reject_pairs_that_are_not_matchings(t, size):
+    # classify refuses these as states first; the decomposition keeps its own check
+    with pytest.raises(AssertionError):
+        list(oracle.chains_and_cycles(t, size, *t))
+
+
+@pytest.mark.parametrize("t", [(EMPTY,), (EMPTY, EMPTY, EMPTY), [EMPTY, PAIR]],
+                         ids=["one-state", "three-states", "list"])
+def test_classify_rejects_a_transition_that_is_not_a_pair(t):
+    with pytest.raises(ValueError, match="is not a pair of states"):
+        classify(t, 1, 1)
 
 
 def test_oracle_imports_nothing_from_the_operator_route():

@@ -21,11 +21,8 @@ from realhurwitz.model import (
     rtype,
 )
 from realhurwitz.nonsep import TILDE_EMPTY, tilde_enumerate_types, ttype
-from realhurwitz.poly import (
-    LabelledSeries,
-    series_exp,
-    series_log,
-)
+from realhurwitz.explog import series_exp, series_log
+from realhurwitz.poly import LabelledSeries
 
 
 def vec(*pairs):

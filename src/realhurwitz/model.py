@@ -125,15 +125,16 @@ def rtype(kappa_plus: Iterable[int] = (), kappa_minus: Iterable[int] = (),
 
 
 def p_plus(k: int) -> RamificationType:
-    return RamificationType((k,), (), ())
+    """Built by rtype, as in p_minus and q_var: a k that is not a positive int raises ValueError."""
+    return rtype((k,))
 
 
 def p_minus(k: int) -> RamificationType:
-    return RamificationType((), (k,), ())
+    return rtype((), (k,))
 
 
 def q_var(k: int) -> RamificationType:
-    return RamificationType((), (), (k,))
+    return rtype((), (), (k,))
 
 
 def bidegree(mu: RamificationType) -> Bidegree:

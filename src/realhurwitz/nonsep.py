@@ -123,15 +123,13 @@ def tilde_classify(t: TildeTransition, n: int) -> TildeType:
     from .oracle import chains_and_cycles, check_transition
     check_transition(t, tilde_states, (n,))
     kp, km, ko, lam = [], [], [], []
-    for k, ends, sides in chains_and_cycles(t, n, *t):
+    for k, ends, side in chains_and_cycles(t, n, *t):
         if not ends:
             lam.append(k // 2)
         elif k % 2:
             ko.append(k)
         else:
-            if sides[0] != sides[1]:
-                raise AssertionError(f"even chain of {t!r} with mixed end matchings")
-            (kp if sides[0] else km).append(k)
+            (kp if side else km).append(k)
     return TildeType(partition(kp), partition(km), partition(ko), partition(lam))
 
 

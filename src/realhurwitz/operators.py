@@ -202,11 +202,7 @@ def mirror(piece: tuple) -> tuple[dict, ...]:
 
 def evolve(model: ModelBinding, grade: tuple, max_m: int) -> tuple[dict, ...]:
     """powers of the model's columns on the start vector of grade: the walk
-    totals of its block, in int. W- = S W+ S, S the sign swap, evolves each
-    start vector as W+ does, so a grade below its reverse is the mirror of
-    its reverse; a 1-tuple degree never reaches the mirror."""
-    if grade < grade[::-1]:
-        return mirror(evolve(model, grade[::-1], max_m))
+    totals of its block, in int, for every grade, the lower ones included."""
     return powers(model.column, model.start(grade), max_m)
 
 

@@ -57,48 +57,36 @@ def matchings(edges: tuple) -> tuple[State, ...]:
 
 
 def chains_and_cycles(t, size: int, initial_pairs, final_pairs
-                      ) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """Components of the overlay of two matchings on the vertices range(size).
-
-    Yields (vertex count, end vertices, sides of the end edges) per
-    component, where side 0 is initial_pairs and 1 is final_pairs; a cycle
-    has no ends. Raises AssertionError, naming the transition t, for an odd
-    cycle or a component that is neither a chain nor a cycle.
-    """
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-    for side, pairs in enumerate((initial_pairs, final_pairs)):
+                      ) -> Iterator[tuple[int, tuple[int, ...], int | None]]:
+    """Components of the overlay of two matchings on the vertices range(size):
+    (vertex count, ends, side) per component, ends a chain's end vertices (a
+    lone vertex twice) or () for a cycle, side the matching of the first edge
+    walked (0 initial, 1 final, None alone). A vertex paired with itself or
+    twice on one side raises AssertionError naming t; past this one guard,
+    every component is an alternating path or an even cycle."""
+    first, second = partners = ({}, {})
+    for partner, pairs in zip(partners, (initial_pairs, final_pairs)):
         for a, b in pairs:
-            adj[a].append((b, side))
-            adj[b].append((a, side))
-    seen = [False] * size
-    for start in range(size):
-        if seen[start]:
+            if a == b or a in partner or b in partner:
+                raise AssertionError(f"transition {t!r} is not a pair of matchings")
+            partner[a], partner[b] = b, a
+    seen = set()
+    # chain ends (free on a side) first: a start still unseen then is on a cycle
+    for start in (*(v for v in range(size) if v not in first or v not in second), *first):
+        if start in seen:
             continue
-        seen[start] = True
-        if not adj[start]:
-            yield 1, (start,), ()
-            continue
-        component = [start]
-        ends = []
-        degrees = 0
-        for v in component:  # grows while it is walked
-            edges = adj[v]
-            degrees += len(edges)
-            if len(edges) < 2:
-                ends.append(v)
-            for w, _ in edges:
-                if not seen[w]:
-                    seen[w] = True
-                    component.append(w)
-        k = len(component)
-        if degrees == 2 * k and not ends:
-            if k % 2:
-                raise AssertionError(f"odd cycle in transition {t!r}")
-            yield k, (), ()
-        elif degrees == 2 * (k - 1) and len(ends) == 2:
-            yield k, tuple(ends), (adj[ends[0]][0][1], adj[ends[1]][0][1])
+        seen.add(start)
+        side = 0 if start in first else 1 if start in second else None
+        k, v, s = 1, start, side
+        while s is not None and v in partners[s]:
+            v = partners[s][v]
+            if v == start:
+                yield k, (), side
+                break
+            seen.add(v)
+            k, s = k + 1, 1 - s
         else:
-            raise AssertionError(f"component of {t!r} is neither chain nor cycle")
+            yield k, (start, v), side
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: a bool size is not the int's block
@@ -131,19 +119,17 @@ def classify(t: Transition, n_plus: int, n_minus: int) -> RamificationType:
     kappa_plus: list[int] = []
     kappa_minus: list[int] = []
     lam: list[int] = []
-    for k, ends, sides in chains_and_cycles(t, n_plus + n_minus, *t):
+    for k, ends, side in chains_and_cycles(t, n_plus + n_minus, *t):
         if not ends:
             lam.append(k // 2)
         elif k % 2:
             plus = ends[0] < n_plus
-            if (ends[-1] < n_plus) != plus:
+            if (ends[1] < n_plus) != plus:
                 raise AssertionError(f"odd chain of {t!r} with mixed end sides")
             (kappa_plus if plus else kappa_minus).append(k)
         else:
-            if sides[0] != sides[1]:
-                raise AssertionError(f"even chain of {t!r} with mixed end matchings")
             # Ends carried only by the final matching are free in the initial one.
-            (kappa_plus if sides[0] else kappa_minus).append(k)
+            (kappa_plus if side else kappa_minus).append(k)
     return RamificationType(partition(kappa_plus), partition(kappa_minus), partition(lam))
 
 

@@ -132,7 +132,9 @@ class LabelledSeries(NamedTuple):
 
 def series(model, grades, max_m: int, connected: bool) -> LabelledSeries:
     """The disconnected series of a walk model on the listed grades through
-    u^max_m, or its log; each sign-swap pair of grades is evolved once."""
+    u^max_m, or its log. Each sign-swap pair of grades is evolved once, the
+    lower grade read as the mirror of its reverse: W- = S W+ S, S the sign
+    swap, evolves each start vector as W+ does."""
     from .operators import evolve, mirror
     nonnegative(max_m=max_m)
     pieces = {g: evolve(model, g, max_m) for g in grades if g >= g[::-1] or g[::-1] not in grades}

@@ -54,6 +54,13 @@ def test_a_part_equal_to_an_int_of_another_type_is_refused(parts):
         rtype((), (), parts)
 
 
+@pytest.mark.parametrize("make", [p_plus, p_minus, q_var])
+@pytest.mark.parametrize("k", [-2, 0, 1.5, 2.0, True, "1"])
+def test_a_monomial_part_that_is_not_a_positive_int_is_refused(make, k):
+    with pytest.raises(ValueError, match="positive integers"):
+        make(k)
+
+
 def test_partitions_of_counts():
     # Partition numbers 1, 1, 2, 3, 5, 7, 11.
     for n, count in enumerate([1, 1, 2, 3, 5, 7, 11]):

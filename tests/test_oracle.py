@@ -129,11 +129,34 @@ def test_classify_refuses_a_bool_size_after_the_int_block():
 @pytest.mark.parametrize("t, size", [
     ((frozenset({(0, 1), (0, 2), (0, 3)}), EMPTY), 4),
     ((frozenset({(0, 1), (1, 2)}), frozenset({(0, 2)})), 3),
-], ids=["branching-chain", "odd-cycle"])
+    ((frozenset({(1, 1)}), EMPTY), 2),
+    ((frozenset({(0, 2), (1, 2)}), EMPTY), 3),
+], ids=["branching-chain", "odd-cycle", "self-loop", "second-vertex-matched-twice"])
 def test_chains_and_cycles_reject_pairs_that_are_not_matchings(t, size):
     # classify refuses these as states first; the decomposition keeps its own check
     with pytest.raises(AssertionError):
         list(oracle.chains_and_cycles(t, size, *t))
+
+
+ODD_CHAIN = (frozenset({(0, 1)}), frozenset({(1, 2)}))       # 0 - 1 - 2
+CYCLE = (frozenset({(0, 1), (2, 3)}), frozenset({(1, 2), (0, 3)}))  # 0 - 1 - 2 - 3 - 0
+
+
+@pytest.mark.parametrize("t, size, shape", [
+    ((EMPTY, EMPTY), 1, [(1, (0, 0), None)]),
+    ((PAIR, EMPTY), 2, [(2, (0, 1), 0)]),
+    ((EMPTY, PAIR), 2, [(2, (0, 1), 1)]),
+    (ODD_CHAIN, 3, [(3, (0, 2), 0)]),
+    (ODD_CHAIN[::-1], 3, [(3, (0, 2), 1)]),
+    (CYCLE, 4, [(4, (), 0)]),
+    # the cycle on 0 .. 3, a lone 4, even chains 5 - 6 and 7 - 8, odd 9 - 10 - 11
+    ((CYCLE[0] | {(5, 6), (9, 10)}, CYCLE[1] | {(7, 8), (10, 11)}), 12,
+     [(1, (4, 4), None), (2, (5, 6), 0), (2, (7, 8), 1), (3, (9, 11), 0), (4, (), 0)]),
+], ids=["lone-vertex", "even-chain-initial", "even-chain-final", "odd-chain-initial-first",
+        "odd-chain-final-first", "cycle", "all-in-one"])
+def test_chains_and_cycles_yield_count_ends_and_side(t, size, shape):
+    # chains are walked from their lowest free end, before any cycle
+    assert list(oracle.chains_and_cycles(t, size, *t)) == shape
 
 
 @pytest.mark.parametrize("t", [(EMPTY,), (EMPTY, EMPTY, EMPTY), [EMPTY, PAIR]],
@@ -308,6 +331,17 @@ sys.exit(main(["verify", "--suite", SUITE]))
 
 CLASS_MULTIPLICATION_CHECKS = {"oracle": "class multiplication on",
                                "nonsep": "transcribed operator form agrees on"}
+
+
+# every even chain read as if its end edges lay in the other matching
+FLIPPED_EVEN_CHAIN = _source_mutant("yield k, (start, v), side\n",
+                                    "yield k, (start, v), side if k % 2 else 1 - side\n")
+
+
+@pytest.mark.parametrize("suite", ["oracle", "nonsep"])
+def test_verify_catches_a_flipped_even_chain(suite):
+    failed = _run_verify(FLIPPED_EVEN_CHAIN, suite)
+    assert failed and all(CLASS_MULTIPLICATION_CHECKS[suite] in line for line in failed)
 
 
 @pytest.mark.parametrize("script, suite", [

@@ -1,11 +1,11 @@
 """Command line front end: tables, verification suites, and matrix dumps.
 
 All configuration comes from flags; output for fixed flags is deterministic
-byte for byte. Rational numbers appear in JSON as separate numerator and
-denominator strings, never as floats. Exit codes: 0 success, 1 verification
-failure, 2 usage error, 3 internal error: an unexpected exception, such as a
-broken ArithmeticError invariant of the integer store, ends in one stderr
-line `realhurwitz: internal error: <Type>: <message>`, not a traceback. A
+byte for byte. Every command writes stdout through _write, which finishes a
+short write; tables and dumps hand it lines 1,024 at a time (_write_lines).
+JSON gives a rational as numerator and denominator strings, never a float.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
+error, one stderr line `realhurwitz: internal error: <Type>: <message>`. A
 reader that closes the output pipe early (`| head`) ends the command
 quietly with 141, the status of a death by SIGPIPE.
 
@@ -66,11 +66,22 @@ def _write(text: str) -> None:
     out.flush()
 
 
+def _write_lines(texts, head: str = "", sep: str = "\n", tail: str = "\n", empty: str = "") -> None:
+    """head, the texts joined by sep 1,024 at a time, then tail; or empty alone, if no text."""
+    texts = iter(texts)
+    block = list(islice(texts, 1024))
+    if not block:
+        _write(empty)
+    while block:
+        text = head + sep.join(block)
+        block, head = list(islice(texts, 1024)), sep
+        _write(text if block else text + tail)
+
+
 def _emit_rows(series, fmt: str, fields: tuple) -> None:
-    """The table of a LabelledSeries from its records, a block of 1,024 rows
-    at a time; fields, the _fields of its type, name the partition columns,
-    so an empty table still prints its header. No field (an int, true,
-    false, digits and spaces) needs CSV quoting or a JSON escape."""
+    """The table of a LabelledSeries from its records; fields, the _fields of
+    its type, name the partition columns, so an empty table still prints its
+    header. No field (ints, true, false, digits, spaces) needs escaping."""
     names = ["m", *("lambda" if f == "lam" else f for f in fields),
              "chi", "connected", "value_num", "value_den"]
     flag = "true" if series.connected else "false"
@@ -94,15 +105,8 @@ def _emit_rows(series, fmt: str, fields: tuple) -> None:
             return f"m={m} {p} chi={chi} value={num}" + (f"/{den}" if den != 1 else "")
         part, (head, sep, tail, empty) = format_type, ("", "\n", "\n", "")
     parts: dict = {}  # a type recurs at every m, so its text is built once
-    texts = (row(m, parts.get(mu) or parts.setdefault(mu, part(mu)), chi, num, den)
-             for m, mu, chi, num, den in series.records())
-    block = list(islice(texts, 1024))
-    if not block:
-        _write(empty)
-    while block:
-        text = head + sep.join(block)
-        block, head = list(islice(texts, 1024)), sep
-        _write(text if block else text + tail)
+    _write_lines((row(m, parts.get(mu) or parts.setdefault(mu, part(mu)), chi, num, den)
+                  for m, mu, chi, num, den in series.records()), head, sep, tail, empty)
 
 
 def cmd_table(args) -> int:

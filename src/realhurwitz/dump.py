@@ -1,54 +1,49 @@
 """The block and spectrum commands: dumps of one operator block and of its
 spectral report. Only those two commands import this module, so no other
-command compiles it; their output goes through cli's writer.
+command compiles it. Every format goes through cli's writer: JSON as one
+json.dumps text, CSV and text lines 1,024 at a time. The spectral report
+reaches JSON through one hook, _fraction; the block's CSV reads the sparse
+columns, not the dense view.
 """
 
 from __future__ import annotations
 
 import sys
-from itertools import islice
-from typing import Iterable
+from fractions import Fraction
 
-from .cli import _write
+from .cli import _write, _write_lines
 from .model import Bidegree, format_type
 
 
-def _frac_pair(x) -> list[str]:
+def _fraction(x) -> list[str]:
+    """The JSON hook: a Fraction as its numerator and denominator strings;
+    any other type raises TypeError."""
+    if not isinstance(x, Fraction):
+        raise TypeError(f"{type(x).__name__} is not JSON serializable")
     return [str(x.numerator), str(x.denominator)]
-
-
-def _write_csv(header: list, records: Iterable[list]) -> None:
-    """CSV on stdout, written a block of 1,024 rows at a time. No field of
-    these dumps (digits, signs, points, spaces, brackets, colons) needs quoting."""
-    records = iter(records)
-    block = [header]
-    while block:
-        _write("".join(",".join(row) + "\n" for row in block))
-        block = list(islice(records, 1024))
 
 
 def cmd_block(args) -> int:
     from .operators import OperatorKind, block_matrix
     bm = block_matrix(OperatorKind(args.operator), Bidegree(args.nplus, args.nminus))
+    names = [format_type(mu) for mu in bm.basis]
     if args.format == "json":
         import json
-        obj = {"bidegree": [bm.block.n_plus, bm.block.n_minus],
-               "operator": args.operator,
-               "basis": [format_type(mu) for mu in bm.basis],
-               "entries": [[_frac_pair(x) for x in row] for row in bm.entries]}
-        print(json.dumps(obj, indent=2))
+        obj = {"bidegree": [args.nplus, args.nminus], "operator": args.operator, "basis": names,
+               # converted here: through the hook, a 336-type block dumps a third slower
+               "entries": [[_fraction(x) for x in row] for row in bm.entries]}
+        _write(json.dumps(obj, indent=2) + "\n")
     elif args.format == "csv":
-        _write_csv(["row_type", "col_type", "value_num", "value_den"],
-                   ([format_type(row_mu), format_type(col_mu), *_frac_pair(x)]
-                    for row_mu, row in zip(bm.basis, bm.entries)
-                    for col_mu, x in zip(bm.basis, row) if x))
+        # row-major over the nonzeros; an int column entry has a numerator and denominator too
+        columns = [*zip(names, map(bm.columns.__getitem__, bm.basis))]
+        _write_lines(["row_type,col_type,value_num,value_den",
+                      *(f"{row},{col},{x.numerator},{x.denominator}"
+                        for row, mu in zip(names, bm.basis) for col, column in columns
+                        if (x := column.get(mu)))])
     else:
-        print(f"operator {args.operator} on bidegree "
-              f"({bm.block.n_plus}, {bm.block.n_minus})")
-        for i, mu in enumerate(bm.basis):
-            print(f"basis[{i}] = {format_type(mu)}")
-        for row in bm.entries:
-            print("  ".join(str(x) for x in row))
+        _write_lines([f"operator {args.operator} on bidegree ({args.nplus}, {args.nminus})",
+                      *(f"basis[{i}] = {name}" for i, name in enumerate(names)),
+                      *("  ".join(str(x) for x in row) for row in bm.entries)])
     return 0
 
 
@@ -60,48 +55,28 @@ def cmd_spectrum(args) -> int:
         print(f"spectrum: {exc}", file=sys.stderr)
         return 1
     orthogonal = spectral.orthogonality_check(rep)
-    comparison = None
-    if (args.nplus, args.nminus) == (1, 1):
-        comparison = spectral.compare_reference_eigenbasis()
-
-    from fractions import Fraction
-
-    def num(x):
-        return _frac_pair(x) if isinstance(x, Fraction) else float(x)
-
+    comparison = (spectral.compare_reference_eigenbasis()
+                  if (args.nplus, args.nminus) == (1, 1) else ())
+    names = [format_type(mu) for mu in rep.basis]
     if args.format == "json":
         import json
-        obj = {"bidegree": [args.nplus, args.nminus],
-               "basis": [format_type(mu) for mu in rep.basis],
-               "exact": rep.exact,
-               "charpoly_plus": [_frac_pair(c) for c in rep.charpoly_plus],
-               "charpoly_minus": [_frac_pair(c) for c in rep.charpoly_minus],
-               "pairs": [[num(p), num(q)] for p, q in rep.pairs],
-               "vectors": [[num(c) for c in vec] for vec in rep.vectors],
-               "orthogonal": orthogonal}
-        if comparison is not None:
-            obj["reference_comparison"] = [
-                {"index": c.index, "pattern": list(c.pattern),
-                 "matches": c.matches,
-                 "pair": None if c.pair is None else [num(c.pair[0]), num(c.pair[1])]}
-                for c in comparison]
-        print(json.dumps(obj, indent=2))
+        obj = {"bidegree": [args.nplus, args.nminus], "basis": names, "exact": rep.exact,
+               "charpoly_plus": rep.charpoly_plus, "charpoly_minus": rep.charpoly_minus,
+               "pairs": rep.pairs, "vectors": rep.vectors, "orthogonal": orthogonal}
+        if comparison:
+            obj["reference_comparison"] = [c._asdict() for c in comparison]
+        _write(json.dumps(obj, indent=2, default=_fraction) + "\n")
     elif args.format == "csv":
-        _write_csv(["eigenvalue_plus", "eigenvalue_minus"]
-                   + [format_type(mu) for mu in rep.basis],
-                   ([str(pair[0]), str(pair[1])] + [str(c) for c in vec]
-                    for pair, vec in zip(rep.pairs, rep.vectors)))
+        _write_lines([",".join(["eigenvalue_plus", "eigenvalue_minus", *names]),
+                      *(",".join(map(str, (*pair, *vec)))
+                        for pair, vec in zip(rep.pairs, rep.vectors))])
     else:
-        print(f"bidegree ({args.nplus}, {args.nminus}), "
-              f"{'exact' if rep.exact else 'certified floating point'}, "
-              f"Z-orthogonal: {orthogonal}")
-        for mu in rep.basis:
-            print(f"basis: {format_type(mu)}")
-        for pair, vec in zip(rep.pairs, rep.vectors):
-            coords = ", ".join(str(c) for c in vec)
-            print(f"eigenvalues ({pair[0]}, {pair[1]}): ({coords})")
-        if comparison is not None:
-            for c in comparison:
-                status = "matches" if c.matches else "MISMATCH (suspected sign typo)"
-                print(f"printed row {c.index} {c.pattern}: {status}")
+        kind = "exact" if rep.exact else "certified floating point"
+        _write_lines([f"bidegree ({args.nplus}, {args.nminus}), {kind}, Z-orthogonal: {orthogonal}",
+                      *(f"basis: {name}" for name in names),
+                      *(f"eigenvalues ({p}, {q}): ({', '.join(str(c) for c in vec)})"
+                        for (p, q), vec in zip(rep.pairs, rep.vectors)),
+                      *(f"printed row {c.index} {c.pattern}: "
+                        + ("matches" if c.matches else "MISMATCH (suspected sign typo)")
+                        for c in comparison)])
     return 0

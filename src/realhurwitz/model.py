@@ -150,6 +150,7 @@ def bidegree(mu: RamificationType) -> Bidegree:
 def euler_characteristic(mu, m: int) -> int:
     """Euler characteristic of the source surface: degree plus pole count
     minus m, with conjugate pairs (lam) counting twice."""
+    nonnegative(m=m)
     return key_and_chi(mu)[1] - m
 
 

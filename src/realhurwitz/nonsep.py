@@ -214,6 +214,7 @@ def tilde_mult_c2_matrix(n: int) -> dict:
     transposition class sum on n elements, from one transition per type of
     the walk model, in column form {mu: {nu: count}}."""
     from .oracle import class_multiplication
+    nonnegative(n=n)
     return class_multiplication(_unsigned(), (n,))
 
 
@@ -233,6 +234,7 @@ def tilde_labelled_by_paths(n: int, max_m: int) -> tuple[dict[TildeType, int], .
     """Walk totals at u^m/m! on n elements, summed by type, for
     m = 0 .. max_m: n! times the disconnected counts."""
     from .oracle import walk_totals
+    nonnegative(n=n, max_m=max_m)
     return walk_totals(_unsigned(), (n,), max_m)
 
 

@@ -203,6 +203,7 @@ def mirror(piece: tuple) -> tuple[dict, ...]:
 def evolve(model: ModelBinding, grade: tuple, max_m: int) -> tuple[dict, ...]:
     """powers of the model's columns on the start vector of grade: the walk
     totals of its block, in int, for every grade, the lower ones included."""
+    nonnegative(max_m=max_m, **{f"grade[{i}]": n for i, n in enumerate(grade)})
     return powers(model.column, model.start(grade), max_m)
 
 

@@ -246,4 +246,5 @@ def labelled_by_paths(b: Bidegree, max_m: int) -> tuple[dict[RamificationType, i
     """m-step walk totals between all ordered state pairs of the block b,
     summed by the type of the pair, for m = 0 .. max_m: n_plus! n_minus!
     times the disconnected counts at u^m/m!, in int."""
+    nonnegative(max_m=max_m, **Bidegree(*b)._asdict())
     return walk_totals(_signed(), Bidegree(*b), max_m)

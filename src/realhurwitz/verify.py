@@ -5,6 +5,7 @@ suite imports the modules it runs.
 
 from __future__ import annotations
 
+from .cli import _write
 from .model import (Bidegree, bidegree_box, enumerate_bidegrees, format_type, p_minus, p_plus,
                     q_var, rtype)
 from .operators import OperatorKind, block_matrix, evolve
@@ -23,21 +24,19 @@ class _Checker:
         self.failures = 0
 
     def check(self, name: str, expected, actual) -> None:
-        if expected == actual:
-            print(f"ok   {name}: expected {_show(expected)} actual {_show(actual)}")
-        else:
-            self.failures += 1
-            print(f"FAIL {name}: expected {_show(expected)} actual {_show(actual)}")
+        mark = "ok  " if expected == actual else "FAIL"
+        self.failures += mark == "FAIL"
+        _write(f"{mark} {name}: expected {_show(expected)} actual {_show(actual)}\n")
 
     def poly_check(self, name: str, expected, actual) -> None:
         if expected == actual:
-            print(f"ok   {name}")
+            _write(f"ok   {name}\n")
             return
         self.failures += 1
         diffs = [f"{format_type(k)}: expected {expected.get(k, 0)} actual {actual.get(k, 0)}"
                  for k in sorted(expected.keys() | actual.keys(), key=str)
                  if expected.get(k, 0) != actual.get(k, 0)]
-        print(f"FAIL {name}: " + "; ".join(diffs))
+        _write(f"FAIL {name}: " + "; ".join(diffs) + "\n")
 
 
 _PRINTED_EXPANSION = {
@@ -130,8 +129,8 @@ def _suite_genus0(chk: _Checker, max_m: int, max_degree: int) -> None:
         name = f"unit evaluation at u^{m}/{m}!"
         chk.check(name, _UNIT_EVALUATION[m], values[m])
         if m in _UNIT_EVALUATION_MISPRINTS:
-            print(f"note {name}: printed {_UNIT_EVALUATION_MISPRINTS[m]} "
-                  f"actual {values[m]} (recorded misprint)")
+            _write(f"note {name}: printed {_UNIT_EVALUATION_MISPRINTS[m]} "
+                   f"actual {values[m]} (recorded misprint)\n")
 
 
 def _suite_nonsep(chk: _Checker) -> None:
@@ -163,7 +162,7 @@ def run_suite(args) -> int:
     else:
         _suite_nonsep(chk)
     if chk.failures:
-        print(f"{chk.failures} check(s) failed")
+        _write(f"{chk.failures} check(s) failed\n")
         return 1
-    print("all checks passed")
+    _write("all checks passed\n")
     return 0

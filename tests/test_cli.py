@@ -223,16 +223,23 @@ def test_internal_error_exits_three_with_one_line(capsys, monkeypatch, argv, lay
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-def test_closed_output_pipe_exits_quietly(fmt):
-    # the table is far larger than a pipe buffer, so writing it fails once
-    # the reader has gone, with stdout buffered or not
+TABLE = ["table", "--max-degree", "6", "--max-m", "10", "--format"]
+
+
+@pytest.mark.parametrize("argv", [
+    TABLE + ["text"], TABLE + ["csv"], TABLE + ["json"],
+    ["block", "--nplus", "5", "--nminus", "5"],
+    ["spectrum", "--nplus", "3", "--nminus", "4", "--format", "json"],
+], ids=["text", "csv", "json", "block", "spectrum"])
+def test_closed_output_pipe_exits_quietly(argv):
+    # each output is far larger than a pipe buffer (the spectrum's JSON is
+    # one write), so writing it fails once the reader has gone, with stdout
+    # buffered or not
     src = os.path.dirname(os.path.dirname(realhurwitz.__file__))
     for unbuffered in ("1", None):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         env.update(PYTHONPATH=src, **({"PYTHONUNBUFFERED": unbuffered} if unbuffered else {}))
-        proc = subprocess.Popen([sys.executable, "-m", "realhurwitz", "table", "--max-degree",
-                                 "6", "--max-m", "10", "--format", fmt],
+        proc = subprocess.Popen([sys.executable, "-m", "realhurwitz", *argv],
                                 env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         assert proc.stdout.readline()
         proc.stdout.close()
@@ -270,9 +277,20 @@ class _Stdout:
         pass
 
 
-@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-def test_a_short_write_is_written_on_until_the_pipe_breaks(capsys, monkeypatch, fmt):
-    argv = ["table", "--max-degree", "3", "--max-m", "6", "--format", fmt]
+# every command writes through one writer: tables, the dumps' three formats,
+# the oracle's walk counts and verify's lines
+SHORT_WRITE = (
+    [["table", "--max-degree", "3", "--max-m", "6", "--format", f] for f in ("text", "csv", "json")]
+    + [["block", "--nplus", "2", "--nminus", "2", "--format", f] for f in ("csv", "json", "text")]
+    + [["spectrum", "--nplus", "2", "--nminus", "1", "--format", f] for f in ("json", "text")]
+    + [["oracle", "--nplus", "3", "--nminus", "2", "--m", "4", "--format", "json"],
+       ["verify", "--suite", "oracle", "--max-size", "2"]])
+
+
+@pytest.mark.parametrize("argv", SHORT_WRITE, ids=[
+    "text", "csv", "json", "block-csv", "block-json", "block-text", "spectrum-json",
+    "spectrum-text", "oracle", "verify-oracle"])
+def test_a_short_write_is_written_on_until_the_pipe_breaks(capsys, monkeypatch, argv):
     assert main(argv) == 0
     full = capsys.readouterr().out.encode()
     args = build_parser().parse_args(argv)

@@ -25,6 +25,7 @@ from realhurwitz.model import (
     bidegree_box,
     enumerate_bidegrees,
     enumerate_types,
+    euler_characteristic,
     label,
     p_minus,
     p_plus,
@@ -32,8 +33,8 @@ from realhurwitz.model import (
     rtype,
 )
 from realhurwitz import genus0
-from realhurwitz.nonsep import (UNSIGNED, tilde_labelled_by_paths, tilde_operator_matrix,
-                                tilde_table_rows, ttype)
+from realhurwitz.nonsep import (UNSIGNED, tilde_labelled_by_paths, tilde_mult_c2_matrix,
+                                tilde_operator_matrix, tilde_table_rows, ttype)
 from realhurwitz.oracle import labelled_by_paths, mult_c2_matrix, states
 from realhurwitz.operators import OperatorKind, block_matrix, evolve
 from realhurwitz.explog import series_exp
@@ -295,3 +296,31 @@ def test_the_cached_lookups_check_a_size_before_their_cache():
     for call in (lambda: tilde_operator_matrix(True), lambda: states(True, 1)):
         with pytest.raises(ValueError, match="must be a nonnegative int"):
             call()
+
+
+# the walk totals, the class search and the evolution check each block
+# component and each order before any cache: the int blocks are cached
+# first, and True equals 1 and hashes alike, so a cache read first would
+# answer a bool block
+@pytest.mark.parametrize("call, name", [
+    (lambda: labelled_by_paths((1, 1), -1), "max_m"),
+    (lambda: labelled_by_paths((1, 1), True), "max_m"),
+    (lambda: labelled_by_paths((1, 1), 1.0), "max_m"),
+    (lambda: labelled_by_paths((True, 1), 2), "n_plus"),
+    (lambda: tilde_labelled_by_paths(2, -1), "max_m"),
+    (lambda: tilde_labelled_by_paths(True, 2), "n"),
+    (lambda: tilde_mult_c2_matrix(True), "n"),
+    (lambda: evolve(SIGNED, (-1, 2), 2), r"grade\[0\]"),
+    (lambda: evolve(SIGNED, (1, True), 2), r"grade\[1\]"),
+    (lambda: evolve(UNSIGNED, (-2,), 2), r"grade\[0\]"),
+    (lambda: evolve(SIGNED, (1, 1), -1), "max_m"),
+    (lambda: euler_characteristic(rtype(), True), "m"),
+    (lambda: euler_characteristic(rtype(), -1), "m"),
+], ids=["paths-negative-m", "paths-bool-m", "paths-float-m", "paths-bool-block",
+        "tilde-paths-negative-m", "tilde-paths-bool-n", "tilde-class-bool-n", "evolve-negative-grade", "evolve-bool-grade",
+        "evolve-unsigned-negative-grade", "evolve-negative-m", "chi-bool-m", "chi-negative-m"])
+def test_walks_and_evolution_refuse_a_malformed_block_or_order(call, name):
+    assert len(labelled_by_paths((1, 1), 2)) == len(tilde_labelled_by_paths(1, 2)) == 3
+    assert tilde_mult_c2_matrix(1)
+    with pytest.raises(ValueError, match=f"^{name} must be a nonnegative int"):
+        call()

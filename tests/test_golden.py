@@ -82,6 +82,20 @@ GOLDEN = [
      "8c1e79667bb3fbe8be5a6346fe38e163817ff660ea95a29a90a163b4b53494ae"),
     ("oracle --nplus 3 --nminus 2 --m 4 --format json", 0,
      "48261cc30e52783cf8d049184cc6cec178c265cc6adf2762d2cfbf41760b4744"),
+    # the text report with its printed-row comparison lines
+    ("spectrum --nplus 1 --nminus 1", 0,
+     "d8400ce7067d99d7a1fdadc7fe2e82f09c308fe6feff8395da04f7056c7b6070"),
+    # Fraction entries of the mean operator, read from the sparse columns
+    ("block --nplus 3 --nminus 3 --operator wmean --format csv", 0,
+     "ea15254b8fee57bc05ad0e589651d1593c902b0af99d57dba656908488729eff"),
+    # an all-zero block: the header alone
+    ("block --nplus 0 --nminus 0 --format csv", 0,
+     "07d5715c00028074d50660ab8adfe8a27999329d9537663d0316615e09677fef"),
+    ("spectrum --nplus 3 --nminus 3 --format csv", 0,
+     "ee78bdb68a0f76902c77c6271809361448d6bd285e456968b5d0cda7ea6aea62"),
+    # a failed certification prints nothing on stdout
+    ("spectrum --nplus 2 --nminus 1 --tol 1e-300", 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 

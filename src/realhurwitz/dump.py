@@ -1,9 +1,10 @@
 """The block and spectrum commands: dumps of one operator block and of its
 spectral report. Only those two commands import this module, so no other
-command compiles it. Every format goes through cli's writer: JSON as one
-json.dumps text, CSV and text lines 1,024 at a time. The spectral report
-reaches JSON through one hook, _fraction; the block's CSV reads the sparse
-columns, not the dense view.
+command compiles it. Every format goes through cli's writer, lines 1,024 at
+a time, except the spectral report's JSON, one json.dumps text that reaches
+its Fractions through one hook, _fraction. Every block dump reads the sparse
+columns row by row, never the dense view of n^2 Fractions: the JSON in the
+layout of json.dumps(..., indent=2), the CSV over the nonzeros.
 """
 
 from __future__ import annotations
@@ -27,15 +28,22 @@ def cmd_block(args) -> int:
     from .operators import OperatorKind, block_matrix
     bm = block_matrix(OperatorKind(args.operator), Bidegree(args.nplus, args.nminus))
     names = [format_type(mu) for mu in bm.basis]
+    columns = [*zip(names, map(bm.columns.__getitem__, bm.basis))]
+    # text and JSON read them row by row, lazily: an int, a Fraction, or None for a zero
+    rows = ([column.get(mu) for _, column in columns] for mu in bm.basis)
     if args.format == "json":
         import json
-        obj = {"bidegree": [args.nplus, args.nminus], "operator": args.operator, "basis": names,
-               # converted here: through the hook, a 336-type block dumps a third slower
-               "entries": [[_fraction(x) for x in row] for row in bm.entries]}
-        _write(json.dumps(obj, indent=2) + "\n")
+        # json.dumps(..., indent=2) up to the entries, then each row in its layout,
+        # an entry as its numerator and denominator strings
+        head = json.dumps({"bidegree": [args.nplus, args.nminus], "operator": args.operator,
+                           "basis": names}, indent=2)[:-2] + ',\n  "entries": [\n'
+        zero = '      [\n        "0",\n        "1"\n      ]'
+        _write_lines(("    [\n" + ",\n".join(
+                          f'      [\n        "{x.numerator}",\n        "{x.denominator}"\n      ]'
+                          if x else zero for x in row) + "\n    ]" for row in rows),
+                     head, ",\n", "\n  ]\n}\n")
     elif args.format == "csv":
         # row-major over the nonzeros; an int column entry has a numerator and denominator too
-        columns = [*zip(names, map(bm.columns.__getitem__, bm.basis))]
         _write_lines(["row_type,col_type,value_num,value_den",
                       *(f"{row},{col},{x.numerator},{x.denominator}"
                         for row, mu in zip(names, bm.basis) for col, column in columns
@@ -43,7 +51,7 @@ def cmd_block(args) -> int:
     else:
         _write_lines([f"operator {args.operator} on bidegree ({args.nplus}, {args.nminus})",
                       *(f"basis[{i}] = {name}" for i, name in enumerate(names)),
-                      *("  ".join(str(x) for x in row) for row in bm.entries)])
+                      *("  ".join(str(x) if x else "0" for x in row) for row in rows)])
     return 0
 
 

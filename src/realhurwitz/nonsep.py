@@ -141,8 +141,10 @@ def _unsigned():
 
 def tilde_class_sizes(n: int) -> Counter:
     """Transitions on n elements counted by type: those from each orbit
-    representative, times the orbit size."""
+    representative, times the orbit size. An n that is not a nonnegative
+    int raises ValueError before the cache."""
     from .oracle import orbit_types
+    nonnegative(n=n)
     sizes: Counter = Counter()
     for _, weight, types in orbit_types(_unsigned(), (n,)):
         for mu in types.values():

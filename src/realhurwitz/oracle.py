@@ -181,6 +181,11 @@ def neighbour_table(model: WalkModel, block: tuple) -> Mapping:
     return MappingProxyType(table)
 
 
+def _components(block: tuple) -> dict:
+    # checked before the per-block caches, where (True, 1) would read (1, 1)'s
+    return {f"block[{i}]": n for i, n in enumerate(block)}
+
+
 def class_multiplication(model: WalkModel, block: tuple, side: str = "left") -> dict:
     """Multiplication by the transposition class sum on a block, in the
     operators' column form {mu: {nu: count}}. The representative of mu is the
@@ -188,9 +193,11 @@ def class_multiplication(model: WalkModel, block: tuple, side: str = "left") -> 
     counts its one-step moves on that side by the type they land in. A move
     from a representative is read from orbit_types, any other is classified.
     Relabelling is transitive on each class, so every member has these counts.
+    A component of the block that is not a nonnegative int raises ValueError.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    nonnegative(**_components(block))
     tables = {rep: types for rep, _, types in orbit_types(model, block)}
 
     def kind(initial: State, final: State):
@@ -215,7 +222,9 @@ def walk_totals(model: WalkModel, block: tuple, max_m: int) -> tuple[dict, ...]:
     """Number of m-step transposition walks between all ordered state pairs,
     summed by the type of the pair over orbit representatives, for
     m = 0 .. max_m; types without walks are left out. Each representative's
-    walk counts {state: walks} are stepped once, one order after the other."""
+    walk counts {state: walks} are stepped once, one order after the other.
+    A max_m or block component that is not a nonnegative int raises ValueError."""
+    nonnegative(max_m=max_m, **_components(block))
     totals: tuple[dict, ...] = tuple({} for _ in range(max_m + 1))
     neighbours = neighbour_table(model, block)
     for rep, weight, types in orbit_types(model, block):

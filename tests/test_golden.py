@@ -88,6 +88,15 @@ GOLDEN = [
     # Fraction entries of the mean operator, read from the sparse columns
     ("block --nplus 3 --nminus 3 --operator wmean --format csv", 0,
      "ea15254b8fee57bc05ad0e589651d1593c902b0af99d57dba656908488729eff"),
+    # the dense text and JSON dumps, zeros included, of an int and a Fraction block
+    ("block --nplus 3 --nminus 3 --operator wplus", 0,
+     "65db6c2f57124c595d139d67017b23849b5ddc6a5658d100cd0ea44c3504bd0f"),
+    ("block --nplus 3 --nminus 3 --operator wplus --format json", 0,
+     "2811528f3fdd6c90c3e33415c00fb27bea18caf373f9af08382cab797016d15b"),
+    ("block --nplus 3 --nminus 3 --operator wmean", 0,
+     "a40b6c470bb41a08c0c2d350e1e6edb42ed54b74cfae2e801fe0be11a8225200"),
+    ("block --nplus 3 --nminus 3 --operator wmean --format json", 0,
+     "521ea96c85654f0c2a850a84153682e5eb54ce5da93bb2971545dd8b08c7e0b3"),
     # an all-zero block: the header alone
     ("block --nplus 0 --nminus 0 --format csv", 0,
      "07d5715c00028074d50660ab8adfe8a27999329d9537663d0316615e09677fef"),

@@ -96,6 +96,13 @@ def test_class_sizes_match_formula():
             assert sizes[mu] == len(tilde_class_members(mu))
 
 
+def test_class_sizes_refuse_a_bool_size_after_the_int_one():
+    # the cached orbits of n = 1 do not serve True
+    assert tilde_class_sizes(1)
+    with pytest.raises(ValueError, match="n must be a nonnegative int"):
+        tilde_class_sizes(True)
+
+
 def test_zeta_examples():
     assert tilde_zeta(ttype(kappa_odd=(1, 1))) == 2
     assert tilde_zeta(ttype(kappa_plus=(2,))) == 2

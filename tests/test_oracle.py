@@ -126,6 +126,20 @@ def test_classify_refuses_a_bool_size_after_the_int_block():
         classify((EMPTY, EMPTY), True, 1)
 
 
+@pytest.mark.parametrize("model, block, bad", [
+    (SIGNED, (1, 1), (True, 1)), (SIGNED, (1, 1), (1, 1.0)), (UNSIGNED, (2,), (2.0,)),
+], ids=["signed-bool", "signed-float", "unsigned-float"])
+def test_walks_and_class_columns_refuse_a_malformed_block_after_the_int_block(model, block, bad):
+    # the per-block caches of the int block, equal and of equal hash, do not serve bad
+    assert oracle.walk_totals(model, block, 2) and oracle.class_multiplication(model, block)
+    for call in (lambda: oracle.walk_totals(model, bad, 2),
+                 lambda: oracle.class_multiplication(model, bad, "right")):
+        with pytest.raises(ValueError, match=r"block\[\d\] must be a nonnegative int"):
+            call()
+    with pytest.raises(ValueError, match="max_m must be a nonnegative int"):
+        oracle.walk_totals(model, block, True)
+
+
 @pytest.mark.parametrize("t, size", [
     ((frozenset({(0, 1), (0, 2), (0, 3)}), EMPTY), 4),
     ((frozenset({(0, 1), (1, 2)}), frozenset({(0, 2)})), 3),

@@ -20,19 +20,16 @@ _EXPORTS = {
         "format_type", "p_plus", "p_minus", "partition", "partitions_of",
         "q_var", "rtype", "zeta",
     ),
-    "poly": ("HurwitzRow", "LabelledSeries"),
+    "poly": ("LabelledSeries", "series", "value"),
     "explog": ("series_exp", "series_log"),
-    "operators": ("BlockMatrix", "OperatorKind", "block_matrix"),
-    "oracle": ("classify", "mult_c2_matrix", "states"),
-    "evolution": ("connected_series", "disconnected_series", "hurwitz_value", "table_rows"),
+    "operators": ("BlockMatrix", "OperatorKind", "block_matrix", "operator_matrix"),
+    "oracle": ("SIGNED_WALK", "class_multiplication", "classify", "states", "walk_totals"),
+    "evolution": ("SIGNED",),
     "genus0": ("G0Type", "g0_from_type", "genus0_series", "genus0_single_part_values",
                "genus0_unit_values", "verify_genus0_pde"),
     "spectral": ("SpectralReport", "common_eigenbasis",
                  "compare_reference_eigenbasis", "orthogonality_check"),
-    "nonsep": (
-        "TILDE_EMPTY", "TildeType", "tilde_classify", "tilde_connected_value",
-        "tilde_operator_matrix", "tilde_table_rows", "ttype",
-    ),
+    "nonsep": ("TILDE_EMPTY", "TildeType", "UNSIGNED", "UNSIGNED_WALK", "tilde_classify", "ttype"),
 }
 
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

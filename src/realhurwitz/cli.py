@@ -129,10 +129,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from . import oracle
+    from .oracle import SIGNED_WALK, walk_totals
     from .poly import LabelledSeries
     b = Bidegree(args.nplus, args.nminus)
-    totals = oracle.labelled_by_paths(b, args.m)[args.m]
+    totals = walk_totals(SIGNED_WALK, b, args.m)[args.m]
     series = LabelledSeries({b: [{}] * args.m + [totals]}, args.m, False)
     _emit_rows(series, args.format, RamificationType._fields)
     return 0

@@ -14,10 +14,10 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator, NamedTuple
 
-from .evolution import connected_series
+from .evolution import SIGNED
 from .model import (Partition, RamificationType, enumerate_bidegrees, merge_partitions,
                     nonnegative, without)
-from .poly import LabelledSeries
+from .poly import LabelledSeries, series
 
 
 class G0Type(NamedTuple):
@@ -79,7 +79,7 @@ def _sliced(conn: LabelledSeries | None, max_m: int, max_degree: int) -> tuple[d
     short of u^max_m or of a bidegree of total at most max_degree raises
     ValueError."""
     if conn is None:
-        conn = connected_series(max_degree, max_m)
+        conn = series(SIGNED, enumerate_bidegrees(max_degree), max_m, True)
     if not (isinstance(conn, LabelledSeries) and conn.connected and max_m <= conn.max_m
             and all(b in conn.pieces for b in enumerate_bidegrees(max_degree))):
         raise ValueError(f"not a connected LabelledSeries to u^{max_m} and degree {max_degree}")

@@ -14,6 +14,7 @@ unsigned quadruple of nonsep (with its odd real poles kappa_odd) unchanged.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import groupby, product
 from math import factorial, prod
@@ -116,6 +117,12 @@ class RamificationType(NamedTuple):
 
 
 EMPTY_TYPE = RamificationType((), (), ())
+
+# a walk model as the series read it: column(mu), the labelled start(grade) and its
+# validated type constructor; as the walks read it: states(*block), classify(t, *block)
+# and the number of components of a block
+ModelBinding = namedtuple("ModelBinding", "column start canonical")
+WalkModel = namedtuple("WalkModel", "states classify arity")
 
 
 def rtype(kappa_plus: Iterable[int] = (), kappa_minus: Iterable[int] = (),

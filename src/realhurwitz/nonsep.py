@@ -11,15 +11,16 @@ transpositions; it preserves the total degree but not a bidegree. Its
 columns come from its term families (tilde_images), the transcribed
 differential-operator form with its garbled superscripts repaired, as the
 signed plus operator's come from wplus_images; both read the same per-partition
-move tables (operators._moves). The walks are the check: bound to the
-oracle's core as tilde_states and tilde_classify, tilde_mult_c2_matrix derives
-the same columns and tilde_labelled_by_paths the walk totals that the
-evolution must equal; only these walk bindings import the oracle.
-The entries are integers, so the series run on labelled integer counts, n!
-times each count of degree n. UNSIGNED binds the model to the pipeline that
-the signed model shares (operators.evolve, poly.series, poly.value): these
-columns, the labelled start vector of a degree (a 1-tuple grade) and ttype,
-with no mirror, for a degree is its own sign swap. A TildeType is
+move tables (operators._moves). The walks are the check: UNSIGNED_WALK binds
+tilde_states and tilde_classify to the oracle's core, whose
+class_multiplication derives the same columns and walk_totals the walk
+totals that the evolution must equal; only these two functions import the
+oracle. The entries are integers, so the series run on labelled integer
+counts, n! times each count of degree n. UNSIGNED binds the model to the
+pipeline that the signed model shares (operators.evolve,
+operators.operator_matrix, poly.series, poly.value): these columns, the
+labelled start vector of a degree (a 1-tuple grade) and ttype, with no
+mirror, for a degree is its own sign swap. A TildeType is
 listed, ordered, printed and given its Euler characteristic by the signed
 model's types_by_grade, canonical_key, format_type and euler_characteristic.
 """
@@ -32,9 +33,9 @@ from itertools import combinations
 from math import comb, factorial, prod
 from typing import Iterator, NamedTuple
 
-from .model import Partition, aut_order, merge_partitions, nonnegative, partition, types_by_grade
-from .operators import BlockMatrix, ModelBinding, _insert, _moves, cached_columns
-from .poly import series, value
+from .model import (ModelBinding, Partition, WalkModel, aut_order, merge_partitions, nonnegative,
+                    partition)
+from .operators import _insert, _moves, cached_columns
 
 TildeState = frozenset
 TildeTransition = tuple[TildeState, TildeState]
@@ -96,12 +97,6 @@ def tilde_class_size_formula(mu: TildeType) -> int:
     return size
 
 
-def tilde_enumerate_types(n: int) -> tuple[TildeType, ...]:
-    """All quadruples of total degree n, in canonical order."""
-    nonnegative(n=n)
-    return types_by_grade(ttype, n)[(n,)]
-
-
 def tilde_states(n: int) -> tuple[TildeState, ...]:
     """Involutive partial matchings on range(n): the matchings of the
     complete graph on it. An n that is not a nonnegative int raises
@@ -133,10 +128,7 @@ def tilde_classify(t: TildeTransition, n: int) -> TildeType:
     return TildeType(partition(kp), partition(km), partition(ko), partition(lam))
 
 
-def _unsigned():
-    # built per call, so that a rebound module-level name takes effect
-    from .oracle import WalkModel
-    return WalkModel(tilde_states, tilde_classify)
+UNSIGNED_WALK = WalkModel(tilde_states, tilde_classify, 1)
 
 
 def tilde_class_sizes(n: int) -> Counter:
@@ -146,7 +138,7 @@ def tilde_class_sizes(n: int) -> Counter:
     from .oracle import orbit_types
     nonnegative(n=n)
     sizes: Counter = Counter()
-    for _, weight, types in orbit_types(_unsigned(), (n,)):
+    for _, weight, types in orbit_types(UNSIGNED_WALK, (n,)):
         for mu in types.values():
             sizes[mu] += weight
     return sizes
@@ -203,23 +195,6 @@ def tilde_images(mu: TildeType) -> Iterator[tuple[TildeType, int]]:
 tilde_column = cached_columns(lambda mu: tilde_images(mu), ttype)
 
 
-def tilde_operator_matrix(n: int) -> BlockMatrix:
-    """Matrix of the evolution operator on the degree-n invariant algebra,
-    assembled from the shared columns of tilde_images. An n that is not a
-    nonnegative int raises ValueError."""
-    nonnegative(n=n)
-    return BlockMatrix(n, tilde_enumerate_types(n), tilde_column)
-
-
-def tilde_mult_c2_matrix(n: int) -> dict:
-    """The check on tilde_operator_matrix(n).columns: multiplication by the
-    transposition class sum on n elements, from one transition per type of
-    the walk model, in column form {mu: {nu: count}}."""
-    from .oracle import class_multiplication
-    nonnegative(n=n)
-    return class_multiplication(_unsigned(), (n,))
-
-
 def _start(grade: tuple[int]) -> dict[TildeType, int]:
     """n! times the degree-n piece of the evolution start: the class of the
     identity transition on a singles and b pairs weighs n!/(a! b! 2^b), the
@@ -230,21 +205,3 @@ def _start(grade: tuple[int]) -> dict[TildeType, int]:
 
 
 UNSIGNED = ModelBinding(tilde_column, _start, ttype)
-
-
-def tilde_labelled_by_paths(n: int, max_m: int) -> tuple[dict[TildeType, int], ...]:
-    """Walk totals at u^m/m! on n elements, summed by type, for
-    m = 0 .. max_m: n! times the disconnected counts."""
-    from .oracle import walk_totals
-    nonnegative(n=n, max_m=max_m)
-    return walk_totals(_unsigned(), (n,), max_m)
-
-
-def tilde_connected_value(mu: TildeType, m: int):
-    """One unsigned connected count, a Fraction: coefficient of p_mu u^m/m!."""
-    return value(UNSIGNED, mu, m)
-
-
-def tilde_table_rows(max_n: int, max_m: int, connected: bool = True) -> list[HurwitzRow]:
-    nonnegative(max_n=max_n)
-    return series(UNSIGNED, [(n,) for n in range(max_n + 1)], max_m, connected).rows()

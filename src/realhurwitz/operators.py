@@ -14,28 +14,21 @@ and the mean is their half sum. All three preserve degree and bidegree. The
 plus and minus operators are read-only int columns, one per type, built on
 first use from moves cached per partition. evolve steps the start vector of
 a grade of either walk model through its columns (powers), and a BlockMatrix
-holds the columns of one block (the mean's Fraction columns are built there).
+holds the columns of one block: operator_matrix builds it for either model's
+binding, block_matrix for each signed operator (the mean's Fraction columns
+are built there).
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
 from enum import Enum
 from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterator, Mapping
 
-from .model import (
-    Bidegree,
-    Partition,
-    RamificationType,
-    enumerate_types,
-    merge_partitions,
-    nonnegative,
-    partition,
-    rtype,
-    without,
-)
+from .model import (Bidegree, ModelBinding, Partition, RamificationType, merge_partitions,
+                    nonnegative, partition, rtype, types_by_grade, without)
 
 
 class OperatorKind(Enum):
@@ -189,11 +182,6 @@ def powers(column: Callable, start: dict, max_m: int) -> tuple[dict, ...]:
     return tuple(out)
 
 
-# what the shared series steps read of one walk model: its operator's column
-# accessor, the labelled start vector of a grade, its validated type constructor
-ModelBinding = namedtuple("ModelBinding", "column start canonical")
-
-
 def mirror(piece: tuple) -> tuple[dict, ...]:
     """The piece of grade (b, a) from that of (a, b) in new dicts, each key swapped once."""
     swapped = {mu: mu.swap_signs() for mu in set().union(*piece)}
@@ -210,7 +198,7 @@ def evolve(model: ModelBinding, grade: tuple, max_m: int) -> tuple[dict, ...]:
 class BlockMatrix:
     """One linear operator on one block of a walk model: columns maps each
     basis type, read-only, to column(type), the shared cached column itself.
-    The block is a Bidegree for the signed model, the degree n for the unsigned."""
+    The block is its grade: a Bidegree for the signed model, (n,) for the unsigned."""
 
     def __init__(self, block: Hashable, basis: tuple, column: Callable) -> None:
         self.block, self.basis = block, basis
@@ -230,14 +218,22 @@ class BlockMatrix:
         return _image(vec, self.columns.__getitem__)
 
 
+def operator_matrix(model: ModelBinding, grade: tuple) -> BlockMatrix:
+    """The model's operator on the block of grade, its basis the model's types
+    of that grade (types_by_grade), each column model.column's. A component
+    of grade that is not a nonnegative int raises ValueError, and a grade of
+    another shape than the model's, which no type has, KeyError."""
+    nonnegative(**{f"grade[{i}]": n for i, n in enumerate(grade)})
+    return BlockMatrix(grade, types_by_grade(model.canonical, sum(grade))[grade], model.column)
+
+
 _COLUMNS = {OperatorKind.WPLUS: wplus_column, OperatorKind.WMINUS: wminus_column,
             OperatorKind.WMEAN: _wmean_column}
 
 
 def block_matrix(kind: OperatorKind, b: Bidegree) -> BlockMatrix:
-    """The chosen operator on the enumerate_types(b) basis, assembled from
-    the shared columns; the mean's half-sum columns are built here. A
-    component of b that is not a nonnegative int raises ValueError."""
+    """operator_matrix of the chosen signed operator on the block b; a component
+    of b that is not a nonnegative int raises ValueError, named by its field."""
     b = Bidegree(*b)
-    nonnegative(n_plus=b.n_plus, n_minus=b.n_minus)
-    return BlockMatrix(b, enumerate_types(b), _COLUMNS[kind])
+    nonnegative(**b._asdict())
+    return operator_matrix(ModelBinding(_COLUMNS[kind], None, rtype), b)

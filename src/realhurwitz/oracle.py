@@ -16,20 +16,23 @@ a representative is classified once per block (orbit_types), the moves of
 each state are listed once per block from its states alone (neighbour_table),
 and the class search, its moves and the walks read those tables; each
 representative's walk is stepped once through every order, so
-labelled_by_paths(b, max_m) returns the orders 0 .. max_m, as the evolution
-does. This module is the independent check on the operator route, so it
-imports nothing from it but the model. A walk model is its states and its
-classifier, and the unsigned model binds the same core; both classifiers
-refuse a transition that is not two states of its block (check_transition).
+walk_totals(model, block, max_m) returns the orders 0 .. max_m, as the
+evolution does. This module is the independent check on the operator route,
+so it imports nothing from it but the model. A walk model is a
+model.WalkModel, its states, its classifier and the arity of its blocks:
+SIGNED_WALK here, nonsep.UNSIGNED_WALK for the unsigned model. Every entry
+point checks its block against that arity before any per-block cache is
+read, and both classifiers refuse a transition that is not two states of
+its block (check_transition).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping
 
-from .model import Bidegree, RamificationType, nonnegative, partition
+from .model import RamificationType, WalkModel, nonnegative, partition
 
 State = frozenset
 Transition = tuple[State, State]
@@ -133,17 +136,26 @@ def classify(t: Transition, n_plus: int, n_minus: int) -> RamificationType:
     return RamificationType(partition(kappa_plus), partition(kappa_minus), partition(lam))
 
 
-class WalkModel(NamedTuple):
-    """states(*block), the matchings of the block in the order of matchings,
-    and the type of a transition t as classify(t, *block)."""
-
-    states: Callable[..., tuple]
-    classify: Callable[..., Hashable]
+SIGNED_WALK = WalkModel(states, classify, 2)
 
 
-def _signed() -> WalkModel:
-    # built per call, so that a rebound module-level name takes effect
-    return WalkModel(states, classify)
+def _block(model: WalkModel, block) -> tuple:
+    """block as a plain tuple, checked before any per-block cache, where
+    (True, 1) would read (1, 1)'s entry: ValueError unless it is a tuple of
+    model.arity nonnegative ints (not bools)."""
+    if not isinstance(block, tuple) or len(block) != model.arity:
+        raise ValueError(f"block {block!r} is not a tuple of {model.arity} sizes")
+    nonnegative(**{f"block[{i}]": n for i, n in enumerate(block)})
+    return tuple(block)
+
+
+def _per_block(build: Callable) -> Callable:
+    """build(model, block), cached per model and block: the block is checked
+    (_block) before the cache is read, which keys on the tuple returned."""
+    cached = lru_cache(maxsize=None)(build)
+    read = wraps(build)(lambda model, block: cached(model, _block(model, block)))
+    read.cache_info = cached.cache_info
+    return read
 
 
 def orbits(model: WalkModel, block: tuple) -> list[tuple[State, int]]:
@@ -155,7 +167,7 @@ def orbits(model: WalkModel, block: tuple) -> list[tuple[State, int]]:
     return [(s, size) for s, size in groups.values()]
 
 
-@lru_cache(maxsize=None)
+@_per_block
 def orbit_types(model: WalkModel, block: tuple) -> tuple[tuple[State, int, Mapping], ...]:
     """(representative, orbit size, {state: type of (representative, state)})
     per orbit: every pair that starts at a representative, classified once
@@ -166,7 +178,7 @@ def orbit_types(model: WalkModel, block: tuple) -> tuple[tuple[State, int, Mappi
                  for rep, size in orbits(model, block))
 
 
-@lru_cache(maxsize=None)
+@_per_block
 def neighbour_table(model: WalkModel, block: tuple) -> Mapping:
     """{state: the states one transposition away}, read-only, built once per
     block and shared by the class search and the walks. A move removes one
@@ -181,23 +193,20 @@ def neighbour_table(model: WalkModel, block: tuple) -> Mapping:
     return MappingProxyType(table)
 
 
-def _components(block: tuple) -> dict:
-    # checked before the per-block caches, where (True, 1) would read (1, 1)'s
-    return {f"block[{i}]": n for i, n in enumerate(block)}
-
-
 def class_multiplication(model: WalkModel, block: tuple, side: str = "left") -> dict:
     """Multiplication by the transposition class sum on a block, in the
     operators' column form {mu: {nu: count}}. The representative of mu is the
     first transition of type mu met from an orbit representative; column mu
     counts its one-step moves on that side by the type they land in. A move
     from a representative is read from orbit_types, any other is classified.
-    Relabelling is transitive on each class, so every member has these counts.
-    A component of the block that is not a nonnegative int raises ValueError.
+    Relabelling is transitive on each class, so every member has these counts:
+    on SIGNED_WALK, the columns of operators.block_matrix(kind, b), the plus
+    operator's on the left and the minus one's on the right; on
+    nonsep.UNSIGNED_WALK, those of the unsigned operator on the left. A block
+    that _block refuses raises ValueError, from orbit_types before any cache.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    nonnegative(**_components(block))
     tables = {rep: types for rep, _, types in orbit_types(model, block)}
 
     def kind(initial: State, final: State):
@@ -221,10 +230,12 @@ def class_multiplication(model: WalkModel, block: tuple, side: str = "left") -> 
 def walk_totals(model: WalkModel, block: tuple, max_m: int) -> tuple[dict, ...]:
     """Number of m-step transposition walks between all ordered state pairs,
     summed by the type of the pair over orbit representatives, for
-    m = 0 .. max_m; types without walks are left out. Each representative's
+    m = 0 .. max_m; types without walks are left out: label(block) times the
+    disconnected counts at u^m/m!, in int. Each representative's
     walk counts {state: walks} are stepped once, one order after the other.
-    A max_m or block component that is not a nonnegative int raises ValueError."""
-    nonnegative(max_m=max_m, **_components(block))
+    A max_m that is not a nonnegative int raises ValueError, and so does a
+    block that _block refuses, from neighbour_table before any cache."""
+    nonnegative(max_m=max_m)
     totals: tuple[dict, ...] = tuple({} for _ in range(max_m + 1))
     neighbours = neighbour_table(model, block)
     for rep, weight, types in orbit_types(model, block):
@@ -240,20 +251,3 @@ def walk_totals(model: WalkModel, block: tuple, max_m: int) -> tuple[dict, ...]:
                 mu = types[s]
                 total[mu] = total.get(mu, 0) + weight * c
     return totals
-
-
-def mult_c2_matrix(b: Bidegree, side: str = "left") -> dict:
-    """Multiplication by the transposition class sum on the block b, in
-    column form (see class_multiplication): what block_matrix(kind, b).columns
-    must equal, with the plus operator on the left and the minus on the right."""
-    b = Bidegree(*b)
-    nonnegative(n_plus=b.n_plus, n_minus=b.n_minus)
-    return class_multiplication(_signed(), b, side)
-
-
-def labelled_by_paths(b: Bidegree, max_m: int) -> tuple[dict[RamificationType, int], ...]:
-    """m-step walk totals between all ordered state pairs of the block b,
-    summed by the type of the pair, for m = 0 .. max_m: n_plus! n_minus!
-    times the disconnected counts at u^m/m!, in int."""
-    nonnegative(max_m=max_m, **Bidegree(*b)._asdict())
-    return walk_totals(_signed(), Bidegree(*b), max_m)

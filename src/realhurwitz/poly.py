@@ -20,8 +20,8 @@ one count. A table leaves the store as records, each value two ints in
 lowest terms, ordered by model.canonical_key and with
 model.euler_characteristic (both serve either model's types); the command
 line reads only those. Fractions, imported where one is built, enter where
-a value leaves the store otherwise: a row, one value, or the dict
-{key: Fraction} of the nonzero entries of one order. A read above the order
+a value leaves the store otherwise: one value, or the dict {key: Fraction}
+of the nonzero entries of one order. A read above the order
 or outside the grades a store was computed on raises ValueError; none reads
 as zero.
 """
@@ -48,14 +48,6 @@ def _keys(grade, piece) -> dict:
             raise ValueError(f"key {k!r} of grade {tuple(k.grade)} is in the piece "
                              f"of grade {tuple(grade)}")
     return keys
-
-
-class HurwitzRow(NamedTuple):
-    m: int
-    mu: object
-    chi: int
-    connected: bool
-    value: Fraction
 
 
 class LabelledSeries(NamedTuple):
@@ -122,12 +114,6 @@ class LabelledSeries(NamedTuple):
                 for (_, chi, k, d), x in compress(zip(keyed, slots), slots):
                     yield m, k, chi - m, x // (q := gcd(x, d)), d // q
         return placed()
-
-    def rows(self) -> list[HurwitzRow]:
-        """The records as table rows, each value a Fraction."""
-        from fractions import Fraction
-        return [HurwitzRow(m, k, chi, self.connected, Fraction(num, den))
-                for m, k, chi, num, den in self.records()]
 
 
 def series(model, grades, max_m: int, connected: bool) -> LabelledSeries:

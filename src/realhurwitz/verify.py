@@ -8,7 +8,7 @@ from __future__ import annotations
 from .cli import _write
 from .model import (Bidegree, bidegree_box, enumerate_bidegrees, format_type, p_minus, p_plus,
                     q_var, rtype)
-from .operators import OperatorKind, block_matrix, evolve
+from .operators import OperatorKind, block_matrix, evolve, operator_matrix
 
 
 def _show(value) -> str:
@@ -60,40 +60,47 @@ _UNIT_EVALUATION = [1, 0, 1, 0, 2, 0, 20, 0, 406, 0, 14652]
 _UNIT_EVALUATION_MISPRINTS = {2: "1/2"}
 
 
-def _suite_paper(chk: _Checker) -> None:
+def _suite_paper(chk: _Checker, args) -> None:
     from . import evolution, nonsep
-    from .poly import series
+    from .poly import series, value
     # every signed check lies in the box (4, 4) through u^7, so one log serves
     conn = series(evolution.SIGNED, bidegree_box(Bidegree(4, 4)), 7, True)
     for m, coeffs in _PRINTED_EXPANSION.items():
         chk.poly_check(f"connected series coefficient of u^{m}/{m}!",
                        coeffs, {k: c for k, c in conn.coeff(m).items() if k.degree <= 4})
     got = [conn.value(p_plus(n), n - 1) for n in range(1, 9)]
-    chk.check("single positive real pole sequence n=1..8",
-              _SINGLE_POLE_SEQUENCE, got)
-    chk.check("count at m=6, one positive pole of order 3", 4,
-              conn.value(p_plus(3), 6))
-    chk.check("count at m=6, one negative pole of order 3", 4,
-              conn.value(p_minus(3), 6))
+    chk.check("single positive real pole sequence n=1..8", _SINGLE_POLE_SEQUENCE, got)
+    chk.check("count at m=6, one positive pole of order 3", 4, conn.value(p_plus(3), 6))
+    chk.check("count at m=6, one negative pole of order 3", 4, conn.value(p_minus(3), 6))
     chk.check("unsigned count at m=6, one pole of order 3", 9,
-              nonsep.tilde_connected_value(nonsep.ttype(kappa_odd=(3,)), 6))
+              value(nonsep.UNSIGNED, nonsep.ttype(kappa_odd=(3,)), 6))
 
 
-def _suite_oracle(chk: _Checker, max_size: int) -> None:
-    from . import evolution, oracle
-    for b in enumerate_bidegrees(max_size):
-        wp = block_matrix(OperatorKind.WPLUS, b)
-        wm = block_matrix(OperatorKind.WMINUS, b)
-        chk.check(f"plus operator equals left class multiplication on {tuple(b)}",
-                  True, oracle.mult_c2_matrix(b, "left") == wp.columns)
-        chk.check(f"minus operator equals right class multiplication on {tuple(b)}",
-                  True, oracle.mult_c2_matrix(b, "right") == wm.columns)
-    for b in enumerate_bidegrees(max_size):
-        chk.check(f"walk counts equal evolution on {tuple(b)}, m<=6", True,
-                  evolve(evolution.SIGNED, b, 6) == oracle.labelled_by_paths(b, 6))
+def _walk_checks(chk: _Checker, walk, block, where: str, binding=None, sides=()) -> None:
+    """One block of a walk model: given a series binding, its walk totals against
+    the evolution; then each (side, text, matrix) of sides against its class sums."""
+    from .oracle import class_multiplication, walk_totals
+    if binding:
+        chk.check(f"walk counts equal evolution on {where}, m<=6", True,
+                  evolve(binding, block, 6) == walk_totals(walk, block, 6))
+    for side, text, matrix in sides:
+        chk.check(f"{text} on {where}", True,
+                  class_multiplication(walk, block, side) == matrix.columns)
 
 
-def _suite_spectral(chk: _Checker) -> None:
+def _suite_oracle(chk: _Checker, args) -> None:
+    from .evolution import SIGNED
+    from .oracle import SIGNED_WALK
+    for b in enumerate_bidegrees(args.max_size):
+        _walk_checks(chk, SIGNED_WALK, b, f"{tuple(b)}", sides=[
+            (side, f"{sign} operator equals {side} class multiplication", block_matrix(kind, b))
+            for side, sign, kind in (("left", "plus", OperatorKind.WPLUS),
+                                     ("right", "minus", OperatorKind.WMINUS))])
+    for b in enumerate_bidegrees(args.max_size):
+        _walk_checks(chk, SIGNED_WALK, b, f"{tuple(b)}", SIGNED)
+
+
+def _suite_spectral(chk: _Checker, args) -> None:
     from . import spectral
     rep = spectral.common_eigenbasis(Bidegree(1, 1))
     chk.check("block (1,1) decomposition is exact", True, rep.exact)
@@ -114,17 +121,20 @@ def _suite_spectral(chk: _Checker) -> None:
                   spectral.mean_eigenvalue_check(rep))
 
 
-def _suite_genus0(chk: _Checker, max_m: int, max_degree: int) -> None:
-    from . import evolution, genus0
+def _suite_genus0(chk: _Checker, args) -> None:
+    from . import genus0
+    from .evolution import SIGNED
+    from .poly import series
+    max_m, max_degree = args.max_m, args.max_degree
     # one connected series on the union of the caps of the three checks, sliced
     # for each: the flow's, single poles through u^7 at degree 8, units through u^10
-    series = evolution.connected_series(max(max_degree, 8), max(max_m + 1, 10))
-    report = genus0.verify_genus0_pde(max_m, max_degree, series)
+    conn = series(SIGNED, enumerate_bidegrees(max(max_degree, 8)), max(max_m + 1, 10), True)
+    report = genus0.verify_genus0_pde(max_m, max_degree, conn)
     chk.check(f"flow equation residual, m<={max_m}, degree<={max_degree}",
               "zero", "zero" if report.is_zero else str(report.offending))
-    got = genus0.genus0_single_part_values(8, series)
+    got = genus0.genus0_single_part_values(8, conn)
     chk.check("single pole sequence in the genus-zero series", _SINGLE_POLE_SEQUENCE, got)
-    values = genus0.genus0_unit_values(10, series)
+    values = genus0.genus0_unit_values(10, conn)
     for m in range(11):
         name = f"unit evaluation at u^{m}/{m}!"
         chk.check(name, _UNIT_EVALUATION[m], values[m])
@@ -133,34 +143,24 @@ def _suite_genus0(chk: _Checker, max_m: int, max_degree: int) -> None:
                    f"actual {values[m]} (recorded misprint)\n")
 
 
-def _suite_nonsep(chk: _Checker) -> None:
-    from . import nonsep
+def _suite_nonsep(chk: _Checker, args) -> None:
+    from .nonsep import UNSIGNED, UNSIGNED_WALK, tilde_class_size_formula, tilde_class_sizes, ttype
+    from .poly import value
     for n in range(5):
-        sizes = nonsep.tilde_class_sizes(n)
-        sizes_ok = all(sizes[mu] == nonsep.tilde_class_size_formula(mu)
-                       for mu in nonsep.tilde_enumerate_types(n))
-        chk.check(f"class sizes match n!/zeta on {n} elements", True, sizes_ok)
-        chk.check(f"walk counts equal evolution on {n} elements, m<=6", True,
-                  evolve(nonsep.UNSIGNED, (n,), 6) == nonsep.tilde_labelled_by_paths(n, 6))
-        chk.check(f"transcribed operator form agrees on {n} elements", True,
-                  nonsep.tilde_mult_c2_matrix(n) == nonsep.tilde_operator_matrix(n).columns)
+        sizes, matrix = tilde_class_sizes(n), operator_matrix(UNSIGNED, (n,))
+        chk.check(f"class sizes match n!/zeta on {n} elements", True,
+                  all(sizes[mu] == tilde_class_size_formula(mu) for mu in matrix.basis))
+        _walk_checks(chk, UNSIGNED_WALK, (n,), f"{n} elements", UNSIGNED,
+                     [("left", "transcribed operator form agrees", matrix)])
     chk.check("unsigned count at m=6, one pole of order 3", 9,
-              nonsep.tilde_connected_value(nonsep.ttype(kappa_odd=(3,)), 6))
+              value(UNSIGNED, ttype(kappa_odd=(3,)), 6))
 
 
 def run_suite(args) -> int:
     """Run the chosen suite, one line per check; exit code 1 if any fails."""
     chk = _Checker()
-    if args.suite == "paper":
-        _suite_paper(chk)
-    elif args.suite == "oracle":
-        _suite_oracle(chk, args.max_size)
-    elif args.suite == "spectral":
-        _suite_spectral(chk)
-    elif args.suite == "genus0":
-        _suite_genus0(chk, args.max_m, args.max_degree)
-    else:
-        _suite_nonsep(chk)
+    {"paper": _suite_paper, "oracle": _suite_oracle, "spectral": _suite_spectral,
+     "genus0": _suite_genus0, "nonsep": _suite_nonsep}[args.suite](chk, args)
     if chk.failures:
         _write(f"{chk.failures} check(s) failed\n")
         return 1

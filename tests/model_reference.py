@@ -3,7 +3,7 @@
 They are kept only as the independent references that the tests check the
 package against: the product formulas for the number of types of each
 bidegree (enumerate_types) and of each unsigned degree
-(tilde_enumerate_types), the class size n+! n-! / zeta(mu) (zeta and the
+(types_by_grade(ttype, n)), the class size n+! n-! / zeta(mu) (zeta and the
 exhaustive classes of the walk model), and a parser of the text form of
 both walk models' types, which shows that format_type loses nothing.
 """

@@ -15,7 +15,7 @@ import pytest
 
 from model_reference import dimension_series
 from realhurwitz import operators
-from realhurwitz.evolution import SIGNED, connected_series, hurwitz_value
+from realhurwitz.evolution import SIGNED
 from realhurwitz.genus0 import genus0_unit_values, verify_genus0_pde
 from realhurwitz.model import (
     Bidegree,
@@ -29,12 +29,7 @@ from realhurwitz.model import (
     rtype,
     zeta,
 )
-from realhurwitz.nonsep import (
-    UNSIGNED,
-    tilde_connected_value,
-    tilde_labelled_by_paths,
-    ttype,
-)
+from realhurwitz.nonsep import UNSIGNED, UNSIGNED_WALK, ttype
 from realhurwitz.operators import (
     OperatorKind,
     block_matrix,
@@ -43,8 +38,8 @@ from realhurwitz.operators import (
     wminus_column,
     wplus_column,
 )
-from realhurwitz.oracle import labelled_by_paths, mult_c2_matrix
-from realhurwitz.poly import series
+from realhurwitz.oracle import SIGNED_WALK, class_multiplication, walk_totals
+from realhurwitz.poly import series, value
 from realhurwitz.spectral import (
     common_eigenbasis,
     compare_reference_eigenbasis,
@@ -79,7 +74,7 @@ PRINTED_UNIT_EVALUATION = [1, 0, Fraction(1, 2), 0, 2, 0, 20, 0, 406, 0, 14652]
 
 def test_leading_expansion_of_the_connected_series():
     with Stopwatch() as watch:
-        conn = connected_series(4, 3)
+        conn = series(SIGNED, enumerate_bidegrees(4), 3, True)
         for m, printed in PRINTED_EXPANSION.items():
             assert dict(conn.coeff(m)) == printed
     assert watch.elapsed < 1
@@ -87,7 +82,7 @@ def test_leading_expansion_of_the_connected_series():
 
 def test_alternating_permutation_values_up_to_degree_eight():
     with Stopwatch() as watch:
-        got = [hurwitz_value(p_plus(n), n - 1) for n in range(1, 9)]
+        got = [value(SIGNED, p_plus(n), n - 1) for n in range(1, 9)]
         assert got == [1, 1, 1, 2, 5, 16, 61, 272]
     assert watch.elapsed < 30
 
@@ -142,15 +137,16 @@ def test_genus0_unit_evaluation_matches_printed_series():
 
 def test_connected_count_order_three_pole_six_branch_points():
     with Stopwatch() as watch:
-        assert hurwitz_value(p_plus(3), 6) == 4
-        assert hurwitz_value(p_minus(3), 6) == 4
+        assert value(SIGNED, p_plus(3), 6) == 4
+        assert value(SIGNED, p_minus(3), 6) == 4
+        assert value(UNSIGNED, ttype(kappa_odd=(3,)), 6) == 9
     assert watch.elapsed < 10
 
 
 def test_order_two_pole_family_alternates():
     for m in range(10):
         expected = Fraction(1) if m % 2 else Fraction(0)
-        assert hurwitz_value(p_plus(2), m) == expected
+        assert value(SIGNED, p_plus(2), m) == expected
 
 
 def test_operator_blocks_equal_class_multiplication_matrices():
@@ -158,14 +154,20 @@ def test_operator_blocks_equal_class_multiplication_matrices():
         for b in enumerate_bidegrees(5):
             plus = block_matrix(OperatorKind.WPLUS, b)
             minus = block_matrix(OperatorKind.WMINUS, b)
-            assert plus.columns == mult_c2_matrix(b, "left")
-            assert minus.columns == mult_c2_matrix(b, "right")
+            assert plus.columns == class_multiplication(SIGNED_WALK, b, "left")
+            assert minus.columns == class_multiplication(SIGNED_WALK, b, "right")
     assert watch.elapsed < 120
 
 
-def test_walk_counts_equal_evolution_coefficients():
-    for b in enumerate_bidegrees(5):
-        assert evolve(SIGNED, b, 6) == labelled_by_paths(b, 6)
+@pytest.mark.parametrize("model, walks, grades", [
+    (SIGNED, SIGNED_WALK, enumerate_bidegrees(5)),
+    (UNSIGNED, UNSIGNED_WALK, [(n,) for n in range(5)]),
+], ids=["signed", "unsigned"])
+def test_walk_counts_equal_evolution_coefficients(model, walks, grades):
+    with Stopwatch() as watch:
+        for grade in grades:
+            assert evolve(model, grade, 6) == walk_totals(walks, grade, 6)
+    assert watch.elapsed < 120
 
 
 def test_operators_commute_and_are_zeta_self_adjoint():
@@ -250,11 +252,3 @@ def test_block_1_1_spectrum_and_reference_comparison():
     # are recorded as mismatches without failing anything.
     assert [c.matches for c in comparison] == [True, False, True, False]
     assert all(c.pair is not None for c in comparison if c.matches)
-
-
-def test_unsigned_model_count_and_oracle_equivalence():
-    with Stopwatch() as watch:
-        assert tilde_connected_value(ttype(kappa_odd=(3,)), 6) == 9
-        for n in range(5):
-            assert evolve(UNSIGNED, (n,), 6) == tilde_labelled_by_paths(n, 6)
-    assert watch.elapsed < 120

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import realhurwitz
-from realhurwitz import nonsep, poly
+from realhurwitz import oracle, poly
 from realhurwitz.cli import build_parser, main
 
 
@@ -209,7 +209,7 @@ def test_usage_errors_exit_two(capsys):
 @pytest.mark.parametrize("argv, layer, name", [
     (["table", "--connected"], poly, "series"),
     (["nonsep", "--connected"], poly, "series"),
-    (["verify", "--suite", "nonsep"], nonsep, "tilde_mult_c2_matrix"),
+    (["verify", "--suite", "nonsep"], oracle, "class_multiplication"),
 ])
 def test_internal_error_exits_three_with_one_line(capsys, monkeypatch, argv, layer, name):
     def broken(*args, **kwargs):

@@ -16,34 +16,27 @@ import pytest
 
 import realhurwitz
 from realhurwitz.cli import main
-from realhurwitz.evolution import SIGNED, disconnected_series, hurwitz_value
+from realhurwitz.evolution import SIGNED
 from realhurwitz.model import (Bidegree, RamificationType, bidegree_box, canonical_key,
                               enumerate_bidegrees, enumerate_types, euler_characteristic,
                               p_minus, p_plus, rtype)
-from realhurwitz import evolution, nonsep, operators
-from realhurwitz.nonsep import (UNSIGNED, TildeType, tilde_connected_value,
-                               tilde_labelled_by_paths, tilde_operator_matrix, ttype)
+from realhurwitz import nonsep, operators
+from realhurwitz.nonsep import UNSIGNED, UNSIGNED_WALK, TildeType, ttype
 from realhurwitz.operators import (OperatorKind, block_matrix, cached_columns, evolve,
-                                   wplus_column)
-from realhurwitz.oracle import labelled_by_paths
+                                   operator_matrix, wplus_column)
+from realhurwitz.oracle import SIGNED_WALK, walk_totals
 from realhurwitz.explog import series_exp, series_log
-from realhurwitz.poly import LabelledSeries, series
-
-
-def _walk_totals(model, grade, max_m):
-    """The walk totals of a grade of either model, read from the oracle."""
-    return (labelled_by_paths(grade, max_m) if model is SIGNED
-            else tilde_labelled_by_paths(*grade, max_m))
+from realhurwitz.poly import LabelledSeries, series, value
 
 
 # signed bidegrees through total degree nine, unsigned degrees through nine elements
-@pytest.mark.parametrize("model, grade", [
-    *(pytest.param(SIGNED, b, id=f"signed{tuple(b)}") for b in enumerate_bidegrees(9)),
-    *(pytest.param(UNSIGNED, (n,), id=f"unsigned({n},)") for n in range(10)),
+@pytest.mark.parametrize("model, walks, grade", [
+    *(pytest.param(SIGNED, SIGNED_WALK, b, id=f"signed{tuple(b)}") for b in enumerate_bidegrees(9)),
+    *(pytest.param(UNSIGNED, UNSIGNED_WALK, (n,), id=f"unsigned({n},)") for n in range(10)),
 ])
-def test_store_equals_walk_totals(model, grade):
+def test_store_equals_walk_totals(model, walks, grade):
     vectors = evolve(model, grade, 6)
-    assert vectors == _walk_totals(model, grade, 6)
+    assert vectors == walk_totals(walks, grade, 6)
     assert all(type(x) is int for vec in vectors for x in vec.values())
 
 
@@ -51,20 +44,20 @@ def test_an_edited_result_leaves_the_next_request_intact():
     # every request evolves a store of its own, so a caller may change the
     # vectors it gets without changing what a later request returns
     mu = p_plus(1).union(p_minus(1))
-    disconnected_series(2, 2).pieces[Bidegree(1, 1)][0][mu] += 5
+    series(SIGNED, enumerate_bidegrees(2), 2, False).pieces[Bidegree(1, 1)][0][mu] += 5
     evolve(SIGNED, Bidegree(1, 1), 2)[1].clear()
     evolve(SIGNED, Bidegree(1, 1), 2)[0][mu] += 5
     evolve(UNSIGNED, (3,), 2)[2].clear()
-    assert disconnected_series(2, 2).pieces[Bidegree(1, 1)][0][mu] == 1
+    assert series(SIGNED, enumerate_bidegrees(2), 2, False).pieces[Bidegree(1, 1)][0][mu] == 1
     # the piece of (1, 2) is the mirror of that of (2, 1): editing either
     # leaves the other as it was
-    pieces = disconnected_series(3, 2).pieces
+    pieces = series(SIGNED, enumerate_bidegrees(3), 2, False).pieces
     pieces[Bidegree(1, 2)][1].clear()
     pieces[Bidegree(2, 1)][2][rtype((3,))] += 5
-    assert pieces[Bidegree(2, 1)][1] == labelled_by_paths(Bidegree(2, 1), 2)[1]
-    assert pieces[Bidegree(1, 2)][2] == labelled_by_paths(Bidegree(1, 2), 2)[2]
-    assert evolve(SIGNED, Bidegree(1, 1), 2) == labelled_by_paths(Bidegree(1, 1), 2)
-    assert evolve(UNSIGNED, (3,), 2) == tilde_labelled_by_paths(3, 2)
+    assert pieces[Bidegree(2, 1)][1] == walk_totals(SIGNED_WALK, Bidegree(2, 1), 2)[1]
+    assert pieces[Bidegree(1, 2)][2] == walk_totals(SIGNED_WALK, Bidegree(1, 2), 2)[2]
+    assert evolve(SIGNED, Bidegree(1, 1), 2) == walk_totals(SIGNED_WALK, Bidegree(1, 1), 2)
+    assert evolve(UNSIGNED, (3,), 2) == walk_totals(UNSIGNED_WALK, (3,), 2)
 
 
 def test_log_and_exp_of_an_integer_store_stay_integral():
@@ -225,13 +218,13 @@ def test_the_mirror_swaps_each_key_once(monkeypatch):
     monkeypatch.setattr(RamificationType, "swap_signs", lambda mu: swapped.append(mu) or swap(mu))
     mirrored = operators.mirror(piece)
     assert sorted(swapped) == sorted(set().union(*piece))
-    assert mirrored == labelled_by_paths(Bidegree(2, 3), 6)
+    assert mirrored == walk_totals(SIGNED_WALK, Bidegree(2, 3), 6)
 
 
 @pytest.mark.parametrize("model, grade, shared, block", [
     (SIGNED, Bidegree(2, 1), wplus_column,
      lambda: block_matrix(OperatorKind.WPLUS, Bidegree(2, 1))),
-    (UNSIGNED, (4,), nonsep.tilde_column, lambda: tilde_operator_matrix(4)),
+    (UNSIGNED, (4,), nonsep.tilde_column, lambda: operator_matrix(UNSIGNED, (4,))),
 ], ids=["signed", "unsigned"])
 def test_the_evolution_reads_the_columns_the_blocks_hold(model, grade, shared, block):
     # the binding holds the shared accessor; evolving through a copy of it
@@ -257,17 +250,17 @@ def test_cached_columns_refuse_edits_and_the_evolution_stays_intact():
         plus.columns[mu] = {}
     with pytest.raises(TypeError):
         wplus_column(mu)[p_minus(2)] = 6
-    unsigned = tilde_operator_matrix(2)
+    unsigned = operator_matrix(UNSIGNED, (2,))
     nu = unsigned.basis[0]
     with pytest.raises(TypeError):
         unsigned.columns[nu][nu] = 5
     with pytest.raises(TypeError):
         nonsep.tilde_column(nu)[nu] = 5
-    store = disconnected_series(2, 2)
+    store = series(SIGNED, enumerate_bidegrees(2), 2, False)
     for b, piece in store.pieces.items():
-        assert tuple(piece) == labelled_by_paths(b, 2)
+        assert tuple(piece) == walk_totals(SIGNED_WALK, b, 2)
     for n in range(4):
-        assert evolve(UNSIGNED, (n,), 2) == tilde_labelled_by_paths(n, 2)
+        assert evolve(UNSIGNED, (n,), 2) == walk_totals(UNSIGNED_WALK, (n,), 2)
 
 
 # the evolution with model.types_by_grade, the one type enumerator of both
@@ -281,17 +274,17 @@ def refuse(*args):
 
 model.types_by_grade = refuse
 from realhurwitz import evolution, nonsep, operators
+from realhurwitz.poly import series
 
-for enumerate_basis, grade in ((operators.enumerate_types, (1, 1)),
-                               (nonsep.tilde_enumerate_types, 2)):
+for binding, grade in ((evolution.SIGNED, (1, 1)), (nonsep.UNSIGNED, (2,))):
     try:
-        enumerate_basis(grade)
+        operators.operator_matrix(binding, grade)
     except AssertionError:
         pass
     else:
-        raise SystemExit("the patch does not reach " + enumerate_basis.__name__)
-print(repr(evolution.table_rows(3, 6, connected=False)))
-print(repr(nonsep.tilde_table_rows(5, 6, connected=False)))
+        raise SystemExit(f"the patch does not reach the basis of {grade}")
+print(repr(list(series(evolution.SIGNED, model.bidegree_box((3, 3)), 6, False).records())))
+print(repr(list(series(nonsep.UNSIGNED, [(n,) for n in range(6)], 6, False).records())))
 """
 
 
@@ -302,8 +295,8 @@ def test_the_evolution_enumerates_no_block_basis():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        repr(evolution.table_rows(3, 6, connected=False)),
-        repr(nonsep.tilde_table_rows(5, 6, connected=False))]
+        repr(list(series(SIGNED, bidegree_box((3, 3)), 6, False).records())),
+        repr(list(series(UNSIGNED, [(n,) for n in range(6)], 6, False).records()))]
 
 
 @pytest.mark.parametrize("series", [
@@ -314,8 +307,6 @@ def test_the_evolution_enumerates_no_block_basis():
 ], ids=["box-connected", "box-disconnected", "unsigned-connected", "unsigned-disconnected"])
 def test_records_are_the_rows_in_lowest_terms(series):
     records = list(series.records())
-    assert records == [(r.m, r.mu, r.chi, r.value.numerator, r.value.denominator)
-                       for r in series.rows()]
     # each record is the store's value in lowest terms, every nonzero entry
     # once, ordered by m and then by canonical_key
     assert len(records) == sum(len(vec) for piece in series.pieces.values() for vec in piece)
@@ -346,22 +337,21 @@ def test_coeff_is_the_records_of_its_order(model, grades, connected):
 # a type beside its canonical twin: parts out of order, a float or bool part,
 # an even part in the odd slot, a type of the other model or none; the first
 # five used to read a wrong value or to fail deep inside the pipeline
-@pytest.mark.parametrize("value, mu, m, twin, count", [
-    (hurwitz_value, RamificationType((1, 2), (), ()), 3, rtype((2, 1)), 1),
-    (hurwitz_value, RamificationType((2.0, 1), (), ()), 3, rtype((2, 1)), 1),
-    (hurwitz_value, RamificationType((True,), (), ()), 0, rtype((1,)), 1),
-    (tilde_connected_value, TildeType((), (), (2,), ()), 5, ttype(kappa_plus=(2,)),
-     Fraction(1, 2)),
-    (tilde_connected_value, TildeType((), (), (3.0,), ()), 6, ttype(kappa_odd=(3,)), 9),
-    (hurwitz_value, ttype(kappa_odd=(3,)), 6, rtype((3,)), 4),
-    (tilde_connected_value, rtype((3,)), 6, ttype(kappa_odd=(3,)), 9),
-    (hurwitz_value, ((2, 1), (), ()), 3, rtype((2, 1)), 1),
+@pytest.mark.parametrize("model, mu, m, twin, count", [
+    (SIGNED, RamificationType((1, 2), (), ()), 3, rtype((2, 1)), 1),
+    (SIGNED, RamificationType((2.0, 1), (), ()), 3, rtype((2, 1)), 1),
+    (SIGNED, RamificationType((True,), (), ()), 0, rtype((1,)), 1),
+    (UNSIGNED, TildeType((), (), (2,), ()), 5, ttype(kappa_plus=(2,)), Fraction(1, 2)),
+    (UNSIGNED, TildeType((), (), (3.0,), ()), 6, ttype(kappa_odd=(3,)), 9),
+    (SIGNED, ttype(kappa_odd=(3,)), 6, rtype((3,)), 4),
+    (UNSIGNED, rtype((3,)), 6, ttype(kappa_odd=(3,)), 9),
+    (SIGNED, ((2, 1), (), ()), 3, rtype((2, 1)), 1),
 ], ids=["unsorted", "float-part", "bool-part", "unsigned-parity", "unsigned-float-part",
         "unsigned-type", "signed-type", "plain-tuple"])
-def test_a_value_of_a_type_not_in_canonical_form_raises(value, mu, m, twin, count):
+def test_a_value_of_a_type_not_in_canonical_form_raises(model, mu, m, twin, count):
     with pytest.raises(ValueError):
-        value(mu, m)
-    assert value(twin, m) == count
+        value(model, mu, m)
+    assert value(model, twin, m) == count
 
 
 def _order_shifted(powers):
@@ -388,7 +378,7 @@ def test_the_unsigned_series_never_calls_the_mirror(monkeypatch):
     monkeypatch.setattr(operators, "mirror", refuse)
     degrees = [(n,) for n in range(7)]
     for (n,), piece in series(UNSIGNED, degrees, 6, False).pieces.items():
-        assert piece == tilde_labelled_by_paths(n, 6)
+        assert piece == walk_totals(UNSIGNED_WALK, (n,), 6)
     assert series(UNSIGNED, degrees, 6, True).value(ttype(kappa_odd=(3,)), 6) == 9
     with pytest.raises(AssertionError, match="mirror"):  # the signed series mirrors
         series(SIGNED, enumerate_bidegrees(1), 0, False)

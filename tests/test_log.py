@@ -4,11 +4,11 @@ bidegree-box truncation against the total-degree one."""
 import pytest
 
 from power_sum_reference import power_sum_log
-from realhurwitz.evolution import SIGNED, connected_series, disconnected_series, hurwitz_value
+from realhurwitz.evolution import SIGNED
 from realhurwitz.model import Bidegree, bidegree, bidegree_box, enumerate_bidegrees
 from realhurwitz.nonsep import UNSIGNED
 from realhurwitz.explog import series_log
-from realhurwitz.poly import series
+from realhurwitz.poly import series, value
 
 
 @pytest.mark.parametrize("model, grades, max_degree", [
@@ -28,7 +28,7 @@ def test_box_series_equals_total_degree_series_on_the_box(corner):
     blocks = set(bidegree_box(corner))
     for connected in (True, False):
         box = series(SIGNED, bidegree_box(corner), 6, connected)
-        full = (connected_series if connected else disconnected_series)(sum(corner), 6)
+        full = series(SIGNED, enumerate_bidegrees(sum(corner)), 6, connected)
         for m in range(7):
             assert {bidegree(mu) for mu in box.coeff(m)} <= blocks
             assert box.coeff(m) == {mu: c for mu, c in full.coeff(m).items()
@@ -36,7 +36,7 @@ def test_box_series_equals_total_degree_series_on_the_box(corner):
 
 
 def test_hurwitz_value_reads_the_box_of_its_type():
-    full = connected_series(6, 5)
+    full = series(SIGNED, enumerate_bidegrees(6), 5, True)
     for m in range(6):
         for mu, c in full.coeff(m).items():
-            assert hurwitz_value(mu, m) == c
+            assert value(SIGNED, mu, m) == c

@@ -23,9 +23,10 @@ from realhurwitz.model import (
     partitions_of,
     q_var,
     rtype,
+    types_by_grade,
     zeta,
 )
-from realhurwitz.nonsep import TildeType, tilde_enumerate_types
+from realhurwitz.nonsep import TildeType, ttype
 
 
 def test_partition_sorts_descending():
@@ -145,7 +146,7 @@ def test_enumerate_types_matches_dimension_series():
 def test_tilde_enumerate_types_matches_its_generating_function():
     counts = [1, 1, 4, 5, 14, 18, 41, 54, 109, 145, 267, 357, 618, 826, 1359]
     assert unsigned_type_counts(14) == counts
-    assert [len(tilde_enumerate_types(n)) for n in range(15)] == counts
+    assert [len(types_by_grade(ttype, n)[(n,)]) for n in range(15)] == counts
 
 
 def test_dimension_series_printed_rows():
@@ -194,7 +195,7 @@ def _replaced_formulas(mu, m: int) -> tuple:
 
 # every signed type of total degree <= 8 and every unsigned type of degree <= 8
 _PROTOCOL_TYPES = ([mu for b in enumerate_bidegrees(8) for mu in enumerate_types(b)]
-                   + [mu for n in range(9) for mu in tilde_enumerate_types(n)])
+                   + [mu for n in range(9) for mu in types_by_grade(ttype, n)[(n,)]])
 
 
 def _protocol_mismatches(key, chi, text) -> list:

@@ -9,21 +9,22 @@ import pytest
 import realhurwitz
 
 from walk_reference import tilde_class_members
-from realhurwitz.model import canonical_key, euler_characteristic
+from realhurwitz.evolution import SIGNED
+from realhurwitz.model import (canonical_key, enumerate_bidegrees, euler_characteristic,
+                               types_by_grade)
 from realhurwitz.nonsep import (
+    UNSIGNED,
+    UNSIGNED_WALK,
     TildeType,
     tilde_class_size_formula,
     tilde_class_sizes,
     tilde_classify,
-    tilde_connected_value,
-    tilde_enumerate_types,
-    tilde_labelled_by_paths,
-    tilde_mult_c2_matrix,
-    tilde_operator_matrix,
-    tilde_table_rows,
     tilde_zeta,
     ttype,
 )
+from realhurwitz.operators import operator_matrix
+from realhurwitz.oracle import SIGNED_WALK, class_multiplication, walk_totals
+from realhurwitz.poly import series, value
 
 EMPTY = frozenset()
 PAIR01 = frozenset({(0, 1)})
@@ -91,7 +92,7 @@ def test_class_sizes_match_formula():
     # the orbit count against n!/zeta and against every transition of the class
     for n in range(6):
         sizes = tilde_class_sizes(n)
-        for mu in tilde_enumerate_types(n):
+        for mu in types_by_grade(ttype, n)[(n,)]:
             assert sizes[mu] == tilde_class_size_formula(mu)
             assert sizes[mu] == len(tilde_class_members(mu))
 
@@ -117,9 +118,14 @@ def test_euler_characteristic():
     assert euler_characteristic(ttype(lam=(1,)), 0) == 4
 
 
-@pytest.mark.parametrize("n", range(10))
-def test_operator_matrix_equals_class_multiplication(n):
-    assert tilde_operator_matrix(n).columns == tilde_mult_c2_matrix(n)
+# both walk models: each one's operator on a grade is its class multiplication
+# from the left (the signed plus operator); an unsigned id is the degree alone
+@pytest.mark.parametrize("model, walks, grade", [
+    *(pytest.param(UNSIGNED, UNSIGNED_WALK, (n,), id=f"{n}") for n in range(10)),
+    *(pytest.param(SIGNED, SIGNED_WALK, b, id=f"signed{tuple(b)}") for b in enumerate_bidegrees(6)),
+])
+def test_operator_matrix_equals_class_multiplication(model, walks, grade):
+    assert operator_matrix(model, grade).columns == class_multiplication(walks, grade)
 
 
 # one term family of the operator with a wrong weight: a conjugate pair of
@@ -154,30 +160,30 @@ def test_verify_catches_a_wrong_term_family():
 
 
 def test_hurwitz_single_element():
-    assert tilde_labelled_by_paths(1, 1) == ({ttype(kappa_odd=(1,)): 1}, {})
+    assert walk_totals(UNSIGNED_WALK, (1,), 1) == ({ttype(kappa_odd=(1,)): 1}, {})
 
 
 def test_connected_unsigned_count_nine():
     mu = ttype(kappa_odd=(3,))
-    assert tilde_connected_value(mu, 6) == 9
+    assert value(UNSIGNED, mu, 6) == 9
 
 
 def test_connected_odd_single_pole_probe():
     # Odd-order unsigned counts coincide with the signed zigzag at odd index.
-    got = [tilde_connected_value(ttype(kappa_odd=(n,)), n - 1) for n in (1, 3, 5)]
+    got = [value(UNSIGNED, ttype(kappa_odd=(n,)), n - 1) for n in (1, 3, 5)]
     assert got == [1, 1, 5]
 
 
 def test_table_rows_sorted_by_canonical_key():
-    rows = tilde_table_rows(3, 4, connected=True)
-    assert all(r.value != 0 for r in rows)
-    keys = [(r.m, canonical_key(r.mu)) for r in rows]
+    records = list(series(UNSIGNED, [(n,) for n in range(4)], 4, True).records())
+    assert all(num != 0 for _, _, _, num, _ in records)
+    keys = [(m, canonical_key(mu)) for m, mu, *_ in records]
     assert keys == sorted(keys)
 
 
 def test_operator_matrix_on_two_elements_is_a_permutation():
-    tm = tilde_operator_matrix(2)
-    assert len(tm.basis) == len(tilde_enumerate_types(2)) == 4
+    tm = operator_matrix(UNSIGNED, (2,))
+    assert len(tm.basis) == len(types_by_grade(ttype, 2)[(2,)]) == 4
     index = {mu: i for i, mu in enumerate(tm.basis)}
     identities = {index[ttype(kappa_odd=(1, 1))], index[ttype(lam=(1,))]}
     switches = {index[ttype(kappa_plus=(2,))], index[ttype(kappa_minus=(2,))]}
@@ -187,3 +193,10 @@ def test_operator_matrix_on_two_elements_is_a_permutation():
         hit = col.index(1)
         # One step always flips between identity classes and switch classes.
         assert (hit in switches) == (j in identities)
+
+
+def test_operator_matrix_refuses_a_grade_of_the_other_model():
+    # a grade of another length than the model's has no types, so no basis
+    for model, grade in ((UNSIGNED, (2, 2)), (SIGNED, (3,))):
+        with pytest.raises(KeyError):
+            operator_matrix(model, grade)

@@ -18,10 +18,13 @@ from realhurwitz.model import (
     p_plus,
     q_var,
     rtype,
+    types_by_grade,
     zeta,
 )
-from realhurwitz.operators import OperatorKind, block_matrix, wplus_images
-from realhurwitz.oracle import mult_c2_matrix
+from realhurwitz.nonsep import tilde_column, ttype
+from realhurwitz.operators import (OperatorKind, block_matrix, wminus_column, wplus_column,
+                                   wplus_images)
+from realhurwitz.oracle import SIGNED_WALK, class_multiplication
 
 
 def column(kind, mu):
@@ -85,13 +88,23 @@ def test_chi_shifts_match_term_metadata():
     # chi(nu, m+1) - chi(mu, m) is 0 for a cut or a real part becoming a pair
     # and -2 for a join or a pair becoming a real part, so applying the
     # operator moves counts along constant-chi lines or two below them.
+    m = 7
     shifts = set()
     for b in enumerate_bidegrees(5):
         for mu in enumerate_types(b):
             for nu, _ in wplus_images(mu):
-                m = 7
                 shifts.add(euler_characteristic(nu, m + 1) - euler_characteristic(mu, m))
     assert shifts == {0, -2}
+    # every column entry of W+, W- and the unsigned operator moves chi0, the
+    # chi at m = 0, by +1 or -1: each operator maps the types of even chi0 to
+    # those of odd chi0 and back, so each block's charpoly has only even or
+    # only odd powers
+    signed = [mu for b in enumerate_bidegrees(8) for mu in enumerate_types(b)]
+    unsigned = [mu for n in range(11) for mu in types_by_grade(ttype, n)[(n,)]]
+    for column, types in ((wplus_column, signed), (wminus_column, signed),
+                          (tilde_column, unsigned)):
+        assert {euler_characteristic(nu, m + 1) - euler_characteristic(mu, m)
+                for mu in types for nu in column(mu)} == {0, -2}, column
 
 
 def test_block_matrix_equals_class_multiplication():
@@ -99,8 +112,8 @@ def test_block_matrix_equals_class_multiplication():
         wp = block_matrix(OperatorKind.WPLUS, b)
         wm = block_matrix(OperatorKind.WMINUS, b)
         assert wp.basis == tuple(enumerate_types(b))
-        assert wp.columns == mult_c2_matrix(b, "left")
-        assert wm.columns == mult_c2_matrix(b, "right")
+        assert wp.columns == class_multiplication(SIGNED_WALK, b, "left")
+        assert wm.columns == class_multiplication(SIGNED_WALK, b, "right")
         mean = block_matrix(OperatorKind.WMEAN, b).columns
         for mu, plus in wp.columns.items():
             minus = wm.columns[mu]

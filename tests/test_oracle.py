@@ -26,30 +26,26 @@ from realhurwitz.model import (
     rtype,
     zeta,
 )
+from realhurwitz.nonsep import UNSIGNED_WALK
 from realhurwitz.oracle import (
+    SIGNED_WALK,
+    class_multiplication,
     classify,
-    labelled_by_paths,
     matchings,
-    mult_c2_matrix,
     neighbour_table,
     orbits,
     states,
+    walk_totals,
 )
-from walk_reference import (
-    SIGNED,
-    UNSIGNED,
-    class_members,
-    compose,
-    transitions,
-    walk_count,
-)
+from walk_reference import class_members, compose, transitions, walk_count
 
 EMPTY = frozenset()
 PAIR = frozenset({(0, 1)})  # on the block (1, 1): plus vertex 0, minus vertex 1
 
 # the blocks of each model that the state tests run on
-MODEL_BLOCKS = [pytest.param(SIGNED, [(a, b) for a in range(5) for b in range(5)], id="signed"),
-                pytest.param(UNSIGNED, [(n,) for n in range(10)], id="unsigned")]
+MODEL_BLOCKS = [pytest.param(SIGNED_WALK, [(a, b) for a in range(5) for b in range(5)],
+                             id="signed"),
+                pytest.param(UNSIGNED_WALK, [(n,) for n in range(10)], id="unsigned")]
 
 
 def matching_count(n_plus, n_minus):
@@ -64,10 +60,10 @@ def involution_count(n):
 
 @pytest.mark.parametrize("model, blocks", MODEL_BLOCKS)
 def test_state_counts(model, blocks):
-    count = matching_count if model is SIGNED else involution_count
+    count = matching_count if model is SIGNED_WALK else involution_count
     for block in blocks:
         assert len(model.states(*block)) == count(*block)
-    if model is UNSIGNED:
+    if model is UNSIGNED_WALK:
         assert [count(n) for n in range(8)] == [1, 1, 2, 4, 10, 26, 76, 232]
 
 
@@ -86,7 +82,7 @@ def test_states_are_partial_matchings():
         assert all(a < 3 <= b < 5 for a, b in s)
         assert len(set().union(*s)) == 2 * len(s)
     assert states(3, 2) is matchings(tuple((a, b) for a in range(3) for b in (3, 4)))
-    assert UNSIGNED.states(4) is matchings(tuple(combinations(range(4), 2)))
+    assert UNSIGNED_WALK.states(4) is matchings(tuple(combinations(range(4), 2)))
     assert matchings(((0, 1), (0, 2), (1, 2))) == (
         EMPTY, frozenset({(0, 1)}), frozenset({(0, 2)}), frozenset({(1, 2)}))
 
@@ -127,7 +123,8 @@ def test_classify_refuses_a_bool_size_after_the_int_block():
 
 
 @pytest.mark.parametrize("model, block, bad", [
-    (SIGNED, (1, 1), (True, 1)), (SIGNED, (1, 1), (1, 1.0)), (UNSIGNED, (2,), (2.0,)),
+    (SIGNED_WALK, (1, 1), (True, 1)), (SIGNED_WALK, (1, 1), (1, 1.0)),
+    (UNSIGNED_WALK, (2,), (2.0,)),
 ], ids=["signed-bool", "signed-float", "unsigned-float"])
 def test_walks_and_class_columns_refuse_a_malformed_block_after_the_int_block(model, block, bad):
     # the per-block caches of the int block, equal and of equal hash, do not serve bad
@@ -138,6 +135,41 @@ def test_walks_and_class_columns_refuse_a_malformed_block_after_the_int_block(mo
             call()
     with pytest.raises(ValueError, match="max_m must be a nonnegative int"):
         oracle.walk_totals(model, block, True)
+
+
+@pytest.mark.parametrize("table", ["orbit_types", "neighbour_table"])
+@pytest.mark.parametrize("model, block, bad", [
+    (SIGNED_WALK, (1, 1), (True, 1)), (SIGNED_WALK, (1, 1), (1, 1.0)),
+    (SIGNED_WALK, (1, 1), (1,)), (SIGNED_WALK, (1, 1), [1, 1]), (SIGNED_WALK, (1, 1), 2),
+    (UNSIGNED_WALK, (1,), (True,)), (UNSIGNED_WALK, (2,), (2, 2)), (UNSIGNED_WALK, (2,), [2]),
+], ids=["signed-bool", "signed-float", "signed-short", "signed-list", "signed-int",
+        "unsigned-bool", "unsigned-long", "unsigned-list"])
+def test_the_per_block_tables_check_their_block_before_the_cache(table, model, block, bad):
+    # with the good block cached, a block equal to it and of equal hash
+    # ((True, 1) and (1, 1)) is refused all the same, and so is one of the
+    # wrong arity or one that is not a tuple, with ValueError
+    build = getattr(oracle, table)
+    assert build(model, block)
+    with pytest.raises(ValueError, match="block"):
+        build(model, bad)
+
+
+def test_the_per_block_tables_key_on_the_checked_tuple():
+    # a Bidegree and the plain tuple of its sizes read one cache entry
+    for build in (oracle.orbit_types, oracle.neighbour_table):
+        assert build(SIGNED_WALK, Bidegree(2, 1)) is build(SIGNED_WALK, (2, 1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: walk_totals(SIGNED_WALK, (1,), 2),
+    lambda: walk_totals(SIGNED_WALK, [1, 1], 2),
+    lambda: walk_totals(UNSIGNED_WALK, (2, 2), 1),
+    lambda: class_multiplication(UNSIGNED_WALK, 3),
+    lambda: class_multiplication(SIGNED_WALK, (1, 1, 1), "right"),
+], ids=["signed-short", "signed-list", "unsigned-long", "unsigned-int", "signed-long"])
+def test_walks_and_class_columns_refuse_a_block_of_the_wrong_shape(call):
+    with pytest.raises(ValueError, match="is not a tuple of [12] sizes"):
+        call()
 
 
 @pytest.mark.parametrize("t, size", [
@@ -236,7 +268,7 @@ def test_transpositions_have_a_single_part_two():
 
 def _relabellings(model, block):
     """Every relabelling of the block's ground sets, acting on states."""
-    if model is UNSIGNED:
+    if model is UNSIGNED_WALK:
         n, = block
         for p in permutations(range(n)):
             yield lambda s, p=p: frozenset(tuple(sorted((p[a], p[b]))) for a, b in s)
@@ -249,8 +281,9 @@ def _relabellings(model, block):
 
 def _blocks_through(size):
     """(model, block) for every signed block and unsigned n through size."""
-    return ([pytest.param(SIGNED, b, id=f"signed{tuple(b)}") for b in enumerate_bidegrees(size)]
-            + [pytest.param(UNSIGNED, (n,), id=f"unsigned({n})") for n in range(size + 1)])
+    return ([pytest.param(SIGNED_WALK, b, id=f"signed{tuple(b)}")
+             for b in enumerate_bidegrees(size)]
+            + [pytest.param(UNSIGNED_WALK, (n,), id=f"unsigned({n})") for n in range(size + 1)])
 
 
 @pytest.mark.parametrize("model, block", _blocks_through(5))
@@ -409,7 +442,7 @@ def test_each_representative_pair_is_classified_once(model, block):
         calls[t] += 1
         return model.classify(t, *args)
 
-    counting = oracle.WalkModel(model.states, counted)
+    counting = model._replace(classify=counted)
     assert oracle.walk_totals(counting, block, 6) == oracle.walk_totals(model, block, 6)
     for side in ("left", "right"):
         assert (oracle.class_multiplication(counting, block, side)
@@ -428,7 +461,8 @@ def test_the_walks_and_the_class_search_list_the_neighbours_of_a_state_once():
     # in one table per block, though the walks revisit states at each
     # representative and order and both sides of the class search read them
     calls = Counter()
-    blocks = [(SIGNED, b) for b in enumerate_bidegrees(5)] + [(UNSIGNED, (n,)) for n in range(6)]
+    blocks = ([(SIGNED_WALK, b) for b in enumerate_bidegrees(5)]
+              + [(UNSIGNED_WALK, (n,)) for n in range(6)])
     expected = [(oracle.walk_totals(model, block, 6),
                  *(oracle.class_multiplication(model, block, side) for side in ("left", "right")))
                 for model, block in blocks]
@@ -438,7 +472,7 @@ def test_the_walks_and_the_class_search_list_the_neighbours_of_a_state_once():
             calls[block] += 1
             return model.states(*block)
 
-        counting = oracle.WalkModel(counted, model.classify)
+        counting = model._replace(states=counted)
         table = oracle.neighbour_table(counting, block)
         assert calls[tuple(block)] == 1
         assert (oracle.walk_totals(counting, block, 6),
@@ -449,7 +483,7 @@ def test_the_walks_and_the_class_search_list_the_neighbours_of_a_state_once():
     assert oracle.neighbour_table.cache_info().misses - built == len(blocks)
     # the shared table refuses edits
     with pytest.raises(TypeError):
-        oracle.neighbour_table(SIGNED, Bidegree(1, 1))[EMPTY] = ()
+        oracle.neighbour_table(SIGNED_WALK, Bidegree(1, 1))[EMPTY] = ()
 
 
 def test_class_size_matches_formula():
@@ -460,8 +494,8 @@ def test_class_size_matches_formula():
 
 def test_left_and_right_multiplication_commute():
     for b in enumerate_bidegrees(4):
-        left = mult_c2_matrix(b, "left")
-        right = mult_c2_matrix(b, "right")
+        left = class_multiplication(SIGNED_WALK, b, "left")
+        right = class_multiplication(SIGNED_WALK, b, "right")
         assert compose(left, right) == compose(right, left)
 
 
@@ -474,7 +508,7 @@ def test_walk_count_zero_steps():
 
 def test_labelled_by_paths_block_1_1():
     # the label factor of (1, 1) is 1, so these are the counts themselves
-    assert labelled_by_paths(Bidegree(1, 1), 1) == ({rtype((1,), (1,)): 1, q_var(1): 1},
+    assert walk_totals(SIGNED_WALK, Bidegree(1, 1), 1) == ({rtype((1,), (1,)): 1, q_var(1): 1},
                                                     {p_plus(2): 1, p_minus(2): 1})
 
 
@@ -483,7 +517,7 @@ def test_labelled_by_paths_equals_label_times_walk_count_over_zeta():
     # label(b) / zeta transitions, so the total of a type is that many walk
     # counts of one member
     for b in enumerate_bidegrees(4):
-        for m, table in enumerate(labelled_by_paths(b, 3)):
+        for m, table in enumerate(walk_totals(SIGNED_WALK, b, 3)):
             assert set(table) <= set(enumerate_types(b))
             for mu in enumerate_types(b):
                 expected, rem = divmod(label(b) * walk_count(mu, m), zeta(mu))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import realhurwitz
 from power_sum_reference import add, mul, power_sum_exp, power_sum_log, series_mul
-from realhurwitz.evolution import connected_series, disconnected_series
+from realhurwitz.evolution import SIGNED
 from realhurwitz.model import (
     EMPTY_TYPE,
     Bidegree,
@@ -19,10 +19,11 @@ from realhurwitz.model import (
     p_plus,
     q_var,
     rtype,
+    types_by_grade,
 )
-from realhurwitz.nonsep import TILDE_EMPTY, tilde_enumerate_types, ttype
+from realhurwitz.nonsep import TILDE_EMPTY, ttype
 from realhurwitz.explog import series_exp, series_log
-from realhurwitz.poly import LabelledSeries
+from realhurwitz.poly import LabelledSeries, series
 
 
 def vec(*pairs):
@@ -100,17 +101,17 @@ def test_exp_and_log_take_only_the_labelled_store(transform):
     # a series yields are refused by name rather than failing inside
     assert realhurwitz.LabelledSeries is LabelledSeries
     with pytest.raises(TypeError, match="LabelledSeries"):
-        transform(connected_series(2, 2).coeffs, 2, [(0, 0)])
+        transform(series(SIGNED, enumerate_bidegrees(2), 2, True).coeffs, 2, [(0, 0)])
 
 
 @pytest.mark.parametrize("transform, given, max_m", [
-    (series_log, disconnected_series(2, 2), 4),
-    (series_log, disconnected_series(2, 2), 3),
-    (series_exp, connected_series(2, 2), 3),
-    (series_log, disconnected_series(2, 2), -1),
-    (series_exp, connected_series(2, 2), -1),
-    (series_log, disconnected_series(2, 2), True),
-    (series_exp, connected_series(2, 2), True),
+    (series_log, series(SIGNED, enumerate_bidegrees(2), 2, False), 4),
+    (series_log, series(SIGNED, enumerate_bidegrees(2), 2, False), 3),
+    (series_exp, series(SIGNED, enumerate_bidegrees(2), 2, True), 3),
+    (series_log, series(SIGNED, enumerate_bidegrees(2), 2, False), -1),
+    (series_exp, series(SIGNED, enumerate_bidegrees(2), 2, True), -1),
+    (series_log, series(SIGNED, enumerate_bidegrees(2), 2, False), True),
+    (series_exp, series(SIGNED, enumerate_bidegrees(2), 2, True), True),
 ], ids=["log-above", "log-one-above", "exp-above", "log-negative", "exp-negative",
         "log-bool", "exp-bool"])
 def test_exp_and_log_refuse_an_order_they_cannot_compute(transform, given, max_m):
@@ -122,8 +123,8 @@ def test_exp_and_log_refuse_an_order_they_cannot_compute(transform, given, max_m
 
 
 @pytest.mark.parametrize("transform, given, grade", [
-    (series_log, disconnected_series(2, 2), Bidegree(3, 0)),
-    (series_exp, connected_series(2, 2), Bidegree(2, 1)),
+    (series_log, series(SIGNED, enumerate_bidegrees(2), 2, False), Bidegree(3, 0)),
+    (series_exp, series(SIGNED, enumerate_bidegrees(2), 2, True), Bidegree(2, 1)),
 ], ids=["log", "exp"])
 def test_exp_and_log_refuse_a_listed_grade_their_input_lacks(transform, given, grade):
     # read as zeros, the missing piece would give the log -1/6 at p_1^+3,
@@ -133,8 +134,8 @@ def test_exp_and_log_refuse_a_listed_grade_their_input_lacks(transform, given, g
 
 
 @pytest.mark.parametrize("transform, given, connected", [
-    (series_log, disconnected_series(2, 3), False),
-    (series_exp, connected_series(2, 3), True),
+    (series_log, series(SIGNED, enumerate_bidegrees(2), 3, False), False),
+    (series_exp, series(SIGNED, enumerate_bidegrees(2), 3, True), True),
 ], ids=["log", "exp"])
 def test_exp_and_log_refuse_a_piece_shorter_than_the_order(transform, given, connected):
     # read as zeros, the orders the piece of (1, 1) lacks would give both
@@ -150,10 +151,10 @@ def test_exp_and_log_refuse_a_piece_shorter_than_the_order(transform, given, con
 
 def test_exp_and_log_through_a_lower_order_truncate():
     grades = enumerate_bidegrees(3)
-    assert series_log(disconnected_series(3, 4), 2, grades).coeffs == \
-        connected_series(3, 2).coeffs
-    assert series_exp(connected_series(3, 4), 2, grades).coeffs == \
-        disconnected_series(3, 2).coeffs
+    assert series_log(series(SIGNED, enumerate_bidegrees(3), 4, False), 2, grades).coeffs == \
+        series(SIGNED, enumerate_bidegrees(3), 2, True).coeffs
+    assert series_exp(series(SIGNED, enumerate_bidegrees(3), 4, True), 2, grades).coeffs == \
+        series(SIGNED, enumerate_bidegrees(3), 2, False).coeffs
 
 
 def test_series_log_requires_unit_constant():
@@ -179,8 +180,6 @@ def test_labelled_series_rejects_a_key_in_two_pieces():
                              Bidegree(2, 0): [{p_plus(1): 2}]}, 0, False)
     with pytest.raises(ValueError):
         series.coeff(0)
-    with pytest.raises(ValueError):
-        series.rows()
     with pytest.raises(ValueError):
         series.records()
     with pytest.raises(ValueError):
@@ -258,7 +257,7 @@ def labelled_vectors(draw, keys):
     ([mu for b in enumerate_bidegrees(4) if any(b)
       for mu in enumerate_types(b)],
      enumerate_bidegrees(4), EMPTY_TYPE, 4),
-    ([mu for n in range(1, 7) for mu in tilde_enumerate_types(n)],
+    ([mu for n in range(1, 7) for mu in types_by_grade(ttype, n)[(n,)]],
      [(n,) for n in range(7)], TILDE_EMPTY, 6),
 ], ids=["signed", "unsigned"])
 @settings(max_examples=100, deadline=None)

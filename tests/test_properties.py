@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from model_reference import parse_type
-from realhurwitz.evolution import connected_series, hurwitz_value
-from realhurwitz.model import RamificationType, format_type, partition, rtype
+from realhurwitz.evolution import SIGNED
+from realhurwitz.model import RamificationType, enumerate_bidegrees, format_type, partition, rtype
 from realhurwitz.nonsep import TildeType
+from realhurwitz.poly import series, value
 
 parts = st.lists(st.integers(min_value=1, max_value=12), max_size=6).map(partition)
 types = st.builds(RamificationType, parts, parts, parts)
@@ -34,12 +35,12 @@ def test_format_type_round_trips_a_tilde_type_through_parse_type(mu):
 @settings(max_examples=60, deadline=None)
 @given(small_types, st.integers(min_value=0, max_value=7))
 def test_connected_count_symmetric_under_sign_swap(mu, m):
-    assert hurwitz_value(mu, m) == hurwitz_value(mu.swap_signs(), m)
+    assert value(SIGNED, mu, m) == value(SIGNED, mu.swap_signs(), m)
 
 
 def test_connected_counts_through_degree_eight_are_integers():
-    series = connected_series(8, 8)
-    assert any(series.coeffs)
-    for m, vec in enumerate(series.coeffs):
+    conn = series(SIGNED, enumerate_bidegrees(8), 8, True)
+    assert any(conn.coeffs)
+    for m, vec in enumerate(conn.coeffs):
         for mu, c in vec.items():
             assert c.denominator == 1, (m, format_type(mu), c)

@@ -8,7 +8,7 @@ every transition with their class means, the walks from one state and the
 walk totals of one order, each walked afresh from its start, the class of a
 type, its first member as a representative, and the number of walks between
 the two states of that representative, which times the class size gives the
-walk total of the type in labelled_by_paths. compose multiplies two operators
+walk total of the type in oracle.walk_totals. compose multiplies two operators
 given in that column form.
 """
 
@@ -16,12 +16,9 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from realhurwitz.model import RamificationType, bidegree
-from realhurwitz.nonsep import tilde_classify, tilde_states
-from realhurwitz.oracle import WalkModel, classify, states
-
-SIGNED = WalkModel(states, classify)
-UNSIGNED = WalkModel(tilde_states, tilde_classify)
+from realhurwitz.model import RamificationType, WalkModel, bidegree
+from realhurwitz.nonsep import UNSIGNED_WALK
+from realhurwitz.oracle import SIGNED_WALK
 
 
 @lru_cache(maxsize=None)
@@ -34,7 +31,7 @@ def transpositions(model: WalkModel, block: tuple) -> dict:
 
 def transitions(n_plus: int, n_minus: int) -> list[tuple]:
     """Every ordered pair of states of the block, initial state first."""
-    all_states = states(n_plus, n_minus)
+    all_states = SIGNED_WALK.states(n_plus, n_minus)
     return [(initial, final) for initial in all_states for final in all_states]
 
 
@@ -99,12 +96,12 @@ def walk_totals(model: WalkModel, block: tuple, m: int) -> dict:
 
 def class_members(mu: RamificationType) -> tuple:
     """Every transition of type mu on the block bidegree(mu), in order."""
-    return members(SIGNED, bidegree(mu), mu)
+    return members(SIGNED_WALK, bidegree(mu), mu)
 
 
 def tilde_class_members(mu) -> tuple:
     """Every unsigned transition of type mu on mu.degree elements, in order."""
-    return members(UNSIGNED, (mu.degree,), mu)
+    return members(UNSIGNED_WALK, (mu.degree,), mu)
 
 
 def representative(mu: RamificationType) -> tuple:
@@ -116,7 +113,7 @@ def walk_count(mu: RamificationType, m: int) -> int:
     """Number of m-step transposition walks linking the states of the
     representative transition of type mu."""
     initial, final = representative(mu)
-    return walks_from(SIGNED, bidegree(mu), initial, m).get(final, 0)
+    return walks_from(SIGNED_WALK, bidegree(mu), initial, m).get(final, 0)
 
 
 def compose(a: dict, b: dict) -> dict:

@@ -19,6 +19,11 @@ GOLDEN = [
      "cc16c816569b48e720d4081643292c71569365114a40679c2b624df21937ff7d"),
     ("table --max-degree 4 --max-m 8 --connected --format csv", 0,
      "b08fca5eaef7c027ea9f0134e686b25e0e02b6269c403a9a82ae8ae7356a6bc2"),
+    # the larger connected tables of both models, box (6,6) and n <= 12
+    ("table --max-degree 6 --max-m 10 --connected --format csv", 0,
+     "f4cc97a4099cef2c88369f2a2dc48b4ab8633678da3250a6e60edc051ec85ab1"),
+    ("nonsep --max-n 12 --max-m 12 --connected --format csv", 0,
+     "b7741f3c4e69eb6ce380bace79f325059432c41823d334c60450071386283e3e"),
     ("table --max-degree 2 --max-m 4 --format json", 0,
      "bdb179c6db0c45f0158c52695d9fb4a19f66e558241753d0a036036c3be1e89c"),
     ("verify --suite paper", 0,

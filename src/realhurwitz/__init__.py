@@ -21,7 +21,6 @@ _EXPORTS = {
         "q_var", "rtype", "zeta",
     ),
     "poly": ("LabelledSeries", "series", "value"),
-    "explog": ("series_exp", "series_log"),
     "operators": ("BlockMatrix", "OperatorKind", "block_matrix", "operator_matrix"),
     "oracle": ("SIGNED_WALK", "class_multiplication", "classify", "states", "walk_totals"),
     "evolution": ("SIGNED",),
@@ -29,7 +28,7 @@ _EXPORTS = {
                "genus0_unit_values", "verify_genus0_pde"),
     "spectral": ("SpectralReport", "common_eigenbasis",
                  "compare_reference_eigenbasis", "orthogonality_check"),
-    "nonsep": ("TILDE_EMPTY", "TildeType", "UNSIGNED", "UNSIGNED_WALK", "tilde_classify", "ttype"),
+    "nonsep": ("TildeType", "UNSIGNED", "UNSIGNED_WALK", "tilde_classify", "ttype"),
 }
 
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -12,7 +12,7 @@ quietly with 141, the status of a death by SIGPIPE.
 A cold run compiles only the modules its command runs, each imported inside
 the handler that uses it. Every command compiles cli and model; table adds
 evolution, operators and poly, nonsep adds nonsep, operators and poly, and
-with --connected both add explog; block adds dump and operators, spectrum
+with --connected both add connected; block adds dump and operators, spectrum
 adds dump, spectral and operators, oracle adds oracle and poly, and verify
 adds verify and the modules of its suite, genus0 only for `--suite genus0`.
 Tables leave the store as reduced int pairs, so table, nonsep and oracle

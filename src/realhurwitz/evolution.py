@@ -1,7 +1,8 @@
 """The signed walk model's binding to the shared series pipeline.
 
 The disconnected series starts from exp(p_1^+ + p_1^- + q_1) and evolves by
-the plus cut-and-join operator; the connected series is its formal log.
+the plus cut-and-join operator; the connected series, its log, starts from
+p_1^+ + p_1^- + q_1 and flows by the connected equation of that operator.
 SIGNED hands the shared steps (operators.evolve, operators.operator_matrix,
 poly.series, poly.value) the plus operator's int columns, the labelled start
 vector of a bidegree and rtype. A block (n+, n-) is stored as n+! n-! times

@@ -116,8 +116,6 @@ class RamificationType(NamedTuple):
         return RamificationType(self.kappa_minus, self.kappa_plus, self.lam)
 
 
-EMPTY_TYPE = RamificationType((), (), ())
-
 # a walk model as the series read it: column(mu), the labelled start(grade) and its
 # validated type constructor; as the walks read it: states(*block), classify(t, *block)
 # and the number of components of a block

@@ -65,9 +65,6 @@ class TildeType(NamedTuple):
                          merge_partitions(self.lam, other.lam))
 
 
-TILDE_EMPTY = TildeType((), (), (), ())
-
-
 def ttype(kappa_plus=(), kappa_minus=(), kappa_odd=(), lam=()) -> TildeType:
     """Validated constructor: even parts in the signed slots, odd in kappa."""
     kp, km = partition(kappa_plus), partition(kappa_minus)

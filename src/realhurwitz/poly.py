@@ -1,9 +1,8 @@
 """The labelled store of u-series of counts, and the one series pipeline.
 
 A series stores the coefficients of u^m/m!, so series products use binomial
-convolution and exp/log (realhurwitz.explog) are the
-exponential-generating-function transforms relating disconnected and
-connected counts. The keys of a series in the labelled store provide
+convolution, and the connected series is the log of the disconnected one.
+The keys of a series in the labelled store provide
 `.union(other)` (monomial product) and `.grade`: a tuple of nonnegative
 integers that adds under union and is zero only for the constant monomial
 (the bidegree of a RamificationType, the 1-tuple of the degree of a tilde
@@ -14,9 +13,9 @@ Analytic Combinatorics, ch. II): a LabelledSeries holds label(g) times each
 coefficient of grade g, the product of the factorials of the components of
 g. Every count of both walk models is an int there. series, the one
 pipeline of both walk models, evolves the listed grades through a model's
-binding (operators.evolve) and takes the log for connected counts, importing
-explog only then, so a disconnected table compiles none of it; value reads
-one count. A table leaves the store as records, each value two ints in
+binding: by operators.evolve for disconnected counts, by the connected
+cut-and-join equation for connected ones, importing realhurwitz.connected
+only then, so a disconnected table compiles none of it; value reads one count. A table leaves the store as records, each value two ints in
 lowest terms, ordered by model.canonical_key and with
 model.euler_characteristic (both serve either model's types); the command
 line reads only those. Fractions, imported where one is built, enter where
@@ -56,8 +55,7 @@ class LabelledSeries(NamedTuple):
     pieces maps each grade g to a sequence, indexed by m = 0 .. max_m, of
     {key: x}, where x is label(g) times the coefficient of p_key u^m/m!, an
     int. A disconnected series of either walk model holds the walk totals
-    that the oracle divides by the label factor; explog.series_exp and
-    series_log take a store and return one. Every key lies in the piece of
+    that the oracle divides by the label factor. Every key lies in the piece of
     its own grade; reading a series that breaks this raises ValueError, and
     so does a read above max_m or on a grade without a piece.
     """
@@ -117,19 +115,19 @@ class LabelledSeries(NamedTuple):
 
 
 def series(model, grades, max_m: int, connected: bool) -> LabelledSeries:
-    """The disconnected series of a walk model on the listed grades through
-    u^max_m, or its log. Each sign-swap pair of grades is evolved once, the
-    lower grade read as the mirror of its reverse: W- = S W+ S, S the sign
-    swap, evolves each start vector as W+ does."""
-    from .operators import evolve, mirror
+    """The disconnected or the connected series of a walk model on the listed
+    grades through u^max_m. The connected one flows by its own equation
+    (connected.connected_series). Of the disconnected one each sign-swap pair
+    of grades is evolved once, the lower grade read as the mirror of its
+    reverse: W- = S W+ S, S the sign swap, evolves each start vector as W+ does."""
     nonnegative(max_m=max_m)
+    if connected:
+        from .connected import connected_series
+        return LabelledSeries(connected_series(model, grades, max_m), max_m, True)
+    from .operators import evolve, mirror
     pieces = {g: evolve(model, g, max_m) for g in grades if g >= g[::-1] or g[::-1] not in grades}
     pieces = {g: pieces.get(g) or mirror(pieces[g[::-1]]) for g in grades}
-    disc = LabelledSeries(pieces, max_m, False)
-    if not connected:
-        return disc
-    from .explog import series_log
-    return series_log(disc, max_m, grades)
+    return LabelledSeries(pieces, max_m, False)
 
 
 def value(model, mu, m: int, connected: bool = True) -> Fraction:

@@ -63,7 +63,7 @@ _UNIT_EVALUATION_MISPRINTS = {2: "1/2"}
 def _suite_paper(chk: _Checker, args) -> None:
     from . import evolution, nonsep
     from .poly import series, value
-    # every signed check lies in the box (4, 4) through u^7, so one log serves
+    # every signed check lies in the box (4, 4) through u^7, so one series serves
     conn = series(evolution.SIGNED, bidegree_box(Bidegree(4, 4)), 7, True)
     for m, coeffs in _PRINTED_EXPANSION.items():
         chk.poly_check(f"connected series coefficient of u^{m}/{m}!",

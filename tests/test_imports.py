@@ -46,25 +46,26 @@ VERIFY_GENUS0 = ["verify", "--suite", "genus0", "--max-m", "2", "--max-degree", 
 VERIFY_NONSEP = ["verify", "--suite", "nonsep"]
 VERIFY, GENUS0 = "realhurwitz.verify", "realhurwitz.genus0"
 OPERATORS, DUMP = "realhurwitz.operators", "realhurwitz.dump"
-EXPLOG = "realhurwitz.explog"
+CONNECTED = "realhurwitz.connected"
 
 
 @pytest.mark.parametrize("argv, runs, left_out", [
     (TABLE, "realhurwitz.evolution",
      {"realhurwitz.oracle", "realhurwitz.spectral", "realhurwitz.nonsep", VERIFY, GENUS0,
-      DUMP, EXPLOG, "json", "numpy", "csv", "fractions"}),
+      DUMP, CONNECTED, "json", "numpy", "csv", "fractions"}),
     (NONSEP, "realhurwitz.nonsep",
      {"realhurwitz.spectral", "realhurwitz.oracle", "realhurwitz.evolution", VERIFY, GENUS0,
       DUMP, "csv", "fractions"}),
-    (ORACLE, "realhurwitz.oracle", {OPERATORS, "realhurwitz.evolution", DUMP, EXPLOG}),
-    (SPECTRUM, "realhurwitz.spectral", {"realhurwitz.nonsep", "realhurwitz.oracle"}),
+    (ORACLE, "realhurwitz.oracle", {OPERATORS, "realhurwitz.evolution", DUMP, CONNECTED}),
+    (SPECTRUM, "realhurwitz.spectral", {"realhurwitz.nonsep", "realhurwitz.oracle", CONNECTED}),
     (VERIFY_ORACLE, "realhurwitz.oracle",
-     {GENUS0, "realhurwitz.spectral", "realhurwitz.nonsep", "realhurwitz.poly", DUMP,
+     {GENUS0, "realhurwitz.spectral", "realhurwitz.nonsep", "realhurwitz.poly", DUMP, CONNECTED,
       "fractions", "decimal"}),
+    (BLOCK, DUMP, {"realhurwitz.poly", CONNECTED}),
     (VERIFY_GENUS0, GENUS0, set()),
     (VERIFY_NONSEP, "realhurwitz.nonsep",
      {"realhurwitz.evolution", "realhurwitz.spectral", GENUS0, DUMP, "numpy"}),
-], ids=["table", "nonsep", "oracle", "spectrum", "verify-oracle", "verify-genus0",
+], ids=["table", "nonsep", "oracle", "spectrum", "verify-oracle", "block", "verify-genus0",
         "verify-nonsep"])
 def test_a_command_imports_only_the_modules_it_runs(argv, runs, left_out):
     loaded = _loaded(*argv)
@@ -103,6 +104,13 @@ def test_the_parser_loads_no_operators():
 def test_only_block_and_spectrum_load_the_dump_module():
     assert {DUMP, OPERATORS} <= _loaded(*BLOCK)
     assert DUMP in _loaded(*SPECTRUM)
+
+
+@pytest.mark.parametrize("argv", [
+    TABLE + ["--connected"], NONSEP, VERIFY_GENUS0, VERIFY_NONSEP, ["verify", "--suite", "paper"],
+], ids=["table", "nonsep", "verify-genus0", "verify-nonsep", "verify-paper"])
+def test_a_connected_command_loads_the_connected_flow(argv):
+    assert CONNECTED in _loaded(*argv)
 
 
 def test_importing_the_package_loads_no_submodule():

@@ -2,7 +2,7 @@
 
 The store equals the oracle's walk totals with no division, every exact
 division raises ArithmeticError on a value that does not divide (also under
-python -O), and the exp/log recurrence keeps integer input integral.
+python -O), and the connected series of an integer start stays integral.
 """
 
 import json
@@ -15,6 +15,7 @@ from math import gcd
 import pytest
 
 import realhurwitz
+from power_sum_reference import power_sum_exp
 from realhurwitz.cli import main
 from realhurwitz.evolution import SIGNED
 from realhurwitz.model import (Bidegree, RamificationType, bidegree_box, canonical_key,
@@ -25,7 +26,6 @@ from realhurwitz.nonsep import UNSIGNED, UNSIGNED_WALK, TildeType, ttype
 from realhurwitz.operators import (OperatorKind, block_matrix, cached_columns, evolve,
                                    operator_matrix, wplus_column)
 from realhurwitz.oracle import SIGNED_WALK, walk_totals
-from realhurwitz.explog import series_exp, series_log
 from realhurwitz.poly import LabelledSeries, series, value
 
 
@@ -61,14 +61,15 @@ def test_an_edited_result_leaves_the_next_request_intact():
 
 
 def test_log_and_exp_of_an_integer_store_stay_integral():
+    # the connected series, the log of the integer store, is integral, and
+    # its exp by the power-sum reference is that store again
     blocks = list(enumerate_bidegrees(5))
     disc = LabelledSeries({b: evolve(SIGNED, b, 5) for b in blocks}, 5, False)
-    conn = series_log(disc, 5, blocks)
+    conn = series(SIGNED, blocks, 5, True)
     assert isinstance(conn, LabelledSeries) and conn.connected
     assert all(type(x) is int for piece in conn.pieces.values()
                for vec in piece for x in vec.values())
-    regrown = series_exp(conn, 5, blocks)
-    assert regrown.coeffs == disc.coeffs
+    assert power_sum_exp(conn.coeffs, 5, 5, rtype()) == disc.coeffs
 
 
 # an operator whose image function yields 1/2
@@ -79,16 +80,15 @@ from realhurwitz.operators import cached_columns
 cached_columns(lambda mu: [(mu, Fraction(1, 2))], rtype)(p_plus(1))
 """
 
-# a store holding 1/2: |b| F_b for b = (2,) sums 1 * comb(2, 1) * F_1 * H_1
-# = 2 * (1/2)^2 = 1/2, which 2 does not divide
+# the connected series (the log) from a start holding 1/2 at p_1 of the
+# unsigned model: the join of two such poles at u^1 sums comb(2, 1) * (1/2)^2
+# = 1/2, which the exact halving refuses
 HALF_ENTRY = """
 from fractions import Fraction
-from realhurwitz.nonsep import TILDE_EMPTY, ttype
-from realhurwitz.explog import series_log
-from realhurwitz.poly import LabelledSeries
-store = LabelledSeries({(0,): [{TILDE_EMPTY: 1}], (1,): [{ttype(kappa_odd=(1,)): Fraction(1, 2)}],
-                        (2,): [{}]}, 0, False)
-series_log(store, 0, [(0,), (1,), (2,)])
+from realhurwitz.nonsep import UNSIGNED, ttype
+from realhurwitz.poly import series
+start = {(1,): {ttype(kappa_odd=(1,)): Fraction(1, 2)}, (2,): {}}
+series(UNSIGNED._replace(start=lambda g: start.get(g, {})), [(0,), (1,), (2,)], 1, True)
 """
 
 

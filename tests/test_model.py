@@ -6,7 +6,6 @@ from model_reference import (class_size_formula, dimension_series, parse_partiti
                              unsigned_type_counts)
 from realhurwitz.model import (
     Bidegree,
-    EMPTY_TYPE,
     RamificationType,
     aut_order,
     bidegree,
@@ -97,7 +96,7 @@ def test_rtype_validates_and_sorts():
 def test_degree_counts_pair_poles_twice():
     assert rtype((3,), (), ()).degree == 3
     assert rtype((), (), (2,)).degree == 4
-    assert EMPTY_TYPE.degree == 0
+    assert rtype().degree == 0
 
 
 def test_bidegree_splits_even_and_odd_orders():
@@ -127,7 +126,7 @@ def test_zeta_values():
     assert zeta(rtype((), (), (2, 2))) == 2 * 2 * 2
     assert zeta(rtype((2, 2), (), (3,))) == 2 * 3
     assert zeta(rtype((1, 1, 1), (), ())) == 6
-    assert zeta(EMPTY_TYPE) == 1
+    assert zeta(rtype()) == 1
 
 
 def test_class_size_formula_is_integral():

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import realhurwitz
-from realhurwitz import oracle, poly
+from realhurwitz import genus0, oracle, poly
 from realhurwitz.cli import build_parser, main
 
 
@@ -97,6 +97,19 @@ def test_verify_genus0_suite_reports_known_discrepancy(capsys):
     assert len(notes) == 1
     assert "u^2/2!" in notes[0]
     assert "printed 1/2 actual 1" in notes[0]
+
+
+def test_verify_genus0_suite_names_the_first_nonzero_residual(capsys, monkeypatch):
+    # the flow check with the q-term dropped: the least order, then the least key
+    images = genus0.genus0_images
+    monkeypatch.setattr(genus0, "genus0_images", lambda key: (
+        (nu, c) for nu, c in images(key) if nu.q_parts == key.q_parts))
+    code, out = run(capsys, "verify", "--suite", "genus0", "--max-m", "4",
+                    "--max-degree", "4")
+    assert code == 1
+    assert out.splitlines()[0] == (
+        "FAIL flow equation residual, m<=4, degree<=4: expected zero actual "
+        "(1, G0Type(p_parts=(), q_parts=(1,)), Fraction(1, 2))")
 
 
 def test_block_json_matches_csv_sparsity(capsys):

@@ -34,6 +34,11 @@ GOLDEN = [
      "4715e0b717dd7b98f7f2d7750f88275d0d6c95bf3b2cf266b34c82fd48c768a8"),
     ("verify --suite genus0 --max-m 10 --max-degree 8", 0,
      "70aede3eb96ff76d24e548caef14827e4bc4c6010d38d167fd35e5d85b9be0f2"),
+    # lopsided caps: the flow check's series is far from the fixed checks' caps
+    ("verify --suite genus0 --max-m 16 --max-degree 6", 0,
+     "7f2484279ac5d1a0a358300ab75f26d90186fd41cee797e94ab5bc6af902ca27"),
+    ("verify --suite genus0 --max-m 4 --max-degree 12", 0,
+     "a05d318716eb5bb8bd053fef85bbb0c46b9c1422bd84f064e58fe4cd9d582d9c"),
     ("verify --suite oracle --max-size 3", 0,
      "ecc084a953d072c719207f09c67d9173cf6235c4261427252ae00de639be04c8"),
     ("verify --suite oracle --max-size 5", 0,

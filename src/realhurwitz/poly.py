@@ -15,8 +15,9 @@ g. Every count of both walk models is an int there. series, the one
 pipeline of both walk models, evolves the listed grades through a model's
 binding: by operators.evolve for disconnected counts, by the connected
 cut-and-join equation for connected ones, importing realhurwitz.connected
-only then, so a disconnected table compiles none of it; value reads one count. A table leaves the store as records, each value two ints in
-lowest terms, ordered by model.canonical_key and with
+only then, so a disconnected table compiles none of it; value reads one
+connected count. A table leaves the store as records, each value two ints
+in lowest terms, ordered by model.canonical_key and with
 model.euler_characteristic (both serve either model's types); the command
 line reads only those. Fractions, imported where one is built, enter where
 a value leaves the store otherwise: one value, or the dict {key: Fraction}
@@ -37,16 +38,14 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-def _keys(grade, piece) -> dict:
-    """The keys of a piece in order of first appearance. A key must lie in
-    the piece of its own grade, else it would be joined with the entries of
-    that piece when pieces merge; one that does not raises ValueError."""
-    keys = dict.fromkeys(k for vec in piece for k in vec)
-    for k in keys:
+def _check_keys(grade, vec) -> None:
+    """Refuse, by ValueError, a key of vec, one order of the piece of the given
+    grade, that is of another grade: merged with the other pieces, it would be
+    joined with the entries of the piece of its own grade."""
+    for k in vec:
         if k.grade != grade:
             raise ValueError(f"key {k!r} of grade {tuple(k.grade)} is in the piece "
                              f"of grade {tuple(grade)}")
-    return keys
 
 
 class LabelledSeries(NamedTuple):
@@ -84,7 +83,7 @@ class LabelledSeries(NamedTuple):
         self._order(m)
         out: dict = {}
         for g, piece in self.pieces.items():
-            _keys(g, (piece[m],))
+            _check_keys(g, piece[m])
             d = label(g)
             out.update((k, Fraction(x, d)) for k, x in piece[m].items() if x)
         return out
@@ -101,7 +100,7 @@ class LabelledSeries(NamedTuple):
         keyed = sorted((*key_and_chi(k), k, d) for g, piece in self.pieces.items()
                        for d in (label(g),) for k in set().union(*piece))
         rank = {k: i for i, (_, _, k, _) in enumerate(keyed)}
-        # of the grade check of _keys, the part that costs nothing: no key in two pieces
+        # of the grade check of _check_keys, the part that costs nothing: no key in two pieces
         if len(rank) != len(keyed):
             raise ValueError("a key lies in two pieces")
         def placed():
@@ -130,13 +129,13 @@ def series(model, grades, max_m: int, connected: bool) -> LabelledSeries:
     return LabelledSeries(pieces, max_m, False)
 
 
-def value(model, mu, m: int, connected: bool = True) -> Fraction:
-    """One count, a Fraction: the coefficient of p_mu u^m/m! in the chosen series
-    on the grades at most mu's. A type that model.canonical does not rebuild
-    unchanged, or one of another model, raises ValueError, and so does an
-    order m that is not a nonnegative int."""
+def value(model, mu, m: int) -> Fraction:
+    """One count, a Fraction: the coefficient of p_mu u^m/m! in the connected
+    series on the grades at most mu's. A type that model.canonical does not
+    rebuild unchanged, or one of another model, raises ValueError, and so does
+    an order m that is not a nonnegative int."""
     nonnegative(m=m)
     if type(mu) is not type(model.canonical()) or model.canonical(*mu) != mu:
         raise ValueError(f"type {mu!r} is not in canonical form")
     grades = list(product(*(range(x + 1) for x in mu.grade)))
-    return series(model, grades, m, connected).value(mu, m)
+    return series(model, grades, m, True).value(mu, m)

@@ -123,18 +123,13 @@ def _suite_spectral(chk: _Checker, args) -> None:
 
 def _suite_genus0(chk: _Checker, args) -> None:
     from . import genus0
-    from .evolution import SIGNED
-    from .poly import series
     max_m, max_degree = args.max_m, args.max_degree
-    # one connected series on the union of the caps of the three checks, sliced
-    # for each: the flow's, single poles through u^7 at degree 8, units through u^10
-    conn = series(SIGNED, enumerate_bidegrees(max(max_degree, 8)), max(max_m + 1, 10), True)
-    report = genus0.verify_genus0_pde(max_m, max_degree, conn)
+    residual = genus0.verify_genus0_pde(max_m, max_degree)
     chk.check(f"flow equation residual, m<={max_m}, degree<={max_degree}",
-              "zero", "zero" if report.is_zero else str(report.offending))
-    got = genus0.genus0_single_part_values(8, conn)
-    chk.check("single pole sequence in the genus-zero series", _SINGLE_POLE_SEQUENCE, got)
-    values = genus0.genus0_unit_values(10, conn)
+              "zero", "zero" if residual is None else str(residual))
+    chk.check("single pole sequence in the genus-zero series", _SINGLE_POLE_SEQUENCE,
+              genus0.genus0_single_part_values(8))
+    values = genus0.genus0_unit_values(10)
     for m in range(11):
         name = f"unit evaluation at u^{m}/{m}!"
         chk.check(name, _UNIT_EVALUATION[m], values[m])

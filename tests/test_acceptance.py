@@ -238,8 +238,7 @@ def test_direct_evolution_check_sees_a_broken_mirror(monkeypatch, name, broken):
 
 
 def test_genus0_flow_equation_residual_vanishes():
-    report = verify_genus0_pde(8, 6)
-    assert report.is_zero, report.offending
+    assert verify_genus0_pde(8, 6) is None
 
 
 def test_block_1_1_spectrum_and_reference_comparison():

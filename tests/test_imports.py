@@ -44,6 +44,8 @@ ORACLE = ["oracle", "--nplus", "1", "--nminus", "1"]
 BLOCK = ["block", "--nplus", "1", "--nminus", "1", "--format", "csv"]
 VERIFY_GENUS0 = ["verify", "--suite", "genus0", "--max-m", "2", "--max-degree", "2"]
 VERIFY_NONSEP = ["verify", "--suite", "nonsep"]
+VERIFY_PAPER = ["verify", "--suite", "paper"]
+VERIFY_SPECTRAL = ["verify", "--suite", "spectral"]
 VERIFY, GENUS0 = "realhurwitz.verify", "realhurwitz.genus0"
 OPERATORS, DUMP = "realhurwitz.operators", "realhurwitz.dump"
 CONNECTED = "realhurwitz.connected"
@@ -62,11 +64,18 @@ CONNECTED = "realhurwitz.connected"
      {GENUS0, "realhurwitz.spectral", "realhurwitz.nonsep", "realhurwitz.poly", DUMP, CONNECTED,
       "fractions", "decimal"}),
     (BLOCK, DUMP, {"realhurwitz.poly", CONNECTED}),
-    (VERIFY_GENUS0, GENUS0, set()),
+    (VERIFY_GENUS0, GENUS0,
+     {"realhurwitz.oracle", "realhurwitz.spectral", "realhurwitz.nonsep", DUMP, "numpy", "json",
+      "csv"}),
     (VERIFY_NONSEP, "realhurwitz.nonsep",
      {"realhurwitz.evolution", "realhurwitz.spectral", GENUS0, DUMP, "numpy"}),
+    (VERIFY_PAPER, "realhurwitz.evolution",
+     {"realhurwitz.oracle", "realhurwitz.spectral", GENUS0, DUMP, "numpy"}),
+    (VERIFY_SPECTRAL, "realhurwitz.spectral",
+     {"realhurwitz.poly", CONNECTED, "realhurwitz.evolution", GENUS0, "realhurwitz.nonsep",
+      "realhurwitz.oracle", DUMP}),
 ], ids=["table", "nonsep", "oracle", "spectrum", "verify-oracle", "block", "verify-genus0",
-        "verify-nonsep"])
+        "verify-nonsep", "verify-paper", "verify-spectral"])
 def test_a_command_imports_only_the_modules_it_runs(argv, runs, left_out):
     loaded = _loaded(*argv)
     assert runs in loaded
@@ -76,8 +85,7 @@ def test_a_command_imports_only_the_modules_it_runs(argv, runs, left_out):
 @pytest.mark.parametrize("argv, budget", [
     (TABLE, 1147), (NONSEP, 1400), (VERIFY_ORACLE, 1235), (SPECTRUM, 1812),
     (ORACLE, 1030), (BLOCK, 819), (VERIFY_NONSEP, 1721),
-    (["verify", "--suite", "paper"], 1530), (VERIFY_GENUS0, 1430),
-    (["verify", "--suite", "spectral"], 1258),
+    (VERIFY_PAPER, 1530), (VERIFY_GENUS0, 1430), (VERIFY_SPECTRAL, 1258),
 ], ids=["table", "nonsep", "verify-oracle", "spectrum", "oracle", "block", "verify-nonsep",
         "verify-paper", "verify-genus0", "verify-spectral"])
 def test_a_command_compiles_at_most_its_budget_of_lines(argv, budget):
@@ -107,7 +115,7 @@ def test_only_block_and_spectrum_load_the_dump_module():
 
 
 @pytest.mark.parametrize("argv", [
-    TABLE + ["--connected"], NONSEP, VERIFY_GENUS0, VERIFY_NONSEP, ["verify", "--suite", "paper"],
+    TABLE + ["--connected"], NONSEP, VERIFY_GENUS0, VERIFY_NONSEP, VERIFY_PAPER,
 ], ids=["table", "nonsep", "verify-genus0", "verify-nonsep", "verify-paper"])
 def test_a_connected_command_loads_the_connected_flow(argv):
     assert CONNECTED in _loaded(*argv)
